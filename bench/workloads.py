@@ -3,7 +3,6 @@ references every op's output is checked against.
 
 Each workload class has
   - ``inputs``: the op inputs of one pass, in the order the seed sets;
-  - ``min_passes``: passes the timed phase always completes;
   - ``warmup_ops``: untimed ops run before the timed phase;
   - ``run(x)``: one op, the only timed code;
   - ``run_inprocess(x)``: the op as the traced run makes it;
@@ -27,11 +26,9 @@ import hashlib
 import importlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +90,6 @@ class Qft:
 
     name = "qft"
     n = 5
-    min_passes = 2
     # the first op in a process also fills the pair-map cache and grows
     # the allocator's heap; that cold cost is what the cli workload times
     warmup_ops = 1
@@ -156,7 +152,6 @@ class Rewrite:
     name = "rewrite"
     corpus_base = 2000
     corpus_size = 100
-    min_passes = 1
     warmup_ops = 0
 
     def __init__(self, seed: int):
@@ -337,7 +332,6 @@ class Cli:
     sampling seed of the teleport run."""
 
     name = "cli"
-    min_passes = 3
     warmup_ops = 0
 
     def __init__(self, seed: int, env: dict):
@@ -390,26 +384,13 @@ class Cli:
         self.mix = dict(enumerate(mix))
         self.inputs = list(self.mix)
         random.Random(seed).shuffle(self.inputs)
-        self.worst_rss_kb = 0
 
     def run(self, i):
         """Run the op as a child process; returns ``(exit code, stdout,
-        traceback printed)``.  The child's peak RSS is read with wait4."""
+        traceback printed)``."""
         argv = [sys.executable, "-m", "ewire.cli", *self.mix[i][0]]
-        proc = subprocess.Popen(
-            argv, cwd=ROOT, env=self.env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
-        )
-        err: list[bytes] = []
-        reader = threading.Thread(target=lambda: err.append(proc.stderr.read()))
-        reader.start()
-        out = proc.stdout.read()
-        reader.join()
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        proc.stdout.close()
-        proc.stderr.close()
-        self.worst_rss_kb = max(self.worst_rss_kb, usage.ru_maxrss)
-        return proc.returncode, out, b"Traceback (most recent call last)" in err[0]
+        proc = subprocess.run(argv, cwd=ROOT, env=self.env, capture_output=True)
+        return proc.returncode, proc.stdout, b"Traceback (most recent call last)" in proc.stderr
 
     def run_inprocess(self, i):
         """``ewire.cli.main`` called in this process with stdout captured;
