@@ -21,12 +21,16 @@ Conventions used throughout:
 * structural isomorphisms (symmetry, copower distribution) are
   materialised as explicit permutation maps so that equalities of
   denotations hold as literal matrix equalities.
+* where a tuple of tensor-factor basis elements lands in the canonical
+  layout is decided in ``factor_index_map`` alone; tensors of maps,
+  tensored composition and factor permutations all derive from it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -86,17 +90,15 @@ class FdAlgebra:
     """A direct sum of full matrix algebras, as its block sizes."""
 
     blocks: tuple
+    # dimension of the element space, sum of squared block sizes
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.blocks) == 0:
             raise ValueError("the zero algebra is not allowed")
         if any(n < 1 for n in self.blocks):
             raise ValueError(f"invalid block sizes {self.blocks}")
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the element space, sum of squared block sizes."""
-        return sum(n * n for n in self.blocks)
+        object.__setattr__(self, "dim", sum(n * n for n in self.blocks))
 
     def offsets(self) -> list[int]:
         out, acc = [], 0
@@ -249,12 +251,6 @@ def op_compose(f: SuperOp, g: SuperOp) -> SuperOp:
     return SuperOp(f.source, g.target, g.matrix @ f.matrix)
 
 
-def op_add(f: SuperOp, g: SuperOp) -> SuperOp:
-    if f.source != g.source or f.target != g.target:
-        raise DimensionMismatch("sum of maps with different signatures")
-    return SuperOp(f.source, f.target, f.matrix + g.matrix)
-
-
 def op_scale(c: float, f: SuperOp) -> SuperOp:
     return SuperOp(f.source, f.target, c * f.matrix)
 
@@ -267,55 +263,60 @@ def frobenius_distance(f: SuperOp, g: SuperOp) -> float:
 
 # -- index machinery ---------------------------------------------------------
 
-_pair_map_cache: dict = {}
 
+def factor_index_map(algs: Sequence[FdAlgebra]) -> np.ndarray:
+    """Array of shape (dim_1, ..., dim_n) giving the canonical index in
+    ``tensor_many(algs)`` of each tuple of factor basis indices.
 
-def tensor_pair_map(a: FdAlgebra, b: FdAlgebra) -> np.ndarray:
-    """Index map of the element-space isomorphism vec(A (x) B) =
-    vec(A) (x) vec(B).
-
-    Returns an integer array P of shape (a.dim, b.dim) with
-    ``P[alpha, beta]`` the canonical index in ``alg_tensor(a, b)`` of the
-    product of basis elements alpha of A and beta of B.
+    This is the one place where the block layout of a tensor product is
+    decided.  The map is memoised on the block tuples; the dimension cap
+    is checked on every call, memo hit or not.
     """
-    key = (a.blocks, b.blocks)
-    hit = _pair_map_cache.get(key)
-    if hit is not None:
-        return hit
-    t = alg_tensor(a, b)
-    toff = t.offsets()
-    nb = len(b.blocks)
-    P = np.empty((a.dim, b.dim), dtype=np.int64)
-    aoff = a.offsets()
-    boff = b.offsets()
-    for i, n in enumerate(a.blocks):
-        for j, m in enumerate(b.blocks):
-            tb = i * nb + j
-            base = toff[tb]
-            nm = n * m
-            # alpha = (i, r, s) and beta = (j, t, u) land in block (i, j)
-            # at row r*m+t and column s*m+u
-            rs = np.arange(n * n)
-            tu = np.arange(m * m)
-            rr, ss = rs // n, rs % n
-            ttt, uu = tu // m, tu % m
-            canon = (
-                base
-                + (rr[:, None] * m + ttt[None, :]) * nm
-                + (ss[:, None] * m + uu[None, :])
-            )
-            P[np.ix_(aoff[i] + rs, boff[j] + tu)] = canon
-    P.flags.writeable = False
-    _pair_map_cache[key] = P
-    return P
+    _check_tensor_dims(algs)
+    return _index_map(tuple(a.blocks for a in algs))
+
+
+def _check_tensor_dims(algs: Sequence[FdAlgebra]) -> None:
+    """The dimension checks of ``tensor_many(algs)``, in the same order,
+    without building the product."""
+    dim = 1
+    for a in algs:
+        dim *= a.dim
+        _check_dim(dim, "tensor product")
+
+
+@functools.lru_cache(maxsize=None)
+def _index_map(factor_blocks: tuple) -> np.ndarray:
+    # a basis element of the product picks one (block, row, column) per
+    # factor; blocks are ordered lexicographically, and rows and columns
+    # in mixed radix with the later factors least significant
+    blk = row = col = np.zeros((), dtype=np.int64)
+    size = np.ones((), dtype=np.int64)
+    tensor_blocks = np.ones(1, dtype=np.int64)
+    for blocks in factor_blocks:
+        n = np.asarray(blocks, dtype=np.int64)
+        b = np.repeat(np.arange(len(n)), n * n)  # block of each basis element
+        nb = n[b]
+        within = np.arange(len(b)) - (np.cumsum(n * n) - n * n)[b]
+        blk = blk[..., None] * len(n) + b
+        row = row[..., None] * nb + within // nb
+        col = col[..., None] * nb + within % nb
+        size = size[..., None] * nb
+        tensor_blocks = np.multiply.outer(tensor_blocks, n).reshape(-1)
+    squares = tensor_blocks * tensor_blocks
+    out = (np.cumsum(squares) - squares)[blk] + row * size + col
+    out = out.reshape(out.shape or (1,))
+    out.flags.writeable = False
+    return out
 
 
 def op_tensor(f: SuperOp, g: SuperOp) -> SuperOp:
-    """Tensor product of maps, consistent with ``alg_tensor`` ordering."""
+    """Tensor product of maps, consistent with ``alg_tensor`` ordering;
+    rows and columns are placed by ``factor_index_map``."""
     src = alg_tensor(f.source, g.source)
     tgt = alg_tensor(f.target, g.target)
-    pin = tensor_pair_map(f.source, g.source).reshape(-1)
-    pout = tensor_pair_map(f.target, g.target).reshape(-1)
+    pin = factor_index_map((f.source, g.source)).reshape(-1)
+    pout = factor_index_map((f.target, g.target)).reshape(-1)
     k = np.kron(f.matrix, g.matrix)
     out = np.empty((tgt.dim, src.dim), dtype=complex)
     out[np.ix_(pout, pin)] = k
@@ -324,14 +325,15 @@ def op_tensor(f: SuperOp, g: SuperOp) -> SuperOp:
 
 def compose_tensored(f: SuperOp, rest: FdAlgebra | None, g: SuperOp) -> SuperOp:
     """Compute ``(f (x) id_rest) . g`` without materialising the Kronecker
-    product; with ``rest`` None this is plain composition."""
+    product; with ``rest`` None this is plain composition.  Rows are
+    gathered and scattered through ``factor_index_map``."""
     if rest is None:
         return op_compose(g, f)
     src_mid = alg_tensor(f.source, rest)
     if g.target != src_mid:
         raise DimensionMismatch("continuation does not produce f.source (x) rest")
-    pin = tensor_pair_map(f.source, rest).reshape(-1)
-    pout = tensor_pair_map(f.target, rest).reshape(-1)
+    pin = factor_index_map((f.source, rest)).reshape(-1)
+    pout = factor_index_map((f.target, rest)).reshape(-1)
     r = rest.dim
     ncols = g.matrix.shape[1]
     gk = g.matrix[pin, :].reshape(f.source.dim, r * ncols)
@@ -342,38 +344,34 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra | None, g: SuperOp) -> SuperOp:
     return SuperOp(g.source, tgt, out)
 
 
-def factor_index_map(algs: Sequence[FdAlgebra]) -> np.ndarray:
-    """Array of shape (dim_1, ..., dim_n) giving the canonical index in
-    ``tensor_many(algs)`` of each tuple of factor basis indices."""
-    m = np.zeros((1,), dtype=np.int64)
-    acc = SCALARS
-    for a in algs:
-        pm = tensor_pair_map(acc, a)
-        m = pm[m]
-        acc = alg_tensor(acc, a)
-    return m.reshape(tuple(a.dim for a in algs) if algs else (1,))
-
-
 def factor_permutation(algs: Sequence[FdAlgebra], new_order: Sequence[int]) -> np.ndarray:
     """Index permutation reordering tensor factors.
 
     Returns an array ``p`` with ``p[src] = tgt``: the canonical index
     ``src`` in ``tensor_many(algs)`` corresponds to ``tgt`` in
-    ``tensor_many([algs[i] for i in new_order])``.
+    ``tensor_many([algs[i] for i in new_order])``.  Both sides come from
+    ``factor_index_map``; the result is memoised like it.
     """
-    n = len(algs)
-    assert sorted(new_order) == list(range(n))
-    src_map = factor_index_map(algs)
-    tgt_map = factor_index_map([algs[i] for i in new_order])
-    src_perm = np.transpose(src_map, axes=tuple(new_order)) if n else src_map
+    assert sorted(new_order) == list(range(len(algs)))
+    _check_tensor_dims(algs)
+    return _factor_permutation(tuple(a.blocks for a in algs), tuple(new_order))
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_permutation(factor_blocks: tuple, new_order: tuple) -> np.ndarray:
+    src_map = _index_map(factor_blocks)
+    tgt_map = _index_map(tuple(factor_blocks[i] for i in new_order))
+    src_perm = np.transpose(src_map, axes=new_order) if new_order else src_map
     p = np.empty(src_map.size, dtype=np.int64)
     p[src_perm.reshape(-1)] = tgt_map.reshape(-1)
+    p.flags.writeable = False
     return p
 
 
 def permutation_superop(algs: Sequence[FdAlgebra], new_order: Sequence[int]) -> SuperOp:
     """The *-isomorphism reordering tensor factors, as a SuperOp from
-    ``tensor_many(algs)`` to the reordered tensor."""
+    ``tensor_many(algs)`` to the reordered tensor; the 0/1 matrix of
+    ``factor_permutation``."""
     p = factor_permutation(algs, new_order)
     src = tensor_many(algs)
     tgt = tensor_many([algs[i] for i in new_order])
@@ -382,47 +380,25 @@ def permutation_superop(algs: Sequence[FdAlgebra], new_order: Sequence[int]) -> 
     return SuperOp(src, tgt, m)
 
 
-def block_permutation_superop(a: FdAlgebra, perm: Sequence[int]) -> SuperOp:
-    """The isomorphism sending block i of ``a`` to position ``perm[i]``
-    of the permuted algebra."""
-    blocks = list(a.blocks)
-    tgt_blocks = [None] * len(blocks)
-    for i, j in enumerate(perm):
-        tgt_blocks[j] = blocks[i]
-    tgt = FdAlgebra(tuple(tgt_blocks))
-    m = np.zeros((tgt.dim, a.dim))
-    soff = a.offsets()
-    toff = tgt.offsets()
-    for i, j in enumerate(perm):
-        n2 = blocks[i] ** 2
-        m[toff[j] : toff[j] + n2, soff[i] : soff[i] + n2] = np.eye(n2)
-    return SuperOp(a, tgt, m)
-
-
 def copower_sum_iso(n: int, a: FdAlgebra, b: FdAlgebra) -> SuperOp:
-    """Permutation witnessing n.(A (+) B) = (n.A) (+) (n.B)."""
-    ka, kb = len(a.blocks), len(b.blocks)
-    perm = []
-    for r in range(n):
-        for i in range(ka):
-            perm.append(r * ka + i)
-        for j in range(kb):
-            perm.append(n * ka + r * kb + j)
+    """Permutation witnessing n.(A (+) B) = (n.A) (+) (n.B): the A part
+    of every summand comes first, then the B part of every summand."""
     src = alg_copower(n, alg_direct_sum(a, b))
-    return block_permutation_superop(src, perm)
+    tgt = FdAlgebra(a.blocks * n + b.blocks * n)
+    summands = np.arange(src.dim).reshape(n, a.dim + b.dim)
+    cols = np.concatenate(
+        [summands[:, : a.dim].reshape(-1), summands[:, a.dim :].reshape(-1)]
+    )
+    m = np.zeros((tgt.dim, src.dim))
+    m[np.arange(tgt.dim), cols] = 1.0
+    return SuperOp(src, tgt, m)
 
 
 def tensor_copower_iso(a: FdAlgebra, n: int, b: FdAlgebra) -> SuperOp:
-    """Permutation witnessing A (x) (n.B) = n.(A (x) B)."""
-    ka, kb = len(a.blocks), len(b.blocks)
-    perm = []
-    # source blocks ordered (i, (r, j)); target ordered (r, (i, j))
-    for i in range(ka):
-        for r in range(n):
-            for j in range(kb):
-                perm.append(r * (ka * kb) + i * kb + j)
-    src = alg_tensor(a, alg_copower(n, b))
-    return block_permutation_superop(src, perm)
+    """Permutation witnessing A (x) (n.B) = n.(A (x) B).  The copower
+    ``n.B`` is literally ``(n.C) (x) B``, so this is the exchange of the
+    first two factors of ``A (x) (n.C) (x) B``."""
+    return permutation_superop([a, alg_copower(n, SCALARS), b], [1, 0, 2])
 
 
 def copower_stack(fs: Sequence[SuperOp]) -> SuperOp:
@@ -443,22 +419,23 @@ def copower_stack(fs: Sequence[SuperOp]) -> SuperOp:
 # ---------------------------------------------------------------------------
 
 
-def choi_matrix(f: SuperOp) -> np.ndarray:
-    """Block-diagonal assembly of the Choi matrices of all block
-    components of ``f``; positive semidefiniteness of this matrix is
-    equivalent to complete positivity of ``f``."""
-    pieces = []
+def _choi_blocks(f: SuperOp):
+    """The Choi matrix of each (source block, target block) component of
+    ``f``: entry ((r, t), (s, u)) is the (t, u) entry of the image of the
+    matrix unit e_rs."""
     soff = f.source.offsets()
     toff = f.target.offsets()
     for i, a in enumerate(f.source.blocks):
         for j, b in enumerate(f.target.blocks):
-            c = np.zeros((a * b, a * b), dtype=complex)
-            for r in range(a):
-                for s in range(a):
-                    col = f.matrix[:, soff[i] + r * a + s]
-                    blk = col[toff[j] : toff[j] + b * b].reshape(b, b)
-                    c[r * b : (r + 1) * b, s * b : (s + 1) * b] = blk
-            pieces.append(c)
+            m = f.matrix[toff[j] : toff[j] + b * b, soff[i] : soff[i] + a * a]
+            yield m.reshape(b, b, a, a).transpose(2, 0, 3, 1).reshape(a * b, a * b)
+
+
+def choi_matrix(f: SuperOp) -> np.ndarray:
+    """Block-diagonal assembly of the Choi matrices of all block
+    components of ``f``; positive semidefiniteness of this matrix is
+    equivalent to complete positivity of ``f``."""
+    pieces = list(_choi_blocks(f))
     total = sum(p.shape[0] for p in pieces)
     out = np.zeros((total, total), dtype=complex)
     k = 0
@@ -467,20 +444,6 @@ def choi_matrix(f: SuperOp) -> np.ndarray:
         out[k : k + d, k : k + d] = p
         k += d
     return out
-
-
-def _choi_blocks(f: SuperOp):
-    soff = f.source.offsets()
-    toff = f.target.offsets()
-    for i, a in enumerate(f.source.blocks):
-        for j, b in enumerate(f.target.blocks):
-            c = np.zeros((a * b, a * b), dtype=complex)
-            for r in range(a):
-                for s in range(a):
-                    col = f.matrix[:, soff[i] + r * a + s]
-                    blk = col[toff[j] : toff[j] + b * b].reshape(b, b)
-                    c[r * b : (r + 1) * b, s * b : (s + 1) * b] = blk
-            yield c
 
 
 def is_cp(f: SuperOp, tol: float = 1e-9) -> bool:
@@ -509,29 +472,12 @@ def is_subunital(f: SuperOp, tol: float = 1e-9) -> bool:
     return AlgElement(f.target, gap).is_positive(tol)
 
 
-def loewner_leq(f: SuperOp, g: SuperOp, tol: float = 1e-9, complete: bool = True) -> bool:
-    """Order on maps: f <= g iff g - f is a (completely) positive map.
-
-    With ``complete`` (the default) the difference is tested for complete
-    positivity via its Choi blocks; ``complete=False`` samples positivity
-    on random rank-one positive inputs, a heuristic check of the weaker
-    order.
-    """
+def loewner_leq(f: SuperOp, g: SuperOp, tol: float = 1e-9) -> bool:
+    """Order on maps: f <= g iff g - f is completely positive, tested on
+    the Choi blocks of the difference."""
     if f.source != g.source or f.target != g.target:
         raise DimensionMismatch("maps with different signatures")
-    diff = SuperOp(f.source, f.target, g.matrix - f.matrix)
-    if complete:
-        return is_cp(diff, tol)
-    rng = np.random.default_rng(0)
-    for _ in range(64):
-        mats = []
-        for n in diff.source.blocks:
-            v = rng.normal(size=n) + 1j * rng.normal(size=n)
-            mats.append(np.outer(v, v.conj()))
-        x = element_from_blocks(diff.source, mats)
-        if not diff(x).is_positive(tol):
-            return False
-    return True
+    return is_cp(SuperOp(f.source, f.target, g.matrix - f.matrix), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Command-line front end: ``ewirec {check,run,denote,normalize,equiv}``.
 
-Exit codes: 0 success, 1 type or equivalence failure, 2 resource or
-step limits, 3 usage errors.  All numeric output uses 12 significant
-digits and identical inputs (file, flags, seed) produce byte-identical
-output.
+Exit codes: 0 success, 1 type, evaluation or equivalence failure, 2
+resource, step, recursion or memory limits, 3 usage errors; each
+non-zero exit prints a diagnostic.  All numeric output uses 12
+significant digits and identical inputs (file, flags, seed) produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import sys
 from . import algebra
 from .algebra import ResourceLimit, is_cp, is_subunital, is_unital, superop_to_json
 from .denote import (
-    BOTTOM, CircV, DistV, IntV, Mode, PairV, UnitV, call_with_stack,
-    evaluate_program, sample,
+    BOTTOM, CircV, DistV, EvalError, IntV, Mode, PairV, UnitV,
+    call_with_stack, evaluate_program, sample,
 )
 from .normalize import (
     StepLimit, check_equiv, normalize, purify_host, unfold_definitions,
@@ -339,12 +340,18 @@ def main(argv=None) -> int:
     except QListError as e:
         _diag(args, "QListError", str(e), None)
         return 1
+    except EvalError as e:
+        _diag(args, type(e).__name__, str(e), None)
+        return 1
     except StepLimit as e:
         print(f"step limit reached; partial result:\n{pretty_print(e.partial)}",
               file=sys.stderr)
         return 2
     except ResourceLimit as e:
         print(f"resource limit: {e}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as e:
+        _diag(args, type(e).__name__, str(e) or "out of memory", None)
         return 2
 
 

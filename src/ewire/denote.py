@@ -25,28 +25,24 @@ from . import algebra
 from .algebra import (
     Distribution, FdAlgebra, NonClassicalSource, SCALARS, SuperOp,
     alg_tensor, compose_tensored, copower_stack, factor_permutation,
-    gate_denotation, op_zero, state_to_distribution, tensor_many,
+    gate_denotation, op_zero, permutation_superop, state_to_distribution,
+    tensor_many,
 )
 from .syntax import (
     App, Ascribe, Bind, Box, ClassicalLit, ClassicalW, Compose, DefDecl,
     CircDecl, Fix, Gate, GateFam, GateRef, If, Init, IntLit, Lam, Lift,
-    Output, Pair, PairElim, PairP, Pattern, Prim, Program, Proj, QuantumW,
-    QLift, QRun, Ret, Run, TensorW, UnitElim, UnitP, UnitVal,
-    UnitW, Unbox, Var, WireP, WireType, free_wires, lift_type,
-    pattern_wires, pretty_print,
+    Output, Pair, PairElim, Pattern, Prim, Program, Proj, QuantumW, QLift,
+    QRun, Ret, Run, TensorW, UnitElim, UnitVal, UnitW, Unbox, Var,
+    WireType, free_wires, lift_type, pattern_wires, pretty_print,
 )
 from .typecheck import (
     CheckContext, CheckedProgram, bind_pattern, check_circuit,
-    _default_ctx,
+    pattern_type, _default_ctx,
 )
 
 
 class EvalError(RuntimeError):
     pass
-
-
-class FuelExhausted(EvalError):
-    """Fuel ran out somewhere a bottom circuit could not absorb it."""
 
 
 class PartialityError(EvalError):
@@ -421,7 +417,13 @@ class Evaluator:
         omega = tuple(omega)
         match term:
             case Output(p):
-                return self._collect(omega, p)
+                # the structural permutation from the pattern-ordered
+                # tensor onto the context order
+                sel = pattern_bindings(omega, p)
+                iso = permutation_superop(
+                    [denote_wire(ty) for _, ty in sel], _context_order(omega, sel)
+                )
+                return SuperOp(iso.source, denote_context(omega), iso.matrix)
             case Unbox(t, p):
                 v = self.eval_host(gamma, t, env)
                 if isinstance(v, FixV):
@@ -466,7 +468,7 @@ class Evaluator:
             case PairElim(w1, w2, p, rest):
                 sel = pattern_bindings(omega, p)
                 remaining = tuple(b for b in omega if b[0] not in {n for n, _ in sel})
-                ty = _pattern_type(dict(omega), p)
+                ty = pattern_type(dict(omega), p)
                 bindings = ((w1, ty.left), (w2, ty.right))
                 f = self.denote_circuit(gamma, bindings + remaining, rest, env)
                 return self._reorder_like(omega, list(sel) + list(remaining), f)
@@ -488,7 +490,7 @@ class Evaluator:
                 remaining = tuple(
                     b for b in omega if b[0] not in {n for n, _ in sel}
                 )
-                v = _pattern_type(dict(omega), p)
+                v = pattern_type(dict(omega), p)
                 values = enumerate_classical(v)
                 gamma2 = dict(gamma)
                 gamma2[x] = lift_type(v)
@@ -520,28 +522,10 @@ class Evaluator:
                 raise EvalError("qlift must be elaborated before evaluation")
         raise EvalError(f"cannot denote {term!r}")
 
-    def _collect(self, omega, p: Pattern) -> SuperOp:
-        """Denotation of output: the structural permutation mapping the
-        pattern-ordered tensor onto the context order."""
-        sel = pattern_bindings(omega, p)
-        algs = [denote_wire(ty) for _, ty in sel]
-        src = tensor_many(algs)
-        names = [n for n, _ in sel]
-        pos = {n: i for i, n in enumerate(names)}
-        order = [pos[w] for w, _ in omega if w in pos]
-        if order == list(range(len(order))) and len(order) == len(omega):
-            return SuperOp(src, denote_context(omega), np.eye(src.dim))
-        perm = factor_permutation(algs, order)
-        m = np.zeros((src.dim, src.dim))
-        m[perm, np.arange(src.dim)] = 1.0
-        return SuperOp(src, denote_context(omega), m)
-
     def _reorder_like(self, omega, factors, h: SuperOp) -> SuperOp:
         """Permute the rows of ``h`` (whose target is the tensor of
         ``factors`` in listed order) into the order of ``omega``."""
-        names = [n for n, _ in factors]
-        pos = {n: i for i, n in enumerate(names)}
-        order = [pos[w] for w, _ in omega]
+        order = _context_order(omega, factors)
         tgt = denote_context(omega)
         if order == list(range(len(order))):
             return SuperOp(h.source, tgt, h.matrix)
@@ -570,21 +554,16 @@ class Evaluator:
         return dist
 
 
+def _context_order(omega, factors) -> list:
+    """The position in ``factors`` of each wire of ``omega`` they bind."""
+    pos = {n: i for i, (n, _) in enumerate(factors)}
+    return [pos[w] for w, _ in omega if w in pos]
+
+
 def pattern_bindings(omega, p: Pattern):
     """The wires of ``p`` with their context types, in pattern order."""
     declared = dict(omega)
     return [(n, declared[n]) for n in pattern_wires(p)]
-
-
-def _pattern_type(declared: dict, p: Pattern) -> WireType:
-    match p:
-        case WireP(x):
-            return declared[x]
-        case UnitP():
-            return UnitW()
-        case PairP(l, r):
-            return TensorW(_pattern_type(declared, l), _pattern_type(declared, r))
-    raise EvalError(f"not a pattern: {p!r}")
 
 
 # ---------------------------------------------------------------------------

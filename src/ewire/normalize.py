@@ -20,7 +20,7 @@ from .denote import Evaluator, Mode
 from .syntax import (
     App, Ascribe, Box, ClassicalLit, Compose, Gate, HostTerm, If, Init,
     IntLit, Lam, Lift, Output, Pair, PairElim, PairP, Pattern, Prim, Proj,
-    QLift, ShapeMismatch, UnitElim, UnitP, Unbox, Var, WireP,
+    QLift, ShapeMismatch, UnitElim, UnitP, Unbox, Var, WireP, _fresh_name,
     free_host_vars, free_wires, pattern_wires, subst_host, subst_pattern,
 )
 from .typecheck import CheckContext, check_circuit
@@ -51,15 +51,6 @@ class Trace:
         ]
 
 
-def _fresh(base: str, avoid: set) -> str:
-    if base not in avoid:
-        return base
-    i = 1
-    while f"{base}_{i}" in avoid:
-        i += 1
-    return f"{base}_{i}"
-
-
 def _freshen_binders(pat: Pattern, scope, avoid: set):
     """Rename the wires of a binder pattern away from ``avoid``,
     substituting consistently in its scope."""
@@ -72,7 +63,7 @@ def _freshen_binders(pat: Pattern, scope, avoid: set):
     def go(q):
         match q:
             case WireP(x) if x in clash:
-                y = _fresh(x, taken)
+                y = _fresh_name(x, taken)
                 taken.add(y)
                 mapping[x] = WireP(y)
                 return WireP(y)
@@ -141,7 +132,7 @@ def _rule_lift_commute(c):
     match c:
         case Compose(w, Lift(x, p, n), rest):
             if x in free_host_vars(rest):
-                y = _fresh(x, free_host_vars(rest) | free_host_vars(n) | {x})
+                y = _fresh_name(x, free_host_vars(rest) | free_host_vars(n) | {x})
                 n = subst_host(n, x, Var(y))
                 x = y
             return Lift(x, p, Compose(w, n, rest, loc=c.loc), loc=c.loc)

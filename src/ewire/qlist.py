@@ -23,13 +23,14 @@ from dataclasses import dataclass
 
 from . import algebra
 from .syntax import (
-    App, ArrowT, Box, CircDecl, CircT, ClassicalDecl, ClassicalLit,
+    App, ArrowT, Box, CircT, ClassicalDecl, ClassicalLit,
     ClassicalT, Compose, DefDecl, Gate, GateDecl, GateFam, HostTerm, If,
     Init, IntLit, Lam, Lift, Output, PairElim, PairP, Pattern, Prim,
     Program, QListW, QUBIT, QuantumW, TensorW, UnitElim, UnitP, UnitW,
     Unbox, Var, WireP, WireType, free_wires, lift_type, pattern_wires,
     pretty_print, unlift_type,
 )
+from .typecheck import TypeCheckError, pattern_type
 
 LIST_GATES = {"isempty", "headtail", "nil", "cons"}
 
@@ -109,17 +110,12 @@ def _unify_size(template: WireType, concrete: WireType) -> int | None:
     return found[0]
 
 
-def _pattern_type(types: dict, p: Pattern) -> WireType:
-    match p:
-        case WireP(x):
-            if x not in types:
-                raise QListError(f"wire {x!r} has no known type")
-            return types[x]
-        case UnitP():
-            return UnitW()
-        case PairP(l, r):
-            return TensorW(_pattern_type(types, l), _pattern_type(types, r))
-    raise QListError(f"not a pattern: {p!r}")
+def _wire_type(types: dict, p: Pattern) -> WireType:
+    """``pattern_type``, failing with QListError."""
+    try:
+        return pattern_type(types, p)
+    except TypeCheckError as e:
+        raise QListError(e.message) from None
 
 
 def _bind(types: dict, p: Pattern, w: WireType):
@@ -224,18 +220,18 @@ class _Instantiator:
         """Specialize a circuit term; returns (term, output type)."""
         match c:
             case Output(p):
-                return c, _pattern_type(types, p)
+                return c, _wire_type(types, p)
             case Init(t):
                 v = unlift_type(_host_type_of(t, henv, self.bases))
                 return c, v
             case Unbox(h, p):
-                u = _pattern_type(types, p)
+                u = _wire_type(types, p)
                 h2, out = self._circ_value(h, u, henv)
                 return Unbox(h2, p, loc=c.loc), out
             case Gate(out_p, g, in_p, rest) if g.name == "isempty":
                 return self._isempty_idiom(c, types, henv)
             case Gate(out_p, g, in_p, rest) if g.name == "headtail":
-                ty = _pattern_type(types, in_p)
+                ty = _wire_type(types, in_p)
                 if list_size(ty) < 1:
                     raise QListError("headtail applied to the empty list")
                 if not (
@@ -256,7 +252,7 @@ class _Instantiator:
                     out,
                 )
             case Gate(out_p, g, in_p, rest) if g.name == "cons":
-                ty = _pattern_type(types, in_p)
+                ty = _wire_type(types, in_p)
                 if not (isinstance(ty, TensorW) and isinstance(ty.left, QuantumW)):
                     raise QListError("cons needs a (qubit, list) pair")
                 list_size(ty)  # validates the tail shape
@@ -299,7 +295,7 @@ class _Instantiator:
                 rest2, out = self._circ(rest, types2, henv)
                 return UnitElim(p, rest2, loc=c.loc), out
             case PairElim(w1, w2, p, rest):
-                ty = _pattern_type(types, p)
+                ty = _wire_type(types, p)
                 if not isinstance(ty, TensorW):
                     raise QListError("pair elimination at non-tensor type")
                 types2 = dict(types)
@@ -310,7 +306,7 @@ class _Instantiator:
                 rest2, out = self._circ(rest, types2, henv)
                 return PairElim(w1, w2, p, rest2, loc=c.loc), out
             case Lift(x, p, rest):
-                v = _pattern_type(types, p)
+                v = _wire_type(types, p)
                 henv2 = dict(henv)
                 henv2[x] = lift_type(v)
                 types2 = dict(types)
@@ -329,7 +325,7 @@ class _Instantiator:
             and isinstance(in_p, WireP)
         ):
             raise QListError("isempty must be used as (b, qs) <- gate isempty qs")
-        size = list_size(_pattern_type(types, in_p))
+        size = list_size(_wire_type(types, in_p))
         bw = out_p.left.name
         qs_out = out_p.right.name
         match rest:
@@ -340,7 +336,7 @@ class _Instantiator:
                 # the continuation sees the list under its post-isempty
                 # name; repoint it at the surviving input wire
                 args2 = _rename_wire(args, qs_out, in_p.name)
-                u = _pattern_type(types, args2)
+                u = _wire_type(types, args2)
                 h2, out = self._circ_value(chosen, u, henv)
                 return Unbox(h2, args2, loc=c.loc), out
         raise QListError(
@@ -415,17 +411,12 @@ def _rename_wire(p: Pattern, old: str, new: str) -> Pattern:
     raise QListError(f"not a pattern: {p!r}")
 
 
-def free_wires_of(c):
-    from .syntax import free_wires
-
-    return free_wires(c)
-
-
-def monomorphize(prog: Program, size: int, entry: str):
+def monomorphize(prog: Program, size: int, entry: str | None):
     """Instantiate the entry declaration (and its dependencies) at the
-    given list size.  Returns ``(program, entry_name)``; declarations
-    whose types mention qlist are replaced by their sized instances,
-    everything else is kept."""
+    given list size, or with no entry every list-typed declaration.
+    Returns ``(program, entry_name)``; declarations whose types mention
+    qlist are replaced by their sized instances, everything else is
+    kept."""
     if size < 0:
         raise QListError("list size must be >= 0")
     templates = {}
@@ -438,8 +429,6 @@ def monomorphize(prog: Program, size: int, entry: str):
             case DefDecl(name, _, _):
                 plain[name] = d
                 passthrough.append(d)
-            case CircDecl():
-                passthrough.append(d)
             case _:
                 passthrough.append(d)
     inst = _Instantiator(
@@ -450,9 +439,14 @@ def monomorphize(prog: Program, size: int, entry: str):
         done={},
         order=[],
     )
-    if entry not in templates:
+    if entry is None:
+        for name in templates:
+            inst.instantiate(name, size)
+        new_entry = None
+    elif entry in templates:
+        new_entry = inst.instantiate(entry, size)
+    else:
         return prog, entry
-    new_entry = inst.instantiate(entry, size)
     headers = [d for d in passthrough if isinstance(d, (ClassicalDecl, GateDecl))]
     others = [d for d in passthrough if not isinstance(d, (ClassicalDecl, GateDecl))]
     decls = tuple(headers) + tuple(inst.order) + tuple(others)

@@ -90,10 +90,6 @@ QUBIT = QuantumW("qubit", 2)
 DEFAULT_INT_CARDINALITY = 64
 
 
-def int_base(cardinality: int = DEFAULT_INT_CARDINALITY) -> ClassicalW:
-    return ClassicalW("int", cardinality)
-
-
 def is_classical(w: WireType) -> bool:
     """True iff ``w`` contains no quantum base leaf."""
     match w:

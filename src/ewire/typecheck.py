@@ -47,10 +47,6 @@ class TypeCheckError(Exception):
         self.message = message
         self.loc = loc
 
-    def to_json(self) -> dict:
-        span = [self.loc.line, self.loc.col] if self.loc else None
-        return {"kind": self.kind, "span": span, "message": self.message}
-
 
 WireContext = tuple  # tuple[(str, WireType), ...]
 HostContext = dict  # str -> HostType

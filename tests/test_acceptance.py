@@ -12,7 +12,7 @@ import numpy as np
 from ewire.algebra import (
     BUILTIN_GATES, Distribution, alg, alg_copower, alg_direct_sum,
     alg_tensor, copower_stack, copower_sum_iso, frobenius_distance,
-    gate_denotation, is_cp, is_unital, loewner_leq, op_compose,
+    gate_denotation, is_cp, is_unital, loewner_leq, max_dim, op_compose,
     op_identity, op_tensor, set_max_dim, state_to_distribution,
     tensor_copower_iso,
 )
@@ -163,6 +163,7 @@ def _reversal_box(n):
 
 
 def test_criterion_4_qft():
+    old = max_dim()
     set_max_dim(1 << 17)
     try:
         prog = parse_program((PROGRAMS / "qft.ew").read_text())
@@ -194,7 +195,7 @@ def test_criterion_4_qft():
             f"worst={worst:.2e}, n=5 wall={t5:.1f}s",
         )
     finally:
-        set_max_dim(4096)
+        set_max_dim(old)
 
 
 # -- 5. recursion and divergence -----------------------------------------------------

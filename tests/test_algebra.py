@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,12 @@ from ewire.algebra import (
     BUILTIN_GATES, DimensionMismatch, FdAlgebra, ResourceLimit, SCALARS,
     SuperOp, UnknownGate, ZeroCopower, alg, alg_copower, alg_direct_sum,
     alg_tensor, choi_matrix, compose_tensored, copower_stack,
-    copower_sum_iso, element_from_blocks, factor_permutation,
-    frobenius_distance, gate_denotation, gate_signature, is_cp,
-    is_subunital, is_unital, loewner_leq, max_dim, op_compose,
-    op_identity, op_scale, op_tensor, op_zero, permutation_superop,
+    copower_sum_iso, element_from_blocks, factor_index_map,
+    factor_permutation, frobenius_distance, gate_denotation,
+    gate_signature, is_cp, is_subunital, is_unital, loewner_leq, max_dim,
+    op_compose, op_identity, op_scale, op_tensor, op_zero, permutation_superop,
     set_max_dim, state_to_distribution, superop_to_json,
-    tensor_copower_iso, tensor_many, tensor_pair_map, unit_element,
+    tensor_copower_iso, tensor_many, unit_element,
 )
 from ewire.syntax import BIT, GateRef, QUBIT, TensorW
 
@@ -71,13 +73,69 @@ def test_dimension_cap():
 
 def test_tensor_index_map_associative():
     a, b, c = alg(2), alg(1, 1), alg(2, 1)
-    left = tensor_pair_map(alg_tensor(a, b), c)[
-        tensor_pair_map(a, b).reshape(-1), :
+    three = factor_index_map([a, b, c])
+    left = factor_index_map([alg_tensor(a, b), c])[
+        factor_index_map([a, b]).reshape(-1), :
     ].reshape(a.dim, b.dim, c.dim)
-    right = tensor_pair_map(a, alg_tensor(b, c))[
-        :, tensor_pair_map(b, c).reshape(-1)
+    right = factor_index_map([a, alg_tensor(b, c)])[
+        :, factor_index_map([b, c]).reshape(-1)
     ].reshape(a.dim, b.dim, c.dim)
-    assert np.array_equal(left, right)
+    assert np.array_equal(three, left)
+    assert np.array_equal(three, right)
+
+
+def _brute_index_map(algs):
+    """The canonical index of each tuple of factor basis elements, found
+    by embedding the Kronecker product of their matrix units in the
+    block of ``tensor_many(algs)`` that alg_tensor orders them into."""
+    t = tensor_many(algs)
+    # per factor, the (block, row, column, block size) of each basis index
+    coords = [
+        [(i, r, s, n) for i, n in enumerate(a.blocks) for r in range(n) for s in range(n)]
+        for a in algs
+    ]
+    block_tuples = list(itertools.product(*[range(len(a.blocks)) for a in algs]))
+    out = np.empty(tuple(a.dim for a in algs), dtype=np.int64)
+    for idx in itertools.product(*[range(a.dim) for a in algs]):
+        picked = [coords[k][alpha] for k, alpha in enumerate(idx)]
+        unit = np.ones((1, 1))
+        for _, r, s, n in picked:
+            e = np.zeros((n, n))
+            e[r, s] = 1.0
+            unit = np.kron(unit, e)
+        blk = block_tuples.index(tuple(i for i, _, _, _ in picked))
+        assert unit.shape[0] == t.blocks[blk]
+        out[idx] = t.offsets()[blk] + int(np.argmax(unit.reshape(-1)))
+    return out
+
+
+def test_factor_index_map_matches_brute_force():
+    rng = np.random.default_rng(7)
+    shapes = [alg(2, 1), alg(3), alg(1, 1), alg(1), alg(2), alg(1, 2, 1)]
+    cases = [[alg(2, 1), alg(3)], [alg(3), alg(2, 1), alg(1, 1)], []]
+    for _ in range(12):
+        k = int(rng.integers(1, 4))
+        cases.append([shapes[int(j)] for j in rng.integers(0, len(shapes), size=k)])
+    for algs in cases:
+        got = factor_index_map(algs)
+        want = _brute_index_map(algs).reshape(got.shape)
+        assert np.array_equal(got, want), [a.blocks for a in algs]
+        # a bijection onto the canonical index range
+        assert np.array_equal(np.sort(got.reshape(-1)), np.arange(got.size))
+
+
+def test_factor_index_map_memo_keeps_dimension_cap():
+    algs = [alg(4), alg(4)]
+    factor_index_map(algs)
+    old = max_dim()
+    set_max_dim(8)
+    try:
+        with pytest.raises(ResourceLimit):
+            factor_index_map(algs)
+        with pytest.raises(ResourceLimit):
+            factor_permutation(algs, [1, 0])
+    finally:
+        set_max_dim(old)
 
 
 # -- elements ------------------------------------------------------------------
@@ -229,6 +287,29 @@ def test_choi_of_unitary_rank_one():
 
 def test_choi_of_zero():
     assert np.allclose(choi_matrix(op_zero(M2, M2)), 0)
+
+
+def test_choi_matches_entrywise_definition():
+    # block (i, j) holds, at ((r, t), (s, u)), the (t, u) entry of the
+    # image of the matrix unit e_rs of source block i in target block j
+    rng = np.random.default_rng(5)
+    src, tgt = alg(2, 1, 3), alg(1, 3, 2)
+    m = rng.normal(size=(tgt.dim, src.dim)) + 1j * rng.normal(size=(tgt.dim, src.dim))
+    f = SuperOp(src, tgt, m)
+    pieces = []
+    for i, a in enumerate(src.blocks):
+        for j, b in enumerate(tgt.blocks):
+            c = np.zeros((a * b, a * b), dtype=complex)
+            for r, s, t, u in itertools.product(range(a), range(a), range(b), range(b)):
+                c[r * b + t, s * b + u] = m[tgt.offsets()[j] + t * b + u,
+                                            src.offsets()[i] + r * a + s]
+            pieces.append(c)
+    want = np.zeros_like(choi_matrix(f))
+    k = 0
+    for c in pieces:
+        want[k : k + len(c), k : k + len(c)] = c
+        k += len(c)
+    assert np.array_equal(choi_matrix(f), want)
 
 
 def test_transpose_not_cp():

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+from ewire import algebra
 from ewire.cli import main
 
-PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAMS = ROOT / "programs"
 
 
 def run_cli(capsys, *argv):
@@ -124,11 +131,41 @@ def test_resource_limit_exit_code(capsys, tmp_path, monkeypatch):
         "def b : Circ(qubit * qubit, qubit * qubit) = "
         "box (a : qubit, b : qubit) => output (a, b)\n"
     )
-    code, _, err = run_cli(capsys, "denote", str(src), "--entry", "b")
+    old = algebra.max_dim()
+    try:
+        code, _, err = run_cli(capsys, "denote", str(src), "--entry", "b")
+    finally:
+        algebra.set_max_dim(old)
     assert code == 2
-    from ewire import algebra
 
-    algebra.set_max_dim(4096)
+
+@pytest.mark.parametrize("argv", [
+    ["run", "programs/hs.ew"],
+    ["denote", "programs/qft.ew", "--entry", "fourier", "--qlist-size", "3"],
+])
+def test_evaluation_error_exits_without_traceback(argv):
+    # cpu mode rejects the fixed point of hs.ew, and an out-of-range int
+    # of qft.ew at size 3; both are diagnostics, not tracebacks
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "ewire.cli", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error[")
+    assert "Traceback" not in proc.stderr
+
+
+def test_check_qlist_size_instantiates_templates(capsys):
+    code, out, _ = run_cli(
+        capsys, "check", str(PROGRAMS / "qft.ew"), "--qlist-size", "3",
+    )
+    assert code == 0
+    assert "fourier__3 : Circ(qubit * qubit * qubit * I, " in out
 
 
 def test_normalize_command(capsys, tmp_path):
