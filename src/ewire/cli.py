@@ -232,19 +232,11 @@ def cmd_equiv(args) -> int:
         return 1
     # compare at a shared context: rename the second circuit's wires to
     # the first's, simultaneously (names may permute)
-    from .syntax import PairP, WireP, subst_pattern
+    from .syntax import WireP, _subst_wires
 
     if [w for w, _ in ctx1] != [w for w, _ in ctx2]:
-        olds = [WireP(w) for w, _ in ctx2]
-        news = [WireP(w) for w, _ in ctx1]
-
-        def nest(ps):
-            out = ps[0]
-            for p in ps[1:]:
-                out = PairP(out, p)
-            return out
-
-        t2 = subst_pattern(t2, nest(olds), nest(news))
+        renaming = {old: WireP(new) for (old, _), (new, _) in zip(ctx2, ctx1)}
+        t2 = _subst_wires(t2, renaming)
     _, gamma, env = evaluate_program(checked, mode=mode)
     ok = call_with_stack(
         lambda: check_equiv(
@@ -266,15 +258,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    """Argument type of --shots, --fuel and --max-steps: an int >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
+
+
 def _common(sub, shots=False):
     sub.add_argument("file", help="an .ew source file")
     sub.add_argument("--mode", choices=["cpu", "cpsu"], default="cpu")
-    sub.add_argument("--fuel", type=int, default=10_000)
+    sub.add_argument("--fuel", type=_count, default=10_000)
     sub.add_argument("--qlist-size", type=int, default=None, dest="qlist_size")
     sub.add_argument("--tol", type=float, default=1e-9)
     sub.add_argument("--json", action="store_true")
     if shots:
-        sub.add_argument("--shots", type=int, default=0)
+        sub.add_argument("--shots", type=_count, default=0)
         sub.add_argument("--seed", type=int, default=0)
 
 
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--entry", default="main")
     n.add_argument("--trace", action="store_true")
     n.add_argument("--copower-rules", action="store_true", dest="copower_rules")
-    n.add_argument("--max-steps", type=int, default=1000, dest="max_steps")
+    n.add_argument("--max-steps", type=_count, default=1000, dest="max_steps")
 
     e = subs.add_parser("equiv", help="numeric equivalence of two circuits")
     _common(e)

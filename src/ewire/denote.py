@@ -30,10 +30,10 @@ from .algebra import (
 )
 from .syntax import (
     App, Ascribe, Bind, Box, ClassicalLit, ClassicalW, Compose, DefDecl,
-    CircDecl, Fix, Gate, GateFam, GateRef, If, Init, IntLit, Lam, Lift,
-    Output, Pair, PairElim, Pattern, Prim, Program, Proj, QuantumW, QLift,
-    QRun, Ret, Run, TensorW, UnitElim, UnitVal, UnitW, Unbox, Var,
-    WireType, free_wires, lift_type, pattern_wires, pretty_print,
+    Fix, Gate, GateFam, GateRef, If, Init, IntLit, Lam, Lift, Output, Pair,
+    PairElim, Pattern, Prim, Proj, QuantumW, QLift, QRun, Ret, Run,
+    TensorW, UnitElim, UnitVal, UnitW, Unbox, Var, WireType, contains,
+    free_wires, lift_type, pattern_wires, pretty_print,
 )
 from .typecheck import (
     CheckContext, CheckedProgram, bind_pattern, check_circuit,
@@ -613,7 +613,7 @@ def evaluate_program(checked: CheckedProgram, mode: Mode | None = None,
     """
     prog = checked.program
     if memoize is None:
-        memoize = not _contains_fix(prog)
+        memoize = not contains(prog, Fix)
     ev = Evaluator(ctx=checked.ctx, mode=mode or Mode.cpu(), memoize=memoize)
     gamma: dict = {}
     env: dict = {}
@@ -625,42 +625,6 @@ def evaluate_program(checked: CheckedProgram, mode: Mode | None = None,
             gamma[d.name] = checked.def_types[d.name]
     ev.fuel = ev.mode.fuel
     return ev, gamma, env
-
-
-def _contains_fix(node) -> bool:
-    match node:
-        case Fix():
-            return True
-        case Program(decls):
-            return any(
-                _contains_fix(d.term)
-                for d in decls
-                if isinstance(d, (DefDecl, CircDecl))
-            )
-        case Lam(_, _, b) | Proj(_, b) | Ret(b) | Ascribe(b, _) | GateFam(_, b):
-            return _contains_fix(b)
-        case App(a, b) | Pair(a, b):
-            return _contains_fix(a) or _contains_fix(b)
-        case Bind(a, _, b):
-            return _contains_fix(a) or _contains_fix(b)
-        case If(a, b, c):
-            return _contains_fix(a) or _contains_fix(b) or _contains_fix(c)
-        case Box(_, _, c) | Run(c) | QRun(c):
-            return _contains_fix(c)
-        case Compose(_, a, b):
-            return _contains_fix(a) or _contains_fix(b)
-        case (
-            UnitElim(_, rest)
-            | PairElim(_, _, _, rest)
-            | Gate(_, _, _, rest)
-            | Lift(_, _, rest)
-            | QLift(_, _, rest)
-        ):
-            return _contains_fix(rest)
-        case Unbox(t, _) | Init(t):
-            return _contains_fix(t)
-        case _:
-            return False
 
 
 def call_with_stack(fn, stack_bytes: int = 256 * 1024 * 1024,

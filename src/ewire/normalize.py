@@ -19,9 +19,10 @@ from .algebra import frobenius_distance
 from .denote import Evaluator, Mode
 from .syntax import (
     App, Ascribe, Box, ClassicalLit, Compose, Gate, HostTerm, If, Init,
-    IntLit, Lam, Lift, Output, Pair, PairElim, PairP, Pattern, Prim, Proj,
-    QLift, ShapeMismatch, UnitElim, UnitP, Unbox, Var, WireP, _fresh_name,
-    free_host_vars, free_wires, pattern_wires, subst_host, subst_pattern,
+    IntLit, Lam, Lift, Output, Pair, PairElim, PairP, Prim, Proj,
+    ShapeMismatch, UnitElim, UnitP, Unbox, Var, WireP, _fresh_name,
+    free_host_vars, free_wires, freshen_binder, map_children,
+    pattern_wires, subst_host, subst_pattern,
 )
 from .typecheck import CheckContext, check_circuit
 
@@ -49,48 +50,6 @@ class Trace:
         return [
             {"step": i, "rule": r, "span": s} for i, r, s in self.steps
         ]
-
-
-def _freshen_binders(pat: Pattern, scope, avoid: set):
-    """Rename the wires of a binder pattern away from ``avoid``,
-    substituting consistently in its scope."""
-    clash = set(pattern_wires(pat)) & avoid
-    if not clash:
-        return pat, scope
-    taken = set(avoid) | set(pattern_wires(pat)) | free_wires(scope)
-    mapping = {}
-
-    def go(q):
-        match q:
-            case WireP(x) if x in clash:
-                y = _fresh_name(x, taken)
-                taken.add(y)
-                mapping[x] = WireP(y)
-                return WireP(y)
-            case PairP(l, r):
-                return PairP(go(l), go(r))
-            case _:
-                return q
-
-    new_pat = go(pat)
-    new_scope = subst_pattern(scope, _mapping_pattern(mapping), _mapping_target(mapping))
-    return new_pat, new_scope
-
-
-def _mapping_pattern(mapping):
-    pats = [WireP(x) for x in mapping]
-    return _pair_up(pats)
-
-
-def _mapping_target(mapping):
-    return _pair_up(list(mapping.values()))
-
-
-def _pair_up(ps):
-    out = ps[0]
-    for p in ps[1:]:
-        out = PairP(out, p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +80,7 @@ def _rule_output_subst(c):
 def _rule_gate_commute(c):
     match c:
         case Compose(w, Gate(p2, g, p1, n), rest):
-            p2f, nf = _freshen_binders(
+            p2f, nf = freshen_binder(
                 p2, n, free_wires(rest) | set(pattern_wires(w))
             )
             return Gate(p2f, g, p1, Compose(w, nf, rest, loc=c.loc), loc=c.loc)
@@ -169,7 +128,7 @@ def _rule_pair_commute(c):
     match c:
         case Compose(w, PairElim(w1, w2, p, n), rest):
             binder = PairP(WireP(w1), WireP(w2))
-            bf, nf = _freshen_binders(
+            bf, nf = freshen_binder(
                 binder, n, free_wires(rest) | set(pattern_wires(w))
             )
             assert isinstance(bf, PairP)
@@ -357,35 +316,7 @@ def purify_host(term: HostTerm, max_steps: int = 10_000) -> HostTerm:
                 return Prim(op, l2, r2, loc=t.loc)
             case Ascribe(u, _):
                 return go(u)
-            case Pair(l, r):
-                return Pair(go(l), go(r), loc=t.loc)
-            case Lam(x, a, b):
-                return Lam(x, a, go(b), loc=t.loc)
-            case Box(p, w, body):
-                return Box(p, w, go_circ(body), loc=t.loc)
-            case _:
-                return t
-
-    def go_circ(c):
-        match c:
-            case Unbox(u, p):
-                return Unbox(go(u), p, loc=c.loc)
-            case Init(u):
-                return Init(go(u), loc=c.loc)
-            case Compose(p, a, b):
-                return Compose(p, go_circ(a), go_circ(b), loc=c.loc)
-            case UnitElim(p, rest):
-                return UnitElim(p, go_circ(rest), loc=c.loc)
-            case PairElim(w1, w2, p, rest):
-                return PairElim(w1, w2, p, go_circ(rest), loc=c.loc)
-            case Gate(op, g, ip, rest):
-                return Gate(op, g, ip, go_circ(rest), loc=c.loc)
-            case Lift(x, p, rest):
-                return Lift(x, p, go_circ(rest), loc=c.loc)
-            case QLift(x, p, rest):
-                return QLift(x, p, go_circ(rest), loc=c.loc)
-            case _:
-                return c
+        return map_children(t, go)
 
     return go(term)
 

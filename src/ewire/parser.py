@@ -247,7 +247,7 @@ class Parser:
         if t.kind == "(":
             self.next()
             if self.accept(")"):
-                return UnitP(), UnitW_INSTANCE
+                return UnitP(), UnitW()
             p, ty = self._ann_pattern_inner()
             if self.accept(":"):
                 w = self.wire_type()

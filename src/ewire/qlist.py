@@ -27,8 +27,8 @@ from .syntax import (
     ClassicalT, Compose, DefDecl, Gate, GateDecl, GateFam, HostTerm, If,
     Init, IntLit, Lam, Lift, Output, PairElim, PairP, Pattern, Prim,
     Program, QListW, QUBIT, QuantumW, TensorW, UnitElim, UnitP, UnitW,
-    Unbox, Var, WireP, WireType, free_wires, lift_type, pattern_wires,
-    pretty_print, unlift_type,
+    Unbox, Var, WireP, WireType, _subst_in_pattern, free_wires, lift_type,
+    pattern_wires, pretty_print, unlift_type,
 )
 from .typecheck import TypeCheckError, pattern_type
 
@@ -335,7 +335,7 @@ class _Instantiator:
                 chosen = e_then if size == 0 else e_else
                 # the continuation sees the list under its post-isempty
                 # name; repoint it at the surviving input wire
-                args2 = _rename_wire(args, qs_out, in_p.name)
+                args2 = _subst_in_pattern(args, {qs_out: WireP(in_p.name)})
                 u = _wire_type(types, args2)
                 h2, out = self._circ_value(chosen, u, henv)
                 return Unbox(h2, args2, loc=c.loc), out
@@ -398,17 +398,6 @@ class _Instantiator:
                 body2, out = self._circ(body, types, dict(henv))
                 return Box(p, u, body2, loc=h.loc), out
         raise QListError(f"unsupported circuit expression: {h}")
-
-
-def _rename_wire(p: Pattern, old: str, new: str) -> Pattern:
-    match p:
-        case WireP(x):
-            return WireP(new) if x == old else p
-        case UnitP():
-            return p
-        case PairP(l, r):
-            return PairP(_rename_wire(l, old, new), _rename_wire(r, old, new))
-    raise QListError(f"not a pattern: {p!r}")
 
 
 def monomorphize(prog: Program, size: int, entry: str | None):

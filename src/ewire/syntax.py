@@ -9,11 +9,17 @@ and a monad ``T`` of probabilistic computations.
 
 All syntax values are immutable after construction; operations here are
 pure and safe to run concurrently on shared terms.
+
+``children`` and ``map_children`` are the one traversal of terms: they
+find a node's subterms from the fields annotated ``HostTerm`` or
+``CircuitTerm``, so a new term constructor needs cases only in the
+functions that know about binders and patterns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from typing import Optional, Union
 
 
@@ -324,7 +330,7 @@ class Gate(CircuitTerm):
 class Unbox(CircuitTerm):
     """unbox t p — splice a boxed circuit onto the wires of p."""
 
-    term: "HostTerm"
+    term: HostTerm
     pat: Pattern
     loc: Optional[Span] = _loc_field()
 
@@ -343,7 +349,7 @@ class Lift(CircuitTerm):
 class Init(CircuitTerm):
     """init t — create a classical wire holding the value of t."""
 
-    term: "HostTerm"
+    term: HostTerm
     loc: Optional[Span] = _loc_field()
 
 
@@ -582,6 +588,49 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
+# Generic traversal
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _term_fields(cls) -> tuple[str, ...]:
+    """Names of the fields of term class ``cls`` that hold terms."""
+    if not issubclass(cls, (HostTerm, CircuitTerm)):
+        raise TypeError(f"not a term class: {cls.__name__}")
+    return tuple(
+        f.name for f in fields(cls) if f.type in ("HostTerm", "CircuitTerm")
+    )
+
+
+def children(node) -> tuple:
+    """The host and circuit subterms of a term node, in field order."""
+    return tuple(getattr(node, name) for name in _term_fields(type(node)))
+
+
+def map_children(node, fn):
+    """``node`` rebuilt with ``fn`` applied to each subterm, keeping its
+    source span; a node without subterms comes back unchanged."""
+    names = _term_fields(type(node))
+    if not names:
+        return node
+    return replace(node, **{name: fn(getattr(node, name)) for name in names})
+
+
+def contains(node, kinds) -> bool:
+    """Whether a node of class ``kinds`` (a class or a tuple of them)
+    occurs in a term or in the declarations of a Program."""
+    if isinstance(node, Program):
+        return any(
+            contains(d.term, kinds)
+            for d in node.decls
+            if isinstance(d, (DefDecl, CircDecl))
+        )
+    return isinstance(node, kinds) or any(
+        contains(c, kinds) for c in children(node)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Free variables
 # ---------------------------------------------------------------------------
 
@@ -613,33 +662,11 @@ def free_host_vars(node) -> set[str]:
     match node:
         case Var(x):
             return {x}
-        case Lam(x, _, body):
+        case Lam(x, _, body) | Lift(x, _, body) | QLift(x, _, body):
             return free_host_vars(body) - {x}
-        case App(f, a) | Prim(_, f, a) | Pair(f, a):
-            return free_host_vars(f) | free_host_vars(a)
-        case Proj(_, t) | Ret(t) | Ascribe(t, _) | GateFam(_, t):
-            return free_host_vars(t)
         case Bind(t, x, u):
             return free_host_vars(t) | (free_host_vars(u) - {x})
-        case If(c, t, e):
-            return free_host_vars(c) | free_host_vars(t) | free_host_vars(e)
-        case Box(_, _, body) | Run(body) | QRun(body):
-            return free_host_vars(body)
-        case UnitVal() | IntLit(_) | ClassicalLit() | Fix():
-            return set()
-        case Init(t):
-            return free_host_vars(t)
-        case Output(_):
-            return set()
-        case Compose(_, first, rest):
-            return free_host_vars(first) | free_host_vars(rest)
-        case UnitElim(_, rest) | PairElim(_, _, _, rest) | Gate(_, _, _, rest):
-            return free_host_vars(rest)
-        case Unbox(t, _):
-            return free_host_vars(t)
-        case Lift(x, _, rest) | QLift(x, _, rest):
-            return free_host_vars(rest) - {x}
-    raise TypeError(f"no host variables in {node!r}")
+    return set().union(*map(free_host_vars, children(node)))
 
 
 # ---------------------------------------------------------------------------
@@ -739,29 +766,39 @@ def _under_binder(bound_pat, rest, binding, introduced):
     wires introduced by the substitution are alpha-renamed.
     """
     bound = set(pattern_wires(bound_pat))
+    avoid = introduced | {x for x in binding if x not in bound}
+    bound_pat, rest = freshen_binder(bound_pat, rest, avoid)
+    bound = set(pattern_wires(bound_pat))
     inner = {x: p for x, p in binding.items() if x not in bound}
-    clash = bound & introduced
-    if clash:
-        taken = introduced | bound | free_wires(rest) | set(inner)
-        renaming: dict[str, Pattern] = {}
-
-        def freshen(q):
-            match q:
-                case WireP(x) if x in clash:
-                    y = _fresh_name(x, taken)
-                    taken.add(y)
-                    renaming[x] = WireP(y)
-                    return WireP(y)
-                case PairP(l, r):
-                    return PairP(freshen(l), freshen(r))
-                case _:
-                    return q
-
-        bound_pat = freshen(bound_pat)
-        rest = _subst_wires(rest, renaming)
-        bound = set(pattern_wires(bound_pat))
-        inner = {x: p for x, p in binding.items() if x not in bound}
     return bound_pat, _subst_wires(rest, inner)
+
+
+def freshen_binder(pat: Pattern, scope: CircuitTerm, avoid: set[str]):
+    """Rename the wires of binder ``pat`` that occur in ``avoid``,
+    substituting consistently in its ``scope``; returns both.
+
+    Fresh names avoid ``avoid``, the binder and the free wires of the
+    scope, and are chosen left to right through the pattern.
+    """
+    clash = set(pattern_wires(pat)) & avoid
+    if not clash:
+        return pat, scope
+    taken = avoid | set(pattern_wires(pat)) | free_wires(scope)
+    renaming: dict[str, Pattern] = {}
+
+    def freshen(q):
+        match q:
+            case WireP(x) if x in clash:
+                y = _fresh_name(x, taken)
+                taken.add(y)
+                renaming[x] = WireP(y)
+                return WireP(y)
+            case PairP(l, r):
+                return PairP(freshen(l), freshen(r))
+            case _:
+                return q
+
+    return freshen(pat), _subst_wires(scope, renaming)
 
 
 # ---------------------------------------------------------------------------
@@ -774,83 +811,31 @@ def subst_host(node, var: str, repl: HostTerm):
     the free host variables of ``repl`` by lambda/let/lift binders."""
     fv = free_host_vars(repl)
 
+    def rename(x, body):
+        # rename binder x of body away from the free variables of repl
+        if x not in fv:
+            return x, body
+        y = _fresh_name(x, fv | free_host_vars(body) | {var})
+        return y, subst_host(body, x, Var(y))
+
     def go(n):
         match n:
             case Var(x):
                 return repl if x == var else n
+            case Lam(x) | Lift(x) | QLift(x) if x == var:
+                return n
+            case Bind(t, x, u) if x == var:
+                return Bind(go(t), x, u, loc=n.loc)
             case Lam(x, a, body):
-                if x == var:
-                    return n
-                if x in fv:
-                    y = _fresh_name(x, fv | free_host_vars(body) | {var})
-                    body = subst_host(body, x, Var(y))
-                    x = y
+                x, body = rename(x, body)
                 return Lam(x, a, go(body), loc=n.loc)
+            case Lift(x, p, rest) | QLift(x, p, rest):
+                x, rest = rename(x, rest)
+                return type(n)(x, p, go(rest), loc=n.loc)
             case Bind(t, x, u):
-                t2 = go(t)
-                if x == var:
-                    return Bind(t2, x, u, loc=n.loc)
-                if x in fv:
-                    y = _fresh_name(x, fv | free_host_vars(u) | {var})
-                    u = subst_host(u, x, Var(y))
-                    x = y
-                return Bind(t2, x, go(u), loc=n.loc)
-            case App(f, a):
-                return App(go(f), go(a), loc=n.loc)
-            case Pair(l, r):
-                return Pair(go(l), go(r), loc=n.loc)
-            case Prim(op, l, r):
-                return Prim(op, go(l), go(r), loc=n.loc)
-            case Proj(s, t):
-                return Proj(s, go(t), loc=n.loc)
-            case Ret(t):
-                return Ret(go(t), loc=n.loc)
-            case Ascribe(t, a):
-                return Ascribe(go(t), a, loc=n.loc)
-            case GateFam(name, t):
-                return GateFam(name, go(t), loc=n.loc)
-            case If(c, t, e):
-                return If(go(c), go(t), go(e), loc=n.loc)
-            case Box(p, w, body):
-                return Box(p, w, go(body), loc=n.loc)
-            case Run(body):
-                return Run(go(body), loc=n.loc)
-            case QRun(body):
-                return QRun(go(body), loc=n.loc)
-            case UnitVal() | IntLit(_) | ClassicalLit() | Fix():
-                return n
-            # circuit constructors
-            case Output(_):
-                return n
-            case Init(t):
-                return Init(go(t), loc=n.loc)
-            case Compose(p, first, rest):
-                return Compose(p, go(first), go(rest), loc=n.loc)
-            case UnitElim(p, rest):
-                return UnitElim(p, go(rest), loc=n.loc)
-            case PairElim(w1, w2, p, rest):
-                return PairElim(w1, w2, p, go(rest), loc=n.loc)
-            case Gate(op, g, ip, rest):
-                return Gate(op, g, ip, go(rest), loc=n.loc)
-            case Unbox(t, p):
-                return Unbox(go(t), p, loc=n.loc)
-            case Lift(x, p, rest):
-                if x == var:
-                    return n
-                if x in fv:
-                    y = _fresh_name(x, fv | free_host_vars(rest) | {var})
-                    rest = subst_host(rest, x, Var(y))
-                    x = y
-                return Lift(x, p, go(rest), loc=n.loc)
-            case QLift(x, p, rest):
-                if x == var:
-                    return n
-                if x in fv:
-                    y = _fresh_name(x, fv | free_host_vars(rest) | {var})
-                    rest = subst_host(rest, x, Var(y))
-                    x = y
-                return QLift(x, p, go(rest), loc=n.loc)
-        raise TypeError(f"cannot substitute in {n!r}")
+                x, u = rename(x, u)
+                return Bind(go(t), x, go(u), loc=n.loc)
+        return map_children(n, go)
 
     return go(node)
 
@@ -898,30 +883,8 @@ def _alpha(a, b, wm, hm):
             return hm.get(x, x) == y
         case (Lam(x1, t1, b1), Lam(x2, t2, b2)):
             return t1 == t2 and _alpha(b1, b2, wm, {**hm, x1: x2})
-        case (App(f1, a1), App(f2, a2)) | (Pair(f1, a1), Pair(f2, a2)):
-            return _alpha(f1, f2, wm, hm) and _alpha(a1, a2, wm, hm)
-        case (Prim(o1, l1, r1), Prim(o2, l2, r2)):
-            return o1 == o2 and _alpha(l1, l2, wm, hm) and _alpha(r1, r2, wm, hm)
-        case (Proj(s1, t1), Proj(s2, t2)):
-            return s1 == s2 and _alpha(t1, t2, wm, hm)
-        case (Ret(t1), Ret(t2)) | (Run(t1), Run(t2)) | (QRun(t1), QRun(t2)):
-            return _alpha(t1, t2, wm, hm)
-        case (Ascribe(t1, a1), Ascribe(t2, a2)):
-            return a1 == a2 and _alpha(t1, t2, wm, hm)
-        case (GateFam(n1, t1), GateFam(n2, t2)):
-            return n1 == n2 and _alpha(t1, t2, wm, hm)
         case (Bind(t1, x1, u1), Bind(t2, x2, u2)):
             return _alpha(t1, t2, wm, hm) and _alpha(u1, u2, wm, {**hm, x1: x2})
-        case (If(c1, t1, e1), If(c2, t2, e2)):
-            return all(_alpha(p, q, wm, hm) for p, q in [(c1, c2), (t1, t2), (e1, e2)])
-        case (UnitVal(), UnitVal()):
-            return True
-        case (IntLit(v1), IntLit(v2)):
-            return v1 == v2
-        case (ClassicalLit(b1, c1, v1), ClassicalLit(b2, c2, v2)):
-            return (b1, c1, v1) == (b2, c2, v2)
-        case (Fix(a1, i1, o1), Fix(a2, i2, o2)):
-            return (a1, i1, o1) == (a2, i2, o2)
         case (Box(p1, w1, c1), Box(p2, w2, c2)):
             if w1 != w2:
                 return False
@@ -930,8 +893,6 @@ def _alpha(a, b, wm, hm):
         # circuits
         case (Output(p1), Output(p2)):
             return _pat_eq(p1, p2, wm)
-        case (Init(t1), Init(t2)):
-            return _alpha(t1, t2, wm, hm)
         case (Unbox(t1, p1), Unbox(t2, p2)):
             return _alpha(t1, t2, wm, hm) and _pat_eq(p1, p2, wm)
         case (Compose(p1, f1, r1), Compose(p2, f2, r2)):
@@ -955,7 +916,17 @@ def _alpha(a, b, wm, hm):
             QLift(x2, p2, r2),
         ):
             return _pat_eq(p1, p2, wm) and _alpha(r1, r2, wm, {**hm, x1: x2})
-    return False
+    if not isinstance(a, (HostTerm, CircuitTerm)):
+        return False
+    # any other term: equal data fields and alpha-equivalent subterms
+    return _without_children(a) == _without_children(b) and all(
+        _alpha(x, y, wm, hm) for x, y in zip(children(a), children(b))
+    )
+
+
+def _without_children(node):
+    """``node`` with its subterms blanked out, to compare the rest."""
+    return map_children(node, lambda _: None)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from .syntax import (
     Pattern, Prim, Program, Proj, ProductT, QListW, QUBIT, QuantumW,
     QLift, QRun, Ret, Run, Span, TensorW, UnitElim, UnitP, UnitT,
     UnitVal, UnitW, Unbox, Var, WireP, WireType, classicalize,
-    free_wires, is_classical, lift_type, pattern_linear, pattern_wires,
-    unlift_type,
+    free_wires, is_classical, lift_type, map_children, pattern_linear,
+    pattern_wires, unlift_type,
 )
 
 # error kinds
@@ -642,119 +642,36 @@ def elaborate_sugar(prog: Program) -> Program:
     checked = check_program(prog)
     ctx = checked.ctx
 
-    def circ(c):
-        match c:
-            case Output(_):
-                return c
-            case Unbox(t, p):
-                return Unbox(host(t), p, loc=c.loc)
-            case Init(t):
-                return Init(host(t), loc=c.loc)
-            case Compose(p, first, rest):
-                return Compose(p, circ(first), circ(rest), loc=c.loc)
-            case UnitElim(p, rest):
-                return UnitElim(p, circ(rest), loc=c.loc)
-            case PairElim(w1, w2, p, rest):
-                return PairElim(w1, w2, p, circ(rest), loc=c.loc)
-            case Gate(op, g, ip, rest):
-                return Gate(op, g, ip, circ(rest), loc=c.loc)
-            case Lift(x, p, rest):
-                return Lift(x, p, circ(rest), loc=c.loc)
+    def elab(n):
+        match n:
+            case QRun(c):
+                w = ctx.lookup(n)
+                assert w is not None, "sugar node escaped the checking pass"
+                meas = generate_meas_circuit(w)
+                x = _fresh_wire("x", free_wires(c))
+                return Run(
+                    Compose(WireP(x), elab(c), Unbox(meas, WireP(x))), loc=n.loc
+                )
             case QLift(x, p, rest):
-                w = ctx.lookup(c)
+                w = ctx.lookup(n)
                 assert w is not None, "sugar node escaped the checking pass"
                 meas = generate_meas_circuit(w)
                 y = _fresh_wire("y", free_wires(rest) | set(pattern_wires(p)))
                 return Compose(
                     WireP(y),
                     Unbox(meas, p),
-                    Lift(x, WireP(y), circ(rest)),
-                    loc=c.loc,
+                    Lift(x, WireP(y), elab(rest)),
+                    loc=n.loc,
                 )
-        raise TypeError(f"not a circuit term: {c!r}")
-
-    def host(t):
-        match t:
-            case QRun(c):
-                w = ctx.lookup(t)
-                assert w is not None, "sugar node escaped the checking pass"
-                meas = generate_meas_circuit(w)
-                x = _fresh_wire("x", free_wires(c))
-                return Run(
-                    Compose(WireP(x), circ(c), Unbox(meas, WireP(x))), loc=t.loc
-                )
-            case Run(c):
-                return Run(circ(c), loc=t.loc)
-            case Box(p, w, body):
-                return Box(p, w, circ(body), loc=t.loc)
-            case Lam(x, a, body):
-                return Lam(x, a, host(body), loc=t.loc)
-            case App(f, a):
-                return App(host(f), host(a), loc=t.loc)
-            case Pair(l, r):
-                return Pair(host(l), host(r), loc=t.loc)
-            case Proj(s, u):
-                return Proj(s, host(u), loc=t.loc)
-            case Ret(u):
-                return Ret(host(u), loc=t.loc)
-            case Bind(u, x, v):
-                return Bind(host(u), x, host(v), loc=t.loc)
-            case If(c, a, b):
-                return If(host(c), host(a), host(b), loc=t.loc)
-            case Prim(op, l, r):
-                return Prim(op, host(l), host(r), loc=t.loc)
-            case Ascribe(u, a):
-                return Ascribe(host(u), a, loc=t.loc)
-            case GateFam(n, ix):
-                return GateFam(n, host(ix), loc=t.loc)
-            case _:
-                return t
+        return map_children(n, elab)
 
     decls = []
     for d in prog.decls:
         match d:
             case DefDecl(name, ann, term):
-                decls.append(DefDecl(name, ann, host(term), loc=d.loc))
+                decls.append(DefDecl(name, ann, elab(term), loc=d.loc))
             case CircDecl(name, context, ann, term):
-                decls.append(CircDecl(name, context, ann, circ(term), loc=d.loc))
+                decls.append(CircDecl(name, context, ann, elab(term), loc=d.loc))
             case _:
                 decls.append(d)
     return Program(tuple(decls))
-
-
-def has_sugar(node) -> bool:
-    """True if any qrun/qlift constructor remains in the term."""
-    match node:
-        case QRun(_) | QLift():
-            return True
-        case Compose(_, a, b):
-            return has_sugar(a) or has_sugar(b)
-        case (
-            UnitElim(_, rest)
-            | PairElim(_, _, _, rest)
-            | Gate(_, _, _, rest)
-            | Lift(_, _, rest)
-        ):
-            return has_sugar(rest)
-        case Unbox(t, _) | Init(t):
-            return has_sugar(t)
-        case Output(_):
-            return False
-        case Lam(_, _, b) | Proj(_, b) | Ret(b) | Ascribe(b, _) | GateFam(_, b):
-            return has_sugar(b)
-        case App(a, b) | Pair(a, b):
-            return has_sugar(a) or has_sugar(b)
-        case Bind(a, _, b):
-            return has_sugar(a) or has_sugar(b)
-        case If(a, b, c):
-            return has_sugar(a) or has_sugar(b) or has_sugar(c)
-        case Box(_, _, c) | Run(c):
-            return has_sugar(c)
-        case Program(decls):
-            return any(
-                has_sugar(d.term)
-                for d in decls
-                if isinstance(d, (DefDecl, CircDecl))
-            )
-        case _:
-            return False

@@ -139,13 +139,24 @@ def test_resource_limit_exit_code(capsys, tmp_path, monkeypatch):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "programs/hs.ew"],
-    ["denote", "programs/qft.ew", "--entry", "fourier", "--qlist-size", "3"],
-])
-def test_evaluation_error_exits_without_traceback(argv):
+NO_TRACEBACK_CASES = [
+    (["run", "programs/hs.ew"], 1, "error["),
+    (["denote", "programs/qft.ew", "--entry", "fourier", "--qlist-size", "3"], 1, "error["),
+    (["run", "programs/flip.ew", "--shots", "-1"], 3, "usage error:"),
+    (["run", "programs/hs.ew", "--mode", "cpsu", "--fuel", "-1"], 3, "usage error:"),
+    (["normalize", "programs/teleport.ew", "--entry", "teleport", "--max-steps", "-1"],
+     3, "usage error:"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,prefix", NO_TRACEBACK_CASES,
+    ids=[f"argv{i}" for i in range(len(NO_TRACEBACK_CASES))],
+)
+def test_evaluation_error_exits_without_traceback(argv, code, prefix):
     # cpu mode rejects the fixed point of hs.ew, and an out-of-range int
-    # of qft.ew at size 3; both are diagnostics, not tracebacks
+    # of qft.ew at size 3; both are diagnostics, not tracebacks, and so
+    # are negative counts of shots, fuel or rewrite steps
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p
@@ -154,9 +165,9 @@ def test_evaluation_error_exits_without_traceback(argv):
         [sys.executable, "-m", "ewire.cli", *argv],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
-    assert proc.returncode == 1
+    assert proc.returncode == code
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error[")
+    assert proc.stderr.startswith(prefix)
     assert "Traceback" not in proc.stderr
 
 

@@ -1,15 +1,25 @@
-import pytest
-from hypothesis import given, strategies as st
+import contextlib
+import dataclasses
+import io
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ewire import syntax
+from ewire.cli import main
 from ewire.parser import ParseError, parse_circuit, parse_host_term, parse_program
 from ewire.syntax import (
-    BIT, QUBIT, ClassicalT, ClassicalW, NotClassicalError, Output, PairP,
-    ProductT, QuantumW, ShapeMismatch, TensorW, UnitP, UnitT, UnitW,
-    WireP, alpha_equiv, classicalize, free_wires, is_classical,
-    lift_type, pattern_wires, pretty_print, subst_pattern, unlift_type,
+    BIT, QUBIT, App, CircDecl, CircuitTerm, ClassicalT, ClassicalW, DefDecl,
+    Fix, GateRef, HostTerm, Init, IntLit, NotClassicalError, Output, PairP,
+    Prim, ProductT, Program, QLift, QRun, QuantumW, Ret, ShapeMismatch, Span,
+    TensorW, UnitP, UnitT, UnitW, Var, WireP, alpha_equiv, children,
+    classicalize, contains, free_wires, is_classical, lift_type,
+    map_children, pattern_wires, pretty_print, subst_pattern, unlift_type,
 )
 
 FLIP = "a <- gate init0 (); a' <- gate H a; b <- gate meas a'; output b"
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 # -- type translations --------------------------------------------------------
@@ -91,6 +101,12 @@ def test_parse_box_pair_annotation():
     assert t.pat == PairP(WireP("a"), WireP("b"))
 
 
+def test_parse_box_unit_pattern():
+    t = parse_host_term("box () => output ()")
+    assert t.pat == UnitP()
+    assert t.w_in == UnitW()
+
+
 def test_pretty_print_output():
     assert pretty_print(Output(WireP("w"))) == "output w"
 
@@ -146,6 +162,18 @@ def test_host_roundtrip(text):
     t = parse_host_term(text)
     again = parse_host_term(pretty_print(t))
     assert alpha_equiv(t, again)
+
+
+@pytest.mark.parametrize("left,right,equal", [
+    ("lambda x : int . x + 1", "lambda y : int . y + 1", True),
+    ("lambda x : int . x + 1", "lambda y : int . y - 1", False),
+    ("lambda x : int . CR x", "lambda y : int . R y", False),
+    ("(1 : bit)", "(1 : int)", False),
+    ("if (0 : bit) then 1 else 2", "if (0 : bit) then 1 else 3", False),
+    ("(fst (1, 2) : int)", "(fst (1, 2) : bit)", False),
+])
+def test_alpha_equiv_compares_data_fields(left, right, equal):
+    assert alpha_equiv(parse_host_term(left), parse_host_term(right)) is equal
 
 
 def test_program_roundtrip():
@@ -268,3 +296,180 @@ def test_circuit_parser_never_crashes_on_near_miss(text):
         parse_circuit(text)
     except ParseError:
         pass
+
+
+PROGRAM_TEXTS = [p.read_text() for p in sorted(PROGRAMS.glob("*.ew"))]
+
+EW_TOKENS = [
+    "def", "circ", "gate", "classical", "main", "f", "x", "q", ":", "=", "T(bit)",
+    "bit", "int", "qubit", "I", "Circ(qubit, qubit)", "Circ(I, bit)", "run", "qrun",
+    "box", "=>", "output", "<-", "<=", ";", "(", ")", ",", "lambda", ".", "let",
+    "in", "return", "lift", "qlift", "init", "unbox", "Y[int, qubit, qubit]", "if",
+    "then", "else", "0", "1", "-1", "+", "-", "fst", "snd", "H", "meas", "init0",
+    "discard", "CNOT", "*", "->", "()", "(0 : bit)", "CR", "qlist", "isempty", "\n",
+]
+
+
+def _splice(args):
+    text, at, length, insert = args
+    at %= len(text) + 1
+    return text[:at] + insert + text[at + length:]
+
+
+junk_sources = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.sampled_from(EW_TOKENS), max_size=40).map(" ".join),
+    st.tuples(
+        st.sampled_from(PROGRAM_TEXTS), st.integers(0, 2000), st.integers(0, 30),
+        st.sampled_from(["", *EW_TOKENS]),
+    ).map(_splice),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    text=junk_sources,
+    argv=st.sampled_from([
+        ["check"], ["check", "--json"], ["run"], ["run", "--mode", "cpsu", "--fuel", "30"],
+        ["normalize"], ["normalize", "--entry", "teleport", "--trace"],
+    ]),
+)
+def test_cli_never_raises_on_junk(tmp_path_factory, text, argv):
+    src = tmp_path_factory.getbasetemp() / "junk.ew"
+    src.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([argv[0], str(src), *argv[1:]])
+    assert code in (0, 1, 2, 3)
+
+
+# -- generic traversal ------------------------------------------------------------
+
+# the fields of every term constructor that hold host or circuit subterms
+TERM_FIELDS = {
+    syntax.Var: (),
+    syntax.Lam: ("body",),
+    syntax.App: ("fn", "arg"),
+    syntax.UnitVal: (),
+    syntax.Pair: ("left", "right"),
+    syntax.Proj: ("arg",),
+    syntax.Ret: ("arg",),
+    syntax.Bind: ("arg", "body"),
+    syntax.Box: ("body",),
+    syntax.Run: ("circuit",),
+    syntax.IntLit: (),
+    syntax.ClassicalLit: (),
+    syntax.If: ("cond", "then", "orelse"),
+    syntax.Prim: ("left", "right"),
+    syntax.Fix: (),
+    syntax.GateFam: ("index",),
+    syntax.Ascribe: ("term",),
+    syntax.QRun: ("circuit",),
+    syntax.Output: (),
+    syntax.Compose: ("first", "rest"),
+    syntax.UnitElim: ("rest",),
+    syntax.PairElim: ("rest",),
+    syntax.Gate: ("rest",),
+    syntax.Unbox: ("term",),
+    syntax.Lift: ("rest",),
+    syntax.Init: ("term",),
+    syntax.QLift: ("rest",),
+}
+
+# a value for every other field, by its annotation
+FILLERS = {
+    "str": "x",
+    "int": 1,
+    "Pattern": WireP("w"),
+    "HostType": UnitT(),
+    "WireType": BIT,
+    "GateRef": GateRef("H"),
+    "Optional[Span]": Span(3, 7),
+}
+
+FIX = Fix(UnitT(), BIT, BIT)
+
+
+def _leaf(name, kind):
+    return Var(f"h_{name}") if kind == "HostTerm" else Output(WireP(f"c_{name}"))
+
+
+def _instance(cls, fill=_leaf):
+    """An instance of ``cls`` whose term fields hold ``fill(name, kind)``."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in TERM_FIELDS[cls]:
+            kwargs[f.name] = fill(f.name, f.type)
+        else:
+            kwargs[f.name] = FILLERS[f.type]
+    return cls(**kwargs)
+
+
+def test_term_field_table_covers_every_constructor():
+    concrete = {
+        c for c in vars(syntax).values()
+        if isinstance(c, type) and issubclass(c, (HostTerm, CircuitTerm))
+        and c not in (HostTerm, CircuitTerm)
+    }
+    assert set(TERM_FIELDS) == concrete
+    assert len(concrete) == 27
+
+
+@pytest.mark.parametrize("cls", list(TERM_FIELDS), ids=lambda c: c.__name__)
+def test_children_lists_exactly_the_term_fields(cls):
+    n = _instance(cls)
+    assert children(n) == tuple(_leaf(f.name, f.type) for f in dataclasses.fields(cls)
+                                if f.name in TERM_FIELDS[cls])
+    others = [getattr(n, f.name) for f in dataclasses.fields(cls)
+              if f.name not in TERM_FIELDS[cls]]
+    assert not any(isinstance(v, (HostTerm, CircuitTerm)) for v in others)
+
+
+@pytest.mark.parametrize("cls", list(TERM_FIELDS), ids=lambda c: c.__name__)
+def test_map_children_rebuilds_and_keeps_loc(cls):
+    n = _instance(cls)
+    same = map_children(n, lambda c: c)
+    assert same == n and same.loc == n.loc == Span(3, 7)
+    if not TERM_FIELDS[cls]:
+        assert same is n
+    wrapped = map_children(n, lambda c: Ret(c) if isinstance(c, HostTerm) else Init(Var("y")))
+    assert wrapped.loc == n.loc
+    for f in dataclasses.fields(cls):
+        old, new = getattr(n, f.name), getattr(wrapped, f.name)
+        if f.name not in TERM_FIELDS[cls]:
+            assert new == old
+        elif f.type == "HostTerm":
+            assert new == Ret(old)
+        else:
+            assert new == Init(Var("y"))
+
+
+def _plant(target, field=None):
+    """A fill that puts ``target`` (a host term) into term field
+    ``field``, or into every term field."""
+    def fill(name, kind):
+        if field not in (None, name):
+            return _leaf(name, kind)
+        return target if kind == "HostTerm" else Init(target)
+    return fill
+
+
+@pytest.mark.parametrize(
+    "cls", [c for c, names in TERM_FIELDS.items() if names], ids=lambda c: c.__name__
+)
+def test_contains_finds_a_node_under_every_constructor(cls):
+    sugar = (QRun, QLift)
+    assert not contains(_instance(cls), Fix)
+    assert contains(_instance(cls), sugar) == issubclass(cls, sugar)
+    assert contains(_instance(cls, _plant(FIX)), Fix)
+    assert contains(_instance(cls, _plant(QRun(Output(UnitP())))), sugar)
+    # one planted field at a time, so no field is skipped
+    for name in TERM_FIELDS[cls]:
+        assert contains(_instance(cls, _plant(FIX, name)), Fix)
+
+
+def test_contains_searches_program_declarations():
+    host = Prim("+", IntLit(1), App(FIX, Var("f")))
+    prog = Program((DefDecl("d", None, IntLit(0)), CircDecl("c", (), None, Init(host))))
+    assert contains(prog, Fix)
+    assert contains(prog, Prim)
+    assert not contains(Program((DefDecl("d", None, IntLit(0)),)), Fix)

@@ -6,13 +6,13 @@ import pytest
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.syntax import (
     BIT, Box, CircT, ClassicalLit, ClassicalT, ClassicalW, Compose, Gate,
-    Init, IntLit, Lift, MonadT, Output, PairElim, PairP, Prim, QUBIT,
-    TensorW, UnitElim, UnitP, UnitW, Unbox, Var, WireP,
+    Init, IntLit, Lift, MonadT, Output, PairElim, PairP, Prim, QLift, QRun,
+    QUBIT, TensorW, UnitElim, UnitP, UnitW, Unbox, Var, WireP, contains,
 )
 from ewire.typecheck import (
     TypeCheckError, check_circuit, check_host, check_program,
     elaborate_sugar, generate_meas_circuit, generate_new_circuit,
-    has_sugar, match_pattern, _default_ctx,
+    match_pattern, _default_ctx,
 )
 from ewire import algebra
 
@@ -425,7 +425,7 @@ def f : Circ(qubit, bit * qubit) =
     )
     before = check_program(prog)
     el = elaborate_sugar(prog)
-    assert not has_sugar(el)
+    assert not contains(el, (QRun, QLift))
     after = check_program(el)
     assert before.def_types == after.def_types
 
