@@ -13,6 +13,12 @@ out while a recursive definition is producing a circuit, that circuit
 denotes the zero map — the bottom element of the Loewner order — rather
 than raising an error, so fueled results are finite approximants of the
 true fixed point.
+
+An ``Evaluator`` evaluates only terms checked under its own
+``CheckContext``: it reads every type it needs from that context's
+table and raises ``EvalError`` where a record is missing.  The
+module-level ``denote_circuit`` and ``eval_host`` check their input
+first.
 """
 
 from __future__ import annotations
@@ -32,11 +38,11 @@ from .syntax import (
     App, Ascribe, Bind, Box, ClassicalLit, ClassicalW, Compose, DefDecl,
     Fix, Gate, GateFam, GateRef, If, Init, IntLit, Lam, Lift, Output, Pair,
     PairElim, Pattern, Prim, Proj, QuantumW, QLift, QRun, Ret, Run,
-    TensorW, UnitElim, UnitVal, UnitW, Unbox, Var, WireType, contains,
-    free_wires, lift_type, pattern_wires, pretty_print,
+    TensorW, UnitElim, UnitVal, UnitW, Unbox, Var, WireType, free_wires,
+    pattern_wires, pretty_print,
 )
 from .typecheck import (
-    CheckContext, CheckedProgram, bind_pattern, check_circuit,
+    CheckContext, CheckedProgram, bind_pattern, check_circuit, check_host,
     pattern_type, _default_ctx,
 )
 
@@ -79,10 +85,8 @@ class PairV(HostValue):
 @dataclass(frozen=True, eq=False)
 class ClosureV(HostValue):
     var: str
-    ann: object
     body: object
     env: dict
-    gamma: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,27 +269,38 @@ class Evaluator:
     A single evaluator holds the mode, the remaining fuel (shared by all
     fixed points unfolded under one top-level evaluation) and the type
     table of the checked program it runs.
+
+    Closure applications are memoised until the first fixed-point
+    unfolding, so a replayed result never skips fuel.  The ``gamma``
+    argument of ``eval_host`` and ``denote_circuit`` is never read.
     """
 
-    def __init__(self, ctx: CheckContext | None = None, mode: Mode | None = None,
-                 memoize: bool = True):
+    def __init__(self, ctx: CheckContext | None = None, mode: Mode | None = None):
         self.ctx = ctx or _default_ctx()
         self.mode = mode or Mode.cpu()
         self.fuel = self.mode.fuel
-        self.memoize = memoize
-        self._app_cache: dict = {}
+        self._app_cache: dict | None = {}
+
+    def _checked(self, term):
+        """What the typechecker recorded for ``term``."""
+        info = self.ctx.lookup(term)
+        if info is None:
+            where = f" at {term.loc}" if term.loc else ""
+            raise EvalError(f"{type(term).__name__}{where} was not checked "
+                            "under this evaluator's context")
+        return info
 
     # -- host evaluation ---------------------------------------------------
 
-    def eval_host(self, gamma: dict, term, env: dict) -> HostValue:
+    def eval_host(self, gamma: dict | None, term, env: dict) -> HostValue:
         match term:
             case Var(x):
                 try:
                     return env[x]
                 except KeyError:
                     raise EvalError(f"unbound variable {x!r}")
-            case Lam(x, a, body):
-                return ClosureV(x, a, body, env, gamma)
+            case Lam(x, _, body):
+                return ClosureV(x, body, env)
             case App(f, a):
                 fv = self.eval_host(gamma, f, env)
                 av = self.eval_host(gamma, a, env)
@@ -305,30 +320,22 @@ class Evaluator:
                 d = self.eval_host(gamma, t, env)
                 if not isinstance(d, DistV):
                     raise EvalError(f"let <= of a non-computation {d!r}")
-                a = self.ctx.lookup(term)
-                gamma2 = dict(gamma)
-                if a is not None:
-                    gamma2[x] = a
                 out: dict = {}
                 for hv, w in d.weights.items():
                     env2 = dict(env)
                     env2[x] = hv
-                    d2 = self.eval_host(gamma2, u, env2)
+                    d2 = self.eval_host(gamma, u, env2)
                     if not isinstance(d2, DistV):
                         raise EvalError("body of let <= must be a computation")
                     for hv2, w2 in d2.weights.items():
                         out[hv2] = out.get(hv2, 0.0) + w * w2
                 return DistV(out)
             case Box(p, w, body):
-                sig = self.ctx.lookup(term)
-                bindings = bind_pattern(p, w)
-                op = self.denote_circuit(gamma, tuple(bindings), body, env)
-                w2 = sig[1] if sig else check_circuit(gamma, tuple(bindings), body, self.ctx)
+                _, w2 = self._checked(term)
+                op = self.denote_circuit(gamma, tuple(bind_pattern(p, w)), body, env)
                 return CircV(w, w2, op)
             case Run(c):
-                v = self.ctx.lookup(term)
-                if v is None:
-                    v = check_circuit(gamma, (), c, self.ctx)
+                v = self._checked(term)
                 op = self.denote_circuit(gamma, (), c, env)
                 dist = self.run_circuit(op, v)
                 return DistV({decode_value(v, k): w for k, w in dist.items()})
@@ -378,9 +385,9 @@ class Evaluator:
 
     def apply(self, fv: HostValue, av: HostValue) -> HostValue:
         match fv:
-            case ClosureV(x, a, body, cenv, cgamma):
+            case ClosureV(x, body, cenv):
                 key = None
-                if self.memoize:
+                if self._app_cache is not None:
                     k = _memo_key(av)
                     if k is not None:
                         key = (id(fv), k)
@@ -391,15 +398,15 @@ class Evaluator:
                             return hit[1]
                 env2 = dict(cenv)
                 env2[x] = av
-                gamma2 = dict(cgamma)
-                gamma2[x] = a
-                out = self.eval_host(gamma2, body, env2)
-                if key is not None:
+                out = self.eval_host(None, body, env2)
+                # unless an unfolding inside the body dropped the cache
+                if key is not None and self._app_cache is not None:
                     self._app_cache[key] = (fv, out)
                 return out
             case FixCombV(a, w1, w2):
                 return FixV(av, a, w1, w2)
             case FixV(func, _, w1, w2):
+                self._app_cache = None
                 if self.fuel <= 0:
                     return CircV(
                         w1, w2, op_zero(denote_wire(w2), denote_wire(w1))
@@ -411,7 +418,7 @@ class Evaluator:
 
     # -- circuit denotation --------------------------------------------------
 
-    def denote_circuit(self, gamma: dict, omega, term, env: dict) -> SuperOp:
+    def denote_circuit(self, gamma: dict | None, omega, term, env: dict) -> SuperOp:
         """The Heisenberg map of ``gamma; omega |- term : W``, from the
         algebra of W to the algebra of the ordered context."""
         omega = tuple(omega)
@@ -437,9 +444,7 @@ class Evaluator:
             case Init(t):
                 if omega:
                     raise EvalError("init consumes no wires")
-                v = self.ctx.lookup(term)
-                if v is None:
-                    v = check_circuit(gamma, (), term, self.ctx)
+                v = self._checked(term)
                 hv = self.eval_host(gamma, t, env)
                 idx = classical_index(v, encode_value(v, hv))
                 src = denote_wire(v)
@@ -451,10 +456,7 @@ class Evaluator:
                 sel = tuple(b for b in omega if b[0] in fw)
                 remaining = tuple(b for b in omega if b[0] not in fw)
                 f1 = self.denote_circuit(gamma, sel, first, env)
-                w1 = self.ctx.lookup(term)
-                if w1 is None:
-                    w1 = check_circuit(gamma, sel, first, self.ctx)
-                bindings = bind_pattern(p, w1)
+                bindings = bind_pattern(p, self._checked(term))
                 f2 = self.denote_circuit(
                     gamma, tuple(bindings) + remaining, rest, env
                 )
@@ -491,21 +493,18 @@ class Evaluator:
                     b for b in omega if b[0] not in {n for n, _ in sel}
                 )
                 v = pattern_type(dict(omega), p)
-                values = enumerate_classical(v)
-                gamma2 = dict(gamma)
-                gamma2[x] = lift_type(v)
+                w = self._checked(term)
                 branches = []
-                for val in values:
+                for val in enumerate_classical(v):
                     env2 = dict(env)
                     env2[x] = decode_value(v, val)
                     try:
                         branches.append(
-                            self.denote_circuit(gamma2, remaining, rest, env2)
+                            self.denote_circuit(gamma, remaining, rest, env2)
                         )
                     except PartialityError:
                         if not self.mode.is_cpsu:
                             raise
-                        w = check_circuit(gamma2, remaining, rest, self.ctx)
                         branches.append(
                             op_zero(denote_wire(w), denote_context(remaining))
                         )
@@ -573,14 +572,18 @@ def pattern_bindings(omega, p: Pattern):
 
 def denote_circuit(gamma, omega, term, env=None, mode: Mode | None = None,
                    ctx: CheckContext | None = None) -> SuperOp:
+    """Check ``gamma; omega |- term`` into ``ctx`` and denote it."""
     ev = Evaluator(ctx=ctx, mode=mode or Mode.cpu())
-    return ev.denote_circuit(dict(gamma), tuple(omega), term, dict(env or {}))
+    check_circuit(dict(gamma), tuple(omega), term, ev.ctx)
+    return ev.denote_circuit(gamma, tuple(omega), term, dict(env or {}))
 
 
 def eval_host(gamma, term, env=None, mode: Mode | None = None,
               ctx: CheckContext | None = None) -> HostValue:
+    """Check ``gamma |- term`` into ``ctx`` and evaluate it."""
     ev = Evaluator(ctx=ctx, mode=mode or Mode.cpu())
-    return ev.eval_host(dict(gamma), term, dict(env or {}))
+    check_host(dict(gamma), term, ev.ctx)
+    return ev.eval_host(gamma, term, dict(env or {}))
 
 
 def run_circuit(op: SuperOp, v: WireType, mode: Mode | None = None) -> Distribution:
@@ -603,28 +606,23 @@ def fix_eval(functional: HostValue, arg: HostValue, mode: Mode,
     return ev.apply(fv, arg)
 
 
-def evaluate_program(checked: CheckedProgram, mode: Mode | None = None,
-                     memoize: bool | None = None):
+def evaluate_program(checked: CheckedProgram, mode: Mode | None = None):
     """Evaluate all host declarations in order.
 
-    Returns ``(evaluator, gamma, env)``.  Memoisation of pure function
-    applications is enabled automatically for programs that contain no
-    fixed-point combinator (whose fuel accounting it would disturb).
+    Returns ``(evaluator, gamma, env)``, where ``gamma`` holds the
+    declarations' host types.
     """
-    prog = checked.program
-    if memoize is None:
-        memoize = not contains(prog, Fix)
-    ev = Evaluator(ctx=checked.ctx, mode=mode or Mode.cpu(), memoize=memoize)
-    gamma: dict = {}
+    ev = Evaluator(ctx=checked.ctx, mode=mode or Mode.cpu())
     env: dict = {}
-    for d in prog.decls:
+    for d in checked.program.decls:
         if isinstance(d, DefDecl):
             # the fuel budget is global within one top-level evaluation
             ev.fuel = ev.mode.fuel
-            env[d.name] = ev.eval_host(gamma, d.term, env)
-            gamma[d.name] = checked.def_types[d.name]
+            # a snapshot: a closure holding env itself would make a cycle
+            # that keeps every value alive until a full garbage collection
+            env[d.name] = ev.eval_host(None, d.term, dict(env))
     ev.fuel = ev.mode.fuel
-    return ev, gamma, env
+    return ev, dict(checked.def_types), env
 
 
 def call_with_stack(fn, stack_bytes: int = 256 * 1024 * 1024,

@@ -24,9 +24,9 @@ from .syntax import (
     Lam, Lift, MonadT, NotClassicalError, Output, Pair, PairElim, PairP,
     Pattern, Prim, Program, Proj, ProductT, QListW, QUBIT, QuantumW,
     QLift, QRun, Ret, Run, Span, TensorW, UnitElim, UnitP, UnitT,
-    UnitVal, UnitW, Unbox, Var, WireP, WireType, classicalize,
-    free_wires, is_classical, lift_type, map_children, pattern_linear,
-    pattern_wires, unlift_type,
+    UnitVal, UnitW, Unbox, Var, WireP, WireType, _fresh_name,
+    classicalize, free_wires, is_classical, lift_type, map_children,
+    pattern_linear, pattern_wires, unlift_type,
 )
 
 # error kinds
@@ -58,7 +58,10 @@ class CheckContext:
 
     bases: dict
     gates: dict
-    table: dict  # id(node) -> (node, info); info depends on the node kind
+    # id(node) -> (node, info): Box -> (w_in, w_out); Run, QRun, Init ->
+    # the wire type produced; Compose -> the type of its first circuit;
+    # Lift -> its output type; QLift -> the type it measures
+    table: dict
 
     def record(self, node, info):
         self.table[id(node)] = (node, info)
@@ -314,9 +317,12 @@ def check_circuit(
                 )
             gamma2 = dict(gamma)
             gamma2[x] = lift_type(v)
-            return check_circuit(
+            w_out = check_circuit(
                 gamma2, remaining, rest, ctx, spent | {w for w, _ in sel}
             )
+            if not sugar:
+                ctx.record(term, w_out)
+            return w_out
     raise TypeCheckError(MISMATCH, f"not a circuit term: {term!r}")
 
 
@@ -411,7 +417,6 @@ def _infer_host(gamma, term, ctx, expected):
                 raise TypeCheckError(
                     MISMATCH, f"let <= needs a computation, got {tty}", term.loc
                 )
-            ctx.record(term, tty.inner)
             gamma2 = dict(gamma)
             gamma2[x] = tty.inner
             uty = check_host(gamma2, u, ctx, expected if isinstance(expected, MonadT) else None)
@@ -568,71 +573,46 @@ def check_program(prog: Program) -> CheckedProgram:
 # ---------------------------------------------------------------------------
 
 
-def generate_meas_circuit(w: WireType) -> Box:
-    """The measuring circuit Circ(W, classicalize(W)), by induction on W:
-    identity on classical types, the meas gate on qubits, and the
-    left-to-right tensor recursion otherwise."""
+def _structural_circuit(w: WireType, gate: str) -> Box:
+    """The circuit that applies ``gate`` (``meas`` or ``new``) to every
+    qubit of W and passes classical wires through, by the left-to-right
+    tensor recursion.  A ``new`` circuit takes ``classicalize(W)``."""
+    source = w if gate == "meas" else classicalize(w)
     match w:
         case _ if is_classical(w):
             return Box(WireP("w"), w, Output(WireP("w")))
         case QuantumW(_, 2):
             return Box(
                 WireP("p"),
-                w,
-                Gate(WireP("p'"), GateRef("meas"), WireP("p"), Output(WireP("p'"))),
+                source,
+                Gate(WireP("p'"), GateRef(gate), WireP("p"), Output(WireP("p'"))),
             )
         case TensorW(l, r):
-            ml = generate_meas_circuit(l)
-            mr = generate_meas_circuit(r)
             body = Compose(
                 WireP("x"),
-                Unbox(ml, WireP("w")),
+                Unbox(_structural_circuit(l, gate), WireP("w")),
                 Compose(
                     WireP("x'"),
-                    Unbox(mr, WireP("w'")),
+                    Unbox(_structural_circuit(r, gate), WireP("w'")),
                     Output(PairP(WireP("x"), WireP("x'"))),
                 ),
             )
-            return Box(PairP(WireP("w"), WireP("w'")), w, body)
-    raise NotClassicalError(f"no measurement circuit for {w}")
+            return Box(PairP(WireP("w"), WireP("w'")), source, body)
+    kind = "measurement" if gate == "meas" else "preparation"
+    raise NotClassicalError(f"no {kind} circuit for {w}")
+
+
+def generate_meas_circuit(w: WireType) -> Box:
+    """The measuring circuit Circ(W, classicalize(W)), by induction on W:
+    identity on classical types, the meas gate on qubits, and the
+    left-to-right tensor recursion otherwise."""
+    return _structural_circuit(w, "meas")
 
 
 def generate_new_circuit(w: WireType) -> Box:
     """The preparing circuit Circ(classicalize(W), W), dual to the
     measuring one."""
-    cw = classicalize(w)
-    match w:
-        case _ if is_classical(w):
-            return Box(WireP("w"), w, Output(WireP("w")))
-        case QuantumW(_, 2):
-            return Box(
-                WireP("p"),
-                cw,
-                Gate(WireP("p'"), GateRef("new"), WireP("p"), Output(WireP("p'"))),
-            )
-        case TensorW(l, r):
-            nl = generate_new_circuit(l)
-            nr = generate_new_circuit(r)
-            body = Compose(
-                WireP("x"),
-                Unbox(nl, WireP("w")),
-                Compose(
-                    WireP("x'"),
-                    Unbox(nr, WireP("w'")),
-                    Output(PairP(WireP("x"), WireP("x'"))),
-                ),
-            )
-            return Box(PairP(WireP("w"), WireP("w'")), cw, body)
-    raise NotClassicalError(f"no preparation circuit for {w}")
-
-
-def _fresh_wire(base: str, avoid: set) -> str:
-    if base not in avoid:
-        return base
-    i = 1
-    while f"{base}{i}" in avoid:
-        i += 1
-    return f"{base}{i}"
+    return _structural_circuit(w, "new")
 
 
 def elaborate_sugar(prog: Program) -> Program:
@@ -648,7 +628,7 @@ def elaborate_sugar(prog: Program) -> Program:
                 w = ctx.lookup(n)
                 assert w is not None, "sugar node escaped the checking pass"
                 meas = generate_meas_circuit(w)
-                x = _fresh_wire("x", free_wires(c))
+                x = _fresh_name("x", free_wires(c))
                 return Run(
                     Compose(WireP(x), elab(c), Unbox(meas, WireP(x))), loc=n.loc
                 )
@@ -656,7 +636,7 @@ def elaborate_sugar(prog: Program) -> Program:
                 w = ctx.lookup(n)
                 assert w is not None, "sugar node escaped the checking pass"
                 meas = generate_meas_circuit(w)
-                y = _fresh_wire("y", free_wires(rest) | set(pattern_wires(p)))
+                y = _fresh_name("y", free_wires(rest) | set(pattern_wires(p)))
                 return Compose(
                     WireP(y),
                     Unbox(meas, p),

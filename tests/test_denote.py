@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,11 @@ from ewire.denote import (
     enumerate_classical, evaluate_program, fix_eval, sample,
 )
 from ewire.parser import parse_circuit, parse_host_term, parse_program
-from ewire.syntax import BIT, ClassicalW, GateRef, QUBIT, TensorW, UnitW
-from ewire.typecheck import check_circuit, check_program, _default_ctx
+from ewire.qlist import monomorphize
+from ewire.syntax import BIT, CircDecl, ClassicalW, GateRef, QUBIT, TensorW, UnitW
+from ewire.typecheck import (
+    check_circuit, check_program, elaborate_sugar, _default_ctx,
+)
 
 from tests.gen import random_circuit
 from tests.oracle import (
@@ -499,3 +504,160 @@ def test_teleportation_is_identity_channel():
     assert np.abs(op.matrix - np.eye(4)).max() < 1e-12
     dist = {hv.value: p for hv, p in env["main"].weights.items()}
     assert abs(dist[0] - 0.5) < 1e-12 and abs(dist[1] - 0.5) < 1e-12
+
+
+# -- the evaluator reads types from the checker's table ----------------------------
+
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+
+
+def test_evaluator_never_rechecks(monkeypatch):
+    import ewire.denote
+    import ewire.typecheck
+
+    checked = []
+    for path in sorted(PROGRAMS.glob("*.ew")):
+        prog = parse_program(path.read_text())
+        if path.name == "qft.ew":
+            for n in range(1, 5):
+                mono, _ = monomorphize(prog, n, "fourier")
+                checked.append((check_program(elaborate_sugar(mono)), [Mode.cpsu()]))
+        else:
+            cp = check_program(elaborate_sugar(prog))
+            modes = [Mode.cpsu(20)] + ([] if path.name == "hs.ew" else [Mode.cpu()])
+            checked.append((cp, modes))
+    corpus = []
+    for seed in range(2000, 2020):
+        omega, term = random_circuit(seed, max_qubits=4, max_stmts=12)
+        ctx = _default_ctx()
+        check_circuit({}, omega, term, ctx)
+        corpus.append((ctx, omega, term))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the evaluator re-ran the typechecker")
+
+    for module in (ewire.denote, ewire.typecheck):
+        for name in ("check_circuit", "check_host"):
+            monkeypatch.setattr(module, name, forbidden)
+    for cp, modes in checked:
+        for mode in modes:
+            ev, _, env = evaluate_program(cp, mode=mode)
+            for d in cp.program.decls:
+                if isinstance(d, CircDecl):
+                    ev.denote_circuit(None, cp.circ_types[d.name][0], d.term, env)
+    for ctx, omega, term in corpus:
+        for mode in (Mode.cpu(), Mode.cpsu()):
+            Evaluator(ctx=ctx, mode=mode).denote_circuit(None, omega, term, {})
+
+
+@pytest.mark.parametrize("text", [
+    "box q : qubit => output q",
+    "run (a <- gate init0 (); b <- gate meas a; output b)",
+])
+def test_evaluator_rejects_unchecked_terms(text):
+    term = parse_host_term(text)
+    kind = type(term).__name__
+    with pytest.raises(EvalError, match=f"{kind} at 1:0 was not checked"):
+        Evaluator().eval_host(None, term, {})
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("u <- output b; output u", "Compose"),
+    ("x <= lift b; output ()", "Lift"),
+    ("x <= lift b; n <- init x; output n", "Lift"),
+])
+def test_unchecked_circuits_rejected(text, kind):
+    with pytest.raises(EvalError, match=f"{kind} at 1:0 was not checked"):
+        Evaluator().denote_circuit(None, (("b", BIT),), parse_circuit(text), {})
+
+
+def test_module_entry_points_check_their_input():
+    import ewire
+    from ewire.syntax import CircT
+    from ewire.typecheck import TypeCheckError
+
+    omega = (("b", BIT), ("q", QUBIT))
+    text = "x <= lift b; q2 <- unbox (if x then c else box r : qubit => output r) q; output q2"
+    gamma = {"c": CircT(QUBIT, QUBIT)}
+    env = {"c": CircV(QUBIT, QUBIT, gate_denotation(GateRef("H")))}
+    got = ewire.denote_circuit(gamma, omega, parse_circuit(text), env)
+    term = parse_circuit(text)
+    ctx = _default_ctx()
+    check_circuit(gamma, omega, term, ctx)
+    want = Evaluator(ctx=ctx).denote_circuit(None, omega, term, env)
+    assert np.array_equal(got.matrix, want.matrix)
+    with pytest.raises(TypeCheckError):
+        ewire.denote_circuit({}, omega, parse_circuit("output q"))
+
+    box = ewire.eval_host({}, parse_host_term("box q : qubit => (q2 <- gate H q; output q2)"))
+    assert np.array_equal(box.op.matrix, gate_denotation(GateRef("H")).matrix)
+    with pytest.raises(TypeCheckError):
+        ewire.eval_host({}, parse_host_term("box q : qubit => (q2 <- gate meas q; output q)"))
+
+
+def test_cpsu_lift_with_only_partial_branches_is_zero():
+    # both branches ask for a rotation with a negative index
+    omega = (("b", BIT), ("q", QUBIT))
+    text = "x <= lift b; q2 <- unbox (R (if x then 0 - 1 else 0 - 2)) q; output q2"
+    with pytest.raises(PartialityError):
+        _denote(omega, text)
+    _, op = _denote(omega, text, mode=Mode.cpsu())
+    assert op.source == denote_wire(QUBIT)
+    assert op.target == denote_context(omega)
+    assert op.matrix.shape == (8, 4) and not op.matrix.any()
+
+
+# -- memoised closure applications -------------------------------------------------
+
+
+def _hs_and(extra: str):
+    prog = parse_program((PROGRAMS / "hs.ew").read_text() + extra)
+    cp = check_program(elaborate_sugar(prog))
+    ev = Evaluator(ctx=cp.ctx, mode=Mode.cpsu(100))
+    env: dict = {}
+    for d in cp.program.decls:
+        if d.name in ("Hs", "g", "f"):
+            env[d.name] = ev.eval_host(None, d.term, env)
+    return ev, env
+
+
+def test_memo_dropped_at_first_unfolding():
+    # each application of g unfolds Hs three times; a replayed result
+    # would skip that fuel
+    ev, env = _hs_and("def g : int -> Circ(qubit, qubit) = lambda n : int . Hs n\n")
+    first = ev.apply(env["g"], IntV(2))
+    second = ev.apply(env["g"], IntV(2))
+    assert ev.fuel == 100 - 6
+    assert np.array_equal(first.op.matrix, second.op.matrix)
+
+
+def test_memo_holds_until_first_unfolding():
+    ev, env = _hs_and(
+        "def f : int -> Circ(qubit, qubit) = lambda n : int . "
+        "box q : qubit => (q' <- gate H q; output q')\n"
+    )
+    assert ev.apply(env["f"], IntV(1)) is ev.apply(env["f"], IntV(1))
+    ev.apply(env["Hs"], IntV(0))
+    assert ev.fuel == 99
+    assert ev.apply(env["f"], IntV(1)) is not ev.apply(env["f"], IntV(1))
+
+
+def test_program_values_freed_without_cycle_collection():
+    # a top-level closure must not hold the environment it is stored in,
+    # or every value of the program waits for the cycle collector
+    import gc
+    import weakref
+
+    cp = check_program(parse_program(
+        "def f : int -> int = lambda x : int . x\n"
+        "def c : Circ(qubit, qubit) = box q : qubit => output q\n"
+    ))
+    gc.disable()
+    try:
+        ev, _, env = evaluate_program(cp)
+        ref = weakref.ref(env["c"])
+        del ev, env
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -7,7 +7,8 @@ from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.syntax import (
     BIT, Box, CircT, ClassicalLit, ClassicalT, ClassicalW, Compose, Gate,
     Init, IntLit, Lift, MonadT, Output, PairElim, PairP, Prim, QLift, QRun,
-    QUBIT, TensorW, UnitElim, UnitP, UnitW, Unbox, Var, WireP, contains,
+    QUBIT, TensorW, UnitElim, UnitP, UnitW, Unbox, Var, WireP, classicalize,
+    contains, pretty_print,
 )
 from ewire.typecheck import (
     TypeCheckError, check_circuit, check_host, check_program,
@@ -408,6 +409,25 @@ def test_new_circuit_types():
     assert check_host({}, n) == CircT(
         TensorW(BIT, BIT), TensorW(QUBIT, BIT)
     )
+
+
+@pytest.mark.parametrize("w", [
+    UnitW(), BIT, QUBIT, TensorW(QUBIT, BIT),
+    TensorW(TensorW(QUBIT, TensorW(BIT, QUBIT)), TensorW(QUBIT, UnitW())),
+])
+def test_meas_and_new_circuits_are_dual(w):
+    m, n = generate_meas_circuit(w), generate_new_circuit(w)
+    assert check_host({}, m) == CircT(w, classicalize(w))
+    assert check_host({}, n) == CircT(classicalize(w), w)
+
+
+def test_elaboration_freshens_colliding_wire():
+    prog = parse_program(
+        "def f : Circ(qubit, bit) = box y : qubit => (x <= qlift y; b <- init x; output b)\n"
+    )
+    el = elaborate_sugar(prog)
+    assert "y_1 <- unbox" in pretty_print(el)
+    assert check_program(el).def_types == check_program(prog).def_types
 
 
 def test_elaboration_removes_sugar_and_preserves_types():
