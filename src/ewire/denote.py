@@ -448,7 +448,7 @@ class Evaluator:
                 hv = self.eval_host(gamma, t, env)
                 idx = classical_index(v, encode_value(v, hv))
                 src = denote_wire(v)
-                row = np.zeros((1, src.dim))
+                row = np.zeros((1, src.dim), dtype=complex)
                 row[0, idx] = 1.0
                 return SuperOp(src, SCALARS, row)
             case Compose(p, first, rest):
@@ -475,7 +475,7 @@ class Evaluator:
                 f = self.denote_circuit(gamma, bindings + remaining, rest, env)
                 return self._reorder_like(omega, list(sel) + list(remaining), f)
             case Gate(out_p, g, in_p, rest):
-                gop = gate_denotation(g, self.ctx.gates)
+                gop = gate_denotation(g)
                 sel = pattern_bindings(omega, in_p)
                 remaining = tuple(
                     b for b in omega if b[0] not in {n for n, _ in sel}

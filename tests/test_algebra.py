@@ -217,6 +217,79 @@ def test_compose_tensored_matches_dense():
     assert frobenius_distance(fast, dense) < 1e-12
 
 
+_MIXED = [alg(1), alg(2), alg(1, 1), alg(2, 1), alg(1, 3), alg(2, 2)]
+
+
+def _row_monomial_map(source, target, rng, entries):
+    """A map whose matrix has at most one nonzero entry per row: a random
+    column per row, about a third of the rows zero."""
+    m = np.zeros((target.dim, source.dim), dtype=complex)
+    for i in range(target.dim):
+        if rng.random() < 0.3:
+            continue
+        if entries == "unit":
+            v = 1.0
+        elif entries == "phase":
+            v = np.exp(2j * np.pi * rng.random())
+        else:
+            v = complex(rng.normal(), rng.normal())
+        m[i, rng.integers(source.dim)] = v
+    return SuperOp(source, target, m)
+
+
+def _tensored_pair(f, rest, rng):
+    """``compose_tensored(f, rest, g)`` and its dense definition for a
+    random continuation g."""
+    mid = alg_tensor(f.source, rest)
+    g_src = _MIXED[rng.integers(len(_MIXED))]
+    g = SuperOp(g_src, mid, rng.normal(size=(mid.dim, g_src.dim))
+                + 1j * rng.normal(size=(mid.dim, g_src.dim)))
+    fast = compose_tensored(f, rest, g)
+    dense = op_compose(g, op_tensor(f, op_identity(rest)))
+    assert fast.source == dense.source and fast.target == dense.target
+    return fast.matrix, dense.matrix
+
+
+@pytest.mark.parametrize("entries", ["unit", "phase", "general"])
+def test_compose_tensored_row_gather_matches_dense(entries):
+    rng = np.random.default_rng({"unit": 21, "phase": 22, "general": 23}[entries])
+    for _ in range(60):
+        src, tgt, rest = (_MIXED[i] for i in rng.integers(len(_MIXED), size=3))
+        f = _row_monomial_map(src, tgt, rng, entries)
+        fast, dense = _tensored_pair(f, rest, rng)
+        if entries == "unit":
+            assert np.array_equal(fast, dense)
+        else:
+            assert np.abs(fast - dense).max() <= 1e-12
+
+
+def test_compose_tensored_structural_maps_exact():
+    rng = np.random.default_rng(24)
+    maps = [
+        op_zero(alg(2, 1), alg(1, 3)),
+        permutation_superop([alg(2), alg(1, 1), alg(1, 2)], [2, 0, 1]),
+        copower_sum_iso(2, alg(2), alg(1, 1)),
+        gate_denotation(GateRef("meas")),
+        gate_denotation(GateRef("discard")),
+        gate_denotation(GateRef("CNOT")),
+    ]
+    for f in maps:
+        for rest in _MIXED:
+            fast, dense = _tensored_pair(f, rest, rng)
+            assert np.array_equal(fast, dense), (f, rest)
+
+
+def test_row_monomial_detection():
+    from ewire.algebra import _row_monomial
+
+    rows, cols = _row_monomial(np.array([[0, 2j], [0, 0], [1, 0]]))
+    assert rows.tolist() == [0, 2] and cols.tolist() == [1, 0]
+    # as few nonzeros as rows, but two of them in one row
+    assert _row_monomial(np.array([[1, 1], [0, 0]])) is None
+    assert _row_monomial(gate_denotation(GateRef("H")).matrix) is None
+    assert _row_monomial(gate_denotation(GateRef("R", index=3)).matrix) is not None
+
+
 # -- gates ---------------------------------------------------------------------------
 
 
@@ -261,8 +334,28 @@ def test_gate_signatures():
 
 
 def test_cr_negative_index_rejected():
-    with pytest.raises(UnknownGate):
-        gate_denotation(GateRef("CR", index=-1))
+    # on every call: the gate memo must not turn a failure into a hit
+    for _ in range(3):
+        with pytest.raises(UnknownGate):
+            gate_denotation(GateRef("CR", index=-1))
+        with pytest.raises(UnknownGate):
+            gate_denotation(GateRef("bit-control", sub=GateRef("CR", index=-1)))
+
+
+def test_gate_denotations_memoised_read_only():
+    a = gate_denotation(GateRef("CR", index=1))
+    b = gate_denotation(GateRef("CR", index=1))
+    assert a is not b and np.array_equal(a.matrix, b.matrix)
+    assert not np.allclose(a.matrix, gate_denotation(GateRef("CR", index=2)).matrix)
+    assert not np.allclose(gate_denotation(GateRef("R", index=1)).matrix,
+                           gate_denotation(GateRef("R", index=2)).matrix)
+    for g in BUILTIN_GATES:
+        m = gate_denotation(g).matrix
+        assert m.dtype == complex and not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+    assert np.array_equal(gate_denotation(GateRef("meas")).matrix,
+                          [[1, 0], [0, 0], [0, 0], [0, 1]])
 
 
 def test_cr_zero_is_identity():

@@ -661,3 +661,35 @@ def test_program_values_freed_without_cycle_collection():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_row_gather_matches_dense_on_generated_circuits(monkeypatch):
+    import ewire.algebra
+
+    def denote_corpus():
+        out = []
+        for seed in range(2000, 2050):
+            omega, term = random_circuit(seed, max_qubits=4, max_stmts=12)
+            ctx = _default_ctx()
+            check_circuit({}, omega, term, ctx)
+            for mode in (Mode.cpu(), Mode.cpsu()):
+                ev = Evaluator(ctx=ctx, mode=mode)
+                out.append((ev.denote_circuit(None, omega, term, {}).matrix, ev.fuel))
+        return out
+
+    detect = ewire.algebra._row_monomial
+    gathers = []
+
+    def counted(m):
+        found = detect(m)
+        gathers.append(found is not None)
+        return found
+
+    monkeypatch.setattr(ewire.algebra, "_row_monomial", counted)
+    fast = denote_corpus()
+    monkeypatch.setattr(ewire.algebra, "_row_monomial", lambda m: None)
+    dense = denote_corpus()
+    assert sum(gathers) > len(gathers) // 2
+    for (a, fuel_a), (b, fuel_b) in zip(fast, dense):
+        assert a.shape == b.shape and fuel_a == fuel_b
+        assert np.abs(a - b).max(initial=0.0) <= 1e-12
