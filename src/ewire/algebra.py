@@ -24,6 +24,8 @@ Conventions used throughout:
 * where a tuple of tensor-factor basis elements lands in the canonical
   layout is decided in ``factor_index_map`` alone; tensors of maps,
   tensored composition and factor permutations all derive from it.
+  Given ``rows``, ``compose_tensored`` and ``copower_stack`` write
+  canonical row ``i`` to ``rows[i]``, under the canonical target label.
 * ``compose_tensored`` composes through a map with at most one nonzero
   entry per row (the structural maps above, classical readouts, diagonal
   gates, zero maps) by gathering rows, with no matrix product.  That is
@@ -329,9 +331,10 @@ def op_tensor(f: SuperOp, g: SuperOp) -> SuperOp:
     return SuperOp(src, tgt, out)
 
 
-def compose_tensored(f: SuperOp, rest: FdAlgebra | None, g: SuperOp) -> SuperOp:
+def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
+                     rows: np.ndarray | None = None) -> SuperOp:
     """Compute ``(f (x) id_rest) . g`` without materialising the Kronecker
-    product; with ``rest`` None this is plain composition.
+    product, writing canonical row ``i`` to ``rows[i]`` if ``rows`` is set.
 
     Rows are placed through ``factor_index_map``.  When every row of
     ``f.matrix`` has at most one nonzero entry (symmetries, repatternings,
@@ -341,28 +344,28 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra | None, g: SuperOp) -> SuperOp:
     otherwise each entry rounded once, within 1e-12 of the dense product.
     Any other ``f`` is multiplied densely between a gather and a scatter.
     """
-    if rest is None:
-        return op_compose(g, f)
     src_mid = alg_tensor(f.source, rest)
     if g.target != src_mid:
         raise DimensionMismatch("continuation does not produce f.source (x) rest")
     pin = factor_index_map((f.source, rest))
     pout = factor_index_map((f.target, rest))
+    if rows is not None:
+        pout = rows[pout]
     tgt = alg_tensor(f.target, rest)
     nonzero = _row_monomial(f.matrix)
     if nonzero is not None:
-        rows, cols = nonzero
+        nz_rows, nz_cols = nonzero
         # result row pout[i, k] reads row pin[j, k] of g when f[i, j] is
         # row i's nonzero; a zero row of f reads row 0 and is cleared
-        live = pout[rows]
+        live = pout[nz_rows]
         order = np.zeros(tgt.dim, dtype=np.intp)
-        order[live] = pin[cols]
+        order[live] = pin[nz_cols]
         out = g.matrix.take(order, axis=0)
-        if rows.size < f.target.dim:
+        if nz_rows.size < f.target.dim:
             dead = np.ones(f.target.dim, dtype=bool)
-            dead[rows] = False
+            dead[nz_rows] = False
             out[pout[dead]] = 0
-        vals = f.matrix[rows, cols]
+        vals = f.matrix[nz_rows, nz_cols]
         if not (vals == 1).all():
             out[live] *= vals[:, None, None]
         return SuperOp(g.source, tgt, out)
@@ -444,9 +447,9 @@ def tensor_copower_iso(a: FdAlgebra, n: int, b: FdAlgebra) -> SuperOp:
     return permutation_superop([a, alg_copower(n, SCALARS), b], [1, 0, 2])
 
 
-def copower_stack(fs: Sequence[SuperOp]) -> SuperOp:
+def copower_stack(fs: Sequence[SuperOp], *, rows: np.ndarray | None = None) -> SuperOp:
     """Assemble maps f_v : X -> Y into the single map X -> (n . Y) whose
-    v-th summand is f_v."""
+    v-th summand is f_v, placed by ``rows`` if set (a zero f_v writes nothing)."""
     if not fs:
         raise ZeroCopower("cannot stack zero maps")
     src = fs[0].source
@@ -454,7 +457,13 @@ def copower_stack(fs: Sequence[SuperOp]) -> SuperOp:
     for f in fs:
         if f.source != src or f.target != tgt:
             raise DimensionMismatch("stacked maps must share a signature")
-    return SuperOp(src, alg_copower(len(fs), tgt), np.vstack([f.matrix for f in fs]))
+    stacked = alg_copower(len(fs), tgt)
+    out = np.zeros((stacked.dim, src.dim), dtype=complex)
+    for v, f in enumerate(fs):
+        if f.matrix.any():
+            block = slice(v * tgt.dim, (v + 1) * tgt.dim)
+            out[block if rows is None else rows[block]] = f.matrix
+    return SuperOp(src, stacked, out)
 
 
 # ---------------------------------------------------------------------------

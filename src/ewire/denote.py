@@ -273,6 +273,8 @@ class Evaluator:
     Closure applications are memoised until the first fixed-point
     unfolding, so a replayed result never skips fuel.  The ``gamma``
     argument of ``eval_host`` and ``denote_circuit`` is never read.
+    Each circuit step writes each row once, where ``_placement`` says;
+    only ``Unbox`` and ``PairElim`` copy rows to reorder them.
     """
 
     def __init__(self, ctx: CheckContext | None = None, mode: Mode | None = None):
@@ -424,23 +426,17 @@ class Evaluator:
         omega = tuple(omega)
         match term:
             case Output(p):
-                # the structural permutation from the pattern-ordered
-                # tensor onto the context order
-                sel = pattern_bindings(omega, p)
-                iso = permutation_superop(
+                # the structural permutation from pattern onto context order
+                sel, _ = _split_context(omega, p)
+                h = permutation_superop(
                     [denote_wire(ty) for _, ty in sel], _context_order(omega, sel)
                 )
-                return SuperOp(iso.source, denote_context(omega), iso.matrix)
             case Unbox(t, p):
                 v = self.eval_host(gamma, t, env)
-                if isinstance(v, FixV):
-                    # a recursive function is not a circuit; applying it
-                    # happens in host syntax, so this is unreachable when
-                    # the term is well-typed
-                    raise EvalError("unbox of a non-circuit value")
                 if not isinstance(v, CircV):
                     raise EvalError(f"unbox of non-circuit value {v!r}")
-                return self._reorder_like(omega, pattern_bindings(omega, p), v.op)
+                sel, _ = _split_context(omega, p)
+                h = self._reorder_like(omega, sel, v.op)
             case Init(t):
                 if omega:
                     raise EvalError("init consumes no wires")
@@ -460,38 +456,29 @@ class Evaluator:
                 f2 = self.denote_circuit(
                     gamma, tuple(bindings) + remaining, rest, env
                 )
-                h = compose_tensored(f1, denote_context(remaining), f2)
-                return self._reorder_like(omega, list(sel) + list(remaining), h)
-            case UnitElim(_, rest):
-                names = set(pattern_wires(term.pat))
-                remaining = tuple(b for b in omega if b[0] not in names)
-                f = self.denote_circuit(gamma, remaining, rest, env)
-                return SuperOp(f.source, denote_context(omega), f.matrix)
+                h = compose_tensored(f1, denote_context(remaining), f2,
+                                     rows=_placement(omega, sel + remaining))
+            case UnitElim(p, rest):
+                _, remaining = _split_context(omega, p)
+                h = self.denote_circuit(gamma, remaining, rest, env)
             case PairElim(w1, w2, p, rest):
-                sel = pattern_bindings(omega, p)
-                remaining = tuple(b for b in omega if b[0] not in {n for n, _ in sel})
+                sel, remaining = _split_context(omega, p)
                 ty = pattern_type(dict(omega), p)
                 bindings = ((w1, ty.left), (w2, ty.right))
                 f = self.denote_circuit(gamma, bindings + remaining, rest, env)
-                return self._reorder_like(omega, list(sel) + list(remaining), f)
+                h = self._reorder_like(omega, [*sel, *remaining], f)
             case Gate(out_p, g, in_p, rest):
                 gop = gate_denotation(g)
-                sel = pattern_bindings(omega, in_p)
-                remaining = tuple(
-                    b for b in omega if b[0] not in {n for n, _ in sel}
-                )
+                sel, remaining = _split_context(omega, in_p)
                 w_in, w_out = algebra.gate_signature(g, self.ctx.gates)
                 bindings = bind_pattern(out_p, w_out)
                 f2 = self.denote_circuit(
                     gamma, tuple(bindings) + remaining, rest, env
                 )
-                h = compose_tensored(gop, denote_context(remaining), f2)
-                return self._reorder_like(omega, list(sel) + list(remaining), h)
+                h = compose_tensored(gop, denote_context(remaining), f2,
+                                     rows=_placement(omega, [*sel, *remaining]))
             case Lift(x, p, rest):
-                sel = pattern_bindings(omega, p)
-                remaining = tuple(
-                    b for b in omega if b[0] not in {n for n, _ in sel}
-                )
+                sel, remaining = _split_context(omega, p)
                 v = pattern_type(dict(omega), p)
                 w = self._checked(term)
                 branches = []
@@ -508,31 +495,24 @@ class Evaluator:
                         branches.append(
                             op_zero(denote_wire(w), denote_context(remaining))
                         )
-                stacked = copower_stack(branches)
-                # the copower of the remaining context is literally the
-                # algebra of V (x) remaining
-                lifted = SuperOp(
-                    stacked.source,
-                    alg_tensor(denote_wire(v), denote_context(remaining)),
-                    stacked.matrix,
-                )
-                return self._reorder_like(omega, list(sel) + list(remaining), lifted)
+                # n.(remaining) is literally the algebra of V (x) remaining
+                h = copower_stack(branches, rows=_placement(omega, [*sel, *remaining]))
             case QLift(_, _, _):
                 raise EvalError("qlift must be elaborated before evaluation")
-        raise EvalError(f"cannot denote {term!r}")
+            case _:
+                raise EvalError(f"cannot denote {term!r}")
+        # the rows of h are in context order; only its target is relabelled
+        return SuperOp(h.source, denote_context(omega), h.matrix)
 
     def _reorder_like(self, omega, factors, h: SuperOp) -> SuperOp:
         """Permute the rows of ``h`` (whose target is the tensor of
         ``factors`` in listed order) into the order of ``omega``."""
-        order = _context_order(omega, factors)
-        tgt = denote_context(omega)
-        if order == list(range(len(order))):
-            return SuperOp(h.source, tgt, h.matrix)
-        algs = [denote_wire(ty) for _, ty in factors]
-        perm = factor_permutation(algs, order)
+        rows = _placement(omega, factors)
+        if rows is None:
+            return h
         out = np.empty_like(h.matrix)
-        out[perm, :] = h.matrix
-        return SuperOp(h.source, tgt, out)
+        out[rows, :] = h.matrix
+        return SuperOp(h.source, h.target, out)
 
     # -- running -------------------------------------------------------------
 
@@ -559,10 +539,20 @@ def _context_order(omega, factors) -> list:
     return [pos[w] for w, _ in omega if w in pos]
 
 
-def pattern_bindings(omega, p: Pattern):
-    """The wires of ``p`` with their context types, in pattern order."""
+def _placement(omega, factors):
+    """The row in the tensor of ``omega`` of each row of the tensor of
+    ``factors`` (the same wires), or None when no row moves."""
+    order = _context_order(omega, factors)
+    if order == list(range(len(order))):
+        return None
+    return factor_permutation([denote_wire(ty) for _, ty in factors], order)
+
+
+def _split_context(omega, p: Pattern):
+    """The typed wires of ``p`` in pattern order, and the rest of ``omega``."""
+    names = pattern_wires(p)
     declared = dict(omega)
-    return [(n, declared[n]) for n in pattern_wires(p)]
+    return [(n, declared[n]) for n in names], tuple(b for b in omega if b[0] not in names)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,9 @@ def test_compose_tensored_matches_dense():
     fast = compose_tensored(f, rest, g)
     dense = op_compose(g, op_tensor(f, op_identity(rest)))
     assert frobenius_distance(fast, dense) < 1e-12
+    rows = rng.permutation(fast.target.dim)
+    placed = compose_tensored(f, rest, g, rows=rows)
+    assert np.array_equal(placed.matrix, _scatter(fast.matrix, rows))
 
 
 _MIXED = [alg(1), alg(2), alg(1, 1), alg(2, 1), alg(1, 3), alg(2, 2)]
@@ -237,9 +240,16 @@ def _row_monomial_map(source, target, rng, entries):
     return SuperOp(source, target, m)
 
 
+def _scatter(m, rows):
+    out = np.empty_like(m)
+    out[rows] = m
+    return out
+
+
 def _tensored_pair(f, rest, rng):
     """``compose_tensored(f, rest, g)`` and its dense definition for a
-    random continuation g."""
+    random continuation g.  Placing the rows through a random ``rows``
+    must give exactly the unplaced result scattered by ``rows``."""
     mid = alg_tensor(f.source, rest)
     g_src = _MIXED[rng.integers(len(_MIXED))]
     g = SuperOp(g_src, mid, rng.normal(size=(mid.dim, g_src.dim))
@@ -247,6 +257,10 @@ def _tensored_pair(f, rest, rng):
     fast = compose_tensored(f, rest, g)
     dense = op_compose(g, op_tensor(f, op_identity(rest)))
     assert fast.source == dense.source and fast.target == dense.target
+    rows = rng.permutation(fast.target.dim)
+    placed = compose_tensored(f, rest, g, rows=rows)
+    assert placed.target == fast.target
+    assert np.array_equal(placed.matrix, _scatter(fast.matrix, rows))
     return fast.matrix, dense.matrix
 
 
@@ -507,6 +521,19 @@ def test_tensor_copower_iso_and_functoriality():
     lhs = op_compose(op_tensor(op_identity(a), copower_stack(fs)), iso)
     rhs = copower_stack([op_tensor(op_identity(a), f) for f in fs])
     assert frobenius_distance(lhs, rhs) < 1e-12
+
+
+def test_copower_stack_matches_vstack_then_scatter():
+    rng = np.random.default_rng(25)
+    for x, y in itertools.product(_MIXED[1:4], _MIXED[2:]):
+        fs = [random_cpu_map(x, y, rng), op_zero(x, y), random_cpu_map(x, y, rng),
+              op_zero(x, y)]
+        stacked = np.vstack([f.matrix for f in fs])
+        assert np.array_equal(copower_stack(fs).matrix, stacked)
+        rows = rng.permutation(stacked.shape[0])
+        placed = copower_stack(fs, rows=rows)
+        assert placed.target == alg_copower(len(fs), y)
+        assert np.array_equal(placed.matrix, _scatter(stacked, rows))
 
 
 # -- distributions ----------------------------------------------------------------

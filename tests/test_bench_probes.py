@@ -1,0 +1,45 @@
+"""The benchmark's traced probes still see the denotation they time.
+
+``bench/workloads.py`` wraps ewire functions by name where their callers
+look them up and reads their positional arguments.  A refactor that
+renames, stops calling or changes the arguments of a probed function
+silently breaks ``bench/run.py --trace 1``; this test fails instead.  It
+only reads ``bench/`` (the repository root is on ``sys.path`` through
+the pytest settings in ``pyproject.toml``).
+"""
+
+import importlib
+
+import ewire.cli
+import ewire.denote
+from ewire import algebra
+from ewire.denote import Evaluator
+
+from bench import workloads
+from bench.tracing import NAME, Tracer
+
+
+def test_probes_record_denotation_and_uninstall_cleanly():
+    # the package rebinds ewire.normalize to the function of that name
+    normalize = importlib.import_module("ewire.normalize")
+    owners = [workloads, ewire.cli, ewire.denote, normalize, Evaluator]
+    before = [dict(vars(o)) for o in owners]
+    old_cap = algebra.max_dim()
+    tr = Tracer()
+    workloads.install_probes(tr)
+    try:
+        assert ewire.denote.compose_tensored is not before[2]["compose_tensored"]
+        workloads.Qft(0).run(2)
+    finally:
+        tr.uninstall()
+        algebra.set_max_dim(old_cap)
+    for owner, attrs in zip(owners, before):
+        after = vars(owner)
+        assert after.keys() == attrs.keys(), owner
+        assert all(after[k] is v for k, v in attrs.items()), owner
+    spans = {s[NAME] for s in tr.spans}
+    assert {"algebra.compose_tensored", "algebra.copower_stack",
+            "algebra.factor_permutation", "denote.denote_circuit"} <= spans
+    counts = tr.counts[None]
+    assert counts["denote.lift_branches"] > 0
+    assert counts["algebra.compose_tensored.macs"] > 0

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ewire.algebra import (
-    Distribution, alg, frobenius_distance, gate_denotation, is_cp,
-    is_subunital, is_unital, loewner_leq, op_compose, op_zero,
+    Distribution, SuperOp, alg, alg_copower, compose_tensored,
+    frobenius_distance, gate_denotation, is_cp, is_subunital, is_unital,
+    loewner_leq, op_compose, op_zero,
 )
 from ewire.denote import (
     BOTTOM, CircV, DistV, EvalError, Evaluator, IntV, Mode, PairV,
@@ -14,7 +15,9 @@ from ewire.denote import (
 )
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.qlist import monomorphize
-from ewire.syntax import BIT, CircDecl, ClassicalW, GateRef, QUBIT, TensorW, UnitW
+from ewire.syntax import (
+    BIT, CircDecl, ClassicalW, DefDecl, GateRef, QUBIT, TensorW, UnitW,
+)
 from ewire.typecheck import (
     check_circuit, check_program, elaborate_sugar, _default_ctx,
 )
@@ -693,3 +696,70 @@ def test_row_gather_matches_dense_on_generated_circuits(monkeypatch):
     for (a, fuel_a), (b, fuel_b) in zip(fast, dense):
         assert a.shape == b.shape and fuel_a == fuel_b
         assert np.abs(a - b).max(initial=0.0) <= 1e-12
+
+
+def test_row_placement_matches_scatter_after(monkeypatch):
+    # each step places its rows inside compose_tensored and copower_stack;
+    # the reference builds the canonical rows (stacking by vstack) and
+    # scatters them afterwards
+    import ewire.denote
+
+    def evaluate(decls, entry):
+        # evaluate_program resets the fuel per declaration; this does not
+        def run(ev):
+            env = {}
+            for d in decls:
+                env[d.name] = ev.eval_host(None, d.term, dict(env))
+            return env[entry].op
+        return run
+
+    # the whole rewrite corpus: no lift in seeds 2000-2049 moves a row
+    jobs = []
+    for seed in range(2000, 2100):
+        omega, term = random_circuit(seed, max_qubits=4, max_stmts=12)
+        ctx = _default_ctx()
+        check_circuit({}, omega, term, ctx)
+        jobs.append((ctx, lambda ev, omega=omega, term=term:
+                     ev.denote_circuit(None, omega, term, {})))
+    prog = parse_program((PROGRAMS / "qft.ew").read_text())
+    for n in range(1, 5):
+        mono, entry = monomorphize(prog, n, "fourier")
+        cp = check_program(mono)
+        decls = [d for d in cp.program.decls if isinstance(d, DefDecl)]
+        jobs.append((cp.ctx, evaluate(decls, entry)))
+
+    def denote_corpus():
+        out = []
+        for ctx, job in jobs:
+            for mode in (Mode.cpu(), Mode.cpsu()):
+                ev = Evaluator(ctx=ctx, mode=mode)
+                try:
+                    result = job(ev).matrix.tobytes()
+                except EvalError as e:
+                    result = repr(e)
+                out.append((result, ev.fuel))
+        return out
+
+    placed = []
+
+    def scatter(op, rows):
+        placed.append(rows is not None)
+        if rows is None:
+            return op
+        m = np.empty_like(op.matrix)
+        m[rows] = op.matrix
+        return SuperOp(op.source, op.target, m)
+
+    def compose_reference(f, rest, g, *, rows=None):
+        return scatter(compose_tensored(f, rest, g), rows)
+
+    def stack_reference(fs, *, rows=None):
+        m = np.vstack([f.matrix for f in fs])
+        return scatter(SuperOp(fs[0].source, alg_copower(len(fs), fs[0].target), m), rows)
+
+    fast = denote_corpus()
+    monkeypatch.setattr(ewire.denote, "compose_tensored", compose_reference)
+    monkeypatch.setattr(ewire.denote, "copower_stack", stack_reference)
+    reference = denote_corpus()
+    assert any(placed) and not all(placed)
+    assert fast == reference
