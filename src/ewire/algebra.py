@@ -8,8 +8,10 @@ vectorisations of the blocks, concatenated in order.
 Circuits denote maps in the Heisenberg (observable-transformer)
 direction: a circuit from W to W' denotes a completely positive
 (sub)unital linear map from the algebra of W' to the algebra of W.  A
-``SuperOp`` stores that linear map as a dense matrix acting on
-vectorised elements, of shape ``target.dim x source.dim``.
+``SuperOp`` is that linear map as a matrix acting on vectorised
+elements, of shape ``target.dim x source.dim``: held densely, or as a
+row view (each row a row of a dense base or of the identity, or zero)
+whose dense ``matrix`` is built on first read.
 
 Conventions used throughout:
 
@@ -18,9 +20,10 @@ Conventions used throughout:
   embedding is the blockwise Kronecker product.
 * direct sums and copowers concatenate block lists; the copower
   ``n . A`` is n repetitions of A's blocks.
-* structural isomorphisms (symmetry, copower distribution) are
-  materialised as explicit permutation maps so that equalities of
-  denotations hold as literal matrix equalities.
+* structural isomorphisms (symmetry, copower distribution) are row
+  views of the identity: an index array per target row, no matrix.
+  Their ``matrix`` is the explicit permutation matrix, so equalities of
+  denotations still hold as literal matrix equalities.
 * where a tuple of tensor-factor basis elements lands in the canonical
   layout is decided in ``factor_index_map`` alone; tensors of maps,
   tensored composition and factor permutations all derive from it.
@@ -28,10 +31,13 @@ Conventions used throughout:
   canonical row ``i`` to ``rows[i]``, under the canonical target label.
 * ``compose_tensored`` composes through a map with at most one nonzero
   entry per row (the structural maps above, classical readouts, diagonal
-  gates, zero maps) by gathering rows, with no matrix product.  That is
-  exact when the entries are 0 or 1; otherwise each result entry is
-  rounded once and stays within 1e-12 of the dense product.  The dense
-  ``SuperOp.matrix`` remains the reference semantics.
+  gates, zero maps) by reading the continuation's rows through a new
+  index, with no matrix product and, unless rows are scaled over a dense
+  base, no copy.  That is exact when the entries are 0 or 1; otherwise
+  each result entry is rounded once and stays within 1e-12 of the dense
+  product.  The dense ``SuperOp.matrix`` remains the reference
+  semantics, bit for bit: a view's ``matrix`` equals what composing the
+  dense matrices row by row gives, signed zeros included.
 """
 
 from __future__ import annotations
@@ -127,11 +133,17 @@ SCALARS = FdAlgebra((1,))
 
 
 def alg_tensor(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
-    """Tensor product: blocks ``n_i * m_j`` ordered lexicographically."""
-    blocks = tuple(n * m for n in a.blocks for m in b.blocks)
-    out = FdAlgebra(blocks)
+    """Tensor product: blocks ``n_i * m_j`` ordered lexicographically.
+    The product is memoised on the block tuples; the dimension cap is
+    checked on every call."""
+    out = _tensor_blocks(a.blocks, b.blocks)
     _check_dim(out.dim, "tensor product")
     return out
+
+
+@functools.lru_cache(maxsize=4096)
+def _tensor_blocks(a: tuple, b: tuple) -> FdAlgebra:
+    return FdAlgebra(tuple(n * m for n in a for m in b))
 
 
 def alg_direct_sum(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
@@ -212,28 +224,66 @@ def unit_element(algebra: FdAlgebra) -> AlgElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class SuperOp:
     """A linear map between algebras, as a matrix on vectorised elements.
 
     For a circuit the ``source`` is the algebra of the *output* wire
     type and the ``target`` the algebra of the *input* wire type — the
     Heisenberg direction.
+
+    ``SuperOp(source, target, matrix)`` holds a dense matrix.  A map
+    that only moves, scales or clears rows is a row view instead (see
+    ``row_view``), and its dense ``matrix`` is built on first read, once,
+    as a read-only array.
     """
 
-    source: FdAlgebra
-    target: FdAlgebra
-    matrix: np.ndarray
+    __slots__ = ("source", "target", "_matrix", "_index", "_base", "_vals", "_fill")
 
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=complex)
-        if m.shape != (self.target.dim, self.source.dim):
+    def __init__(self, source: FdAlgebra, target: FdAlgebra, matrix: np.ndarray):
+        m = np.ascontiguousarray(matrix, dtype=complex)
+        if m.shape != (target.dim, source.dim):
             raise DimensionMismatch(
-                f"matrix {m.shape} does not map dim {self.source.dim} "
-                f"to dim {self.target.dim}"
+                f"matrix {m.shape} does not map dim {source.dim} "
+                f"to dim {target.dim}"
             )
         m.flags.writeable = False
-        self.matrix = m
+        self.source, self.target, self._matrix = source, target, m
+        self._index = self._base = self._vals = self._fill = None
+
+    @classmethod
+    def row_view(cls, source: FdAlgebra, target: FdAlgebra, index: np.ndarray,
+                 base: np.ndarray | None = None, vals: np.ndarray | None = None,
+                 fill: np.ndarray | None = None) -> "SuperOp":
+        """The map whose row ``i`` is row ``index[i]`` of ``base``, or zero
+        where ``index[i]`` is -1.
+
+        With ``base`` None the rows are read from the identity on
+        ``source``: row ``i`` holds ``vals[i]`` at column ``index[i]`` and
+        the signed zero ``fill[i]`` everywhere else (every entry, for a
+        zero row).  ``vals`` None stands for all ones and ``fill`` None
+        for all ``+0``.  The arrays are shared, not copied.
+        """
+        if index.shape != (target.dim,):
+            raise DimensionMismatch(
+                f"row index of shape {index.shape} for target dim {target.dim}"
+            )
+        if base is not None and (base.ndim != 2 or base.shape[1] != source.dim):
+            raise DimensionMismatch(
+                f"base {base.shape} does not have {source.dim} columns"
+            )
+        op = cls.__new__(cls)
+        op.source, op.target, op._matrix = source, target, None
+        op._index, op._base, op._vals, op._fill = index, base, vals, fill
+        return op
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            m = _materialise(self.source.dim, self._index, self._base,
+                             self._vals, self._fill)
+            m.flags.writeable = False
+            self._matrix = m
+        return self._matrix
 
     def __call__(self, x: AlgElement) -> AlgElement:
         if x.algebra != self.source:
@@ -244,12 +294,75 @@ class SuperOp:
         return f"SuperOp({self.source} -> {self.target})"
 
 
+def _materialise(ncols: int, index, base, vals, fill) -> np.ndarray:
+    """The dense rows of a row view (see ``SuperOp.row_view``)."""
+    live = index >= 0
+    if base is not None:
+        out = base.take(index, axis=0)
+        if not live.all():
+            out[~live] = 0
+        return out
+    if fill is None:
+        out = np.zeros((index.size, ncols), dtype=complex)
+    else:
+        out = np.empty((index.size, ncols), dtype=complex)
+        out[:] = fill[:, None]
+    rows = np.flatnonzero(live)
+    out[rows, index[rows]] = 1.0 if vals is None else vals[rows]
+    return out
+
+
+def _view(f: SuperOp):
+    """``f`` as ``(index, base, vals, fill)``; a dense map reads its own
+    rows in order, with ``index`` None for ``arange``."""
+    if f._index is not None:
+        return f._index, f._base, f._vals, f._fill
+    return None, f._matrix, None, None
+
+
+def _dense_rows(f: SuperOp, sel: np.ndarray) -> np.ndarray:
+    """Rows ``sel`` of ``f.matrix``, without building the rest of it."""
+    if f._matrix is not None:
+        return f._matrix.take(sel, axis=0)
+    vals = None if f._vals is None else f._vals[sel]
+    fill = None if f._fill is None else f._fill[sel]
+    return _materialise(f.source.dim, f._index[sel], f._base, vals, fill)
+
+
 def op_identity(a: FdAlgebra) -> SuperOp:
     return SuperOp(a, a, np.eye(a.dim, dtype=complex))
 
 
 def op_zero(source: FdAlgebra, target: FdAlgebra) -> SuperOp:
-    return SuperOp(source, target, np.zeros((target.dim, source.dim), dtype=complex))
+    return SuperOp.row_view(source, target, np.full(target.dim, -1, dtype=np.intp))
+
+
+def op_relabel(f: SuperOp, target: FdAlgebra, *,
+               rows: np.ndarray | None = None) -> SuperOp:
+    """``f`` with ``target`` (of the same dimension) as its target label,
+    and its row ``i`` moved to row ``rows[i]`` if ``rows`` is set.  Only
+    the row view moves; no matrix is copied."""
+    if target.dim != f.target.dim:
+        raise DimensionMismatch(f"cannot relabel {f!r} as {target}")
+    if rows is None:
+        if f._index is None:
+            return SuperOp(f.source, target, f._matrix)
+        out = SuperOp.row_view(f.source, target, f._index, f._base, f._vals, f._fill)
+        out._matrix = f._matrix
+        return out
+    index, base, vals, fill = _view(f)
+    moved = np.empty(target.dim, dtype=np.intp)
+    moved[rows] = np.arange(target.dim) if index is None else index
+    return SuperOp.row_view(f.source, target, moved, base,
+                            _moved(vals, rows), _moved(fill, rows))
+
+
+def _moved(a: np.ndarray | None, rows: np.ndarray) -> np.ndarray | None:
+    if a is None:
+        return None
+    out = np.empty_like(a)
+    out[rows] = a
+    return out
 
 
 def op_compose(f: SuperOp, g: SuperOp) -> SuperOp:
@@ -337,12 +450,16 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
     product, writing canonical row ``i`` to ``rows[i]`` if ``rows`` is set.
 
     Rows are placed through ``factor_index_map``.  When every row of
-    ``f.matrix`` has at most one nonzero entry (symmetries, repatternings,
+    ``f`` has at most one nonzero entry (symmetries, repatternings,
     classical readouts, diagonal gates, zero maps) each result row is one
-    row of ``g`` times that entry, so the result is a row gather of
-    ``g.matrix`` with no matmul: exact when the entries are 0 or 1, and
-    otherwise each entry rounded once, within 1e-12 of the dense product.
-    Any other ``f`` is multiplied densely between a gather and a scatter.
+    row of ``g`` times that entry, so the result is ``g``'s row view read
+    through a new index, and no matrix is touched.  Entries other than 1
+    scale the rows: an identity-based ``g`` scales its ``vals`` and
+    ``fill`` (see ``SuperOp.row_view``), any other ``g`` is gathered and
+    scaled densely.  Either way each entry is ``g``'s entry times ``f``'s,
+    rounded once: exact for 0/1 entries, within 1e-12 of the dense
+    product otherwise.  Any other ``f`` is multiplied densely between a
+    gather and a scatter.
     """
     src_mid = alg_tensor(f.source, rest)
     if g.target != src_mid:
@@ -352,30 +469,66 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
     if rows is not None:
         pout = rows[pout]
     tgt = alg_tensor(f.target, rest)
-    nonzero = _row_monomial(f.matrix)
+    nonzero = _monomial_rows(f)
     if nonzero is not None:
-        nz_rows, nz_cols = nonzero
+        nz_rows, nz_cols, vals = nonzero
         # result row pout[i, k] reads row pin[j, k] of g when f[i, j] is
-        # row i's nonzero; a zero row of f reads row 0 and is cleared
+        # row i's nonzero; a zero row of f stays a zero row (-1)
         live = pout[nz_rows]
-        order = np.zeros(tgt.dim, dtype=np.intp)
-        order[live] = pin[nz_cols]
-        out = g.matrix.take(order, axis=0)
-        if nz_rows.size < f.target.dim:
-            dead = np.ones(f.target.dim, dtype=bool)
-            dead[nz_rows] = False
-            out[pout[dead]] = 0
-        vals = f.matrix[nz_rows, nz_cols]
-        if not (vals == 1).all():
-            out[live] *= vals[:, None, None]
+        src = pin[nz_cols]
+        g_index, base, g_vals, g_fill = _view(g)
+        index = np.full(tgt.dim, -1, dtype=np.intp)
+        index[live] = src if g_index is None else g_index[src]
+        scale = None if vals is None or (vals == 1).all() else vals[:, None]
+        if base is None:
+            return SuperOp.row_view(
+                g.source, tgt, index, None,
+                _scaled_rows(g_vals, 1.0, src, live, scale, tgt.dim),
+                _scaled_rows(g_fill, 0.0, src, live, scale, tgt.dim),
+            )
+        if scale is None:
+            return SuperOp.row_view(g.source, tgt, index, base)
+        out = _materialise(g.source.dim, index, base, None, None)
+        out[live] *= scale[..., None]
         return SuperOp(g.source, tgt, out)
     r = rest.dim
-    ncols = g.matrix.shape[1]
-    gk = g.matrix[pin.reshape(-1), :].reshape(f.source.dim, r * ncols)
+    ncols = g.source.dim
+    gk = _dense_rows(g, pin.reshape(-1)).reshape(f.source.dim, r * ncols)
     hk = (f.matrix @ gk).reshape(f.target.dim * r, ncols)
     out = np.empty((f.target.dim * r, ncols), dtype=complex)
     out[pout.reshape(-1), :] = hk
     return SuperOp(g.source, tgt, out)
+
+
+def _scaled_rows(a, default, src, live, scale, n):
+    """Per-row ``vals`` or ``fill`` of an identity-based view read through
+    ``src`` into rows ``live`` and times ``scale``; None when ``a`` is
+    None (all ``default``) and nothing scales.  Other rows hold ``+0``."""
+    if a is None and scale is None:
+        return None
+    x = np.full(src.shape, default, dtype=complex) if a is None else a[src]
+    if scale is not None:
+        x = x * scale
+    out = np.zeros(n, dtype=complex)
+    out[live] = x
+    return out
+
+
+def _monomial_rows(f: SuperOp):
+    """``(rows, cols, vals)`` of the nonzero entries of ``f`` when no row
+    holds more than one of them, else None; ``vals`` None means all ones.
+    An identity-based view answers from its index."""
+    if f._index is not None and f._base is None:
+        live = f._index >= 0
+        if f._vals is not None:
+            live &= f._vals != 0
+        rows = np.flatnonzero(live)
+        return rows, f._index[rows], None if f._vals is None else f._vals[rows]
+    nonzero = _row_monomial(f.matrix)
+    if nonzero is None:
+        return None
+    rows, cols = nonzero
+    return rows, cols, f.matrix[rows, cols]
 
 
 def _row_monomial(m: np.ndarray):
@@ -416,14 +569,14 @@ def _factor_permutation(factor_blocks: tuple, new_order: tuple) -> np.ndarray:
 
 def permutation_superop(algs: Sequence[FdAlgebra], new_order: Sequence[int]) -> SuperOp:
     """The *-isomorphism reordering tensor factors, as a SuperOp from
-    ``tensor_many(algs)`` to the reordered tensor; the 0/1 matrix of
-    ``factor_permutation``."""
+    ``tensor_many(algs)`` to the reordered tensor: the 0/1 matrix of
+    ``factor_permutation``, kept as a row view of the identity."""
     p = factor_permutation(algs, new_order)
     src = tensor_many(algs)
     tgt = tensor_many([algs[i] for i in new_order])
-    m = np.zeros((tgt.dim, src.dim), dtype=complex)
-    m[p, np.arange(src.dim)] = 1.0
-    return SuperOp(src, tgt, m)
+    index = np.empty(src.dim, dtype=np.intp)
+    index[p] = np.arange(src.dim)
+    return SuperOp.row_view(src, tgt, index)
 
 
 def copower_sum_iso(n: int, a: FdAlgebra, b: FdAlgebra) -> SuperOp:
@@ -435,9 +588,7 @@ def copower_sum_iso(n: int, a: FdAlgebra, b: FdAlgebra) -> SuperOp:
     cols = np.concatenate(
         [summands[:, : a.dim].reshape(-1), summands[:, a.dim :].reshape(-1)]
     )
-    m = np.zeros((tgt.dim, src.dim), dtype=complex)
-    m[np.arange(tgt.dim), cols] = 1.0
-    return SuperOp(src, tgt, m)
+    return SuperOp.row_view(src, tgt, cols.astype(np.intp))
 
 
 def tensor_copower_iso(a: FdAlgebra, n: int, b: FdAlgebra) -> SuperOp:
@@ -449,7 +600,9 @@ def tensor_copower_iso(a: FdAlgebra, n: int, b: FdAlgebra) -> SuperOp:
 
 def copower_stack(fs: Sequence[SuperOp], *, rows: np.ndarray | None = None) -> SuperOp:
     """Assemble maps f_v : X -> Y into the single map X -> (n . Y) whose
-    v-th summand is f_v, placed by ``rows`` if set (a zero f_v writes nothing)."""
+    v-th summand is f_v, placed by ``rows`` if set (a zero f_v writes
+    nothing, so its rows are ``+0``).  When every f_v is a row view of
+    the identity, so is the result; otherwise it is dense."""
     if not fs:
         raise ZeroCopower("cannot stack zero maps")
     src = fs[0].source
@@ -458,12 +611,40 @@ def copower_stack(fs: Sequence[SuperOp], *, rows: np.ndarray | None = None) -> S
         if f.source != src or f.target != tgt:
             raise DimensionMismatch("stacked maps must share a signature")
     stacked = alg_copower(len(fs), tgt)
+    blocks = [(f, slice(v * tgt.dim, (v + 1) * tgt.dim)) for v, f in enumerate(fs)]
+    if rows is not None:
+        blocks = [(f, rows[block]) for f, block in blocks]
+    if all(f._index is not None and f._base is None for f in fs):
+        index = np.full(stacked.dim, -1, dtype=np.intp)
+        blocks = [(f, block) for f, block in blocks if not _is_zero_view(f)]
+        vals = _stacked_rows(blocks, "_vals", 1.0, stacked.dim)
+        fill = _stacked_rows(blocks, "_fill", 0.0, stacked.dim)
+        for f, block in blocks:
+            index[block] = f._index
+        return SuperOp.row_view(src, stacked, index, None, vals, fill)
     out = np.zeros((stacked.dim, src.dim), dtype=complex)
-    for v, f in enumerate(fs):
+    for f, block in blocks:
         if f.matrix.any():
-            block = slice(v * tgt.dim, (v + 1) * tgt.dim)
-            out[block if rows is None else rows[block]] = f.matrix
+            out[block] = f.matrix
     return SuperOp(src, stacked, out)
+
+
+def _is_zero_view(f: SuperOp) -> bool:
+    """Whether every entry of an identity-based view is zero."""
+    live = f._index >= 0
+    return not (live.any() if f._vals is None else f._vals[live].any())
+
+
+def _stacked_rows(blocks, attr: str, default: float, n: int):
+    """The ``vals`` or ``fill`` of stacked identity-based views, None if
+    no branch has one; rows of no branch hold ``+0``."""
+    if all(getattr(f, attr) is None for f, _ in blocks):
+        return None
+    out = np.zeros(n, dtype=complex)
+    for f, block in blocks:
+        a = getattr(f, attr)
+        out[block] = default if a is None else a
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from . import algebra
 from .algebra import (
     Distribution, FdAlgebra, NonClassicalSource, SCALARS, SuperOp,
     alg_tensor, compose_tensored, copower_stack, factor_permutation,
-    gate_denotation, op_zero, permutation_superop, state_to_distribution,
-    tensor_many,
+    gate_denotation, op_relabel, op_zero, permutation_superop,
+    state_to_distribution, tensor_many,
 )
 from .syntax import (
     App, Ascribe, Bind, Box, ClassicalLit, ClassicalW, Compose, DefDecl,
@@ -273,8 +273,12 @@ class Evaluator:
     Closure applications are memoised until the first fixed-point
     unfolding, so a replayed result never skips fuel.  The ``gamma``
     argument of ``eval_host`` and ``denote_circuit`` is never read.
-    Each circuit step writes each row once, where ``_placement`` says;
-    only ``Unbox`` and ``PairElim`` copy rows to reorder them.
+    Each circuit step places its rows where ``_placement`` says.  A step
+    that only moves, scales or clears rows (``Output``, ``Unbox``,
+    ``PairElim``, and ``Compose`` or ``Gate`` through a map with one
+    nonzero per row) computes a new row index for a ``SuperOp.row_view``
+    (scaling rows of a dense base still gathers them); no step copies a
+    matrix to reorder it.
     """
 
     def __init__(self, ctx: CheckContext | None = None, mode: Mode | None = None):
@@ -424,6 +428,7 @@ class Evaluator:
         """The Heisenberg map of ``gamma; omega |- term : W``, from the
         algebra of W to the algebra of the ordered context."""
         omega = tuple(omega)
+        rows = None
         match term:
             case Output(p):
                 # the structural permutation from pattern onto context order
@@ -436,17 +441,15 @@ class Evaluator:
                 if not isinstance(v, CircV):
                     raise EvalError(f"unbox of non-circuit value {v!r}")
                 sel, _ = _split_context(omega, p)
-                h = self._reorder_like(omega, sel, v.op)
+                h, rows = v.op, _placement(omega, sel)
             case Init(t):
                 if omega:
                     raise EvalError("init consumes no wires")
                 v = self._checked(term)
                 hv = self.eval_host(gamma, t, env)
                 idx = classical_index(v, encode_value(v, hv))
-                src = denote_wire(v)
-                row = np.zeros((1, src.dim), dtype=complex)
-                row[0, idx] = 1.0
-                return SuperOp(src, SCALARS, row)
+                index = np.array([idx], dtype=np.intp)
+                return SuperOp.row_view(denote_wire(v), SCALARS, index)
             case Compose(p, first, rest):
                 fw = free_wires(first)
                 sel = tuple(b for b in omega if b[0] in fw)
@@ -465,8 +468,8 @@ class Evaluator:
                 sel, remaining = _split_context(omega, p)
                 ty = pattern_type(dict(omega), p)
                 bindings = ((w1, ty.left), (w2, ty.right))
-                f = self.denote_circuit(gamma, bindings + remaining, rest, env)
-                h = self._reorder_like(omega, [*sel, *remaining], f)
+                h = self.denote_circuit(gamma, bindings + remaining, rest, env)
+                rows = _placement(omega, [*sel, *remaining])
             case Gate(out_p, g, in_p, rest):
                 gop = gate_denotation(g)
                 sel, remaining = _split_context(omega, in_p)
@@ -501,18 +504,8 @@ class Evaluator:
                 raise EvalError("qlift must be elaborated before evaluation")
             case _:
                 raise EvalError(f"cannot denote {term!r}")
-        # the rows of h are in context order; only its target is relabelled
-        return SuperOp(h.source, denote_context(omega), h.matrix)
-
-    def _reorder_like(self, omega, factors, h: SuperOp) -> SuperOp:
-        """Permute the rows of ``h`` (whose target is the tensor of
-        ``factors`` in listed order) into the order of ``omega``."""
-        rows = _placement(omega, factors)
-        if rows is None:
-            return h
-        out = np.empty_like(h.matrix)
-        out[rows, :] = h.matrix
-        return SuperOp(h.source, h.target, out)
+        # h's rows are in context order, or placed there by rows
+        return op_relabel(h, denote_context(omega), rows=rows)
 
     # -- running -------------------------------------------------------------
 

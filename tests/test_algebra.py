@@ -304,6 +304,100 @@ def test_row_monomial_detection():
     assert _row_monomial(gate_denotation(GateRef("R", index=3)).matrix) is not None
 
 
+# -- row views -----------------------------------------------------------------------
+
+
+def _gather_reference(f, rest, g):
+    """``compose_tensored`` through a monomial ``f``, on dense matrices:
+    gather the rows of ``g.matrix``, clear ``f``'s zero rows, and scale
+    the rows in place unless every entry of ``f`` is 1."""
+    pin = factor_index_map((f.source, rest))
+    pout = factor_index_map((f.target, rest))
+    nz_rows, nz_cols = np.nonzero(f.matrix)
+    live = pout[nz_rows]
+    order = np.zeros(pout.size, dtype=np.intp)
+    order[live] = pin[nz_cols]
+    out = g.matrix.take(order, axis=0)
+    dead = np.ones(f.target.dim, dtype=bool)
+    dead[nz_rows] = False
+    out[pout[dead]] = 0
+    vals = f.matrix[nz_rows, nz_cols]
+    if not (vals == 1).all():
+        out[live] *= vals[:, None, None]
+    return out
+
+
+def _phase_map(as_view):
+    """A monomial map on four one-dimensional blocks with entries -1, 1j,
+    -1j and a zero row, held densely or as a row view of the identity."""
+    a = alg(1, 1, 1, 1)
+    index = np.array([1, 2, -1, 0], dtype=np.intp)
+    vals = np.array([-1, 1j, 0, -1j])
+    if as_view:
+        return SuperOp.row_view(a, a, index, None, vals)
+    m = np.zeros((4, 4), dtype=complex)
+    m[[0, 1, 3], index[[0, 1, 3]]] = vals[[0, 1, 3]]
+    return SuperOp(a, a, m)
+
+
+@pytest.mark.parametrize("f_view", [False, True], ids=["dense_f", "view_f"])
+@pytest.mark.parametrize("g_kind", ["identity", "base", "dense"])
+def test_monomial_compose_is_bitwise_the_dense_gather(f_view, g_kind):
+    # zero rows scaled by -1 or -1j hold signed zeros; each pass scales
+    # the previous pass's zeros again
+    f = _phase_map(f_view)
+    rest = C2
+    mid = alg_tensor(f.source, rest)
+    src = alg(2, 1)
+    index = np.array([0, 4, -1, 2, -1, 1, 3, 0], dtype=np.intp)
+    base = np.random.default_rng(26).normal(size=(6, src.dim)) * (1 + 1j)
+    g = {
+        "identity": SuperOp.row_view(src, mid, index),
+        "base": SuperOp.row_view(src, mid, index, base),
+        "dense": SuperOp(src, mid, base[np.maximum(index, 0)] * (index >= 0)[:, None]),
+    }[g_kind]
+    h, ref = g, g
+    for _ in range(3):
+        h = compose_tensored(f, rest, h)
+        ref = SuperOp(src, mid, _gather_reference(f, rest, ref))
+        assert h.matrix.tobytes() == ref.matrix.tobytes()
+    assert np.signbit(ref.matrix[ref.matrix == 0].real).any()
+
+
+def test_view_matrix_is_built_once_read_only():
+    p = permutation_superop([M2, C2], [1, 0])
+    m = p.matrix
+    assert p.matrix is m and not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 2
+
+
+def test_view_index_of_wrong_length_rejected():
+    with pytest.raises(DimensionMismatch):
+        SuperOp.row_view(M2, C2, np.zeros(3, dtype=np.intp))
+    with pytest.raises(DimensionMismatch):
+        SuperOp.row_view(M2, C2, np.zeros(2, dtype=np.intp), np.zeros((2, 3)))
+
+
+def test_structural_views_bitwise_equal_dense_definitions():
+    a, b = alg(2, 1), alg(1, 3)
+    assert op_zero(a, b).matrix.tobytes() == np.zeros((b.dim, a.dim), dtype=complex).tobytes()
+
+    algs = [alg(2), alg(1, 1), alg(1, 2)]
+    perm = permutation_superop(algs, [2, 0, 1])
+    p = factor_permutation(algs, [2, 0, 1])
+    m = np.zeros((p.size, p.size), dtype=complex)
+    m[p, np.arange(p.size)] = 1.0
+    assert perm.matrix.tobytes() == m.tobytes()
+
+    iso = copower_sum_iso(2, a, b)
+    summands = np.arange(iso.source.dim).reshape(2, a.dim + b.dim)
+    cols = np.concatenate([summands[:, :a.dim].reshape(-1), summands[:, a.dim:].reshape(-1)])
+    m = np.zeros((iso.target.dim, iso.source.dim), dtype=complex)
+    m[np.arange(iso.target.dim), cols] = 1.0
+    assert iso.matrix.tobytes() == m.tobytes()
+
+
 # -- gates ---------------------------------------------------------------------------
 
 
@@ -534,6 +628,30 @@ def test_copower_stack_matches_vstack_then_scatter():
         placed = copower_stack(fs, rows=rows)
         assert placed.target == alg_copower(len(fs), y)
         assert np.array_equal(placed.matrix, _scatter(stacked, rows))
+
+
+def test_copower_stack_of_views_bitwise_equal_dense_stack():
+    # identity-based branches stack into a view; a branch whose entries
+    # are all (signed) zeros writes nothing, as in the dense stack
+    f = _phase_map(True)
+    rest = C2
+    src = alg(2, 1)
+    mid = alg_tensor(f.source, rest)
+    g = SuperOp.row_view(src, mid, np.array([0, 4, -1, 2, -1, 1, 3, 0], dtype=np.intp))
+    fs = [g, compose_tensored(f, rest, g), op_zero(src, mid),
+          compose_tensored(f, rest, op_zero(src, mid)),
+          compose_tensored(f, rest, compose_tensored(f, rest, g))]
+    assert np.signbit(fs[3].matrix.real).any() and not fs[3].matrix.any()
+    rows = np.random.default_rng(27).permutation(len(fs) * mid.dim)
+    for placement in (None, rows):
+        stacked = np.zeros((len(fs) * mid.dim, src.dim), dtype=complex)
+        for v, h in enumerate(fs):
+            block = np.arange(v * mid.dim, (v + 1) * mid.dim)
+            if h.matrix.any():
+                stacked[block if placement is None else placement[block]] = h.matrix
+        out = copower_stack(fs, rows=placement)
+        assert out._base is None and out._index is not None
+        assert out.matrix.tobytes() == stacked.tobytes()
 
 
 # -- distributions ----------------------------------------------------------------

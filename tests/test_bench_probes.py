@@ -43,3 +43,21 @@ def test_probes_record_denotation_and_uninstall_cleanly():
     counts = tr.counts[None]
     assert counts["denote.lift_branches"] > 0
     assert counts["algebra.compose_tensored.macs"] > 0
+
+
+def test_traced_denotation_equals_untraced():
+    # the probes read out.matrix after every step, so the traced run
+    # builds every map densely while the untraced run keeps row views
+    old_cap = algebra.max_dim()
+    try:
+        untraced = workloads.Qft(0).run(3).matrix.tobytes()
+        tr = Tracer()
+        workloads.install_probes(tr)
+        try:
+            traced = workloads.Qft(0).run(3).matrix.tobytes()
+        finally:
+            tr.uninstall()
+    finally:
+        algebra.set_max_dim(old_cap)
+    assert tr.counts[None]["algebra.bytes_materialised"] > 0
+    assert traced == untraced

@@ -680,17 +680,18 @@ def test_row_gather_matches_dense_on_generated_circuits(monkeypatch):
                 out.append((ev.denote_circuit(None, omega, term, {}).matrix, ev.fuel))
         return out
 
-    detect = ewire.algebra._row_monomial
+    # _monomial_rows decides the gather for every f, row view or dense
+    detect = ewire.algebra._monomial_rows
     gathers = []
 
-    def counted(m):
-        found = detect(m)
+    def counted(f):
+        found = detect(f)
         gathers.append(found is not None)
         return found
 
-    monkeypatch.setattr(ewire.algebra, "_row_monomial", counted)
+    monkeypatch.setattr(ewire.algebra, "_monomial_rows", counted)
     fast = denote_corpus()
-    monkeypatch.setattr(ewire.algebra, "_row_monomial", lambda m: None)
+    monkeypatch.setattr(ewire.algebra, "_monomial_rows", lambda f: None)
     dense = denote_corpus()
     assert sum(gathers) > len(gathers) // 2
     for (a, fuel_a), (b, fuel_b) in zip(fast, dense):
@@ -698,11 +699,9 @@ def test_row_gather_matches_dense_on_generated_circuits(monkeypatch):
         assert np.abs(a - b).max(initial=0.0) <= 1e-12
 
 
-def test_row_placement_matches_scatter_after(monkeypatch):
-    # each step places its rows inside compose_tensored and copower_stack;
-    # the reference builds the canonical rows (stacking by vstack) and
-    # scatters them afterwards
-    import ewire.denote
+def _corpus_jobs():
+    """``(ctx, job)`` pairs, ``job(ev)`` denoting with ``ev``: the whole
+    rewrite corpus (seeds 2000-2099) and QFT ``fourier`` at n=1..4."""
 
     def evaluate(decls, entry):
         # evaluate_program resets the fuel per declaration; this does not
@@ -713,7 +712,7 @@ def test_row_placement_matches_scatter_after(monkeypatch):
             return env[entry].op
         return run
 
-    # the whole rewrite corpus: no lift in seeds 2000-2049 moves a row
+    # the whole corpus: no lift in seeds 2000-2049 moves a row
     jobs = []
     for seed in range(2000, 2100):
         omega, term = random_circuit(seed, max_qubits=4, max_stmts=12)
@@ -727,19 +726,31 @@ def test_row_placement_matches_scatter_after(monkeypatch):
         cp = check_program(mono)
         decls = [d for d in cp.program.decls if isinstance(d, DefDecl)]
         jobs.append((cp.ctx, evaluate(decls, entry)))
+    return jobs
 
-    def denote_corpus():
-        out = []
-        for ctx, job in jobs:
-            for mode in (Mode.cpu(), Mode.cpsu()):
-                ev = Evaluator(ctx=ctx, mode=mode)
-                try:
-                    result = job(ev).matrix.tobytes()
-                except EvalError as e:
-                    result = repr(e)
-                out.append((result, ev.fuel))
-        return out
 
+def _denote_jobs(jobs):
+    """Each job's ``.matrix`` bytes, or its ``EvalError``, and the fuel
+    left, in cpu and cpsu mode."""
+    out = []
+    for ctx, job in jobs:
+        for mode in (Mode.cpu(), Mode.cpsu()):
+            ev = Evaluator(ctx=ctx, mode=mode)
+            try:
+                result = job(ev).matrix.tobytes()
+            except EvalError as e:
+                result = repr(e)
+            out.append((result, ev.fuel))
+    return out
+
+
+def test_row_placement_matches_scatter_after(monkeypatch):
+    # each step places its rows inside compose_tensored and copower_stack;
+    # the reference builds the canonical rows (stacking by vstack) and
+    # scatters them afterwards
+    import ewire.denote
+
+    jobs = _corpus_jobs()
     placed = []
 
     def scatter(op, rows):
@@ -757,9 +768,28 @@ def test_row_placement_matches_scatter_after(monkeypatch):
         m = np.vstack([f.matrix for f in fs])
         return scatter(SuperOp(fs[0].source, alg_copower(len(fs), fs[0].target), m), rows)
 
-    fast = denote_corpus()
+    fast = _denote_jobs(jobs)
     monkeypatch.setattr(ewire.denote, "compose_tensored", compose_reference)
     monkeypatch.setattr(ewire.denote, "copower_stack", stack_reference)
-    reference = denote_corpus()
+    reference = _denote_jobs(jobs)
     assert any(placed) and not all(placed)
     assert fast == reference
+
+
+def test_row_views_match_materialised_path(monkeypatch):
+    # every map the structural steps produce is rebuilt densely from its
+    # .matrix, so each later step reads dense maps only
+    import ewire.denote
+
+    jobs = _corpus_jobs()
+    views = _denote_jobs(jobs)
+
+    def materialised(fn):
+        def run(*args, **kwargs):
+            op = fn(*args, **kwargs)
+            return SuperOp(op.source, op.target, op.matrix)
+        return run
+
+    for name in ("compose_tensored", "copower_stack", "permutation_superop"):
+        monkeypatch.setattr(ewire.denote, name, materialised(getattr(ewire.denote, name)))
+    assert _denote_jobs(jobs) == views
