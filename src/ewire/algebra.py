@@ -330,7 +330,7 @@ def _dense_rows(f: SuperOp, sel: np.ndarray) -> np.ndarray:
 
 
 def op_identity(a: FdAlgebra) -> SuperOp:
-    return SuperOp(a, a, np.eye(a.dim, dtype=complex))
+    return SuperOp.row_view(a, a, np.arange(a.dim, dtype=np.intp))
 
 
 def op_zero(source: FdAlgebra, target: FdAlgebra) -> SuperOp:

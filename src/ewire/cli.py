@@ -269,12 +269,23 @@ def _count(text: str) -> int:
     return n
 
 
+def _tolerance(text: str) -> float:
+    """Argument type of --tol: a finite float >= 0."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 <= x < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and not negative, got {text}")
+    return x
+
+
 def _common(sub, shots=False):
     sub.add_argument("file", help="an .ew source file")
     sub.add_argument("--mode", choices=["cpu", "cpsu"], default="cpu")
     sub.add_argument("--fuel", type=_count, default=10_000)
     sub.add_argument("--qlist-size", type=int, default=None, dest="qlist_size")
-    sub.add_argument("--tol", type=float, default=1e-9)
+    sub.add_argument("--tol", type=_tolerance, default=1e-9)
     sub.add_argument("--json", action="store_true")
     if shots:
         sub.add_argument("--shots", type=_count, default=0)

@@ -15,9 +15,10 @@ than raising an error, so fueled results are finite approximants of the
 true fixed point.
 
 An ``Evaluator`` evaluates only terms checked under its own
-``CheckContext``: it reads every type it needs from that context's
-table and raises ``EvalError`` where a record is missing.  The
-module-level ``denote_circuit`` and ``eval_host`` check their input
+``CheckContext``: it reads every type it needs, and how each circuit
+step splits and binds its wires, from that context's table, and raises
+``EvalError`` where a record is missing.  It never types a pattern.
+The module-level ``denote_circuit`` and ``eval_host`` check their input
 first.
 """
 
@@ -27,23 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
 from .algebra import (
     Distribution, FdAlgebra, NonClassicalSource, SCALARS, SuperOp,
     alg_tensor, compose_tensored, copower_stack, factor_permutation,
-    gate_denotation, op_relabel, op_zero, permutation_superop,
+    gate_denotation, op_identity, op_relabel, op_zero,
     state_to_distribution, tensor_many,
 )
 from .syntax import (
     App, Ascribe, Bind, Box, ClassicalLit, ClassicalW, Compose, DefDecl,
     Fix, Gate, GateFam, GateRef, If, Init, IntLit, Lam, Lift, Output, Pair,
-    PairElim, Pattern, Prim, Proj, QuantumW, QLift, QRun, Ret, Run,
-    TensorW, UnitElim, UnitVal, UnitW, Unbox, Var, WireType, free_wires,
-    pattern_wires, pretty_print,
+    PairElim, Prim, Proj, QuantumW, QLift, QRun, Ret, Run, TensorW,
+    UnitElim, UnitVal, UnitW, Unbox, Var, WireType, pretty_print,
 )
 from .typecheck import (
-    CheckContext, CheckedProgram, bind_pattern, check_circuit, check_host,
-    pattern_type, _default_ctx,
+    CheckContext, CheckedProgram, check_circuit, check_host, _default_ctx,
 )
 
 
@@ -267,8 +265,8 @@ class Evaluator:
     """Call-by-value evaluation plus compositional circuit denotation.
 
     A single evaluator holds the mode, the remaining fuel (shared by all
-    fixed points unfolded under one top-level evaluation) and the type
-    table of the checked program it runs.
+    fixed points unfolded under one top-level evaluation) and the table
+    of the checked program it runs (types, and each step's ``Split``).
 
     Closure applications are memoised until the first fixed-point
     unfolding, so a replayed result never skips fuel.  The ``gamma``
@@ -336,9 +334,9 @@ class Evaluator:
                     for hv2, w2 in d2.weights.items():
                         out[hv2] = out.get(hv2, 0.0) + w * w2
                 return DistV(out)
-            case Box(p, w, body):
-                _, w2 = self._checked(term)
-                op = self.denote_circuit(gamma, tuple(bind_pattern(p, w)), body, env)
+            case Box(_, w, body):
+                _, w2, bindings = self._checked(term)
+                op = self.denote_circuit(gamma, bindings, body, env)
                 return CircV(w, w2, op)
             case Run(c):
                 v = self._checked(term)
@@ -373,6 +371,7 @@ class Evaluator:
                     )
                 return FixCombV(a, w1, w2)
             case GateFam(name, ix):
+                w_in, w_out = self._checked(term)
                 n = self.eval_host(gamma, ix, env)
                 if not isinstance(n, IntV):
                     raise EvalError("gate family index must be a number")
@@ -380,9 +379,7 @@ class Evaluator:
                     raise PartialityError(
                         f"gate family {name} rejects negative index {n.value}"
                     )
-                g = GateRef(name, index=n.value)
-                w_in, w_out = algebra.gate_signature(g)
-                return CircV(w_in, w_out, gate_denotation(g))
+                return CircV(w_in, w_out, gate_denotation(GateRef(name, index=n.value)))
             case Ascribe(t, _):
                 return self.eval_host(gamma, t, env)
             case QRun(_):
@@ -430,60 +427,48 @@ class Evaluator:
         omega = tuple(omega)
         rows = None
         match term:
-            case Output(p):
-                # the structural permutation from pattern onto context order
-                sel, _ = _split_context(omega, p)
-                h = permutation_superop(
-                    [denote_wire(ty) for _, ty in sel], _context_order(omega, sel)
-                )
-            case Unbox(t, p):
+            case Output(_):
+                # the identity on the pattern's wires, placed in context order
+                sel, _ = _split_context(omega, self._checked(term).consumes)
+                h, rows = op_identity(denote_context(sel)), _placement(omega, sel)
+            case Unbox(t, _):
+                sel, _ = _split_context(omega, self._checked(term).consumes)
                 v = self.eval_host(gamma, t, env)
                 if not isinstance(v, CircV):
                     raise EvalError(f"unbox of non-circuit value {v!r}")
-                sel, _ = _split_context(omega, p)
                 h, rows = v.op, _placement(omega, sel)
             case Init(t):
-                if omega:
-                    raise EvalError("init consumes no wires")
-                v = self._checked(term)
+                v = self._checked(term).own
                 hv = self.eval_host(gamma, t, env)
                 idx = classical_index(v, encode_value(v, hv))
                 index = np.array([idx], dtype=np.intp)
                 return SuperOp.row_view(denote_wire(v), SCALARS, index)
-            case Compose(p, first, rest):
-                fw = free_wires(first)
-                sel = tuple(b for b in omega if b[0] in fw)
-                remaining = tuple(b for b in omega if b[0] not in fw)
+            case Compose(_, first, rest):
+                split = self._checked(term)
+                sel, remaining = _split_context(omega, split.consumes)
                 f1 = self.denote_circuit(gamma, sel, first, env)
-                bindings = bind_pattern(p, self._checked(term))
-                f2 = self.denote_circuit(
-                    gamma, tuple(bindings) + remaining, rest, env
-                )
+                f2 = self.denote_circuit(gamma, split.binds + remaining, rest, env)
                 h = compose_tensored(f1, denote_context(remaining), f2,
                                      rows=_placement(omega, sel + remaining))
-            case UnitElim(p, rest):
-                _, remaining = _split_context(omega, p)
+            case UnitElim(_, rest):
+                _, remaining = _split_context(omega, self._checked(term).consumes)
                 h = self.denote_circuit(gamma, remaining, rest, env)
-            case PairElim(w1, w2, p, rest):
-                sel, remaining = _split_context(omega, p)
-                ty = pattern_type(dict(omega), p)
-                bindings = ((w1, ty.left), (w2, ty.right))
-                h = self.denote_circuit(gamma, bindings + remaining, rest, env)
-                rows = _placement(omega, [*sel, *remaining])
-            case Gate(out_p, g, in_p, rest):
+            case PairElim(_, _, _, rest):
+                split = self._checked(term)
+                sel, remaining = _split_context(omega, split.consumes)
+                h = self.denote_circuit(gamma, split.binds + remaining, rest, env)
+                rows = _placement(omega, sel + remaining)
+            case Gate(_, g, _, rest):
+                split = self._checked(term)
                 gop = gate_denotation(g)
-                sel, remaining = _split_context(omega, in_p)
-                w_in, w_out = algebra.gate_signature(g, self.ctx.gates)
-                bindings = bind_pattern(out_p, w_out)
-                f2 = self.denote_circuit(
-                    gamma, tuple(bindings) + remaining, rest, env
-                )
+                sel, remaining = _split_context(omega, split.consumes)
+                f2 = self.denote_circuit(gamma, split.binds + remaining, rest, env)
                 h = compose_tensored(gop, denote_context(remaining), f2,
-                                     rows=_placement(omega, [*sel, *remaining]))
-            case Lift(x, p, rest):
-                sel, remaining = _split_context(omega, p)
-                v = pattern_type(dict(omega), p)
-                w = self._checked(term)
+                                     rows=_placement(omega, sel + remaining))
+            case Lift(x, _, rest):
+                split = self._checked(term)
+                sel, remaining = _split_context(omega, split.consumes)
+                v, w = split.own
                 branches = []
                 for val in enumerate_classical(v):
                     env2 = dict(env)
@@ -499,7 +484,7 @@ class Evaluator:
                             op_zero(denote_wire(w), denote_context(remaining))
                         )
                 # n.(remaining) is literally the algebra of V (x) remaining
-                h = copower_stack(branches, rows=_placement(omega, [*sel, *remaining]))
+                h = copower_stack(branches, rows=_placement(omega, sel + remaining))
             case QLift(_, _, _):
                 raise EvalError("qlift must be elaborated before evaluation")
             case _:
@@ -526,26 +511,25 @@ class Evaluator:
         return dist
 
 
-def _context_order(omega, factors) -> list:
-    """The position in ``factors`` of each wire of ``omega`` they bind."""
-    pos = {n: i for i, (n, _) in enumerate(factors)}
-    return [pos[w] for w, _ in omega if w in pos]
-
-
 def _placement(omega, factors):
     """The row in the tensor of ``omega`` of each row of the tensor of
     ``factors`` (the same wires), or None when no row moves."""
-    order = _context_order(omega, factors)
+    pos = {n: i for i, (n, _) in enumerate(factors)}
+    order = [pos[w] for w, _ in omega]
     if order == list(range(len(order))):
         return None
     return factor_permutation([denote_wire(ty) for _, ty in factors], order)
 
 
-def _split_context(omega, p: Pattern):
-    """The typed wires of ``p`` in pattern order, and the rest of ``omega``."""
-    names = pattern_wires(p)
+def _split_context(omega, names):
+    """The typed wires ``names`` and the rest of ``omega``.  A tuple of
+    names (a pattern's) keeps its own order, a set (a composition's first
+    circuit) takes context order."""
+    rest = tuple(b for b in omega if b[0] not in names)
+    if isinstance(names, frozenset):
+        return tuple(b for b in omega if b[0] in names), rest
     declared = dict(omega)
-    return [(n, declared[n]) for n in names], tuple(b for b in omega if b[0] not in names)
+    return tuple((n, declared[n]) for n in names), rest
 
 
 # ---------------------------------------------------------------------------

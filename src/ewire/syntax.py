@@ -616,20 +616,6 @@ def map_children(node, fn):
     return replace(node, **{name: fn(getattr(node, name)) for name in names})
 
 
-def contains(node, kinds) -> bool:
-    """Whether a node of class ``kinds`` (a class or a tuple of them)
-    occurs in a term or in the declarations of a Program."""
-    if isinstance(node, Program):
-        return any(
-            contains(d.term, kinds)
-            for d in node.decls
-            if isinstance(d, (DefDecl, CircDecl))
-        )
-    return isinstance(node, kinds) or any(
-        contains(c, kinds) for c in children(node)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Free variables
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ on the wire type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import algebra
 from .syntax import (
@@ -58,9 +58,10 @@ class CheckContext:
 
     bases: dict
     gates: dict
-    # id(node) -> (node, info): Box -> (w_in, w_out); Run, QRun, Init ->
-    # the wire type produced; Compose -> the type of its first circuit;
-    # Lift -> its output type; QLift -> the type it measures
+    # id(node) -> (node, info): a circuit node -> its ``Split``; Box ->
+    # (w_in, w_out, its bound wires); Run, QRun -> the wire type made;
+    # GateFam -> (w_in, w_out).  An entry never depends on the context's
+    # order, so a subterm shared by two checked terms has one entry
     table: dict
 
     def record(self, node, info):
@@ -69,6 +70,18 @@ class CheckContext:
     def lookup(self, node):
         hit = self.table.get(id(node))
         return hit[1] if hit is not None and hit[0] is node else None
+
+
+class Split(NamedTuple):
+    """How a circuit node splits and binds its wires: the names it
+    consumes (its pattern's, in order; a ``Compose``'s first circuit's
+    free wires, as a set), the typed wires heading its continuation's
+    context, and its own type: ``init``'s value type, ``(V, W)`` for a
+    ``lift`` of type V with output W, what a ``qlift`` measures."""
+
+    consumes: tuple | frozenset
+    binds: tuple = ()
+    own: object = None
 
 
 def _default_ctx() -> CheckContext:
@@ -101,18 +114,18 @@ def _no_qlist(w: WireType, loc=None):
 # ---------------------------------------------------------------------------
 
 
-def pattern_type(types: dict, p: Pattern, loc=None) -> WireType:
+def pattern_type(types: dict, p: Pattern) -> WireType:
     """The wire type a pattern assembles from declared wire types."""
     match p:
         case WireP(x):
             if x not in types:
-                raise TypeCheckError(UNBOUND_WIRE, f"unbound wire {x!r}", loc)
+                raise TypeCheckError(UNBOUND_WIRE, f"unbound wire {x!r}")
             return types[x]
         case UnitP():
             return UnitW()
         case PairP(l, r):
-            return TensorW(pattern_type(types, l, loc), pattern_type(types, r, loc))
-    raise TypeCheckError(PATTERN_SHAPE, f"not a pattern: {p!r}", loc)
+            return TensorW(pattern_type(types, l), pattern_type(types, r))
+    raise TypeCheckError(PATTERN_SHAPE, f"not a pattern: {p!r}")
 
 
 def match_pattern(omega: WireContext, p: Pattern) -> WireType:
@@ -133,34 +146,27 @@ def match_pattern(omega: WireContext, p: Pattern) -> WireType:
     return pattern_type(declared, p)
 
 
-def bind_pattern(p: Pattern, w: WireType, loc=None) -> list:
+def bind_pattern(p: Pattern, w: WireType, loc=None) -> tuple:
     """Split a wire type along a binder pattern, yielding the bound
     wires in pattern order with their component types."""
-    out = []
-
-    def go(q, ty):
-        match q:
-            case WireP(x):
-                out.append((x, ty))
-            case UnitP():
-                if not isinstance(ty, UnitW):
-                    raise TypeCheckError(
-                        PATTERN_SHAPE, f"pattern () does not match {ty}", loc
-                    )
-            case PairP(l, r):
-                if not isinstance(ty, TensorW):
-                    raise TypeCheckError(
-                        PATTERN_SHAPE, f"pair pattern does not match {ty}", loc
-                    )
-                go(l, ty.left)
-                go(r, ty.right)
-            case _:
-                raise TypeCheckError(PATTERN_SHAPE, f"not a pattern: {q!r}", loc)
-
     if not pattern_linear(p):
         raise TypeCheckError(PATTERN_SHAPE, f"duplicate wire in pattern {p}", loc)
-    go(p, w)
-    return out
+    return _bind(p, w, loc)
+
+
+def _bind(p: Pattern, w: WireType, loc) -> tuple:
+    match p:
+        case WireP(x):
+            return ((x, w),)
+        case UnitP() if isinstance(w, UnitW):
+            return ()
+        case PairP(l, r) if isinstance(w, TensorW):
+            return _bind(l, w.left, loc) + _bind(r, w.right, loc)
+        case UnitP():
+            raise TypeCheckError(PATTERN_SHAPE, f"pattern () does not match {w}", loc)
+        case PairP():
+            raise TypeCheckError(PATTERN_SHAPE, f"pair pattern does not match {w}", loc)
+    raise TypeCheckError(PATTERN_SHAPE, f"not a pattern: {p!r}", loc)
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +174,27 @@ def bind_pattern(p: Pattern, w: WireType, loc=None) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _select(omega: WireContext, names: set, loc, spent: frozenset):
-    missing = [x for x in names if x not in {w for w, _ in omega}]
-    if missing:
-        kind = LINEARITY if missing[0] in spent else UNBOUND_WIRE
-        verb = "already consumed" if kind == LINEARITY else "not in scope"
-        raise TypeCheckError(kind, f"wire {missing[0]!r} {verb}", loc)
+def _pattern_names(p: Pattern, loc) -> tuple:
+    """The wires of ``p`` in pattern order; none may occur twice."""
+    names = tuple(pattern_wires(p))
+    if len(set(names)) != len(names):
+        raise TypeCheckError(PATTERN_SHAPE, f"duplicate wire in pattern {p}", loc)
+    return names
+
+
+def _select(omega: WireContext, names, loc, spent: frozenset, whole=False):
+    """The wires ``names`` of ``omega``, in context order, and the rest,
+    which must be empty if ``whole`` is set."""
+    live = {w for w, _ in omega}
+    for x in names:
+        if x not in live:
+            kind = LINEARITY if x in spent else UNBOUND_WIRE
+            verb = "already consumed" if kind == LINEARITY else "not in scope"
+            raise TypeCheckError(kind, f"wire {x!r} {verb}", loc)
     sel = tuple(b for b in omega if b[0] in names)
     rest = tuple(b for b in omega if b[0] not in names)
+    if whole and rest:
+        raise TypeCheckError(LINEARITY, f"wire {rest[0][0]!r} is dropped", loc)
     return sel, rest
 
 
@@ -197,7 +216,8 @@ def check_circuit(
 ) -> WireType:
     """Check ``gamma; omega |- term : W`` and return W.
 
-    Every wire of ``omega`` must be consumed exactly once.
+    Every wire of ``omega`` must be consumed exactly once.  Each node's
+    ``Split`` is recorded in ``ctx``.
     """
     ctx = ctx or _default_ctx()
     omega = tuple(omega)
@@ -205,7 +225,10 @@ def check_circuit(
         _no_qlist(ty)
     match term:
         case Output(p):
-            return _checked_consume_all(omega, p, term.loc, spent)
+            names = _pattern_names(p, term.loc)
+            sel, _ = _select(omega, names, term.loc, spent, whole=True)
+            ctx.record(term, Split(names))
+            return match_pattern(sel, p)
         case Unbox(t, p):
             ty = check_host(gamma, t, ctx)
             if isinstance(ty, MonadT) and isinstance(ty.inner, CircT):
@@ -218,13 +241,16 @@ def check_circuit(
                 raise TypeCheckError(
                     MISMATCH, f"unbox expects a Circ value, got {ty}", term.loc
                 )
-            got = _checked_consume_all(omega, p, term.loc, spent)
+            names = _pattern_names(p, term.loc)
+            sel, _ = _select(omega, names, term.loc, spent, whole=True)
+            got = match_pattern(sel, p)
             if got != ty.w_in:
                 raise TypeCheckError(
                     MISMATCH,
                     f"unbox argument wires have type {got}, circuit expects {ty.w_in}",
                     term.loc,
                 )
+            ctx.record(term, Split(names))
             return ty.w_out
         case Init(t):
             if omega:
@@ -241,54 +267,57 @@ def check_circuit(
                     NOT_CLASSICAL, f"init needs a first-order value, got {ty}",
                     term.loc,
                 )
-            ctx.record(term, v)
+            ctx.record(term, Split((), (), v))
             return v
         case Compose(p, first, rest):
-            fw = free_wires(first)
-            sel, remaining = _select(omega, fw, term.loc, spent)
+            fw = frozenset(free_wires(first))
+            # sorted, so that the wire a diagnostic names never depends on hashing
+            sel, remaining = _select(omega, sorted(fw), term.loc, spent)
             w1 = check_circuit(gamma, sel, first, ctx, spent)
-            ctx.record(term, w1)
             bindings = bind_pattern(p, w1, term.loc)
             _bindings_fresh(bindings, remaining, term.loc)
-            new_spent = (spent | {w for w, _ in sel}) - {x for x, _ in bindings}
+            ctx.record(term, Split(fw, bindings))
+            new_spent = (spent | fw) - {x for x, _ in bindings}
             return check_circuit(
-                gamma, tuple(bindings) + remaining, rest, ctx, new_spent
+                gamma, bindings + remaining, rest, ctx, new_spent
             )
         case UnitElim(p, rest):
-            names = set(pattern_wires(p))
+            names = _pattern_names(p, term.loc)
             sel, remaining = _select(omega, names, term.loc, spent)
             got = match_pattern(sel, p)
             if not isinstance(got, UnitW):
                 raise TypeCheckError(
                     MISMATCH, f"() <- pattern of type {got}", term.loc
                 )
+            ctx.record(term, Split(names))
             return check_circuit(
-                gamma, remaining, rest, ctx, spent | {w for w, _ in sel}
+                gamma, remaining, rest, ctx, spent | set(names)
             )
         case PairElim(w1, w2, p, rest):
             if w1 == w2:
                 raise TypeCheckError(
                     PATTERN_SHAPE, f"duplicate wire {w1!r} in pair binder", term.loc
                 )
-            names = set(pattern_wires(p))
+            names = _pattern_names(p, term.loc)
             sel, remaining = _select(omega, names, term.loc, spent)
             got = match_pattern(sel, p)
             if not isinstance(got, TensorW):
                 raise TypeCheckError(
                     MISMATCH, f"(w1, w2) <- pattern of type {got}", term.loc
                 )
-            bindings = [(w1, got.left), (w2, got.right)]
+            bindings = ((w1, got.left), (w2, got.right))
             _bindings_fresh(bindings, remaining, term.loc)
-            new_spent = (spent | {w for w, _ in sel}) - {w1, w2}
+            ctx.record(term, Split(names, bindings))
+            new_spent = (spent | set(names)) - {w1, w2}
             return check_circuit(
-                gamma, tuple(bindings) + remaining, rest, ctx, new_spent
+                gamma, bindings + remaining, rest, ctx, new_spent
             )
         case Gate(out_p, g, in_p, rest):
             try:
                 w_in, w_out = algebra.gate_signature(g, ctx.gates)
             except algebra.UnknownGate as e:
                 raise TypeCheckError(GATE_SIGNATURE, str(e.args[0]), term.loc)
-            names = set(pattern_wires(in_p))
+            names = _pattern_names(in_p, term.loc)
             sel, remaining = _select(omega, names, term.loc, spent)
             got = match_pattern(sel, in_p)
             if got != w_in:
@@ -299,17 +328,18 @@ def check_circuit(
                 )
             bindings = bind_pattern(out_p, w_out, term.loc)
             _bindings_fresh(bindings, remaining, term.loc)
-            new_spent = (spent | {w for w, _ in sel}) - {x for x, _ in bindings}
+            ctx.record(term, Split(names, bindings))
+            new_spent = (spent | set(names)) - {x for x, _ in bindings}
             return check_circuit(
-                gamma, tuple(bindings) + remaining, rest, ctx, new_spent
+                gamma, bindings + remaining, rest, ctx, new_spent
             )
         case Lift(x, p, rest) | QLift(x, p, rest):
-            names = set(pattern_wires(p))
+            names = _pattern_names(p, term.loc)
             sel, remaining = _select(omega, names, term.loc, spent)
             v = match_pattern(sel, p)
             sugar = isinstance(term, QLift)
             if sugar:
-                ctx.record(term, v)
+                ctx.record(term, Split(names, (), v))
                 v = classicalize(v)
             elif not is_classical(v):
                 raise TypeCheckError(
@@ -318,30 +348,12 @@ def check_circuit(
             gamma2 = dict(gamma)
             gamma2[x] = lift_type(v)
             w_out = check_circuit(
-                gamma2, remaining, rest, ctx, spent | {w for w, _ in sel}
+                gamma2, remaining, rest, ctx, spent | set(names)
             )
             if not sugar:
-                ctx.record(term, w_out)
+                ctx.record(term, Split(names, (), (v, w_out)))
             return w_out
     raise TypeCheckError(MISMATCH, f"not a circuit term: {term!r}")
-
-
-def _checked_consume_all(omega, p, loc, spent):
-    if not pattern_linear(p):
-        raise TypeCheckError(PATTERN_SHAPE, f"duplicate wire in pattern {p}", loc)
-    names = pattern_wires(p)
-    declared = dict(omega)
-    missing = [x for x in names if x not in declared]
-    if missing:
-        kind = LINEARITY if missing[0] in spent else UNBOUND_WIRE
-        verb = "already consumed" if kind == LINEARITY else "not in scope"
-        raise TypeCheckError(kind, f"wire {missing[0]!r} {verb}", loc)
-    unused = [x for x, _ in omega if x not in set(names)]
-    if unused:
-        raise TypeCheckError(
-            LINEARITY, f"wire {unused[0]!r} is dropped", loc
-        )
-    return pattern_type(declared, p, loc)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +441,8 @@ def _infer_host(gamma, term, ctx, expected):
         case Box(p, w, body):
             _no_qlist(w, term.loc)
             bindings = bind_pattern(p, w, term.loc)
-            w2 = check_circuit(gamma, tuple(bindings), body, ctx)
-            ctx.record(term, (w, w2))
+            w2 = check_circuit(gamma, bindings, body, ctx)
+            ctx.record(term, (w, w2, bindings))
             return CircT(w, w2)
         case Run(c):
             w = check_circuit(gamma, (), c, ctx)
@@ -494,14 +506,13 @@ def _infer_host(gamma, term, ctx, expected):
             return ArrowT(ArrowT(rec, rec), rec)
         case GateFam(name, ix):
             check_host(gamma, ix, ctx, _int_type(ctx))
-            if name == "CR":
-                qq = TensorW(QUBIT, QUBIT)
-                return CircT(qq, qq)
-            if name == "R":
-                return CircT(QUBIT, QUBIT)
-            raise TypeCheckError(
-                GATE_SIGNATURE, f"unknown gate family {name!r}", term.loc
-            )
+            w = {"CR": TensorW(QUBIT, QUBIT), "R": QUBIT}.get(name)
+            if w is None:
+                raise TypeCheckError(
+                    GATE_SIGNATURE, f"unknown gate family {name!r}", term.loc
+                )
+            ctx.record(term, (w, w))
+            return CircT(w, w)
         case Ascribe(t, ann):
             _check_host_type(ann, term.loc)
             return check_host(gamma, t, ctx, ann)
@@ -633,9 +644,9 @@ def elaborate_sugar(prog: Program) -> Program:
                     Compose(WireP(x), elab(c), Unbox(meas, WireP(x))), loc=n.loc
                 )
             case QLift(x, p, rest):
-                w = ctx.lookup(n)
-                assert w is not None, "sugar node escaped the checking pass"
-                meas = generate_meas_circuit(w)
+                split = ctx.lookup(n)
+                assert split is not None, "sugar node escaped the checking pass"
+                meas = generate_meas_circuit(split.own)
                 y = _fresh_name("y", free_wires(rest) | set(pattern_wires(p)))
                 return Compose(
                     WireP(y),

@@ -146,6 +146,9 @@ NO_TRACEBACK_CASES = [
     (["run", "programs/hs.ew", "--mode", "cpsu", "--fuel", "-1"], 3, "usage error:"),
     (["normalize", "programs/teleport.ew", "--entry", "teleport", "--max-steps", "-1"],
      3, "usage error:"),
+    (["denote", "programs/teleport.ew", "--entry", "teleport", "--tol=-1"], 3, "usage error:"),
+    (["equiv", "programs/classical_control.ew", "cc_boxed", "cc_host", "--tol=nan"],
+     3, "usage error:"),
 ]
 
 
@@ -156,7 +159,8 @@ NO_TRACEBACK_CASES = [
 def test_evaluation_error_exits_without_traceback(argv, code, prefix):
     # cpu mode rejects the fixed point of hs.ew, and an out-of-range int
     # of qft.ew at size 3; both are diagnostics, not tracebacks, and so
-    # are negative counts of shots, fuel or rewrite steps
+    # are negative counts of shots, fuel or rewrite steps and a negative
+    # or non-finite tolerance
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p

@@ -13,13 +13,14 @@ from ewire.denote import (
     PartialityError, UnitV, decode_value, denote_context, denote_wire,
     enumerate_classical, evaluate_program, fix_eval, sample,
 )
+from ewire.normalize import normalize
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.qlist import monomorphize
 from ewire.syntax import (
-    BIT, CircDecl, ClassicalW, DefDecl, GateRef, QUBIT, TensorW, UnitW,
+    BIT, CircDecl, ClassicalW, DefDecl, GateRef, QUBIT, TensorW, UnitW, children,
 )
 from ewire.typecheck import (
-    check_circuit, check_program, elaborate_sugar, _default_ctx,
+    check_circuit, check_host, check_program, elaborate_sugar, _default_ctx,
 )
 
 from tests.gen import random_circuit
@@ -516,7 +517,9 @@ PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 def test_evaluator_never_rechecks(monkeypatch):
+    import ewire.algebra
     import ewire.denote
+    import ewire.syntax
     import ewire.typecheck
 
     checked = []
@@ -540,8 +543,12 @@ def test_evaluator_never_rechecks(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the evaluator re-ran the typechecker")
 
-    for module in (ewire.denote, ewire.typecheck):
-        for name in ("check_circuit", "check_host"):
+    # nor does it type a pattern or a gate, or collect wire names, under
+    # whatever name a module holds these functions by
+    names = {"check_circuit", "check_host", "bind_pattern", "pattern_type",
+             "match_pattern", "gate_signature", "free_wires", "pattern_wires"}
+    for module in (ewire.algebra, ewire.denote, ewire.syntax, ewire.typecheck):
+        for name in names & vars(module).keys():
             monkeypatch.setattr(module, name, forbidden)
     for cp, modes in checked:
         for mode in modes:
@@ -557,8 +564,10 @@ def test_evaluator_never_rechecks(monkeypatch):
 @pytest.mark.parametrize("text", [
     "box q : qubit => output q",
     "run (a <- gate init0 (); b <- gate meas a; output b)",
+    "CR 2",
 ])
 def test_evaluator_rejects_unchecked_terms(text):
+    check_host({}, parse_host_term(text))
     term = parse_host_term(text)
     kind = type(term).__name__
     with pytest.raises(EvalError, match=f"{kind} at 1:0 was not checked"):
@@ -569,10 +578,49 @@ def test_evaluator_rejects_unchecked_terms(text):
     ("u <- output b; output u", "Compose"),
     ("x <= lift b; output ()", "Lift"),
     ("x <= lift b; n <- init x; output n", "Lift"),
+    ("output b", "Output"),
+    ("unbox (box c : bit => output c) b", "Unbox"),
+    ("() <- (); output b", "UnitElim"),
+    ("(x, y) <- (b, ()); output (x, y)", "PairElim"),
+    ("() <- gate discard b; output ()", "Gate"),
 ])
 def test_unchecked_circuits_rejected(text, kind):
+    # each term is well typed: only the missing records stop it
+    omega = (("b", BIT),)
+    check_circuit({}, omega, parse_circuit(text))
+    term = parse_circuit(text)
+    assert type(term).__name__ == kind
     with pytest.raises(EvalError, match=f"{kind} at 1:0 was not checked"):
-        Evaluator().denote_circuit(None, (("b", BIT),), parse_circuit(text), {})
+        Evaluator().denote_circuit(None, omega, term, {})
+
+
+def _nodes(n):
+    yield n
+    for c in children(n):
+        yield from _nodes(c)
+
+
+def test_shared_subterms_denote_as_under_a_fresh_context():
+    # normalize shares unchanged subterms between a circuit and its normal
+    # form; checking both into one context, as the rewrite benchmark
+    # does, must leave every record right for both
+    sharing = 0
+    for seed in range(2000, 2100):
+        omega, term = random_circuit(seed, max_qubits=4, max_stmts=12)
+        nf, _ = normalize(term, max_steps=600)
+        if nf is not term:
+            sharing += bool({id(n) for n in _nodes(term)} & {id(n) for n in _nodes(nf)})
+        shared = _default_ctx()
+        check_circuit({}, omega, term, shared)
+        check_circuit({}, omega, nf, shared)
+        for t in (term, nf):
+            fresh = _default_ctx()
+            check_circuit({}, omega, t, fresh)
+            for mode in (Mode.cpu(), Mode.cpsu()):
+                a = Evaluator(ctx=shared, mode=mode).denote_circuit(None, omega, t, {})
+                b = Evaluator(ctx=fresh, mode=mode).denote_circuit(None, omega, t, {})
+                assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert sharing > 0
 
 
 def test_module_entry_points_check_their_input():
@@ -790,6 +838,6 @@ def test_row_views_match_materialised_path(monkeypatch):
             return SuperOp(op.source, op.target, op.matrix)
         return run
 
-    for name in ("compose_tensored", "copower_stack", "permutation_superop"):
+    for name in ("compose_tensored", "copower_stack", "op_identity"):
         monkeypatch.setattr(ewire.denote, name, materialised(getattr(ewire.denote, name)))
     assert _denote_jobs(jobs) == views

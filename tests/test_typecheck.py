@@ -5,10 +5,10 @@ import pytest
 
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.syntax import (
-    BIT, Box, CircT, ClassicalLit, ClassicalT, ClassicalW, Compose, Gate,
-    Init, IntLit, Lift, MonadT, Output, PairElim, PairP, Prim, QLift, QRun,
-    QUBIT, TensorW, UnitElim, UnitP, UnitW, Unbox, Var, WireP, classicalize,
-    contains, pretty_print,
+    BIT, Box, CircDecl, CircT, ClassicalLit, ClassicalT, ClassicalW, Compose,
+    DefDecl, Gate, Init, IntLit, Lift, MonadT, Output, PairElim, PairP, Prim,
+    QLift, QRun, QUBIT, TensorW, UnitElim, UnitP, UnitW, Unbox, Var, WireP,
+    children, classicalize, pretty_print,
 )
 from ewire.typecheck import (
     TypeCheckError, check_circuit, check_host, check_program,
@@ -297,6 +297,28 @@ def test_gate_signature_mismatch():
     assert e.value.kind == "GateSignature"
 
 
+@pytest.mark.parametrize("text", [
+    "output (b, b)",
+    "(x, y) <- gate CNOT (b, b); output (x, y)",
+    "(x, y) <- (b, b); output (x, y)",
+    "() <- (b, b); output ()",
+    "x <= lift (b, b); output ()",
+])
+def test_duplicate_wire_in_pattern_reported_first_at_its_node(text):
+    # b is unbound as well: every pattern reports the duplicate first
+    with pytest.raises(TypeCheckError) as e:
+        check_circuit({}, (("a", BIT),), parse_circuit(f"() <- gate discard a; {text}"))
+    assert e.value.kind == "PatternShape"
+    assert e.value.message == "duplicate wire in pattern (b, b)"
+    assert str(e.value.loc) == "1:22"
+
+
+def test_composition_names_the_first_unbound_wire_in_name_order():
+    c = parse_circuit("w <- output (e, (c, (d, b))); output w")
+    with pytest.raises(TypeCheckError, match="wire 'b' not in scope"):
+        check_circuit({}, (("a", QUBIT),), c)
+
+
 def test_lift_rejects_quantum():
     c = parse_circuit("x <= lift q; output ()")
     with pytest.raises(TypeCheckError) as e:
@@ -445,7 +467,11 @@ def f : Circ(qubit, bit * qubit) =
     )
     before = check_program(prog)
     el = elaborate_sugar(prog)
-    assert not contains(el, (QRun, QLift))
+
+    def sugar_free(n):
+        return not isinstance(n, (QRun, QLift)) and all(map(sugar_free, children(n)))
+
+    assert all(sugar_free(d.term) for d in el.decls if isinstance(d, (DefDecl, CircDecl)))
     after = check_program(el)
     assert before.def_types == after.def_types
 
