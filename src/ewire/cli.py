@@ -352,7 +352,7 @@ def main(argv=None) -> int:
         _diag(args, e.kind, e.message, [e.loc.line, e.loc.col] if e.loc else None)
         return 1
     except QListError as e:
-        _diag(args, "QListError", str(e), None)
+        _diag(args, "QListError", str(e), [e.loc.line, e.loc.col] if e.loc else None)
         return 1
     except EvalError as e:
         _diag(args, type(e).__name__, str(e), None)

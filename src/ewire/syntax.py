@@ -208,6 +208,17 @@ def unlift_type(a: HostType) -> WireType:
             raise NotClassicalError(f"{pretty_print(a)} is not a first-order host type")
 
 
+def mentions_qlist(t) -> bool:
+    """True iff the wire or host type ``t`` contains ``qlist``."""
+    match t:
+        case QListW():
+            return True
+        case TensorW(l, r) | CircT(l, r) | ArrowT(l, r):
+            return mentions_qlist(l) or mentions_qlist(r)
+        case _:
+            return False
+
+
 # ---------------------------------------------------------------------------
 # Patterns
 # ---------------------------------------------------------------------------

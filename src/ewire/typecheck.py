@@ -22,11 +22,11 @@ from .syntax import (
     ClassicalLit, ClassicalT, CircT, Compose, DefDecl, Fix, Gate,
     GateDecl, GateFam, GateRef, HostTerm, HostType, If, Init, IntLit,
     Lam, Lift, MonadT, NotClassicalError, Output, Pair, PairElim, PairP,
-    Pattern, Prim, Program, Proj, ProductT, QListW, QUBIT, QuantumW,
+    Pattern, Prim, Program, Proj, ProductT, QUBIT, QuantumW,
     QLift, QRun, Ret, Run, Span, TensorW, UnitElim, UnitP, UnitT,
     UnitVal, UnitW, Unbox, Var, WireP, WireType, _fresh_name,
     classicalize, free_wires, is_classical, lift_type, map_children,
-    pattern_linear, pattern_wires, unlift_type,
+    mentions_qlist, pattern_linear, pattern_wires, unlift_type,
 )
 
 # error kinds
@@ -97,16 +97,10 @@ def _int_type(ctx: CheckContext) -> ClassicalT:
 
 
 def _no_qlist(w: WireType, loc=None):
-    match w:
-        case QListW():
-            raise TypeCheckError(
-                MISMATCH, "qlist must be instantiated with --qlist-size", loc
-            )
-        case TensorW(l, r):
-            _no_qlist(l, loc)
-            _no_qlist(r, loc)
-        case _:
-            pass
+    if mentions_qlist(w):
+        raise TypeCheckError(
+            MISMATCH, "qlist must be instantiated with --qlist-size", loc
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from ewire import algebra
 from ewire.cli import main
+from tests.test_qlist import LIFTS_A_QUBIT, SIZED_BY_OUTPUT
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS = ROOT / "programs"
@@ -152,15 +153,7 @@ NO_TRACEBACK_CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv,code,prefix", NO_TRACEBACK_CASES,
-    ids=[f"argv{i}" for i in range(len(NO_TRACEBACK_CASES))],
-)
-def test_evaluation_error_exits_without_traceback(argv, code, prefix):
-    # cpu mode rejects the fixed point of hs.ew, and an out-of-range int
-    # of qft.ew at size 3; both are diagnostics, not tracebacks, and so
-    # are negative counts of shots, fuel or rewrite steps and a negative
-    # or non-finite tolerance
+def _assert_no_traceback(argv, code, prefix):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p
@@ -173,6 +166,28 @@ def test_evaluation_error_exits_without_traceback(argv, code, prefix):
     assert proc.stdout == ""
     assert proc.stderr.startswith(prefix)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,code,prefix", NO_TRACEBACK_CASES,
+    ids=[f"argv{i}" for i in range(len(NO_TRACEBACK_CASES))],
+)
+def test_evaluation_error_exits_without_traceback(argv, code, prefix):
+    # cpu mode rejects the fixed point of hs.ew, and an out-of-range int
+    # of qft.ew at size 3; both are diagnostics, not tracebacks, and so
+    # are negative counts of shots, fuel or rewrite steps and a negative
+    # or non-finite tolerance
+    _assert_no_traceback(argv, code, prefix)
+
+
+@pytest.mark.parametrize(
+    "src", [SIZED_BY_OUTPUT, LIFTS_A_QUBIT],
+    ids=["sized_by_output", "lift_of_a_qubit"],
+)
+def test_ill_formed_template_exits_without_traceback(tmp_path, src):
+    f = tmp_path / "f.ew"
+    f.write_text(src)
+    _assert_no_traceback(["check", str(f), "--qlist-size", "1"], 1, "error[QListError]")
 
 
 def test_check_qlist_size_instantiates_templates(capsys):

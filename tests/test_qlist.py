@@ -8,7 +8,7 @@ from ewire.parser import parse_program
 from ewire.qlist import (
     QListError, list_size, monomorphize, qlist_type, subst_qlist,
 )
-from ewire.syntax import GateRef, QUBIT, QListW, TensorW, UnitW
+from ewire.syntax import ArrowT, CircT, GateRef, QUBIT, QListW, TensorW, UnitW
 from ewire.typecheck import check_program
 
 QFT_SRC = (Path(__file__).resolve().parent.parent / "programs" / "qft.ew").read_text()
@@ -49,12 +49,32 @@ def test_monomorphize_generates_sized_decls():
     assert set(names) == seen
 
 
-def test_monomorphized_program_typechecks():
+def _sized(ann, k):
+    if isinstance(ann, ArrowT):
+        return ArrowT(ann.arg, _sized(ann.result, k))
+    return CircT(subst_qlist(ann.w_in, k), subst_qlist(ann.w_out, k))
+
+
+QFT_INSTANCES = [
+    (k, e) for k in range(7) for e in ["fourier", "length", "rotations", None]
+]
+
+
+@pytest.mark.parametrize(
+    "size,entry", QFT_INSTANCES, ids=[f"{e}-{k}" for k, e in QFT_INSTANCES]
+)
+def test_monomorphized_program_typechecks(size, entry):
+    # every instance f__k checks at its template's type with qlist := k
     prog = parse_program(QFT_SRC)
-    mono, entry = monomorphize(prog, 3, "fourier")
+    mono, new_entry = monomorphize(prog, size, entry)
     cp = check_program(mono)
-    sig = cp.def_types[entry]
-    assert str(sig) == f"Circ({qlist_type(3)}, {qlist_type(3)})"
+    instances = [d.name for d in mono.decls if "__" in getattr(d, "name", "")]
+    if entry is not None:
+        assert new_entry == f"{entry}__{size}"
+    assert instances
+    for name in instances:
+        template, k = name.rsplit("__", 1)
+        assert cp.def_types[name] == _sized(prog.find(template).ann, int(k))
 
 
 def test_unsized_qlist_program_rejected():
@@ -112,24 +132,56 @@ def close : Circ(qlist, qlist) =
     assert env[entry].op.matrix.shape == (1, 1)
 
 
-def test_headtail_on_empty_list_rejected():
-    src = """
+# a template whose list size only its output fixes
+SIZED_BY_OUTPUT = """
+def mk : Circ(qubit, qlist) =
+  box q : qubit => ( n <- gate nil (); qs <- gate cons (q, n); output qs )
+def user : Circ(qubit, qlist) = box q : qubit => ( r <- unbox mk q; output r )
+"""
+
+LIFTS_A_QUBIT = """
+def bad : Circ(qlist, qlist) =
+  box qs : qlist => ((h, t) <- gate headtail qs; x <= lift h; output t)
+"""
+
+ILL_FORMED_TEMPLATES = {
+    "headtail_on_empty_list": ("""
 def bad : Circ(qlist, qubit * qlist) =
   box qs : qlist => ((h, t) <- gate headtail qs; output (h, t))
-"""
-    prog = parse_program(src)
-    with pytest.raises(QListError):
-        monomorphize(prog, 0, "bad")
-
-
-def test_isempty_without_idiom_rejected():
-    src = """
+""", 0),
+    "isempty_without_idiom": ("""
 def bad : Circ(qlist, bit * qlist) =
   box qs : qlist => ((b, qs2) <- gate isempty qs; output (b, qs2))
-"""
-    prog = parse_program(src)
+""", 1),
+    "sized_by_output": (SIZED_BY_OUTPUT, 1),
+    "lift_of_a_qubit": (LIFTS_A_QUBIT, 1),
+    "pair_pattern_on_a_qubit": ("""
+def bad : Circ(qubit * qlist, qubit) =
+  box ((a, b), t) : qubit * qlist => output a
+""", 1),
+    "cons_of_a_non_list": ("""
+def bad : Circ(qlist, qlist) =
+  box qs : qlist => ((h, t) <- gate headtail qs; qs2 <- gate cons (h, h); output qs2)
+""", 1),
+    "nil_binding_a_pair": ("""
+def bad : Circ(qlist, qlist) = box qs : qlist => ((a, b) <- gate nil (); output qs)
+""", 1),
+    "unbound_family": ("""
+def bad : Circ(qlist, qlist) =
+  box qs : qlist =>
+    ( (h, t) <- gate headtail qs;
+      h2 <- unbox (nosuch 2) h;
+      qs2 <- gate cons (h2, t);
+      output qs2 )
+""", 1),
+}
+
+
+@pytest.mark.parametrize("case", list(ILL_FORMED_TEMPLATES))
+def test_ill_formed_template_raises_qlist_error(case):
+    src, size = ILL_FORMED_TEMPLATES[case]
     with pytest.raises(QListError):
-        monomorphize(prog, 1, "bad")
+        monomorphize(parse_program(src), size, None)
 
 
 def test_non_template_entry_passthrough():
