@@ -444,6 +444,17 @@ def op_tensor(f: SuperOp, g: SuperOp) -> SuperOp:
     return SuperOp(src, tgt, out)
 
 
+def tensored_layout(f: SuperOp, rest: FdAlgebra):
+    """``(source, target, pin, pout)`` of ``f (x) id_rest``: its algebras,
+    and the canonical row ``pin[j, k]`` of source pair ``(j, k)`` and
+    ``pout[i, k]`` of target pair ``(i, k)``.  These are the dimension
+    checks of ``compose_tensored``, in its order."""
+    src = alg_tensor(f.source, rest)
+    pin = factor_index_map((f.source, rest))
+    pout = factor_index_map((f.target, rest))
+    return src, alg_tensor(f.target, rest), pin, pout
+
+
 def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
                      rows: np.ndarray | None = None) -> SuperOp:
     """Compute ``(f (x) id_rest) . g`` without materialising the Kronecker
@@ -461,14 +472,11 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
     product otherwise.  Any other ``f`` is multiplied densely between a
     gather and a scatter.
     """
-    src_mid = alg_tensor(f.source, rest)
+    src_mid, tgt, pin, pout = tensored_layout(f, rest)
     if g.target != src_mid:
         raise DimensionMismatch("continuation does not produce f.source (x) rest")
-    pin = factor_index_map((f.source, rest))
-    pout = factor_index_map((f.target, rest))
     if rows is not None:
         pout = rows[pout]
-    tgt = alg_tensor(f.target, rest)
     nonzero = _monomial_rows(f)
     if nonzero is not None:
         nz_rows, nz_cols, vals = nonzero
@@ -602,7 +610,8 @@ def copower_stack(fs: Sequence[SuperOp], *, rows: np.ndarray | None = None) -> S
     """Assemble maps f_v : X -> Y into the single map X -> (n . Y) whose
     v-th summand is f_v, placed by ``rows`` if set (a zero f_v writes
     nothing, so its rows are ``+0``).  When every f_v is a row view of
-    the identity, so is the result; otherwise it is dense."""
+    the identity, so is the result; otherwise it is a row view over the
+    dense rows of the nonzero f_v, and no zero row is allocated."""
     if not fs:
         raise ZeroCopower("cannot stack zero maps")
     src = fs[0].source
@@ -614,23 +623,29 @@ def copower_stack(fs: Sequence[SuperOp], *, rows: np.ndarray | None = None) -> S
     blocks = [(f, slice(v * tgt.dim, (v + 1) * tgt.dim)) for v, f in enumerate(fs)]
     if rows is not None:
         blocks = [(f, rows[block]) for f, block in blocks]
-    if all(f._index is not None and f._base is None for f in fs):
+    blocks = [(f, block) for f, block in blocks if not _is_zero_view(f)]
+    if all(f._index is not None and f._base is None for f, _ in blocks):
         index = np.full(stacked.dim, -1, dtype=np.intp)
-        blocks = [(f, block) for f, block in blocks if not _is_zero_view(f)]
         vals = _stacked_rows(blocks, "_vals", 1.0, stacked.dim)
         fill = _stacked_rows(blocks, "_fill", 0.0, stacked.dim)
         for f, block in blocks:
             index[block] = f._index
         return SuperOp.row_view(src, stacked, index, None, vals, fill)
-    out = np.zeros((stacked.dim, src.dim), dtype=complex)
-    for f, block in blocks:
-        if f.matrix.any():
-            out[block] = f.matrix
-    return SuperOp(src, stacked, out)
+    parts = [(f.matrix, block) for f, block in blocks]
+    parts = [(m, block) for m, block in parts if m.any()]
+    index = np.full(stacked.dim, -1, dtype=np.intp)
+    if not parts:
+        return SuperOp.row_view(src, stacked, index)
+    for v, (_, block) in enumerate(parts):
+        index[block] = np.arange(v * tgt.dim, (v + 1) * tgt.dim)
+    base = parts[0][0] if len(parts) == 1 else np.concatenate([m for m, _ in parts])
+    return SuperOp.row_view(src, stacked, index, base)
 
 
 def _is_zero_view(f: SuperOp) -> bool:
-    """Whether every entry of an identity-based view is zero."""
+    """Whether ``f`` is an identity-based view with every entry zero."""
+    if f._index is None or f._base is not None:
+        return False
     live = f._index >= 0
     return not (live.any() if f._vals is None else f._vals[live].any())
 

@@ -341,7 +341,14 @@ def main(argv=None) -> int:
         "equiv": cmd_equiv,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; stdout now discards, so the flush at
+        # interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 3

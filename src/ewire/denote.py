@@ -20,19 +20,28 @@ step splits and binds its wires, from that context's table, and raises
 ``EvalError`` where a record is missing.  It never types a pattern.
 The module-level ``denote_circuit`` and ``eval_host`` check their input
 first.
+
+A ``lift`` denotes one branch per classical value, but a branch whose
+rows no later step reads is not computed: it is traversed for its host
+terms, fuel, errors and dimension checks, and stacked as zero (see
+``Evaluator``).  Which rows are read follows from the exact nonzeros of
+maps already denoted, so every result is bit-identical to denoting every
+branch.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .algebra import (
-    Distribution, FdAlgebra, NonClassicalSource, SCALARS, SuperOp,
-    alg_tensor, compose_tensored, copower_stack, factor_permutation,
-    gate_denotation, op_identity, op_relabel, op_zero,
-    state_to_distribution, tensor_many,
+    Distribution, FdAlgebra, NonClassicalSource, ResourceLimit, SCALARS,
+    SuperOp, alg_copower, alg_tensor, compose_tensored, copower_stack,
+    factor_permutation, gate_denotation, max_dim, op_identity, op_relabel,
+    op_zero, state_to_distribution, tensor_many, tensored_layout,
 )
 from .syntax import (
     App, Ascribe, Bind, Box, ClassicalLit, ClassicalW, Compose, DefDecl,
@@ -225,6 +234,20 @@ def denote_wire(w: WireType) -> FdAlgebra:
     """The algebra of a wire type: scalars for I, the k-fold sum of
     scalars for a classical base of size k, a full matrix block for a
     quantum base, tensors structurally."""
+    return _denote_wire(w, max_dim())
+
+
+def denote_context(omega) -> FdAlgebra:
+    return _denote_context(tuple(ty for _, ty in omega), max_dim())
+
+
+# Memoised per dimension cap: a result was checked under the cap in its
+# key, and a ResourceLimit is never cached, so it is raised again at
+# the same step with the same message.
+
+
+@functools.lru_cache(maxsize=4096)
+def _denote_wire(w: WireType, cap: int) -> FdAlgebra:
     match w:
         case UnitW():
             return SCALARS
@@ -233,12 +256,13 @@ def denote_wire(w: WireType) -> FdAlgebra:
         case QuantumW(_, d):
             return FdAlgebra((d,))
         case TensorW(l, r):
-            return alg_tensor(denote_wire(l), denote_wire(r))
+            return alg_tensor(_denote_wire(l, cap), _denote_wire(r, cap))
     raise EvalError(f"no denotation for wire type {w!r}")
 
 
-def denote_context(omega) -> FdAlgebra:
-    return tensor_many([denote_wire(ty) for _, ty in omega])
+@functools.lru_cache(maxsize=4096)
+def _denote_context(types: tuple, cap: int) -> FdAlgebra:
+    return tensor_many([_denote_wire(ty, cap) for ty in types])
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +301,19 @@ class Evaluator:
     nonzero per row) computes a new row index for a ``SuperOp.row_view``
     (scaling rows of a dense base still gathers them); no step copies a
     matrix to reorder it.
+
+    Each step also receives which rows of its result a later step reads.
+    A ``Compose`` or ``Gate`` denotes its own map ``f`` before its
+    continuation, and ``f (x) id`` reads, of each column block of the
+    continuation it needs, the rows of ``f``'s exact nonzeros if ``f`` is
+    monomial and every row if it is dense.  This demand travels down as
+    a lazy tuple per step, placed like the rows it describes, and only a
+    ``lift`` resolves it to a row mask.  A branch with no row in the
+    mask is traversed dead: host evaluation, ``init``, fuel and
+    ``PartialityError`` are as in a live branch and every dimension
+    check is made, but ``compose_tensored`` and ``copower_stack`` are
+    not called and the branch stacks as zero.  Only the rows in a
+    step's demand are exact; ``denote_circuit`` demands every row.
     """
 
     def __init__(self, ctx: CheckContext | None = None, mode: Mode | None = None):
@@ -424,7 +461,14 @@ class Evaluator:
     def denote_circuit(self, gamma: dict | None, omega, term, env: dict) -> SuperOp:
         """The Heisenberg map of ``gamma; omega |- term : W``, from the
         algebra of W to the algebra of the ordered context."""
-        omega = tuple(omega)
+        return self._denote(tuple(omega), term, env, None)
+
+    def _denote(self, omega: tuple, term, env: dict, need) -> SuperOp:
+        """``denote_circuit``, where ``need`` says which rows of the result
+        a later step reads: None for every row, else a row mask or a lazy
+        demand for one (see ``_resolve``), or ``_DEAD`` for none.  Only
+        rows in ``need`` are exact; a dead step computes no matrix."""
+        dead = need is _DEAD
         rows = None
         match term:
             case Output(_):
@@ -433,64 +477,78 @@ class Evaluator:
                 h, rows = op_identity(denote_context(sel)), _placement(omega, sel)
             case Unbox(t, _):
                 sel, _ = _split_context(omega, self._checked(term).consumes)
-                v = self.eval_host(gamma, t, env)
+                v = self.eval_host(None, t, env)
                 if not isinstance(v, CircV):
                     raise EvalError(f"unbox of non-circuit value {v!r}")
                 h, rows = v.op, _placement(omega, sel)
             case Init(t):
                 v = self._checked(term).own
-                hv = self.eval_host(gamma, t, env)
+                hv = self.eval_host(None, t, env)
                 idx = classical_index(v, encode_value(v, hv))
                 index = np.array([idx], dtype=np.intp)
                 return SuperOp.row_view(denote_wire(v), SCALARS, index)
             case Compose(_, first, rest):
                 split = self._checked(term)
                 sel, remaining = _split_context(omega, split.consumes)
-                f1 = self.denote_circuit(gamma, sel, first, env)
-                f2 = self.denote_circuit(gamma, split.binds + remaining, rest, env)
-                h = compose_tensored(f1, denote_context(remaining), f2,
-                                     rows=_placement(omega, sel + remaining))
+                f1 = self._denote(sel, first, env, _DEAD if dead else None)
+                f2 = self._denote(split.binds + remaining, rest, env,
+                                  _DEAD if dead else (need, omega, sel, remaining, f1))
+                h = _compose(f1, denote_context(remaining), f2,
+                             _placement(omega, sel + remaining), dead)
             case UnitElim(_, rest):
                 _, remaining = _split_context(omega, self._checked(term).consumes)
-                h = self.denote_circuit(gamma, remaining, rest, env)
+                h = self._denote(remaining, rest, env, need)
             case PairElim(_, _, _, rest):
                 split = self._checked(term)
                 sel, remaining = _split_context(omega, split.consumes)
-                h = self.denote_circuit(gamma, split.binds + remaining, rest, env)
+                h = self._denote(split.binds + remaining, rest, env,
+                                 _DEAD if dead else (need, omega, sel, remaining, None))
                 rows = _placement(omega, sel + remaining)
             case Gate(_, g, _, rest):
                 split = self._checked(term)
                 gop = gate_denotation(g)
                 sel, remaining = _split_context(omega, split.consumes)
-                f2 = self.denote_circuit(gamma, split.binds + remaining, rest, env)
-                h = compose_tensored(gop, denote_context(remaining), f2,
-                                     rows=_placement(omega, sel + remaining))
-            case Lift(x, _, rest):
-                split = self._checked(term)
-                sel, remaining = _split_context(omega, split.consumes)
-                v, w = split.own
-                branches = []
-                for val in enumerate_classical(v):
-                    env2 = dict(env)
-                    env2[x] = decode_value(v, val)
-                    try:
-                        branches.append(
-                            self.denote_circuit(gamma, remaining, rest, env2)
-                        )
-                    except PartialityError:
-                        if not self.mode.is_cpsu:
-                            raise
-                        branches.append(
-                            op_zero(denote_wire(w), denote_context(remaining))
-                        )
-                # n.(remaining) is literally the algebra of V (x) remaining
-                h = copower_stack(branches, rows=_placement(omega, sel + remaining))
+                f2 = self._denote(split.binds + remaining, rest, env,
+                                  _DEAD if dead else (need, omega, sel, remaining, gop))
+                h = _compose(gop, denote_context(remaining), f2,
+                             _placement(omega, sel + remaining), dead)
+            case Lift():
+                h = self._lift(omega, term, env, need)
             case QLift(_, _, _):
                 raise EvalError("qlift must be elaborated before evaluation")
             case _:
                 raise EvalError(f"cannot denote {term!r}")
         # h's rows are in context order, or placed there by rows
         return op_relabel(h, denote_context(omega), rows=rows)
+
+    def _lift(self, omega: tuple, term: Lift, env: dict, need) -> SuperOp:
+        """The copower map of a lift, in canonical row order.  A branch
+        that no later step reads is traversed dead and stacked as zero."""
+        split = self._checked(term)
+        sel, remaining = _split_context(omega, split.consumes)
+        v, w = split.own
+        values = enumerate_classical(v)
+        needs = _branch_needs(need, omega, sel, remaining, len(values))
+        branches = []
+        for val, branch_need in zip(values, needs):
+            env2 = dict(env)
+            env2[term.var] = decode_value(v, val)
+            try:
+                op = self._denote(remaining, term.rest, env2, branch_need)
+                if branch_need is _DEAD:
+                    op = op_zero(op.source, op.target)
+            except PartialityError:
+                if not self.mode.is_cpsu:
+                    raise
+                op = op_zero(denote_wire(w), denote_context(remaining))
+            branches.append(op)
+        # n.(remaining) is literally the algebra of V (x) remaining
+        place = _placement(omega, sel + remaining)
+        if need is _DEAD:
+            # copower_stack's dimension check, and zero
+            src, tgt = branches[0].source, branches[0].target
+            return op_zero(src, alg_copower(len(branches), tgt))
+        return copower_stack(branches, rows=place)
 
     # -- running -------------------------------------------------------------
 
@@ -509,6 +567,80 @@ class Evaluator:
                     f"cpu-mode circuit produced total mass {mass}, expected 1"
                 )
         return dist
+
+
+_DEAD = "dead"  # the demand of a step no later step reads
+
+
+def _compose(f: SuperOp, rest: FdAlgebra, g: SuperOp, rows, dead: bool) -> SuperOp:
+    """``compose_tensored(f, rest, g, rows=rows)``; in a dead step only
+    the dimension checks that call makes, and zero."""
+    if not dead:
+        return compose_tensored(f, rest, g, rows=rows)
+    return op_zero(g.source, tensored_layout(f, rest)[1])
+
+
+def _resolve(need):
+    """The row mask of a demand, None for every row.
+
+    A lazy demand ``(parent, omega, sel, remaining, f)`` is built by a
+    step over ``omega`` that consumes ``sel``, for its continuation over
+    ``binds + remaining``; a chain of them ends in a mask or None.  The
+    chain is walked in a loop: it is as long as the circuit is deep.
+    """
+    chain = []
+    while need is not None and not isinstance(need, np.ndarray):
+        chain.append(need)
+        need = need[0]
+    for _, omega, sel, remaining, f in reversed(chain):
+        need = _read_through(need, omega, sel, remaining, f)
+    return need
+
+
+def _read_through(read, omega, sel, remaining, f):
+    """The rows of a step's continuation that the rows ``read`` of the
+    step's result read.  With ``f`` None the step only moves rows
+    (``PairElim``); otherwise it composes with ``f (x) id_remaining``
+    (``Compose``, ``Gate``), and composite row ``(i, k)`` reads
+    continuation row ``(j, k)`` for each exact nonzero ``f[i, j]`` of a
+    monomial ``f`` (as ``compose_tensored`` gathers them), and for every
+    ``j`` of a dense one."""
+    place = _placement(omega, sel + remaining)
+    if f is None:
+        return read if read is None or place is None else read[place]
+    _, _, pin, pout = tensored_layout(f, denote_context(remaining))
+    if read is None:
+        read_ik = np.ones(pout.shape, dtype=bool)
+    else:
+        read_ik = read[pout if place is None else place[pout]]
+    out = np.zeros(pin.size, dtype=bool)
+    # the module attribute: compose_tensored decides with the same function
+    nonzero = algebra._monomial_rows(f)
+    if nonzero is None:
+        out[pin[:, read_ik.any(axis=0)]] = True
+    else:
+        nz_rows, nz_cols, _ = nonzero
+        out[pin[nz_cols][read_ik[nz_rows]]] = True
+    return None if out.all() else out
+
+
+def _branch_needs(need, omega, sel, remaining, n: int) -> list:
+    """The demand on each of the ``n`` branches of a lift over ``omega``
+    that consumes ``sel``: ``_DEAD`` for a branch with no row read."""
+    if need is None or need is _DEAD:
+        return [need] * n
+    try:
+        read = _resolve(need)
+        place = _placement(omega, sel + remaining)
+    except ResourceLimit:
+        # every branch is live; the lift raises as it would unpruned
+        return [None] * n
+    if read is None:
+        return [None] * n
+    if place is not None:
+        read = read[place]
+    return [_DEAD if not r.any() else None if r.all() else r
+            for r in read.reshape(n, -1)]
 
 
 def _placement(omega, factors):

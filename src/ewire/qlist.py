@@ -278,8 +278,9 @@ def monomorphize(prog: Program, size: int, entry: str | None):
     """Instantiate the entry declaration (and its dependencies) at the
     given list size, or with no entry every list-typed declaration.
     Returns ``(program, entry_name)``; declarations whose types mention
-    qlist are replaced by their sized instances, everything else is
-    kept.  Every failure is a ``QListError``."""
+    qlist are replaced by their sized instances, after every other
+    declaration (an instance may use any annotated plain declaration),
+    and everything else is kept.  Every failure is a ``QListError``."""
     if size < 0:
         raise QListError("list size must be >= 0")
     templates = {}
@@ -314,5 +315,4 @@ def monomorphize(prog: Program, size: int, entry: str | None):
         raise QListError(e.args[0]) from None
     headers = [d for d in passthrough if isinstance(d, (ClassicalDecl, GateDecl))]
     others = [d for d in passthrough if not isinstance(d, (ClassicalDecl, GateDecl))]
-    decls = tuple(headers) + tuple(inst.order) + tuple(others)
-    return Program(decls), new_entry
+    return Program(tuple(headers) + tuple(others) + tuple(inst.order)), new_entry

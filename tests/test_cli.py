@@ -153,14 +153,18 @@ NO_TRACEBACK_CASES = [
 ]
 
 
-def _assert_no_traceback(argv, code, prefix):
+def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p
     )
+    return env
+
+
+def _assert_no_traceback(argv, code, prefix):
     proc = subprocess.run(
         [sys.executable, "-m", "ewire.cli", *argv],
-        cwd=ROOT, env=env, capture_output=True, text=True,
+        cwd=ROOT, env=_cli_env(), capture_output=True, text=True,
     )
     assert proc.returncode == code
     assert proc.stdout == ""
@@ -178,6 +182,21 @@ def test_evaluation_error_exits_without_traceback(argv, code, prefix):
     # are negative counts of shots, fuel or rewrite steps and a negative
     # or non-finite tolerance
     _assert_no_traceback(argv, code, prefix)
+
+
+def test_reader_closing_stdout_exits_without_traceback():
+    # the denotation's JSON (110 kB) outgrows a pipe's buffer (64 kB on
+    # Linux), so the write fails once the reader has gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ewire.cli", "denote", "programs/qft.ew",
+         "--entry", "fourier", "--qlist-size", "3", "--mode", "cpsu"],
+        cwd=ROOT, env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ewire.algebra
 from ewire.algebra import (
-    Distribution, SuperOp, alg, alg_copower, compose_tensored,
+    Distribution, ResourceLimit, SuperOp, alg, alg_copower, compose_tensored,
     frobenius_distance, gate_denotation, is_cp, is_subunital, is_unital,
     loewner_leq, op_compose, op_zero,
 )
@@ -17,7 +18,8 @@ from ewire.normalize import normalize
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.qlist import monomorphize
 from ewire.syntax import (
-    BIT, CircDecl, ClassicalW, DefDecl, GateRef, QUBIT, TensorW, UnitW, children,
+    BIT, CircDecl, ClassicalW, Compose, DefDecl, Gate, GateRef, Init, Lift,
+    Output, QUBIT, TensorW, UnitW, Var, WireP, children,
 )
 from ewire.typecheck import (
     check_circuit, check_host, check_program, elaborate_sugar, _default_ctx,
@@ -777,15 +779,30 @@ def _corpus_jobs():
     return jobs
 
 
+def _fingerprint(value):
+    """Bytes of every matrix in ``value`` (a map, a host value or a list)."""
+    match value:
+        case SuperOp():
+            return value.matrix.tobytes()
+        case CircV(w_in, w_out, op):
+            return (str(w_in), str(w_out), op.matrix.tobytes())
+        case DistV(weights):
+            return sorted((repr(k), w) for k, w in weights.items())
+        case list():
+            return [_fingerprint(v) for v in value]
+    return repr(value)
+
+
 def _denote_jobs(jobs):
-    """Each job's ``.matrix`` bytes, or its ``EvalError``, and the fuel
-    left, in cpu and cpsu mode."""
+    """Each job's ``_fingerprint``, or its ``EvalError``, and the fuel
+    left, in cpu and cpsu mode (fuel 100, so ``Hs (-1)`` bottoms out
+    within the default recursion limit)."""
     out = []
     for ctx, job in jobs:
-        for mode in (Mode.cpu(), Mode.cpsu()):
+        for mode in (Mode.cpu(), Mode.cpsu(100)):
             ev = Evaluator(ctx=ctx, mode=mode)
             try:
-                result = job(ev).matrix.tobytes()
+                result = _fingerprint(job(ev))
             except EvalError as e:
                 result = repr(e)
             out.append((result, ev.fuel))
@@ -841,3 +858,177 @@ def test_row_views_match_materialised_path(monkeypatch):
     for name in ("compose_tensored", "copower_stack", "op_identity"):
         monkeypatch.setattr(ewire.denote, name, materialised(getattr(ewire.denote, name)))
     assert _denote_jobs(jobs) == views
+
+
+# -- lift branches that no later step reads ------------------------------------------
+
+
+def _pruning_jobs():
+    """``_corpus_jobs``, the corpus's normal forms, QFT ``fourier`` at
+    n=5 and every declaration of ``programs/*.ew`` (``qft.ew``'s at list
+    size 3)."""
+    jobs = _corpus_jobs()
+    for seed in range(2000, 2100):
+        omega, term = random_circuit(seed, max_qubits=4, max_stmts=12)
+        out, _ = normalize(term, max_steps=600)
+        ctx = _default_ctx()
+        check_circuit({}, omega, out, ctx)
+        jobs.append((ctx, lambda ev, omega=omega, out=out:
+                     ev.denote_circuit(None, omega, out, {})))
+
+    def evaluate(cp):
+        def run(ev):
+            env, values = {}, []
+            for d in cp.program.decls:
+                if isinstance(d, DefDecl):
+                    env[d.name] = ev.eval_host(None, d.term, dict(env))
+                    values.append(env[d.name])
+                elif isinstance(d, CircDecl):
+                    omega = cp.circ_types[d.name][0]
+                    values.append(ev.denote_circuit(None, omega, d.term, env))
+            return values
+        return run
+
+    qft = parse_program((PROGRAMS / "qft.ew").read_text())
+    cp = check_program(monomorphize(qft, 5, "fourier")[0])
+    jobs.append((cp.ctx, evaluate(cp)))
+    for path in sorted(PROGRAMS.glob("*.ew")):
+        prog = parse_program(path.read_text())
+        if path.name == "qft.ew":
+            prog = monomorphize(prog, 3, None)[0]
+        cp = check_program(elaborate_sugar(prog))
+        jobs.append((cp.ctx, evaluate(cp)))
+    return jobs
+
+
+def _all_branches_live(monkeypatch):
+    import ewire.denote
+
+    monkeypatch.setattr(ewire.denote, "_branch_needs",
+                        lambda need, omega, sel, remaining, n: [None] * n)
+
+
+def _count_dead_branches(monkeypatch) -> list:
+    """A list that grows by one entry per lift branch found dead."""
+    import ewire.denote
+
+    needs, dead = ewire.denote._branch_needs, []
+
+    def spy(*args):
+        out = needs(*args)
+        dead.extend(b for b in out if b is ewire.denote._DEAD)
+        return out
+
+    monkeypatch.setattr(ewire.denote, "_branch_needs", spy)
+    return dead
+
+
+def test_pruned_lifts_match_every_branch_live(monkeypatch):
+    # QFT n=5 at the cap the benchmark sets
+    monkeypatch.setattr(ewire.algebra, "_max_dim", 1 << 17)
+    jobs = _pruning_jobs()
+    dead = _count_dead_branches(monkeypatch)
+    pruned = _denote_jobs(jobs)
+    assert len(dead) > 100
+    _all_branches_live(monkeypatch)
+    assert _denote_jobs(jobs) == pruned
+
+
+# `pick` fixes n = 2, so each lift below reads one branch of four; the
+# other three must still evaluate their host terms, spend their fuel and
+# make their dimension checks
+DEAD_BRANCHES = """
+classical int 4
+
+def rec Hs : int -> Circ(qubit, qubit) =
+  lambda n : int .
+    if n = 0 then box q : qubit => output q
+    else box q : qubit => (q' <- gate H q; unbox (Hs (n - 1)) q')
+
+def pick : Circ(qubit, int * qubit) =
+  box q : qubit => (n <- init (2 : int); output (n, q))
+
+def partial : Circ(qubit, int * qubit) =
+  box q : qubit => ((n, q) <- unbox pick q; n <= lift n; m <- init (n + 1); output (m, q))
+
+def fueled : Circ(qubit, int * qubit) =
+  box q : qubit => ((n, q) <- unbox pick q; n <= lift n; q <- unbox (Hs n) q;
+                    m <- init n; output (m, q))
+
+def wide : Circ(qubit * bit, int * (qubit * bit)) =
+  box (q, r) : qubit * bit =>
+    ( (n, q) <- unbox pick q;
+      n <= lift n;
+      a <- gate init0 ();
+      b <- gate init0 ();
+      () <- (x <- gate meas a; () <- gate discard x; y <- gate meas b;
+             () <- gate discard y; output ());
+      m <- init n;
+      output (m, (q, r)) )
+"""
+
+
+@pytest.mark.parametrize("entry,mode,cap,expected", [
+    # n = 3 initialises 4, out of range in cpu mode
+    ("partial", Mode.cpu(), None, "PartialityError('value 4 out of range"),
+    # Hs n unfolds n + 1 times for every n
+    ("fueled", Mode.cpsu(100), None, 100 - (1 + 2 + 3 + 4)),
+    # the dead branch trips the cap in its composition's check (128),
+    # not at its context (64)
+    ("wide", Mode.cpsu(100), 50, "ResourceLimit('tensor product needs "
+     "element-space dimension 128,"),
+])
+def test_dead_branch_keeps_host_effects_and_checks(monkeypatch, entry, mode, cap, expected):
+    cp = check_program(parse_program(DEAD_BRANCHES))
+    if cap is not None:
+        monkeypatch.setattr(ewire.algebra, "_max_dim", cap)
+
+    def outcome():
+        ev = Evaluator(ctx=cp.ctx, mode=mode)
+        env = {}
+        try:
+            # Hs needs cpsu mode
+            for name in ("Hs", "pick", entry)[not mode.is_cpsu:]:
+                env[name] = ev.eval_host(None, cp.program.find(name).term, dict(env))
+            return _fingerprint(env[entry]), ev.fuel
+        except (EvalError, ResourceLimit) as e:
+            return repr(e), ev.fuel
+
+    dead = _count_dead_branches(monkeypatch)
+    pruned = outcome()
+    assert len(dead) == 3
+    if isinstance(expected, int):
+        assert pruned[1] == expected
+    else:
+        assert pruned[0].startswith(expected)
+    _all_branches_live(monkeypatch)
+    assert outcome() == pruned
+
+
+def test_demand_of_a_deep_lift_resolves_without_recursion():
+    # 800 gates, then a lift: the demand chain is as long as the circuit,
+    # and resolving it must not double the recursion depth
+    term = Compose(WireP("c"), Init(Var("x")), Output(WireP("c")))
+    term = Gate(WireP("b"), GateRef("meas"), WireP("q0"), Lift("x", WireP("b"), term))
+    for i in range(800):
+        term = Gate(WireP(f"q{i}"), GateRef("H"), WireP(f"q{i + 1}"), term)
+    _, op = _denote((("q800", QUBIT),), term)
+    assert np.allclose(op.matrix, gate_denotation(GateRef("meas")).matrix)
+
+
+def test_qft_compositions_skip_unread_branches(monkeypatch):
+    # a count, not a time: evaluating every lift branch of QFT n=5 makes
+    # 451 compositions, 34 of them through a dense f
+    import ewire.denote
+
+    compose, calls = ewire.denote.compose_tensored, []
+
+    def counted(f, rest, g, *, rows=None):
+        calls.append(ewire.algebra._monomial_rows(f) is None)
+        return compose(f, rest, g, rows=rows)
+
+    monkeypatch.setattr(ewire.algebra, "_max_dim", 1 << 17)
+    monkeypatch.setattr(ewire.denote, "compose_tensored", counted)
+    mono, _ = monomorphize(parse_program((PROGRAMS / "qft.ew").read_text()), 5, "fourier")
+    evaluate_program(check_program(mono), mode=Mode.cpsu())
+    assert sum(calls) <= 9 and len(calls) <= 120

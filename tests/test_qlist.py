@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ewire.algebra import frobenius_distance, gate_denotation
@@ -114,6 +115,31 @@ def swaphead : Circ(qlist, qlist) =
         gate_denotation(GateRef("X")), op_identity(denote_wire(qlist_type(1)))
     )
     assert frobenius_distance(env[entry].op, expected) < 1e-12
+
+
+def test_template_uses_a_later_plain_declaration():
+    # the instance of f must come after g, which it unboxes
+    src = """
+def g : Circ(qubit, qubit) = box q : qubit => (q2 <- gate H q; output q2)
+
+def f : Circ(qlist, qlist) =
+  box qs : qlist =>
+    ( (b, qs) <- gate isempty qs;
+      b <= lift b;
+      unbox (if b
+             then box qs2 : qlist => output qs2
+             else box qs2 : qlist =>
+               ( (h, t) <- gate headtail qs2;
+                 h2 <- unbox g h;
+                 qs3 <- gate cons (h2, t);
+                 output qs3 ))
+            qs )
+"""
+    mono, _ = monomorphize(parse_program(src), 1, None)
+    assert [d.name for d in mono.decls] == ["g", "f__1"]
+    cp = check_program(mono)
+    _, _, env = evaluate_program(cp)
+    assert np.array_equal(env["f__1"].op.matrix, env["g"].op.matrix)
 
 
 def test_nil_gate():
