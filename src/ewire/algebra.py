@@ -77,9 +77,13 @@ _max_dim = _DEFAULT_MAX_DIM
 
 
 def set_max_dim(n: int) -> None:
-    """Set the element-space dimension cap (see also EWIREC_MAX_DIM)."""
+    """Set the element-space dimension cap (see also EWIREC_MAX_DIM);
+    raises ValueError, leaving the cap as it was, unless ``n >= 1``."""
     global _max_dim
-    _max_dim = int(n)
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"the dimension cap must be a positive integer, got {n}")
+    _max_dim = n
 
 
 def max_dim() -> int:

@@ -1,5 +1,13 @@
 """Command-line front end: ``ewirec {check,run,denote,normalize,equiv}``.
 
+``run`` and ``denote`` print the value of an entry.  ``equiv`` compares
+the values of two circuit entries, a ``def`` of type Circ or a ``circ``
+declaration taken as the box over its wire context, unboxed onto one
+context of fresh wires: one per factor of their input types that is not
+I.  Each of the three evaluates only the ``def``s its entries depend on,
+directly or through other ``def``s, on a thread with a deep stack.
+``normalize`` rewrites a circuit entry with every other ``def`` inlined.
+
 Exit codes: 0 success, 1 type, evaluation or equivalence failure, 2
 resource, step, recursion or memory limits, 3 usage errors; each
 non-zero exit prints a diagnostic.  All numeric output uses 12
@@ -13,12 +21,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import algebra
 from .algebra import ResourceLimit, is_cp, is_subunital, is_unital, superop_to_json
 from .denote import (
     BOTTOM, CircV, DistV, EvalError, IntV, Mode, PairV, UnitV,
-    call_with_stack, evaluate_program, sample,
+    call_with_stack, decode_value, evaluate_program, sample,
 )
 from .normalize import (
     StepLimit, check_equiv, normalize, purify_host, unfold_definitions,
@@ -26,7 +35,8 @@ from .normalize import (
 from .parser import ParseError, parse_program
 from .qlist import QListError, monomorphize
 from .syntax import (
-    Box, CircDecl, CircT, DefDecl, TensorW, UnitW, pretty_print,
+    Box, CircDecl, CircT, DefDecl, PairP, TensorW, Unbox, UnitP, UnitW, Var,
+    WireP, free_host_vars, pretty_print,
 )
 from .typecheck import CheckedProgram, TypeCheckError, check_program, elaborate_sugar
 
@@ -77,22 +87,54 @@ def _mode_of(args) -> Mode:
     return Mode.cpu()
 
 
+def _evaluate(checked: CheckedProgram, roots, mode: Mode):
+    """``evaluate_program`` restricted to the ``def``s that ``roots`` name,
+    directly or through other ``def``s; every other declaration is kept,
+    in order, so an evaluated ``def`` gets the same fuel and value as in
+    the whole program."""
+    defs = {d.name: d for d in checked.program.decls if isinstance(d, DefDecl)}
+    needed, todo = set(), [x for x in roots if x in defs]
+    while todo:
+        x = todo.pop()
+        if x not in needed:
+            needed.add(x)
+            todo.extend(y for y in free_host_vars(defs[x].term) if y in defs)
+    decls = tuple(
+        d for d in checked.program.decls
+        if not isinstance(d, DefDecl) or d.name in needed
+    )
+    pruned = replace(checked, program=replace(checked.program, decls=decls))
+    return evaluate_program(pruned, mode=mode)
+
+
 def _entry_value(checked: CheckedProgram, entry: str, mode: Mode):
+    """The value of a ``def`` entry, or the distribution a closed ``circ``
+    entry runs to."""
     decl = checked.program.find(entry)
     if decl is None:
         raise UsageError(f"no declaration named {entry!r}")
-    ev, gamma, env = evaluate_program(checked, mode=mode)
     if isinstance(decl, DefDecl):
-        return ev, env[decl.name]
-    # a closed circuit declaration: run it
+        _, _, env = _evaluate(checked, {decl.name}, mode)
+        return env[decl.name]
     context, w = checked.circ_types[decl.name]
     if context:
         raise UsageError(f"{entry!r} has a non-empty wire context")
+    ev, gamma, env = _evaluate(checked, free_host_vars(decl.term), mode)
     op = ev.denote_circuit(gamma, (), decl.term, env)
     dist = ev.run_circuit(op, w)
-    from .denote import decode_value
+    return DistV({decode_value(w, k): p for k, p in dist.items()})
 
-    return ev, DistV({decode_value(w, k): p for k, p in dist.items()})
+
+def _circ_box(decl: CircDecl) -> Box:
+    """``circ f (a : A, b : B, c : C) = body`` as the host term
+    ``box (a, (b, c)) : A * (B * C) => body``."""
+    pat, dom = UnitP(), UnitW()
+    for w, ty in reversed(decl.context):
+        if isinstance(pat, UnitP):
+            pat, dom = WireP(w), ty
+        else:
+            pat, dom = PairP(WireP(w), pat), TensorW(ty, dom)
+    return Box(pat, dom, decl.term)
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +149,8 @@ def cmd_check(args) -> int:
         if isinstance(d, DefDecl):
             lines.append((d.name, str(checked.def_types[d.name])))
         elif isinstance(d, CircDecl):
-            ctx_ty, w = checked.circ_types[d.name]
-            dom = UnitW()
-            for _, ty in reversed(ctx_ty):
-                dom = ty if isinstance(dom, UnitW) else TensorW(ty, dom)
-            lines.append((d.name, str(CircT(dom, w))))
+            _, w = checked.circ_types[d.name]
+            lines.append((d.name, str(CircT(_circ_box(d).w_in, w))))
     if args.json:
         print(json.dumps({"ok": True, "declarations": [
             {"name": n, "type": t} for n, t in lines
@@ -125,7 +164,7 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     mode = _mode_of(args)
     checked, entry = _load(args.file, args.qlist_size, args.entry)
-    ev, value = call_with_stack(lambda: _entry_value(checked, entry, mode))
+    value = call_with_stack(lambda: _entry_value(checked, entry, mode))
     if not isinstance(value, DistV):
         raise UsageError(f"{entry!r} is not a computation (type T(...))")
     outcomes = {}
@@ -164,7 +203,7 @@ def cmd_run(args) -> int:
 def cmd_denote(args) -> int:
     mode = _mode_of(args)
     checked, entry = _load(args.file, args.qlist_size, args.entry)
-    ev, value = call_with_stack(lambda: _entry_value(checked, entry, mode))
+    value = call_with_stack(lambda: _entry_value(checked, entry, mode))
     if not isinstance(value, CircV):
         raise UsageError(f"{entry!r} is not a circuit value (type Circ(...))")
     payload = superop_to_json(value.op)
@@ -222,28 +261,58 @@ def cmd_normalize(args) -> int:
     return 0
 
 
+def _equiv_entry(checked: CheckedProgram, entry: str):
+    """An ``equiv`` entry as a host term of type Circ and its input type."""
+    decl = checked.program.find(entry)
+    if decl is None:
+        raise UsageError(f"no declaration named {entry!r}")
+    if isinstance(decl, CircDecl):
+        box = _circ_box(decl)
+        return box, box.w_in
+    ty = checked.def_types[decl.name]
+    if not isinstance(ty, CircT):
+        raise UsageError(f"{entry!r} is not a circuit declaration")
+    return Var(decl.name), ty.w_in
+
+
+def _leaves(w) -> list:
+    """The wire types of ``w``'s tensor factors, left to right, without I."""
+    match w:
+        case TensorW(left, right):
+            return _leaves(left) + _leaves(right)
+        case UnitW():
+            return []
+    return [w]
+
+
+def _leaf_pattern(w, names):
+    """A pattern of ``w``'s shape whose wires take the next ``names``."""
+    match w:
+        case TensorW(left, right):
+            return PairP(_leaf_pattern(left, names), _leaf_pattern(right, names))
+        case UnitW():
+            return UnitP()
+    return WireP(next(names))
+
+
 def cmd_equiv(args) -> int:
     mode = _mode_of(args)
     checked, _ = _load(args.file, args.qlist_size, None)
-    ctx1, t1 = _entry_circuit(checked, args.left)
-    ctx2, t2 = _entry_circuit(checked, args.right)
-    if [ty for _, ty in ctx1] != [ty for _, ty in ctx2]:
+    (t1, w1), (t2, w2) = (_equiv_entry(checked, e) for e in (args.left, args.right))
+    if _leaves(w1) != _leaves(w2):
         print(json.dumps({"equivalent": False, "reason": "different contexts"}))
         return 1
-    # compare at a shared context: rename the second circuit's wires to
-    # the first's, simultaneously (names may permute)
-    from .syntax import WireP, _subst_wires
+    # both circuits are unboxed onto one context of fresh leaf wires
+    omega = tuple((f"x{i}", ty) for i, ty in enumerate(_leaves(w1)))
+    c1, c2 = (Unbox(t, _leaf_pattern(w, iter(x for x, _ in omega)))
+              for t, w in ((t1, w1), (t2, w2)))
 
-    if [w for w, _ in ctx1] != [w for w, _ in ctx2]:
-        renaming = {old: WireP(new) for (old, _), (new, _) in zip(ctx2, ctx1)}
-        t2 = _subst_wires(t2, renaming)
-    _, gamma, env = evaluate_program(checked, mode=mode)
-    ok = call_with_stack(
-        lambda: check_equiv(
-            t1, t2, gamma=gamma, omega=tuple(ctx1), env=env,
-            tol=args.tol, mode=mode, ctx=checked.ctx,
-        )
-    )
+    def compare():
+        _, gamma, env = _evaluate(checked, free_host_vars(t1) | free_host_vars(t2), mode)
+        return check_equiv(c1, c2, gamma=gamma, omega=omega, env=env,
+                           tol=args.tol, mode=mode, ctx=checked.ctx)
+
+    ok = call_with_stack(compare)
     print(json.dumps({"equivalent": bool(ok), "tol": _fmt(args.tol)}))
     return 0 if ok else 1
 
@@ -326,7 +395,7 @@ def main(argv=None) -> int:
         try:
             algebra.set_max_dim(int(os.environ["EWIREC_MAX_DIM"]))
         except ValueError:
-            print("EWIREC_MAX_DIM must be an integer", file=sys.stderr)
+            print("EWIREC_MAX_DIM must be a positive integer", file=sys.stderr)
             return 3
     try:
         args = build_parser().parse_args(argv)

@@ -24,7 +24,7 @@ from .syntax import (
     free_host_vars, free_wires, freshen_binder, map_children,
     pattern_wires, subst_host, subst_pattern,
 )
-from .typecheck import CheckContext, check_circuit
+from .typecheck import CheckContext, _default_ctx, check_circuit
 
 
 class NoMatch(Exception):
@@ -255,7 +255,7 @@ def check_equiv(c1, c2, gamma=None, omega=(), env=None, tol: float = 1e-9,
     """Do the two circuits denote the same map at the same judgment?"""
     gamma = dict(gamma or {})
     omega = tuple(omega)
-    ctx = ctx or CheckContext(bases={"bit": 2, "int": 64}, gates={}, table={})
+    ctx = ctx or _default_ctx()
     w1 = check_circuit(gamma, omega, c1, ctx)
     w2 = check_circuit(gamma, omega, c2, ctx)
     if w1 != w2:

@@ -71,6 +71,14 @@ def test_dimension_cap():
         set_max_dim(old)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_dimension_cap_must_be_positive(n):
+    old = max_dim()
+    with pytest.raises(ValueError):
+        set_max_dim(n)
+    assert max_dim() == old
+
+
 def test_tensor_index_map_associative():
     a, b, c = alg(2), alg(1, 1), alg(2, 1)
     three = factor_index_map([a, b, c])

@@ -309,3 +309,82 @@ def test_equiv_boxed_def_against_circ(capsys, tmp_path):
     )
     code, out, _ = run_cli(capsys, "equiv", str(src), "hbox", "hc")
     assert code == 0 and json.loads(out)["equivalent"] is True
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "four"])
+def test_max_dim_must_be_a_positive_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("EWIREC_MAX_DIM", value)
+    old = algebra.max_dim()
+    code, out, err = run_cli(capsys, "run", str(PROGRAMS / "flip.ew"))
+    assert (code, out, err) == (3, "", "EWIREC_MAX_DIM must be a positive integer\n")
+    assert algebra.max_dim() == old
+
+
+# hs.ew plus circuits that need neither Hs nor main: in cpsu mode main's
+# Hs (-1) recurses past any stack, and in cpu mode Hs itself is an error
+HS_PLUS = """
+def h1 : Circ(qubit, qubit) = box q : qubit => (q1 <- gate H q; output q1)
+circ c1 (q : qubit) : qubit = q1 <- gate H q; output q1
+circ c2 (q : qubit) : qubit = q1 <- gate H q; q2 <- gate H q1; q3 <- gate H q2; output q3
+def pair : Circ(qubit * qubit, qubit * qubit) = box x : qubit * qubit => output x
+circ idpair (a : qubit, b : qubit) : qubit * qubit = output (a, b)
+circ idbit (b : bit) : bit = output b
+"""
+
+EQUIVALENT = '{"equivalent": true, "tol": 1e-09}\n'
+
+
+@pytest.fixture
+def hs_plus(tmp_path):
+    src = tmp_path / "hs_plus.ew"
+    src.write_text((PROGRAMS / "hs.ew").read_text() + HS_PLUS)
+    return str(src)
+
+
+@pytest.mark.parametrize("argv", [
+    ["c1", "c2"],
+    ["c1", "c2", "--mode", "cpsu"],
+    ["c1", "h1", "--mode", "cpsu"],
+    # one wire of type qubit * qubit against two qubit wires: both
+    # flatten to the same leaves
+    ["pair", "idpair"],
+], ids=["c1_c2_cpu", "c1_c2_cpsu", "c1_h1_cpsu", "pair_idpair"])
+def test_equiv_evaluates_only_what_its_entries_need(capsys, hs_plus, argv):
+    assert run_cli(capsys, "equiv", hs_plus, *argv)[:2] == (0, EQUIVALENT)
+
+
+def test_denote_evaluates_only_what_its_entry_needs(capsys, hs_plus):
+    code, out, _ = run_cli(capsys, "denote", hs_plus, "--entry", "h1")
+    assert code == 0
+    assert json.loads(out)["signature"] == {"in": "qubit", "out": "qubit"}
+
+
+def test_equiv_of_a_def_that_is_no_literal_box(capsys):
+    # hs3 = Hs 3 is a circuit value, though no unfolding reaches a box
+    code, out, _ = run_cli(capsys, "equiv", str(PROGRAMS / "hs.ew"), "hs3", "hs3",
+                           "--mode", "cpsu")
+    assert (code, out) == (0, EQUIVALENT)
+
+
+def test_equiv_different_contexts(capsys, hs_plus):
+    code, out, _ = run_cli(capsys, "equiv", hs_plus, "c1", "idbit")
+    assert (code, out) == (1, '{"equivalent": false, "reason": "different contexts"}\n')
+
+
+def test_equiv_compares_values_without_unfolding(capsys, monkeypatch):
+    import ewire.cli
+
+    def refuse(*args):
+        raise AssertionError("equiv unfolded a definition")
+
+    monkeypatch.setattr(ewire.cli, "unfold_definitions", refuse)
+    code, out, _ = run_cli(capsys, "equiv", str(PROGRAMS / "classical_control.ew"),
+                           "cc_boxed", "cc_host")
+    assert (code, out) == (0, EQUIVALENT)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_equiv_qft_with_itself(capsys, n):
+    code, out, _ = run_cli(capsys, "equiv", str(PROGRAMS / "qft.ew"), f"fourier__{n}",
+                           f"fourier__{n}", "--qlist-size", str(n), "--mode", "cpsu")
+    assert (code, out) == (0, EQUIVALENT)

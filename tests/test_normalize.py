@@ -1,16 +1,24 @@
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from ewire import algebra
+from ewire.denote import Mode, eval_host, evaluate_program
 from ewire.normalize import (
     NoMatch, RULES_BY_NAME, StepLimit, Trace, apply_rule, check_equiv,
     normalize, purify_host, unfold_definitions,
 )
-from ewire.parser import parse_circuit, parse_host_term
+from ewire.parser import parse_circuit, parse_host_term, parse_program
+from ewire.qlist import monomorphize
 from ewire.syntax import (
-    Box, Compose, Gate, Lift, QUBIT, UnitElim, alpha_equiv,
+    Box, CircT, Compose, DefDecl, Gate, Lift, QUBIT, UnitElim, alpha_equiv,
 )
-from ewire.typecheck import check_circuit, _default_ctx
+from ewire.typecheck import check_circuit, check_program, _default_ctx, elaborate_sugar
 
 from tests.gen import random_circuit
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 def _norm(text, **kw):
@@ -176,6 +184,43 @@ def test_unfold_definitions():
 
 
 # -- the numeric oracle -------------------------------------------------------------
+
+
+# Circ-typed defs whose unfolding stops short of a literal box: Hs 3
+# applies a fixed point
+NOT_A_LITERAL_BOX = {"hs3"}
+
+
+@pytest.mark.parametrize("name,size", [
+    *((p.name, None) for p in sorted(PROGRAMS.glob("*.ew")) if p.name != "qft.ew"),
+    *(("qft.ew", n) for n in range(1, 6)),
+])
+def test_def_value_matches_its_unfolded_box(monkeypatch, name, size):
+    # a def's evaluated value, which equiv compares, against the
+    # denotation of the literal box that inlining every other def gives
+    monkeypatch.setattr(algebra, "_max_dim", 1 << 17)
+    prog = parse_program((PROGRAMS / name).read_text())
+    if size is not None:
+        prog, _ = monomorphize(prog, size, None)
+    checked = check_program(elaborate_sugar(prog))
+    # fuel 100: main's Hs (-1) in hs.ew bottoms out within the default
+    # recursion limit
+    mode = Mode.cpsu(100)
+    _, gamma, env = evaluate_program(checked, mode=mode)
+    defs = {d.name: d.term for d in checked.program.decls if isinstance(d, DefDecl)}
+    unfolded = []
+    for x, term in defs.items():
+        if not isinstance(gamma[x], CircT):
+            continue
+        box = purify_host(unfold_definitions(term, {y: t for y, t in defs.items() if y != x}))
+        if not isinstance(box, Box):
+            assert x in NOT_A_LITERAL_BOX
+            continue
+        value = eval_host(gamma, box, mode=mode, ctx=checked.ctx)
+        assert np.abs(value.op.matrix - env[x].op.matrix).max() <= 1e-12, x
+        unfolded.append(x)
+    if size is not None:
+        assert f"fourier__{size}" in unfolded
 
 
 def test_equiv_hh_identity():
