@@ -238,10 +238,12 @@ class SuperOp:
     ``SuperOp(source, target, matrix)`` holds a dense matrix.  A map
     that only moves, scales or clears rows is a row view instead (see
     ``row_view``), and its dense ``matrix`` is built on first read, once,
-    as a read-only array.
+    as a read-only array.  Which rows hold at most one nonzero is
+    likewise found once per object (see ``_monomial_rows``).
     """
 
-    __slots__ = ("source", "target", "_matrix", "_index", "_base", "_vals", "_fill")
+    __slots__ = ("source", "target", "_matrix", "_index", "_base", "_vals", "_fill",
+                 "_mono")
 
     def __init__(self, source: FdAlgebra, target: FdAlgebra, matrix: np.ndarray):
         m = np.ascontiguousarray(matrix, dtype=complex)
@@ -253,6 +255,7 @@ class SuperOp:
         m.flags.writeable = False
         self.source, self.target, self._matrix = source, target, m
         self._index = self._base = self._vals = self._fill = None
+        self._mono = _UNSET
 
     @classmethod
     def row_view(cls, source: FdAlgebra, target: FdAlgebra, index: np.ndarray,
@@ -278,6 +281,7 @@ class SuperOp:
         op = cls.__new__(cls)
         op.source, op.target, op._matrix = source, target, None
         op._index, op._base, op._vals, op._fill = index, base, vals, fill
+        op._mono = _UNSET
         return op
 
     @property
@@ -296,6 +300,9 @@ class SuperOp:
 
     def __repr__(self):
         return f"SuperOp({self.source} -> {self.target})"
+
+
+_UNSET = object()  # a memo slot not filled yet
 
 
 def _materialise(ncols: int, index, base, vals, fill) -> np.ndarray:
@@ -324,10 +331,13 @@ def _view(f: SuperOp):
     return None, f._matrix, None, None
 
 
-def _dense_rows(f: SuperOp, sel: np.ndarray) -> np.ndarray:
-    """Rows ``sel`` of ``f.matrix``, without building the rest of it."""
+def _dense_rows(f: SuperOp, sel: np.ndarray | None) -> np.ndarray:
+    """Rows ``sel`` of ``f.matrix`` (all of it, read-only, for None),
+    without building the rest of it or keeping what it builds."""
     if f._matrix is not None:
-        return f._matrix.take(sel, axis=0)
+        return f._matrix if sel is None else f._matrix.take(sel, axis=0)
+    if sel is None:
+        return _materialise(f.source.dim, f._index, f._base, f._vals, f._fill)
     vals = None if f._vals is None else f._vals[sel]
     fill = None if f._fill is None else f._fill[sel]
     return _materialise(f.source.dim, f._index[sel], f._base, vals, fill)
@@ -345,10 +355,13 @@ def op_relabel(f: SuperOp, target: FdAlgebra, *,
                rows: np.ndarray | None = None) -> SuperOp:
     """``f`` with ``target`` (of the same dimension) as its target label,
     and its row ``i`` moved to row ``rows[i]`` if ``rows`` is set.  Only
-    the row view moves; no matrix is copied."""
+    the row view moves; no matrix is copied, and ``f`` itself is returned
+    when nothing changes."""
     if target.dim != f.target.dim:
         raise DimensionMismatch(f"cannot relabel {f!r} as {target}")
     if rows is None:
+        if target is f.target or target == f.target:
+            return f
         if f._index is None:
             return SuperOp(f.source, target, f._matrix)
         out = SuperOp.row_view(f.source, target, f._index, f._base, f._vals, f._fill)
@@ -452,11 +465,18 @@ def tensored_layout(f: SuperOp, rest: FdAlgebra):
     """``(source, target, pin, pout)`` of ``f (x) id_rest``: its algebras,
     and the canonical row ``pin[j, k]`` of source pair ``(j, k)`` and
     ``pout[i, k]`` of target pair ``(i, k)``.  These are the dimension
-    checks of ``compose_tensored``, in its order."""
-    src = alg_tensor(f.source, rest)
-    pin = factor_index_map((f.source, rest))
-    pout = factor_index_map((f.target, rest))
-    return src, alg_tensor(f.target, rest), pin, pout
+    checks of ``compose_tensored``, in its order.  The layout is memoised
+    per dimension cap, like ``factor_index_map``: a failed check is not
+    cached, so it raises again with the same message."""
+    return _layout(f.source, f.target, rest, _max_dim)
+
+
+@functools.lru_cache(maxsize=4096)
+def _layout(source: FdAlgebra, target: FdAlgebra, rest: FdAlgebra, cap: int):
+    src = alg_tensor(source, rest)
+    pin = factor_index_map((source, rest))
+    pout = factor_index_map((target, rest))
+    return src, alg_tensor(target, rest), pin, pout
 
 
 def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
@@ -505,8 +525,11 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
         return SuperOp(g.source, tgt, out)
     r = rest.dim
     ncols = g.source.dim
-    gk = _dense_rows(g, pin.reshape(-1)).reshape(f.source.dim, r * ncols)
-    hk = (f.matrix @ gk).reshape(f.target.dim * r, ncols)
+    # with rest the scalars, pin and pout are the identity
+    gk = _dense_rows(g, None if r == 1 else pin.reshape(-1))
+    hk = (f.matrix @ gk.reshape(f.source.dim, r * ncols)).reshape(f.target.dim * r, ncols)
+    if r == 1 and rows is None:
+        return SuperOp(g.source, tgt, hk)
     out = np.empty((f.target.dim * r, ncols), dtype=complex)
     out[pout.reshape(-1), :] = hk
     return SuperOp(g.source, tgt, out)
@@ -529,7 +552,16 @@ def _scaled_rows(a, default, src, live, scale, n):
 def _monomial_rows(f: SuperOp):
     """``(rows, cols, vals)`` of the nonzero entries of ``f`` when no row
     holds more than one of them, else None; ``vals`` None means all ones.
-    An identity-based view answers from its index."""
+    Found once per map (see ``_find_monomial``) and kept on it."""
+    found = f._mono
+    if found is _UNSET:
+        found = f._mono = _find_monomial(f)
+    return found
+
+
+def _find_monomial(f: SuperOp):
+    """``_monomial_rows`` of ``f``, not memoised.  An identity-based view
+    answers from its index."""
     if f._index is not None and f._base is None:
         live = f._index >= 0
         if f._vals is not None:

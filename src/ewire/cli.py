@@ -1,11 +1,13 @@
 """Command-line front end: ``ewirec {check,run,denote,normalize,equiv}``.
 
-``run`` and ``denote`` print the value of an entry.  ``equiv`` compares
-the values of two circuit entries, a ``def`` of type Circ or a ``circ``
-declaration taken as the box over its wire context, unboxed onto one
-context of fresh wires: one per factor of their input types that is not
-I.  Each of the three evaluates only the ``def``s its entries depend on,
-directly or through other ``def``s, on a thread with a deep stack.
+``run`` and ``denote`` print the value of an entry; ``denote`` takes a
+``circ`` declaration as the box over its wire context, and ``run`` runs
+a closed one.  ``equiv`` compares the values of two circuit entries, a
+``def`` of type Circ or a ``circ`` declaration taken as that box,
+unboxed onto one context of fresh wires: one per factor of their input
+types that is not I.  Each of the three evaluates only the ``def``s its
+entries depend on, directly or through other ``def``s, on a thread with
+a deep stack.
 ``normalize`` rewrites a circuit entry with every other ``def`` inlined.
 
 Exit codes: 0 success, 1 type, evaluation or equivalence failure, 2
@@ -38,7 +40,9 @@ from .syntax import (
     Box, CircDecl, CircT, DefDecl, PairP, TensorW, Unbox, UnitP, UnitW, Var,
     WireP, free_host_vars, pretty_print,
 )
-from .typecheck import CheckedProgram, TypeCheckError, check_program, elaborate_sugar
+from .typecheck import (
+    CheckedProgram, TypeCheckError, check_host, check_program, elaborate_sugar,
+)
 
 
 class UsageError(Exception):
@@ -125,6 +129,18 @@ def _entry_value(checked: CheckedProgram, entry: str, mode: Mode):
     return DistV({decode_value(w, k): p for k, p in dist.items()})
 
 
+def _circuit_value(checked: CheckedProgram, entry: str, mode: Mode):
+    """``denote``'s value of an entry: a ``def``'s value, and for a
+    ``circ`` the circuit value of the box over its wire context."""
+    decl = checked.program.find(entry)
+    if not isinstance(decl, CircDecl):
+        return _entry_value(checked, entry, mode)
+    box = _circ_box(decl)
+    ev, gamma, env = _evaluate(checked, free_host_vars(box), mode)
+    check_host(gamma, box, checked.ctx)
+    return ev.eval_host(gamma, box, env)
+
+
 def _circ_box(decl: CircDecl) -> Box:
     """``circ f (a : A, b : B, c : C) = body`` as the host term
     ``box (a, (b, c)) : A * (B * C) => body``."""
@@ -203,7 +219,7 @@ def cmd_run(args) -> int:
 def cmd_denote(args) -> int:
     mode = _mode_of(args)
     checked, entry = _load(args.file, args.qlist_size, args.entry)
-    value = call_with_stack(lambda: _entry_value(checked, entry, mode))
+    value = call_with_stack(lambda: _circuit_value(checked, entry, mode))
     if not isinstance(value, CircV):
         raise UsageError(f"{entry!r} is not a circuit value (type Circ(...))")
     payload = superop_to_json(value.op)

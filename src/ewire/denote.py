@@ -27,6 +27,17 @@ terms, fuel, errors and dimension checks, and stacked as zero (see
 ``Evaluator``).  Which rows are read follows from the exact nonzeros of
 maps already denoted, so every result is bit-identical to denoting every
 branch.
+
+Each circuit step reads how it splits its context, its continuation's
+context, the placement of its rows, the context algebras and a gate's
+map from a plan that the evaluator memoises per node, context and
+dimension cap, so a recursive unfolding, which denotes the same steps in
+the same contexts, recomputes none of them.  The tail positions of host
+evaluation (the branch an ``if`` takes, an ascribed term, and the
+closure a fixed point unfolds to) loop instead of calling, while every
+fixed-point application still goes through ``Evaluator.apply`` and every
+``box`` through ``Evaluator.denote_circuit``, the two methods a tracer
+wraps (see ``Evaluator``).
 """
 
 from __future__ import annotations
@@ -302,6 +313,19 @@ class Evaluator:
     (scaling rows of a dense base still gathers them); no step copies a
     matrix to reorder it.
 
+    Everything a step reads besides its continuation's map and its host
+    terms is its ``_Plan``: its split of the context, its continuation's
+    context, its ``Gate`` map (an ``Output``'s identity), a ``lift``'s
+    branch values, the context algebras and the placement of its rows.
+    Plans are memoised on the evaluator per node, keyed by ``id(node)``
+    with the node pinned, and hold for the context they were built for
+    (compared by identity, then by equality) and the dimension cap
+    ``max_dim()`` they were built under.  A plan is filled in the order
+    the step first needs each part, so a missing record, an unknown gate
+    or a ``ResourceLimit`` is raised where it always was, and a part
+    that raised is not stored.  A recursive unfolding denotes the same
+    nodes in the same contexts, so after the first it builds no plan.
+
     Each step also receives which rows of its result a later step reads.
     A ``Compose`` or ``Gate`` denotes its own map ``f`` before its
     continuation, and ``f (x) id`` reads, of each column block of the
@@ -314,6 +338,18 @@ class Evaluator:
     check is made, but ``compose_tensored`` and ``copower_stack`` are
     not called and the branch stacks as zero.  Only the rows in a
     step's demand are exact; ``denote_circuit`` demands every row.
+
+    Tail positions loop instead of calling: ``eval_host`` continues with
+    the branch an ``if`` takes and under an ascription, and ``apply``
+    continues from a fixed-point unfolding into the closure it unfolds
+    to.  Two entry points stay calls, so that a tracer wrapping them on
+    the class sees every unfolding and every box: every application of
+    a ``FixV`` arrives through ``self.apply``, and every ``box`` is
+    denoted through ``self.denote_circuit``.  One unfolding of a
+    recursive box family like ``Hs`` in ``programs/hs.ew`` nests six
+    frames: ``apply``, ``eval_host`` (the ``if`` and the ``box``),
+    ``denote_circuit``, ``_denote`` for the gate and for the ``unbox``,
+    and ``eval_host`` for the application.
     """
 
     def __init__(self, ctx: CheckContext | None = None, mode: Mode | None = None):
@@ -321,6 +357,7 @@ class Evaluator:
         self.mode = mode or Mode.cpu()
         self.fuel = self.mode.fuel
         self._app_cache: dict | None = {}
+        self._plans: dict = {}  # id(node) -> its _Plan, which pins the node
 
     def _checked(self, term):
         """What the typechecker recorded for ``term``."""
@@ -334,66 +371,25 @@ class Evaluator:
     # -- host evaluation ---------------------------------------------------
 
     def eval_host(self, gamma: dict | None, term, env: dict) -> HostValue:
-        match term:
-            case Var(x):
+        while True:
+            t = type(term)
+            if t is Var:
                 try:
-                    return env[x]
+                    return env[term.name]
                 except KeyError:
-                    raise EvalError(f"unbound variable {x!r}")
-            case Lam(x, _, body):
-                return ClosureV(x, body, env)
-            case App(f, a):
-                fv = self.eval_host(gamma, f, env)
-                av = self.eval_host(gamma, a, env)
+                    raise EvalError(f"unbound variable {term.name!r}")
+            if t is App:
+                fv = self.eval_host(gamma, term.fn, env)
+                av = self.eval_host(gamma, term.arg, env)
                 return self.apply(fv, av)
-            case UnitVal():
-                return UnitV()
-            case Pair(l, r):
-                return PairV(self.eval_host(gamma, l, env), self.eval_host(gamma, r, env))
-            case Proj(side, t):
-                v = self.eval_host(gamma, t, env)
-                if not isinstance(v, PairV):
-                    raise EvalError(f"projection from non-pair {v!r}")
-                return v.left if side == 1 else v.right
-            case Ret(t):
-                return DistV({self.eval_host(gamma, t, env): 1.0})
-            case Bind(t, x, u):
-                d = self.eval_host(gamma, t, env)
-                if not isinstance(d, DistV):
-                    raise EvalError(f"let <= of a non-computation {d!r}")
-                out: dict = {}
-                for hv, w in d.weights.items():
-                    env2 = dict(env)
-                    env2[x] = hv
-                    d2 = self.eval_host(gamma, u, env2)
-                    if not isinstance(d2, DistV):
-                        raise EvalError("body of let <= must be a computation")
-                    for hv2, w2 in d2.weights.items():
-                        out[hv2] = out.get(hv2, 0.0) + w * w2
-                return DistV(out)
-            case Box(_, w, body):
-                _, w2, bindings = self._checked(term)
-                op = self.denote_circuit(gamma, bindings, body, env)
-                return CircV(w, w2, op)
-            case Run(c):
-                v = self._checked(term)
-                op = self.denote_circuit(gamma, (), c, env)
-                dist = self.run_circuit(op, v)
-                return DistV({decode_value(v, k): w for k, w in dist.items()})
-            case IntLit(n):
-                return IntV(n)
-            case ClassicalLit(_, _, n):
-                return IntV(n)
-            case If(c, t, e):
-                cv = self.eval_host(gamma, c, env)
-                if not isinstance(cv, IntV):
-                    raise EvalError(f"condition evaluated to {cv!r}")
-                return self.eval_host(gamma, t if cv.value != 0 else e, env)
-            case Prim(op, l, r):
-                lv = self.eval_host(gamma, l, env)
-                rv = self.eval_host(gamma, r, env)
+            if t is IntLit:
+                return IntV(term.value)
+            if t is Prim:
+                lv = self.eval_host(gamma, term.left, env)
+                rv = self.eval_host(gamma, term.right, env)
                 if not (isinstance(lv, IntV) and isinstance(rv, IntV)):
                     raise EvalError(f"arithmetic on non-numbers {lv!r}, {rv!r}")
+                op = term.op
                 if op == "+":
                     return IntV(lv.value + rv.value)
                 if op == "-":
@@ -401,31 +397,79 @@ class Evaluator:
                 if op == "=":
                     return IntV(1 if lv.value == rv.value else 0)
                 raise EvalError(f"unknown primitive {op!r}")
-            case Fix(a, w1, w2):
+            if t is If:
+                cv = self.eval_host(gamma, term.cond, env)
+                if not isinstance(cv, IntV):
+                    raise EvalError(f"condition evaluated to {cv!r}")
+                term = term.then if cv.value != 0 else term.orelse
+                continue
+            if t is Box:
+                _, w2, bindings = self._checked(term)
+                op = self.denote_circuit(gamma, bindings, term.body, env)
+                return CircV(term.w_in, w2, op)
+            if t is Lam:
+                return ClosureV(term.var, term.body, env)
+            if t is Ascribe:
+                term = term.term
+                continue
+            if t is ClassicalLit:
+                return IntV(term.value)
+            if t is Pair:
+                return PairV(self.eval_host(gamma, term.left, env),
+                             self.eval_host(gamma, term.right, env))
+            if t is Proj:
+                v = self.eval_host(gamma, term.arg, env)
+                if not isinstance(v, PairV):
+                    raise EvalError(f"projection from non-pair {v!r}")
+                return v.left if term.side == 1 else v.right
+            if t is UnitVal:
+                return UnitV()
+            if t is Ret:
+                return DistV({self.eval_host(gamma, term.arg, env): 1.0})
+            if t is Bind:
+                d = self.eval_host(gamma, term.arg, env)
+                if not isinstance(d, DistV):
+                    raise EvalError(f"let <= of a non-computation {d!r}")
+                out: dict = {}
+                for hv, w in d.weights.items():
+                    env2 = dict(env)
+                    env2[term.var] = hv
+                    d2 = self.eval_host(gamma, term.body, env2)
+                    if not isinstance(d2, DistV):
+                        raise EvalError("body of let <= must be a computation")
+                    for hv2, w2 in d2.weights.items():
+                        out[hv2] = out.get(hv2, 0.0) + w * w2
+                return DistV(out)
+            if t is Run:
+                v = self._checked(term)
+                op = self.denote_circuit(gamma, (), term.circuit, env)
+                dist = self.run_circuit(op, v)
+                return DistV({decode_value(v, k): w for k, w in dist.items()})
+            if t is Fix:
                 if not self.mode.is_cpsu:
                     raise EvalError(
                         "the fixed-point combinator requires cpsu mode"
                     )
-                return FixCombV(a, w1, w2)
-            case GateFam(name, ix):
+                return FixCombV(term.arg_type, term.w_in, term.w_out)
+            if t is GateFam:
                 w_in, w_out = self._checked(term)
-                n = self.eval_host(gamma, ix, env)
+                n = self.eval_host(gamma, term.index, env)
                 if not isinstance(n, IntV):
                     raise EvalError("gate family index must be a number")
                 if n.value < 0:
                     raise PartialityError(
-                        f"gate family {name} rejects negative index {n.value}"
+                        f"gate family {term.name} rejects negative index {n.value}"
                     )
-                return CircV(w_in, w_out, gate_denotation(GateRef(name, index=n.value)))
-            case Ascribe(t, _):
-                return self.eval_host(gamma, t, env)
-            case QRun(_):
+                return CircV(w_in, w_out,
+                             gate_denotation(GateRef(term.name, index=n.value)))
+            if t is QRun:
                 raise EvalError("qrun must be elaborated before evaluation")
-        raise EvalError(f"cannot evaluate {term!r}")
+            raise EvalError(f"cannot evaluate {term!r}")
 
     def apply(self, fv: HostValue, av: HostValue) -> HostValue:
-        match fv:
-            case ClosureV(x, body, cenv):
+        while True:
+            t = type(fv)
+            if t is ClosureV:
                 key = None
                 if self._app_cache is not None:
                     k = _memo_key(av)
@@ -436,25 +480,28 @@ class Evaluator:
                         # be recycled by a different closure
                         if hit is not None and hit[0] is fv:
                             return hit[1]
-                env2 = dict(cenv)
-                env2[x] = av
-                out = self.eval_host(None, body, env2)
+                env2 = dict(fv.env)
+                env2[fv.var] = av
+                out = self.eval_host(None, fv.body, env2)
                 # unless an unfolding inside the body dropped the cache
                 if key is not None and self._app_cache is not None:
                     self._app_cache[key] = (fv, out)
                 return out
-            case FixCombV(a, w1, w2):
-                return FixV(av, a, w1, w2)
-            case FixV(func, _, w1, w2):
+            if t is FixV:
                 self._app_cache = None
                 if self.fuel <= 0:
-                    return CircV(
-                        w1, w2, op_zero(denote_wire(w2), denote_wire(w1))
-                    )
+                    return CircV(fv.w_in, fv.w_out,
+                                 op_zero(denote_wire(fv.w_out), denote_wire(fv.w_in)))
                 self.fuel -= 1
-                unfolded = self.apply(func, fv)
-                return self.apply(unfolded, av)
-        raise EvalError(f"cannot apply non-function {fv!r}")
+                unfolded = self.apply(fv.functional, fv)
+                if type(unfolded) is not ClosureV:
+                    # a fixed point unfolding to one is applied by a call
+                    return self.apply(unfolded, av)
+                fv = unfolded
+                continue
+            if t is FixCombV:
+                return FixV(av, fv.arg_type, fv.w_in, fv.w_out)
+            raise EvalError(f"cannot apply non-function {fv!r}")
 
     # -- circuit denotation --------------------------------------------------
 
@@ -463,87 +510,104 @@ class Evaluator:
         algebra of W to the algebra of the ordered context."""
         return self._denote(tuple(omega), term, env, None)
 
+    def _plan(self, omega: tuple, term) -> "_Plan":
+        """The plan of ``term`` over ``omega``: the memoised one if it was
+        built for this node, context and cap, else a new one."""
+        p = self._plans.get(id(term))
+        if (p is None or p.term is not term or p.cap != max_dim()
+                or (p.omega is not omega and p.omega != omega)):
+            p = self._plans[id(term)] = self._build_plan(omega, term)
+        return p
+
+    def _build_plan(self, omega: tuple, term) -> "_Plan":
+        """The parts of a plan a step needs before anything else, in the
+        order it needs them; ``_Plan`` fills in the rest on first use."""
+        t = type(term)
+        if t is QLift:
+            raise EvalError("qlift must be elaborated before evaluation")
+        if t not in _STEPS:
+            raise EvalError(f"cannot denote {term!r}")
+        p = _Plan(term, omega, max_dim())
+        split = self._checked(term)
+        if t is Init:
+            p.own = split.own
+            return p
+        if t is Gate:
+            p.op = gate_denotation(term.gate)
+        p.sel, p.remaining = _split_context(omega, split.consumes)
+        p.cont = split.binds + p.remaining
+        if t is Lift:
+            p.own = split.own
+            v = p.own[0]
+            p.values = [decode_value(v, val) for val in enumerate_classical(v)]
+        return p
+
     def _denote(self, omega: tuple, term, env: dict, need) -> SuperOp:
         """``denote_circuit``, where ``need`` says which rows of the result
         a later step reads: None for every row, else a row mask or a lazy
         demand for one (see ``_resolve``), or ``_DEAD`` for none.  Only
         rows in ``need`` are exact; a dead step computes no matrix."""
+        p = self._plan(omega, term)
         dead = need is _DEAD
         rows = None
-        match term:
-            case Output(_):
-                # the identity on the pattern's wires, placed in context order
-                sel, _ = _split_context(omega, self._checked(term).consumes)
-                h, rows = op_identity(denote_context(sel)), _placement(omega, sel)
-            case Unbox(t, _):
-                sel, _ = _split_context(omega, self._checked(term).consumes)
-                v = self.eval_host(None, t, env)
-                if not isinstance(v, CircV):
-                    raise EvalError(f"unbox of non-circuit value {v!r}")
-                h, rows = v.op, _placement(omega, sel)
-            case Init(t):
-                v = self._checked(term).own
-                hv = self.eval_host(None, t, env)
-                idx = classical_index(v, encode_value(v, hv))
-                index = np.array([idx], dtype=np.intp)
-                return SuperOp.row_view(denote_wire(v), SCALARS, index)
-            case Compose(_, first, rest):
-                split = self._checked(term)
-                sel, remaining = _split_context(omega, split.consumes)
-                f1 = self._denote(sel, first, env, _DEAD if dead else None)
-                f2 = self._denote(split.binds + remaining, rest, env,
-                                  _DEAD if dead else (need, omega, sel, remaining, f1))
-                h = _compose(f1, denote_context(remaining), f2,
-                             _placement(omega, sel + remaining), dead)
-            case UnitElim(_, rest):
-                _, remaining = _split_context(omega, self._checked(term).consumes)
-                h = self._denote(remaining, rest, env, need)
-            case PairElim(_, _, _, rest):
-                split = self._checked(term)
-                sel, remaining = _split_context(omega, split.consumes)
-                h = self._denote(split.binds + remaining, rest, env,
-                                 _DEAD if dead else (need, omega, sel, remaining, None))
-                rows = _placement(omega, sel + remaining)
-            case Gate(_, g, _, rest):
-                split = self._checked(term)
-                gop = gate_denotation(g)
-                sel, remaining = _split_context(omega, split.consumes)
-                f2 = self._denote(split.binds + remaining, rest, env,
-                                  _DEAD if dead else (need, omega, sel, remaining, gop))
-                h = _compose(gop, denote_context(remaining), f2,
-                             _placement(omega, sel + remaining), dead)
-            case Lift():
-                h = self._lift(omega, term, env, need)
-            case QLift(_, _, _):
-                raise EvalError("qlift must be elaborated before evaluation")
-            case _:
-                raise EvalError(f"cannot denote {term!r}")
+        t = type(term)
+        if t is Gate:
+            f2 = self._denote(p.cont, term.rest, env,
+                              _DEAD if dead else (need, p, p.op))
+            h = _compose(p.op, p.rest(), f2, p.rows(), dead)
+        elif t is Unbox:
+            v = self.eval_host(None, term.term, env)
+            if not isinstance(v, CircV):
+                raise EvalError(f"unbox of non-circuit value {v!r}")
+            h, rows = v.op, p.rows()
+        elif t is Compose:
+            f1 = self._denote(p.sel, term.first, env, _DEAD if dead else None)
+            f2 = self._denote(p.cont, term.rest, env,
+                              _DEAD if dead else (need, p, f1))
+            h = _compose(f1, p.rest(), f2, p.rows(), dead)
+        elif t is Output:
+            # the identity on the pattern's wires, placed in context order
+            h = p.op
+            if h is None:
+                h = p.op = op_identity(denote_context(p.sel))
+            rows = p.rows()
+        elif t is PairElim:
+            h = self._denote(p.cont, term.rest, env,
+                             _DEAD if dead else (need, p, None))
+            rows = p.rows()
+        elif t is UnitElim:
+            h = self._denote(p.remaining, term.rest, env, need)
+        elif t is Lift:
+            h = self._lift(p, term, env, need)
+        else:
+            v = p.own
+            hv = self.eval_host(None, term.term, env)
+            idx = classical_index(v, encode_value(v, hv))
+            index = np.array([idx], dtype=np.intp)
+            return SuperOp.row_view(denote_wire(v), SCALARS, index)
         # h's rows are in context order, or placed there by rows
-        return op_relabel(h, denote_context(omega), rows=rows)
+        return op_relabel(h, p.target(), rows=rows)
 
-    def _lift(self, omega: tuple, term: Lift, env: dict, need) -> SuperOp:
+    def _lift(self, p: "_Plan", term: Lift, env: dict, need) -> SuperOp:
         """The copower map of a lift, in canonical row order.  A branch
         that no later step reads is traversed dead and stacked as zero."""
-        split = self._checked(term)
-        sel, remaining = _split_context(omega, split.consumes)
-        v, w = split.own
-        values = enumerate_classical(v)
-        needs = _branch_needs(need, omega, sel, remaining, len(values))
+        _, w = p.own
+        needs = _branch_needs(need, p.omega, p.sel, p.remaining, len(p.values))
         branches = []
-        for val, branch_need in zip(values, needs):
+        for value, branch_need in zip(p.values, needs):
             env2 = dict(env)
-            env2[term.var] = decode_value(v, val)
+            env2[term.var] = value
             try:
-                op = self._denote(remaining, term.rest, env2, branch_need)
+                op = self._denote(p.remaining, term.rest, env2, branch_need)
                 if branch_need is _DEAD:
                     op = op_zero(op.source, op.target)
             except PartialityError:
                 if not self.mode.is_cpsu:
                     raise
-                op = op_zero(denote_wire(w), denote_context(remaining))
+                op = op_zero(denote_wire(w), p.rest())
             branches.append(op)
         # n.(remaining) is literally the algebra of V (x) remaining
-        place = _placement(omega, sel + remaining)
+        place = p.rows()
         if need is _DEAD:
             # copower_stack's dimension check, and zero
             src, tgt = branches[0].source, branches[0].target
@@ -570,6 +634,47 @@ class Evaluator:
 
 
 _DEAD = "dead"  # the demand of a step no later step reads
+_UNSET = object()  # a plan part not filled in yet
+_STEPS = frozenset({Output, Unbox, Init, Compose, UnitElim, PairElim, Gate, Lift})
+
+
+class _Plan:
+    """What one circuit step over ``omega`` reads besides its
+    continuation's map and its host terms (see ``Evaluator``).
+
+    ``sel`` and ``remaining`` are the consumed and the other typed wires,
+    ``cont`` the continuation's context, ``op`` a ``Gate``'s map or an
+    ``Output``'s identity, ``own`` the recorded type of an ``init`` or
+    ``lift``, and ``values`` a lift's branch values.  ``rest``, ``rows``
+    and ``target`` are computed on first call and then kept."""
+
+    __slots__ = ("term", "omega", "cap", "sel", "remaining", "cont", "op",
+                 "own", "values", "_rest", "_rows", "_target")
+
+    def __init__(self, term, omega: tuple, cap: int):
+        self.term, self.omega, self.cap = term, omega, cap
+        self.sel = self.remaining = self.cont = self.op = None
+        self.own = self.values = self._rest = self._target = None
+        self._rows = _UNSET  # None is a placement: no row moves
+
+    def rest(self) -> FdAlgebra:
+        """The algebra of ``remaining``."""
+        if self._rest is None:
+            self._rest = denote_context(self.remaining)
+        return self._rest
+
+    def rows(self):
+        """Where each canonical row of ``sel + remaining`` goes in
+        ``omega`` (``_placement``)."""
+        if self._rows is _UNSET:
+            self._rows = _placement(self.omega, self.sel + self.remaining)
+        return self._rows
+
+    def target(self) -> FdAlgebra:
+        """The algebra of ``omega``."""
+        if self._target is None:
+            self._target = denote_context(self.omega)
+        return self._target
 
 
 def _compose(f: SuperOp, rest: FdAlgebra, g: SuperOp, rows, dead: bool) -> SuperOp:
@@ -583,21 +688,21 @@ def _compose(f: SuperOp, rest: FdAlgebra, g: SuperOp, rows, dead: bool) -> Super
 def _resolve(need):
     """The row mask of a demand, None for every row.
 
-    A lazy demand ``(parent, omega, sel, remaining, f)`` is built by a
-    step over ``omega`` that consumes ``sel``, for its continuation over
-    ``binds + remaining``; a chain of them ends in a mask or None.  The
-    chain is walked in a loop: it is as long as the circuit is deep.
+    A lazy demand ``(parent, plan, f)`` is built by a step for its
+    continuation (``f`` is the map the step composes with, None for a
+    ``PairElim``); a chain of them ends in a mask or None.  The chain is
+    walked in a loop: it is as long as the circuit is deep.
     """
     chain = []
     while need is not None and not isinstance(need, np.ndarray):
         chain.append(need)
         need = need[0]
-    for _, omega, sel, remaining, f in reversed(chain):
-        need = _read_through(need, omega, sel, remaining, f)
+    for _, p, f in reversed(chain):
+        need = _read_through(need, p, f)
     return need
 
 
-def _read_through(read, omega, sel, remaining, f):
+def _read_through(read, p: _Plan, f):
     """The rows of a step's continuation that the rows ``read`` of the
     step's result read.  With ``f`` None the step only moves rows
     (``PairElim``); otherwise it composes with ``f (x) id_remaining``
@@ -605,10 +710,10 @@ def _read_through(read, omega, sel, remaining, f):
     continuation row ``(j, k)`` for each exact nonzero ``f[i, j]`` of a
     monomial ``f`` (as ``compose_tensored`` gathers them), and for every
     ``j`` of a dense one."""
-    place = _placement(omega, sel + remaining)
+    place = p.rows()
     if f is None:
         return read if read is None or place is None else read[place]
-    _, _, pin, pout = tensored_layout(f, denote_context(remaining))
+    _, _, pin, pout = tensored_layout(f, p.rest())
     if read is None:
         read_ik = np.ones(pout.shape, dtype=bool)
     else:

@@ -10,7 +10,8 @@ from ewire.algebra import (
     copower_sum_iso, element_from_blocks, factor_index_map,
     factor_permutation, frobenius_distance, gate_denotation,
     gate_signature, is_cp, is_subunital, is_unital, loewner_leq, max_dim,
-    op_compose, op_identity, op_scale, op_tensor, op_zero, permutation_superop,
+    op_compose, op_identity, op_relabel, op_scale, op_tensor, op_zero,
+    permutation_superop,
     set_max_dim, state_to_distribution, superop_to_json,
     tensor_copower_iso, tensor_many, unit_element,
 )
@@ -144,6 +145,44 @@ def test_factor_index_map_memo_keeps_dimension_cap():
             factor_permutation(algs, [1, 0])
     finally:
         set_max_dim(old)
+
+
+def test_tensored_layout_memo_keeps_dimension_cap():
+    h = gate_denotation(GateRef("H"))
+    g = op_identity(alg(4))
+    compose_tensored(h, alg(2), g)
+    old = max_dim()
+    set_max_dim(8)
+    try:
+        with pytest.raises(ResourceLimit, match="dimension 16,"):
+            compose_tensored(h, alg(2), g)
+    finally:
+        set_max_dim(old)
+    assert np.array_equal(compose_tensored(h, alg(2), g).matrix,
+                          op_tensor(h, op_identity(alg(2))).matrix)
+
+
+def test_monomial_structure_found_once_per_map(monkeypatch):
+    import ewire.algebra
+
+    calls = []
+    find = ewire.algebra._find_monomial
+
+    def counted(f):
+        calls.append(f)
+        return find(f)
+
+    monkeypatch.setattr(ewire.algebra, "_find_monomial", counted)
+    x, h = gate_denotation(GateRef("X")), gate_denotation(GateRef("H"))
+    g = op_identity(alg(4))
+    for _ in range(3):
+        a = compose_tensored(x, alg(2), g)
+        b = compose_tensored(h, alg(2), g)
+    assert calls == [x, h]
+    # relabelling under the same target keeps the map, and what was found
+    assert op_relabel(x, alg(2)) is x
+    assert np.array_equal(a.matrix, op_tensor(x, op_identity(alg(2))).matrix)
+    assert np.array_equal(b.matrix, op_tensor(h, op_identity(alg(2))).matrix)
 
 
 # -- elements ------------------------------------------------------------------

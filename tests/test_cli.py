@@ -359,6 +359,36 @@ def test_denote_evaluates_only_what_its_entry_needs(capsys, hs_plus):
     assert json.loads(out)["signature"] == {"in": "qubit", "out": "qubit"}
 
 
+def test_denote_of_a_circ_is_the_box_over_its_context(capsys):
+    import numpy as np
+
+    cc = str(PROGRAMS / "classical_control.ew")
+    code, out, _ = run_cli(capsys, "denote", cc, "--entry", "cc")
+    assert code == 0
+    got = json.loads(out)
+    want = json.loads(run_cli(capsys, "denote", cc, "--entry", "cc_host")[1])
+    for key in ("source_blocks", "target_blocks", "signature", "report"):
+        assert got[key] == want[key]
+    assert got["signature"] == {"in": "qubit * qubit", "out": "qubit"}
+    m_got, m_want = (np.array([complex(*z) for z in p["matrix"]]) for p in (got, want))
+    assert m_got.shape == m_want.shape and np.abs(m_got - m_want).max() <= 1e-12
+
+
+def test_denote_of_a_closed_circ_and_run_of_an_open_one(capsys, hs_plus):
+    code, out, _ = run_cli(capsys, "denote", str(PROGRAMS / "flip.ew"), "--entry", "flip")
+    assert code == 0
+    got = json.loads(out)
+    assert got["signature"] == {"in": "I", "out": "bit"}
+    assert (got["source_blocks"], got["target_blocks"]) == ([1, 1], [1])
+    assert got["matrix"] == [[0.5, 0.0], [0.5, 0.0]]
+    # a circ needs no def here: hs.ew's Hs is an error in cpu mode
+    code, out, _ = run_cli(capsys, "denote", hs_plus, "--entry", "c1")
+    assert code == 0 and json.loads(out)["signature"] == {"in": "qubit", "out": "qubit"}
+    # run still runs only a closed circ
+    code, out, err = run_cli(capsys, "run", hs_plus, "--entry", "c1")
+    assert (code, out) == (3, "") and "non-empty wire context" in err
+
+
 def test_equiv_of_a_def_that_is_no_literal_box(capsys):
     # hs3 = Hs 3 is a circuit value, though no unfolding reaches a box
     code, out, _ = run_cli(capsys, "equiv", str(PROGRAMS / "hs.ew"), "hs3", "hs3",

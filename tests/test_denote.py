@@ -1032,3 +1032,113 @@ def test_qft_compositions_skip_unread_branches(monkeypatch):
     mono, _ = monomorphize(parse_program((PROGRAMS / "qft.ew").read_text()), 5, "fourier")
     evaluate_program(check_program(mono), mode=Mode.cpsu())
     assert sum(calls) <= 9 and len(calls) <= 120
+
+
+# -- per-step plans and the frames of an unfolding ---------------------------------
+
+
+def _hs_jobs():
+    """``Hs k`` for k in {0, 1, 3, -1}, each at fuel 0, 1, 3 and 100, as
+    ``(ctx, mode, job)``, ``job(ev)`` applying ``Hs`` with ``ev``."""
+    cp = check_program(parse_program(HS))
+    jobs = []
+    for k in (0, 1, 3, -1):
+        for fuel in (0, 1, 3, 100):
+            def job(ev, k=k):
+                hs = ev.eval_host(None, cp.program.find("Hs").term, {})
+                return ev.apply(hs, IntV(k))
+            jobs.append((cp.ctx, Mode.cpsu(fuel), job))
+    return jobs
+
+
+def _outcomes(jobs):
+    """``_fingerprint`` or the exception's type and message, and the fuel
+    left, of each ``(ctx, mode, job)``."""
+    out = []
+    for ctx, mode, job in jobs:
+        ev = Evaluator(ctx=ctx, mode=mode)
+        try:
+            result = _fingerprint(job(ev))
+        except (EvalError, ResourceLimit) as e:
+            result = (type(e).__name__, str(e))
+        out.append((result, ev.fuel))
+    return out
+
+
+def test_step_plans_match_cold_evaluation(monkeypatch):
+    # the same evaluations with every plan, tensored layout and monomial
+    # structure recomputed where it is read
+    monkeypatch.setattr(ewire.algebra, "_max_dim", 1 << 17)
+    jobs = [(ctx, mode, job) for ctx, job in _pruning_jobs()
+            for mode in (Mode.cpu(), Mode.cpsu(100))]
+    jobs += _hs_jobs()
+    built = []
+    build = Evaluator._build_plan
+
+    def counted(ev, omega, term):
+        built.append(term)
+        return build(ev, omega, term)
+
+    monkeypatch.setattr(Evaluator, "_build_plan", counted)
+    warm = _outcomes(jobs)
+    warm_builds = len(built)
+    monkeypatch.setattr(Evaluator, "_plan", Evaluator._build_plan)
+    monkeypatch.setattr(ewire.algebra, "_layout", ewire.algebra._layout.__wrapped__)
+    monkeypatch.setattr(ewire.algebra, "_monomial_rows", ewire.algebra._find_monomial)
+    del built[:]
+    cold = _outcomes(jobs)
+    # unfoldings and lift branches reuse their plans
+    assert warm_builds < len(built) // 2
+    assert any(isinstance(r, tuple) and r[0] == "EvalError" for r, _ in cold)
+    assert cold == warm
+
+
+@pytest.mark.parametrize("text", [
+    # a step that only moves rows makes no dimension check of its own
+    "output (b, a)",
+    "(a, b) <- gate CNOT (a, b); b <- gate H b; output (b, a)",
+])
+def test_lowered_cap_raises_as_on_a_fresh_evaluator(text):
+    omega = (("a", QUBIT), ("b", QUBIT))
+    term = parse_circuit(text)
+    ctx = _default_ctx()
+    check_circuit({}, omega, term, ctx)
+    ev = Evaluator(ctx=ctx)
+    before = ev.denote_circuit(None, omega, term, {}).matrix.tobytes()
+    old = ewire.algebra.max_dim()
+    try:
+        ewire.algebra.set_max_dim(8)
+        messages = []
+        for e in (ev, Evaluator(ctx=ctx)):
+            with pytest.raises(ResourceLimit) as info:
+                e.denote_circuit(None, omega, term, {})
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+    finally:
+        ewire.algebra.set_max_dim(old)
+    assert ev.denote_circuit(None, omega, term, {}).matrix.tobytes() == before
+
+
+def test_an_unfolding_nests_at_most_six_frames(monkeypatch):
+    # the stack depth where Hs (-1) bottoms out, which op_zero sees
+    import sys
+
+    import ewire.denote
+
+    cp = check_program(parse_program(HS))
+    depths = []
+
+    def spy(source, target):
+        frame, n = sys._getframe(), 0
+        while frame is not None:
+            frame, n = frame.f_back, n + 1
+        depths.append(n)
+        return op_zero(source, target)
+
+    monkeypatch.setattr(ewire.denote, "op_zero", spy)
+    for fuel in (50, 100):
+        ev = Evaluator(ctx=cp.ctx, mode=Mode.cpsu(fuel))
+        hs = ev.eval_host(None, cp.program.find("Hs").term, {})
+        ewire.denote.call_with_stack(lambda: ev.apply(hs, IntV(-1)))
+    assert len(depths) == 2
+    assert depths[1] - depths[0] <= 6 * 50
