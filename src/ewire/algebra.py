@@ -960,10 +960,12 @@ BUILTIN_GATES = [
 # ---------------------------------------------------------------------------
 
 
-def superop_to_json(f: SuperOp) -> dict:
-    """JSON form: block lists plus the matrix as [re, im] pairs, row-major."""
+def superop_to_json(f: SuperOp, number=float) -> dict:
+    """JSON form: block lists plus the matrix as [re, im] pairs, row-major,
+    each part written as ``number(part)``."""
     return {
         "source_blocks": list(f.source.blocks),
         "target_blocks": list(f.target.blocks),
-        "matrix": [[float(z.real), float(z.imag)] for z in f.matrix.reshape(-1)],
+        "matrix": [[number(z.real), number(z.imag)]
+                   for z in f.matrix.reshape(-1).tolist()],
     }

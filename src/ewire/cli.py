@@ -1,14 +1,16 @@
 """Command-line front end: ``ewirec {check,run,denote,normalize,equiv}``.
 
-``run`` and ``denote`` print the value of an entry; ``denote`` takes a
-``circ`` declaration as the box over its wire context, and ``run`` runs
-a closed one.  ``equiv`` compares the values of two circuit entries, a
-``def`` of type Circ or a ``circ`` declaration taken as that box,
-unboxed onto one context of fresh wires: one per factor of their input
-types that is not I.  Each of the three evaluates only the ``def``s its
-entries depend on, directly or through other ``def``s, on a thread with
-a deep stack.
-``normalize`` rewrites a circuit entry with every other ``def`` inlined.
+Every entry is resolved to one host term and typed before anything is
+evaluated: a ``def`` is its name, a ``circ`` declaration is the box over
+its wire context, and for ``run`` a closed ``circ`` is ``run c``.  An
+entry of the wrong type is a usage error in every mode.  ``run`` and
+``denote`` print the value of an entry.  ``equiv`` compares the values
+of two circuit entries, unboxed onto one context of fresh wires: one per
+factor of their input types that is not I.  Each of the three evaluates
+only the ``def``s its entries depend on, directly or through other
+``def``s, on a thread with a deep stack.
+``normalize`` rewrites the body of a ``circ`` as written, and of a
+``def`` once the other ``def``s are inlined and it reduces to a box.
 
 Exit codes: 0 success, 1 type, evaluation or equivalence failure, 2
 resource, step, recursion or memory limits, 3 usage errors; each
@@ -26,10 +28,12 @@ import sys
 from dataclasses import replace
 
 from . import algebra
-from .algebra import ResourceLimit, is_cp, is_subunital, is_unital, superop_to_json
+from .algebra import (
+    Distribution, ResourceLimit, is_cp, is_subunital, is_unital, superop_to_json,
+)
 from .denote import (
-    BOTTOM, CircV, DistV, EvalError, IntV, Mode, PairV, UnitV,
-    call_with_stack, decode_value, evaluate_program, sample,
+    BOTTOM, EvalError, IntV, Mode, PairV, UnitV, call_with_stack,
+    evaluate_program, sample,
 )
 from .normalize import (
     StepLimit, check_equiv, normalize, purify_host, unfold_definitions,
@@ -37,11 +41,12 @@ from .normalize import (
 from .parser import ParseError, parse_program
 from .qlist import QListError, monomorphize
 from .syntax import (
-    Box, CircDecl, CircT, DefDecl, PairP, TensorW, Unbox, UnitP, UnitW, Var,
-    WireP, free_host_vars, pretty_print,
+    Box, CircDecl, CircT, DefDecl, MonadT, PairP, Run, TensorW, Unbox, UnitP,
+    UnitW, Var, WireP, free_host_vars, pretty_print,
 )
 from .typecheck import (
-    CheckedProgram, TypeCheckError, check_host, check_program, elaborate_sugar,
+    CheckedProgram, TypeCheckError, bind_pattern, check_host, check_program,
+    elaborate_sugar,
 )
 
 
@@ -91,6 +96,28 @@ def _mode_of(args) -> Mode:
     return Mode.cpu()
 
 
+def _entry(checked: CheckedProgram, entry: str, want: type, what: str):
+    """An entry as a host term and its type under the program's ``def``s,
+    which must be a ``want`` (MonadT or CircT), else ``entry`` is not
+    ``what``.  A ``def`` is its name; a ``circ`` is the box over its wire
+    context, or ``run c`` of a closed one where a computation is wanted."""
+    decl = checked.program.find(entry)
+    if decl is None:
+        raise UsageError(f"no declaration named {entry!r}")
+    if isinstance(decl, DefDecl):
+        term = Var(decl.name)
+    elif want is not MonadT:
+        term = _circ_box(decl)
+    elif checked.circ_types[decl.name][0]:
+        raise UsageError(f"{entry!r} has a non-empty wire context")
+    else:
+        term = Run(decl.term, loc=decl.loc)
+    ty = check_host(checked.def_types, term, checked.ctx)
+    if not isinstance(ty, want):
+        raise UsageError(f"{entry!r} is not {what}")
+    return term, ty
+
+
 def _evaluate(checked: CheckedProgram, roots, mode: Mode):
     """``evaluate_program`` restricted to the ``def``s that ``roots`` name,
     directly or through other ``def``s; every other declaration is kept,
@@ -111,34 +138,10 @@ def _evaluate(checked: CheckedProgram, roots, mode: Mode):
     return evaluate_program(pruned, mode=mode)
 
 
-def _entry_value(checked: CheckedProgram, entry: str, mode: Mode):
-    """The value of a ``def`` entry, or the distribution a closed ``circ``
-    entry runs to."""
-    decl = checked.program.find(entry)
-    if decl is None:
-        raise UsageError(f"no declaration named {entry!r}")
-    if isinstance(decl, DefDecl):
-        _, _, env = _evaluate(checked, {decl.name}, mode)
-        return env[decl.name]
-    context, w = checked.circ_types[decl.name]
-    if context:
-        raise UsageError(f"{entry!r} has a non-empty wire context")
-    ev, gamma, env = _evaluate(checked, free_host_vars(decl.term), mode)
-    op = ev.denote_circuit(gamma, (), decl.term, env)
-    dist = ev.run_circuit(op, w)
-    return DistV({decode_value(w, k): p for k, p in dist.items()})
-
-
-def _circuit_value(checked: CheckedProgram, entry: str, mode: Mode):
-    """``denote``'s value of an entry: a ``def``'s value, and for a
-    ``circ`` the circuit value of the box over its wire context."""
-    decl = checked.program.find(entry)
-    if not isinstance(decl, CircDecl):
-        return _entry_value(checked, entry, mode)
-    box = _circ_box(decl)
-    ev, gamma, env = _evaluate(checked, free_host_vars(box), mode)
-    check_host(gamma, box, checked.ctx)
-    return ev.eval_host(gamma, box, env)
+def _value(checked: CheckedProgram, term, mode: Mode):
+    """The value of a checked entry term."""
+    ev, gamma, env = _evaluate(checked, free_host_vars(term), mode)
+    return ev.eval_host(gamma, term, env)
 
 
 def _circ_box(decl: CircDecl) -> Box:
@@ -180,24 +183,17 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     mode = _mode_of(args)
     checked, entry = _load(args.file, args.qlist_size, args.entry)
-    value = call_with_stack(lambda: _entry_value(checked, entry, mode))
-    if not isinstance(value, DistV):
-        raise UsageError(f"{entry!r} is not a computation (type T(...))")
-    outcomes = {}
-    for hv, w in value.weights.items():
-        outcomes[_value_str(_host_value_plain(hv))] = _fmt(w)
-    mass = sum(value.weights.values())
-    diverge = max(0.0, 1.0 - mass)
+    term, _ = _entry(checked, entry, MonadT, "a computation (type T(...))")
+    value = call_with_stack(lambda: _value(checked, term, mode))
+    plain = {_value_str(_host_value_plain(hv)): w for hv, w in value.weights.items()}
+    diverge = max(0.0, 1.0 - value.mass())
     if diverge < 1e-12:
         diverge = 0.0
     payload = {
-        "outcomes": outcomes,
+        "outcomes": {k: _fmt(w) for k, w in plain.items()},
         "diverge_mass": _fmt(diverge),
     }
     if args.shots:
-        from .algebra import Distribution
-
-        plain = {_value_str(_host_value_plain(hv)): w for hv, w in value.weights.items()}
         counts = sample(Distribution(plain), args.seed, args.shots)
         payload["shots"] = args.shots
         payload["seed"] = args.seed
@@ -219,15 +215,13 @@ def cmd_run(args) -> int:
 def cmd_denote(args) -> int:
     mode = _mode_of(args)
     checked, entry = _load(args.file, args.qlist_size, args.entry)
-    value = call_with_stack(lambda: _circuit_value(checked, entry, mode))
-    if not isinstance(value, CircV):
-        raise UsageError(f"{entry!r} is not a circuit value (type Circ(...))")
-    payload = superop_to_json(value.op)
+    term, _ = _entry(checked, entry, CircT, "a circuit value (type Circ(...))")
+    value = call_with_stack(lambda: _value(checked, term, mode))
+    payload = superop_to_json(value.op, _fmt)
     payload["signature"] = {
         "in": str(value.w_in),
         "out": str(value.w_out),
     }
-    payload["matrix"] = [[_fmt(re), _fmt(im)] for re, im in payload["matrix"]]
     payload["report"] = {
         "is_cp": is_cp(value.op, args.tol),
         "is_unital": is_unital(value.op, args.tol),
@@ -237,58 +231,27 @@ def cmd_denote(args) -> int:
     return 0
 
 
-def _entry_circuit(checked: CheckedProgram, entry: str):
-    """Resolve an entry to ``(context, circuit term)`` for rewriting."""
-    decl = checked.program.find(entry)
-    if decl is None:
-        raise UsageError(f"no declaration named {entry!r}")
-    if isinstance(decl, CircDecl):
-        ctx_ty, _ = checked.circ_types[decl.name]
-        return list(ctx_ty), decl.term
-    ty = checked.def_types[decl.name]
-    if not isinstance(ty, CircT):
-        raise UsageError(f"{entry!r} is not a circuit declaration")
-    defs = {
-        d.name: d.term
-        for d in checked.program.decls
-        if isinstance(d, DefDecl) and d.name != decl.name
-    }
-    term = purify_host(unfold_definitions(decl.term, defs))
-    if not isinstance(term, Box):
-        raise UsageError(
-            f"{entry!r} does not reduce to a literal box; cannot rewrite it"
-        )
-    from .typecheck import bind_pattern
-
-    return bind_pattern(term.pat, term.w_in), term.body
-
-
 def cmd_normalize(args) -> int:
     checked, entry = _load(args.file, args.qlist_size, args.entry)
-    context, term = _entry_circuit(checked, entry)
-    out, trace = normalize(term, max_steps=args.max_steps,
+    term, _ = _entry(checked, entry, CircT, "a circuit declaration")
+    if not isinstance(term, Box):
+        defs = {
+            d.name: d.term for d in checked.program.decls if isinstance(d, DefDecl)
+        }
+        term = purify_host(unfold_definitions(term, defs))
+        if not isinstance(term, Box):
+            raise UsageError(
+                f"{entry!r} does not reduce to a literal box; cannot rewrite it"
+            )
+    out, trace = normalize(term.body, max_steps=args.max_steps,
                            copower_rules=args.copower_rules)
     if args.trace:
         for line in trace.to_json_lines():
             print(json.dumps(line))
-    header = ", ".join(f"{w} : {ty}" for w, ty in context)
+    header = ", ".join(f"{w} : {ty}" for w, ty in bind_pattern(term.pat, term.w_in))
     prefix = f"circ {entry}" + (f" ({header})" if header else "")
     print(f"{prefix} = {pretty_print(out)}")
     return 0
-
-
-def _equiv_entry(checked: CheckedProgram, entry: str):
-    """An ``equiv`` entry as a host term of type Circ and its input type."""
-    decl = checked.program.find(entry)
-    if decl is None:
-        raise UsageError(f"no declaration named {entry!r}")
-    if isinstance(decl, CircDecl):
-        box = _circ_box(decl)
-        return box, box.w_in
-    ty = checked.def_types[decl.name]
-    if not isinstance(ty, CircT):
-        raise UsageError(f"{entry!r} is not a circuit declaration")
-    return Var(decl.name), ty.w_in
 
 
 def _leaves(w) -> list:
@@ -314,7 +277,9 @@ def _leaf_pattern(w, names):
 def cmd_equiv(args) -> int:
     mode = _mode_of(args)
     checked, _ = _load(args.file, args.qlist_size, None)
-    (t1, w1), (t2, w2) = (_equiv_entry(checked, e) for e in (args.left, args.right))
+    (t1, ty1), (t2, ty2) = (_entry(checked, e, CircT, "a circuit declaration")
+                            for e in (args.left, args.right))
+    w1, w2 = ty1.w_in, ty2.w_in
     if _leaves(w1) != _leaves(w2):
         print(json.dumps({"equivalent": False, "reason": "different contexts"}))
         return 1
@@ -344,7 +309,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """Argument type of --shots, --fuel and --max-steps: an int >= 0."""
+    """Argument type of --shots, --fuel, --qlist-size and --max-steps: an
+    int >= 0."""
     try:
         n = int(text)
     except ValueError:
@@ -369,7 +335,7 @@ def _common(sub, shots=False):
     sub.add_argument("file", help="an .ew source file")
     sub.add_argument("--mode", choices=["cpu", "cpsu"], default="cpu")
     sub.add_argument("--fuel", type=_count, default=10_000)
-    sub.add_argument("--qlist-size", type=int, default=None, dest="qlist_size")
+    sub.add_argument("--qlist-size", type=_count, default=None, dest="qlist_size")
     sub.add_argument("--tol", type=_tolerance, default=1e-9)
     sub.add_argument("--json", action="store_true")
     if shots:

@@ -592,7 +592,7 @@ class Evaluator:
         """The copower map of a lift, in canonical row order.  A branch
         that no later step reads is traversed dead and stacked as zero."""
         _, w = p.own
-        needs = _branch_needs(need, p.omega, p.sel, p.remaining, len(p.values))
+        needs = _branch_needs(need, p)
         branches = []
         for value, branch_need in zip(p.values, needs):
             env2 = dict(env)
@@ -729,14 +729,15 @@ def _read_through(read, p: _Plan, f):
     return None if out.all() else out
 
 
-def _branch_needs(need, omega, sel, remaining, n: int) -> list:
-    """The demand on each of the ``n`` branches of a lift over ``omega``
-    that consumes ``sel``: ``_DEAD`` for a branch with no row read."""
+def _branch_needs(need, p: _Plan) -> list:
+    """The demand on each branch of the lift of plan ``p``: ``_DEAD`` for
+    a branch with no row read."""
+    n = len(p.values)
     if need is None or need is _DEAD:
         return [need] * n
     try:
         read = _resolve(need)
-        place = _placement(omega, sel + remaining)
+        place = p.rows()
     except ResourceLimit:
         # every branch is live; the lift raises as it would unpruned
         return [None] * n

@@ -41,7 +41,6 @@ class StepLimit(Exception):
 @dataclass
 class Trace:
     steps: list = field(default_factory=list)  # (index, rule name, location)
-    hit_limit: bool = False
 
     def record(self, rule: str, loc):
         self.steps.append((len(self.steps), rule, str(loc) if loc else "?"))
@@ -241,7 +240,6 @@ def normalize(term, max_steps: int = 1000, copower_rules: bool = False):
         current = out
     if _rewrite_first(current, rules, Trace()) is None:
         return current, trace
-    trace.hit_limit = True
     raise StepLimit(current, trace)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,8 @@ NO_TRACEBACK_CASES = [
     (["denote", "programs/teleport.ew", "--entry", "teleport", "--tol=-1"], 3, "usage error:"),
     (["equiv", "programs/classical_control.ew", "cc_boxed", "cc_host", "--tol=nan"],
      3, "usage error:"),
+    (["denote", "programs/qft.ew", "--entry", "fourier", "--qlist-size", "-1"],
+     3, "usage error:"),
 ]
 
 
@@ -182,6 +185,14 @@ def test_evaluation_error_exits_without_traceback(argv, code, prefix):
     # are negative counts of shots, fuel or rewrite steps and a negative
     # or non-finite tolerance
     _assert_no_traceback(argv, code, prefix)
+
+
+def test_run_of_a_closed_circ_with_a_quantum_output_is_a_type_error(tmp_path):
+    # run c needs a classical output type; the entry is typed as run c
+    # before anything is evaluated
+    src = tmp_path / "closed.ew"
+    src.write_text("circ c : qubit = q <- gate init0 (); output q\n")
+    _assert_no_traceback(["run", str(src), "--entry", "c"], 1, "error[NotClassical]")
 
 
 def test_reader_closing_stdout_exits_without_traceback():
@@ -418,3 +429,62 @@ def test_equiv_qft_with_itself(capsys, n):
     code, out, _ = run_cli(capsys, "equiv", str(PROGRAMS / "qft.ew"), f"fourier__{n}",
                            f"fourier__{n}", "--qlist-size", str(n), "--mode", "cpsu")
     assert (code, out) == (0, EQUIVALENT)
+
+
+def _sweep_cases():
+    from ewire.parser import parse_program
+    from ewire.syntax import CircDecl, DefDecl
+
+    for path in sorted(PROGRAMS.glob("*.ew")):
+        if path.name == "qft.ew":
+            continue
+        for d in parse_program(path.read_text()).decls:
+            if isinstance(d, (DefDecl, CircDecl)):
+                yield str(path), d.name
+
+
+SWEEP = list(_sweep_cases())
+
+
+@pytest.mark.parametrize("path,entry", SWEEP, ids=[
+    f"{Path(p).stem}-{e}" for p, e in SWEEP
+])
+def test_every_entry_exits_with_a_code_and_mode_free_usage_errors(capsys, path, entry):
+    # an entry is typed before it is evaluated, so whether it fits the
+    # command cannot depend on the mode
+    for argv in (["run", path, "--entry", entry], ["denote", path, "--entry", entry],
+                 ["normalize", path, "--entry", entry], ["equiv", path, entry, entry]):
+        cpu = run_cli(capsys, *argv)
+        cpsu = run_cli(capsys, *argv, "--mode", "cpsu", "--fuel", "50")
+        assert cpu[0] in (0, 1, 2, 3) and cpsu[0] in (0, 1, 2, 3), argv
+        if 3 in (cpu[0], cpsu[0]):
+            assert cpu == cpsu, argv
+
+
+def test_denote_writes_each_number_once_at_12_digits(capsys, monkeypatch):
+    import numpy as np
+
+    import ewire.cli
+    from ewire.algebra import SuperOp
+
+    parts = [-0.0, 5e-324, 2.5e-310, 0.1 + 0.2, 0.9999999999996, 9.99999999999951e20,
+             1e16, -1e16, 1 / 3, 123456789012.5, 1.0, 0.0, -2.5e-310, -0.0, 7e-17, 2.0]
+    entries = np.empty(len(parts) // 2, dtype=complex)
+    entries.real, entries.imag = parts[0::2], parts[1::2]
+    value, written = ewire.cli._value, []
+
+    def crafted(*args):
+        v = value(*args)
+        written.append(np.resize(entries, v.op.matrix.shape))
+        return replace(v, op=SuperOp(v.op.source, v.op.target, written[0]))
+
+    monkeypatch.setattr(ewire.cli, "_value", crafted)
+    code, out, _ = run_cli(capsys, "denote", str(PROGRAMS / "classical_control.ew"),
+                           "--entry", "cc_host")
+    assert code == 0
+    want = json.dumps([[float(f"{z.real:.12g}"), float(f"{z.imag:.12g}")]
+                       for z in written[0].reshape(-1)])
+    assert f'"matrix": {want}, ' in out
+    for pair in ("[-0.0, 5e-324]", "[2.5e-310, 0.3]", "[1.0, 1e+21]", "[1e+16, -1e+16]",
+                 "[-2.5e-310, -0.0]"):
+        assert pair in want

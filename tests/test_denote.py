@@ -905,7 +905,7 @@ def _all_branches_live(monkeypatch):
     import ewire.denote
 
     monkeypatch.setattr(ewire.denote, "_branch_needs",
-                        lambda need, omega, sel, remaining, n: [None] * n)
+                        lambda need, p: [None] * len(p.values))
 
 
 def _count_dead_branches(monkeypatch) -> list:
