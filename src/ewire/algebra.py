@@ -960,12 +960,17 @@ BUILTIN_GATES = [
 # ---------------------------------------------------------------------------
 
 
-def superop_to_json(f: SuperOp, number=float) -> dict:
+def _fmt(x: float) -> float:
+    """``x`` at 12 significant digits: the one number format of the output."""
+    return float(f"{x:.12g}")
+
+
+def superop_to_json(f: SuperOp) -> dict:
     """JSON form: block lists plus the matrix as [re, im] pairs, row-major,
-    each part written as ``number(part)``."""
+    each part at 12 significant digits."""
     return {
         "source_blocks": list(f.source.blocks),
         "target_blocks": list(f.target.blocks),
-        "matrix": [[number(z.real), number(z.imag)]
+        "matrix": [[_fmt(z.real), _fmt(z.imag)]
                    for z in f.matrix.reshape(-1).tolist()],
     }

@@ -3,10 +3,12 @@
 Every entry is resolved to one host term and typed before anything is
 evaluated: a ``def`` is its name, a ``circ`` declaration is the box over
 its wire context, and for ``run`` a closed ``circ`` is ``run c``.  An
-entry of the wrong type is a usage error in every mode.  ``run`` and
-``denote`` print the value of an entry.  ``equiv`` compares the values
-of two circuit entries, unboxed onto one context of fresh wires: one per
-factor of their input types that is not I.  Each of the three evaluates
+entry of the wrong type, or a computation whose outcomes are not built
+from unit, classical values and pairs, is a usage error in every mode.
+``run`` and ``denote`` print the value of an entry.  ``equiv`` compares
+the values of two circuit entries, unboxed onto one context of fresh
+wires: one per factor of their input types that is not I.  Each of the
+three evaluates
 only the ``def``s its entries depend on, directly or through other
 ``def``s, on a thread with a deep stack.
 ``normalize`` rewrites the body of a ``circ`` as written, and of a
@@ -29,7 +31,8 @@ from dataclasses import replace
 
 from . import algebra
 from .algebra import (
-    Distribution, ResourceLimit, is_cp, is_subunital, is_unital, superop_to_json,
+    Distribution, ResourceLimit, _fmt, is_cp, is_subunital, is_unital,
+    superop_to_json,
 )
 from .denote import (
     BOTTOM, EvalError, IntV, Mode, PairV, UnitV, call_with_stack,
@@ -41,8 +44,9 @@ from .normalize import (
 from .parser import ParseError, parse_program
 from .qlist import QListError, monomorphize
 from .syntax import (
-    Box, CircDecl, CircT, DefDecl, MonadT, PairP, Run, TensorW, Unbox, UnitP,
-    UnitW, Var, WireP, free_host_vars, pretty_print,
+    Box, CircDecl, CircT, ClassicalT, DefDecl, MonadT, PairP, ProductT, Run,
+    TensorW, Unbox, UnitP, UnitT, UnitW, Var, WireP, free_host_vars,
+    pretty_print,
 )
 from .typecheck import (
     CheckedProgram, TypeCheckError, bind_pattern, check_host, check_program,
@@ -52,10 +56,6 @@ from .typecheck import (
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(x: float) -> float:
-    return float(f"{x:.12g}")
 
 
 def _value_str(v) -> str:
@@ -75,6 +75,17 @@ def _host_value_plain(hv):
         case PairV(a, b):
             return (_host_value_plain(a), _host_value_plain(b))
     raise UsageError(f"entry produced a non-printable value {hv!r}")
+
+
+def _printable(ty) -> bool:
+    """Whether the values of host type ``ty`` are built from unit, classical
+    bases and pairs, which ``_host_value_plain`` prints."""
+    match ty:
+        case UnitT() | ClassicalT():
+            return True
+        case ProductT(left, right):
+            return _printable(left) and _printable(right)
+    return False
 
 
 def _load(path: str, qlist_size, entry):
@@ -99,8 +110,9 @@ def _mode_of(args) -> Mode:
 def _entry(checked: CheckedProgram, entry: str, want: type, what: str):
     """An entry as a host term and its type under the program's ``def``s,
     which must be a ``want`` (MonadT or CircT), else ``entry`` is not
-    ``what``.  A ``def`` is its name; a ``circ`` is the box over its wire
-    context, or ``run c`` of a closed one where a computation is wanted."""
+    ``what``; a computation must return printable values.  A ``def`` is its
+    name; a ``circ`` is the box over its wire context, or ``run c`` of a
+    closed one where a computation is wanted."""
     decl = checked.program.find(entry)
     if decl is None:
         raise UsageError(f"no declaration named {entry!r}")
@@ -115,6 +127,8 @@ def _entry(checked: CheckedProgram, entry: str, want: type, what: str):
     ty = check_host(checked.def_types, term, checked.ctx)
     if not isinstance(ty, want):
         raise UsageError(f"{entry!r} is not {what}")
+    if want is MonadT and not _printable(ty.inner):
+        raise UsageError(f"{entry!r} returns non-printable values of type {ty.inner}")
     return term, ty
 
 
@@ -217,7 +231,7 @@ def cmd_denote(args) -> int:
     checked, entry = _load(args.file, args.qlist_size, args.entry)
     term, _ = _entry(checked, entry, CircT, "a circuit value (type Circ(...))")
     value = call_with_stack(lambda: _value(checked, term, mode))
-    payload = superop_to_json(value.op, _fmt)
+    payload = superop_to_json(value.op)
     payload["signature"] = {
         "in": str(value.w_in),
         "out": str(value.w_out),

@@ -461,6 +461,30 @@ def test_every_entry_exits_with_a_code_and_mode_free_usage_errors(capsys, path, 
             assert cpu == cpsu, argv
 
 
+NON_PRINTABLE = """\
+def rec Hs : int -> Circ(qubit, qubit) =
+  lambda n : int .
+    if n = 0 then box q : qubit => output q
+    else box q : qubit => (q' <- gate H q; unbox (Hs (n - 1)) q')
+
+def id : T(Circ(qubit, qubit)) = return (box q : qubit => output q)
+def zero : T(Circ(qubit, qubit)) = return (Hs (-1))
+"""
+
+
+@pytest.mark.parametrize("entry", ["id", "zero"])
+def test_run_of_a_computation_of_circuits_is_a_usage_error_in_both_modes(
+        capsys, tmp_path, entry):
+    # a T(Circ(...)) entry is rejected from its type, before the fixed
+    # point of zero is evaluated (cpu mode cannot, cpsu mode can)
+    src = tmp_path / "circuits.ew"
+    src.write_text(NON_PRINTABLE)
+    want = (3, "", f"usage error: '{entry}' returns non-printable values of type "
+                   "Circ(qubit, qubit)\n")
+    for mode in (["--mode", "cpu"], ["--mode", "cpsu", "--fuel", "50"]):
+        assert run_cli(capsys, "run", str(src), "--entry", entry, *mode) == want
+
+
 def test_denote_writes_each_number_once_at_12_digits(capsys, monkeypatch):
     import numpy as np
 
