@@ -1,18 +1,17 @@
 """Command-line front end: ``ewirec {check,run,denote,normalize,equiv}``.
 
-Every entry is resolved to one host term and typed before anything is
-evaluated: a ``def`` is its name, a ``circ`` declaration is the box over
-its wire context, and for ``run`` a closed ``circ`` is ``run c``.  An
-entry of the wrong type, or a computation whose outcomes are not built
-from unit, classical values and pairs, is a usage error in every mode.
-``run`` and ``denote`` print the value of an entry.  ``equiv`` compares
-the values of two circuit entries, unboxed onto one context of fresh
-wires: one per factor of their input types that is not I.  Each of the
-three evaluates
-only the ``def``s its entries depend on, directly or through other
-``def``s, on a thread with a deep stack.
-``normalize`` rewrites the body of a ``circ`` as written, and of a
-``def`` once the other ``def``s are inlined and it reduces to a box.
+Every entry is a ``def`` (a ``circ`` declaration parses to one) and is
+resolved to one host term, typed before anything is evaluated: the
+entry's name, or for ``run`` of a closed circuit ``c : Circ(I, W)`` the
+computation ``run (unbox c ())``.  An entry of the wrong type, or a
+computation whose outcomes are not built from unit, classical values and
+pairs, is a usage error in every mode.  ``run`` and ``denote`` print the
+value of an entry.  ``equiv`` compares the values of two circuit
+entries, unboxed onto one context of fresh wires: one per factor of
+their input types that is not I.  Each of the three evaluates only the
+``def``s its entries depend on, directly or through other ``def``s, on a
+thread with a deep stack.  ``normalize`` rewrites the body of an entry
+once the other ``def``s are inlined and it reduces to a box.
 
 Exit codes: 0 success, 1 type, evaluation or equivalence failure, 2
 resource, step, recursion or memory limits, 3 usage errors; each
@@ -44,9 +43,8 @@ from .normalize import (
 from .parser import ParseError, parse_program
 from .qlist import QListError, monomorphize
 from .syntax import (
-    Box, CircDecl, CircT, ClassicalT, DefDecl, MonadT, PairP, ProductT, Run,
-    TensorW, Unbox, UnitP, UnitT, UnitW, Var, WireP, free_host_vars,
-    pretty_print,
+    Box, CircT, ClassicalT, DefDecl, MonadT, PairP, ProductT, Run, TensorW,
+    Unbox, UnitP, UnitT, UnitW, Var, WireP, free_host_vars, pretty_print,
 )
 from .typecheck import (
     CheckedProgram, TypeCheckError, bind_pattern, check_host, check_program,
@@ -110,21 +108,18 @@ def _mode_of(args) -> Mode:
 def _entry(checked: CheckedProgram, entry: str, want: type, what: str):
     """An entry as a host term and its type under the program's ``def``s,
     which must be a ``want`` (MonadT or CircT), else ``entry`` is not
-    ``what``; a computation must return printable values.  A ``def`` is its
-    name; a ``circ`` is the box over its wire context, or ``run c`` of a
-    closed one where a computation is wanted."""
-    decl = checked.program.find(entry)
-    if decl is None:
+    ``what``; a computation must return printable values.  An entry is its
+    name, or ``run (unbox c ())`` of a closed circuit ``c`` where a
+    computation is wanted."""
+    ty = checked.def_types.get(entry)
+    if ty is None:
         raise UsageError(f"no declaration named {entry!r}")
-    if isinstance(decl, DefDecl):
-        term = Var(decl.name)
-    elif want is not MonadT:
-        term = _circ_box(decl)
-    elif checked.circ_types[decl.name][0]:
-        raise UsageError(f"{entry!r} has a non-empty wire context")
-    else:
-        term = Run(decl.term, loc=decl.loc)
-    ty = check_host(checked.def_types, term, checked.ctx)
+    term = Var(entry)
+    if want is MonadT and isinstance(ty, CircT):
+        if ty.w_in != UnitW():
+            raise UsageError(f"{entry!r} has a non-empty wire context")
+        term = Run(Unbox(term, UnitP()))
+        ty = check_host(checked.def_types, term, checked.ctx)
     if not isinstance(ty, want):
         raise UsageError(f"{entry!r} is not {what}")
     if want is MonadT and not _printable(ty.inner):
@@ -158,18 +153,6 @@ def _value(checked: CheckedProgram, term, mode: Mode):
     return ev.eval_host(gamma, term, env)
 
 
-def _circ_box(decl: CircDecl) -> Box:
-    """``circ f (a : A, b : B, c : C) = body`` as the host term
-    ``box (a, (b, c)) : A * (B * C) => body``."""
-    pat, dom = UnitP(), UnitW()
-    for w, ty in reversed(decl.context):
-        if isinstance(pat, UnitP):
-            pat, dom = WireP(w), ty
-        else:
-            pat, dom = PairP(WireP(w), pat), TensorW(ty, dom)
-    return Box(pat, dom, decl.term)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -177,13 +160,7 @@ def _circ_box(decl: CircDecl) -> Box:
 
 def cmd_check(args) -> int:
     checked, _ = _load(args.file, args.qlist_size, None)
-    lines = []
-    for d in checked.program.decls:
-        if isinstance(d, DefDecl):
-            lines.append((d.name, str(checked.def_types[d.name])))
-        elif isinstance(d, CircDecl):
-            _, w = checked.circ_types[d.name]
-            lines.append((d.name, str(CircT(_circ_box(d).w_in, w))))
+    lines = [(name, str(ty)) for name, ty in checked.def_types.items()]
     if args.json:
         print(json.dumps({"ok": True, "declarations": [
             {"name": n, "type": t} for n, t in lines
@@ -248,15 +225,12 @@ def cmd_denote(args) -> int:
 def cmd_normalize(args) -> int:
     checked, entry = _load(args.file, args.qlist_size, args.entry)
     term, _ = _entry(checked, entry, CircT, "a circuit declaration")
+    defs = {d.name: d.term for d in checked.program.decls if isinstance(d, DefDecl)}
+    term = purify_host(unfold_definitions(term, defs))
     if not isinstance(term, Box):
-        defs = {
-            d.name: d.term for d in checked.program.decls if isinstance(d, DefDecl)
-        }
-        term = purify_host(unfold_definitions(term, defs))
-        if not isinstance(term, Box):
-            raise UsageError(
-                f"{entry!r} does not reduce to a literal box; cannot rewrite it"
-            )
+        raise UsageError(
+            f"{entry!r} does not reduce to a literal box; cannot rewrite it"
+        )
     out, trace = normalize(term.body, max_steps=args.max_steps,
                            copower_rules=args.copower_rules)
     if args.trace:
@@ -418,7 +392,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 3
     except ParseError as e:
-        _diag(args, "ParseError", str(e), [e.line, e.col])
+        _diag(args, "ParseError", e.message, [e.line, e.col])
         return 1
     except TypeCheckError as e:
         _diag(args, e.kind, e.message, [e.loc.line, e.loc.col] if e.loc else None)

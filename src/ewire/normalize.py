@@ -13,15 +13,15 @@ replays to the same result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .algebra import frobenius_distance
 from .denote import Evaluator, Mode
 from .syntax import (
-    App, Ascribe, Box, ClassicalLit, Compose, Gate, HostTerm, If, Init,
-    IntLit, Lam, Lift, Output, Pair, PairElim, PairP, Prim, Proj,
+    App, Ascribe, Box, CircuitTerm, ClassicalLit, Compose, Gate, HostTerm,
+    If, Init, IntLit, Lam, Lift, Output, Pair, PairElim, PairP, Prim, Proj,
     ShapeMismatch, UnitElim, UnitP, Unbox, Var, WireP, _fresh_name,
-    free_host_vars, free_wires, freshen_binder, map_children,
+    _term_fields, free_host_vars, free_wires, freshen_binder, map_children,
     pattern_wires, subst_host, subst_pattern,
 )
 from .typecheck import CheckContext, _default_ctx, check_circuit
@@ -196,31 +196,13 @@ def _rewrite_first(term, rules, trace: Trace):
             continue
         trace.record(rule.name, getattr(term, "loc", None))
         return out
-    # descend, leftmost child first
-    match term:
-        case Compose(p, first, rest):
-            out = _rewrite_first(first, rules, trace)
+    # descend, leftmost child first, through the circuit subterms only
+    for name in _term_fields(type(term)):
+        sub = getattr(term, name)
+        if isinstance(sub, CircuitTerm):
+            out = _rewrite_first(sub, rules, trace)
             if out is not None:
-                return Compose(p, out, rest, loc=term.loc)
-            out = _rewrite_first(rest, rules, trace)
-            if out is not None:
-                return Compose(p, first, out, loc=term.loc)
-        case UnitElim(p, rest):
-            out = _rewrite_first(rest, rules, trace)
-            if out is not None:
-                return UnitElim(p, out, loc=term.loc)
-        case PairElim(w1, w2, p, rest):
-            out = _rewrite_first(rest, rules, trace)
-            if out is not None:
-                return PairElim(w1, w2, p, out, loc=term.loc)
-        case Gate(op, g, ip, rest):
-            out = _rewrite_first(rest, rules, trace)
-            if out is not None:
-                return Gate(op, g, ip, out, loc=term.loc)
-        case Lift(x, p, rest):
-            out = _rewrite_first(rest, rules, trace)
-            if out is not None:
-                return Lift(x, p, out, loc=term.loc)
+                return replace(term, **{name: out})
     return None
 
 

@@ -7,6 +7,17 @@ to end of line.  Header directives::
     classical <name> <cardinality>
     gate <name> : <W> -> <W>
 
+Declarations::
+
+    def <name> [: <A>] = <host term>
+    def rec <name> : <A> -> Circ(<W1>, <W2>) = <host term>
+    circ <name> [(<w1> : <W1>, ..., <wn> : <Wn>)] [: <W>] = <circuit>
+
+A ``circ`` declaration is sugar for a boxed ``def``: it parses to
+``def <name> [: Circ(W1 * (... * Wn), W)] = box (w1, (..., wn)) : W1 *
+(... * Wn) => <circuit>``, with ``I`` and ``()`` for an empty context.
+``run f`` and ``qrun f`` of a name ``f`` stand for ``run (unbox f ())``.
+
 Wire and host variables live in separate namespaces.
 """
 
@@ -16,7 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .syntax import (
-    App, Ascribe, ArrowT, Bind, Box, CircDecl, CircT, ClassicalDecl,
+    App, Ascribe, ArrowT, Bind, Box, CircT, ClassicalDecl,
     ClassicalLit, ClassicalT, ClassicalW, Compose, DefDecl,
     DEFAULT_INT_CARDINALITY, Fix, Gate, GateDecl, GateFam, GateRef,
     HostTerm, HostType, If, Init, IntLit, Lam, Lift, MonadT, Output, Pair,
@@ -240,7 +251,7 @@ class Parser:
             ty = self._merge_annotation(p, ty, w)
         if ty is None or _has_hole(ty):
             self.fail("box pattern needs a complete type annotation")
-        return p, _strip(ty)
+        return p, ty
 
     def _ann_pattern_inner(self):
         t = self.peek()
@@ -275,7 +286,7 @@ class Parser:
                 self._merge_annotation(None, partial.left, w.left),
                 self._merge_annotation(None, partial.right, w.right),
             )
-        if _strip(partial) != w:
+        if partial != w:
             self.fail(f"conflicting pattern annotations: {partial} vs {w}")
         return w
 
@@ -497,14 +508,7 @@ class Parser:
             self.expect(")")
             return c
         if t.kind == "ident":
-            name = self.next().text
-            circ = self.circ_decls.get(name)
-            if circ is None:
-                raise ParseError(
-                    f"'run' expects a circuit or the name of a 'circ' declaration;"
-                    f" {name!r} is neither", t.line, t.col,
-                )
-            return circ
+            return Unbox(Var(self.next().text, loc=t.span), UnitP(), loc=t.span)
         return self.circuit()
 
     def host_cmp(self) -> HostTerm:
@@ -588,12 +592,11 @@ class Parser:
     # -- declarations -----------------------------------------------------------
 
     def program(self) -> Program:
-        self.circ_decls: dict = {}
         decls = []
         names = set()
         while not self.at("eof"):
             d = self.declaration()
-            if isinstance(d, (DefDecl, CircDecl)):
+            if isinstance(d, DefDecl):
                 if d.name in names:
                     raise ParseError(
                         f"duplicate declaration {d.name!r}", d.loc.line, d.loc.col
@@ -645,15 +648,20 @@ class Parser:
                     if not self.accept(","):
                         break
                 self.expect(")")
+            pat, dom = UnitP(), UnitW()
+            for w, ty in reversed(ctx):
+                if isinstance(pat, UnitP):
+                    pat, dom = WireP(w), ty
+                else:
+                    pat, dom = PairP(WireP(w), pat), TensorW(ty, dom)
+            if not pattern_linear(pat):
+                raise ParseError(f"duplicate wire in pattern {pat}", t.line, t.col)
             ann = None
             if self.accept(":"):
-                ann = self.wire_type()
+                ann = CircT(dom, self.wire_type())
             self.expect("=")
-            term = self.circuit()
-            d = CircDecl(name.text, tuple(ctx), ann, term, loc=t.span)
-            if not ctx:
-                self.circ_decls[name.text] = term
-            return d
+            box = Box(pat, dom, self.circuit(), loc=t.span)
+            return DefDecl(name.text, ann, box, loc=t.span)
         self.fail("expected a declaration", ["def", "circ", "classical", "gate"])
 
     def _rec_def(self, t):
@@ -686,10 +694,6 @@ def _has_hole(ty):
     return False
 
 
-def _strip(ty):
-    return ty
-
-
 def parse_program(text: str) -> Program:
     """Parse a complete ``.ew`` source file."""
     bases = {"bit": 2, "int": DEFAULT_INT_CARDINALITY}
@@ -700,7 +704,6 @@ def parse_program(text: str) -> Program:
 def parse_circuit(text: str, bases: dict[str, int] | None = None):
     """Parse a bare circuit term (mainly for tests and tooling)."""
     p = Parser(tokenize(text), bases or {"bit": 2, "int": DEFAULT_INT_CARDINALITY})
-    p.circ_decls = {}
     c = p.circuit()
     p.expect("eof")
     return c
@@ -709,7 +712,6 @@ def parse_circuit(text: str, bases: dict[str, int] | None = None):
 def parse_host_term(text: str, bases: dict[str, int] | None = None) -> HostTerm:
     """Parse a bare host term."""
     p = Parser(tokenize(text), bases or {"bit": 2, "int": DEFAULT_INT_CARDINALITY})
-    p.circ_decls = {}
     t = p.host_term()
     p.expect("eof")
     return t

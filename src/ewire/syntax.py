@@ -559,18 +559,7 @@ class DefDecl:
     loc: Optional[Span] = _loc_field()
 
 
-@dataclass(frozen=True)
-class CircDecl:
-    """A named circuit with an explicit (possibly empty) wire context."""
-
-    name: str
-    context: tuple  # tuple[(str, WireType), ...]
-    ann: Optional[WireType]
-    term: CircuitTerm
-    loc: Optional[Span] = _loc_field()
-
-
-Decl = Union[ClassicalDecl, GateDecl, DefDecl, CircDecl]
+Decl = Union[ClassicalDecl, GateDecl, DefDecl]
 
 
 @dataclass(frozen=True)
@@ -593,7 +582,7 @@ class Program:
 
     def find(self, name: str):
         for d in self.decls:
-            if isinstance(d, (DefDecl, CircDecl)) and d.name == name:
+            if isinstance(d, DefDecl) and d.name == name:
                 return d
         return None
 
@@ -990,11 +979,8 @@ def pretty_print(node) -> str:
             return _print_host(node, 0)
         case Program(decls):
             return "\n".join(_print_decl(d) for d in decls) + "\n"
-        case _:
-            if isinstance(
-                node, (ClassicalDecl, GateDecl, DefDecl, CircDecl)
-            ):
-                return _print_decl(node)
+        case ClassicalDecl() | GateDecl() | DefDecl():
+            return _print_decl(node)
     raise TypeError(f"cannot print {node!r}")
 
 
@@ -1005,15 +991,8 @@ def _gate_spec(g: GateRef) -> str:
 
 def _rhs(c: CircuitTerm) -> str:
     """Print a circuit in right-hand-side position of a binding."""
-    match c:
-        case Output(p):
-            return f"output {pretty_print(p)}"
-        case Unbox(t, p):
-            return f"unbox {_atom(t)} {pretty_print(p)}"
-        case Init(t):
-            return f"init {_atom(t)}"
-        case _:
-            return f"({_print_circuit(c)})"
+    s = _print_circuit(c)
+    return s if isinstance(c, (Output, Unbox, Init)) else f"({s})"
 
 
 def _print_circuit(c: CircuitTerm) -> str:
@@ -1024,10 +1003,10 @@ def _print_circuit(c: CircuitTerm) -> str:
                 parts.append(f"output {pretty_print(p)}")
                 break
             case Unbox(t, p):
-                parts.append(f"unbox {_atom(t)} {pretty_print(p)}")
+                parts.append(f"unbox {_print_host(t, 10)} {pretty_print(p)}")
                 break
             case Init(t):
-                parts.append(f"init {_atom(t)}")
+                parts.append(f"init {_print_host(t, 10)}")
                 break
             case Compose(p, first, rest):
                 parts.append(f"{pretty_print(p)} <- {_rhs(first)}")
@@ -1065,11 +1044,6 @@ def _annotated_pattern(p: Pattern, w: WireType) -> str:
                 raise ShapeMismatch(f"pattern {p} at non-tensor type {w}")
             return f"({_annotated_pattern(l, w.left)}, {_annotated_pattern(r, w.right)})"
     raise TypeError(f"not a pattern: {p!r}")
-
-
-def _atom(t: HostTerm) -> str:
-    s = _print_host(t, 10)
-    return s
 
 
 def _print_host(t: HostTerm, prec: int) -> str:
@@ -1140,11 +1114,4 @@ def _print_decl(d) -> str:
         case DefDecl(name, ann, term):
             anns = f" : {pretty_print(ann)}" if ann is not None else ""
             return f"def {name}{anns} = {_print_host(term, 0)}"
-        case CircDecl(name, ctx, ann, term):
-            ctxs = ""
-            if ctx:
-                inner = ", ".join(f"{w} : {pretty_print(ty)}" for w, ty in ctx)
-                ctxs = f" ({inner})"
-            anns = f" : {pretty_print(ann)}" if ann is not None else ""
-            return f"circ {name}{ctxs}{anns} = {_print_circuit(term)}"
     raise TypeError(f"cannot print declaration {d!r}")

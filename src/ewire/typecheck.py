@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from . import algebra
 from .syntax import (
-    App, Ascribe, ArrowT, Bind, Box, CircDecl, ClassicalDecl,
+    App, Ascribe, ArrowT, Bind, Box, ClassicalDecl,
     ClassicalLit, ClassicalT, CircT, Compose, DefDecl, Fix, Gate,
     GateDecl, GateFam, GateRef, HostTerm, HostType, If, Init, IntLit,
     Lam, Lift, MonadT, NotClassicalError, Output, Pair, PairElim, PairP,
@@ -538,7 +538,6 @@ def _check_host_type(a: HostType, loc=None):
 class CheckedProgram:
     program: Program
     def_types: dict  # name -> HostType
-    circ_types: dict  # name -> (context, WireType)
     ctx: CheckContext
 
 
@@ -548,7 +547,6 @@ def check_program(prog: Program) -> CheckedProgram:
                        table={})
     gamma: dict = {}
     def_types: dict = {}
-    circ_types: dict = {}
     for d in prog.decls:
         match d:
             case ClassicalDecl() | GateDecl():
@@ -559,18 +557,7 @@ def check_program(prog: Program) -> CheckedProgram:
                 ty = check_host(gamma, term, ctx, ann)
                 gamma[name] = ty
                 def_types[name] = ty
-            case CircDecl(name, context, ann, term):
-                for _, wt in context:
-                    _no_qlist(wt, d.loc)
-                w = check_circuit(gamma, tuple(context), term, ctx)
-                if ann is not None and ann != w:
-                    raise TypeCheckError(
-                        MISMATCH,
-                        f"circuit {name!r} declared {ann}, has type {w}",
-                        d.loc,
-                    )
-                circ_types[name] = (tuple(context), w)
-    return CheckedProgram(prog, def_types, circ_types, ctx)
+    return CheckedProgram(prog, def_types, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +642,6 @@ def elaborate_sugar(prog: Program) -> Program:
         match d:
             case DefDecl(name, ann, term):
                 decls.append(DefDecl(name, ann, elab(term), loc=d.loc))
-            case CircDecl(name, context, ann, term):
-                decls.append(CircDecl(name, context, ann, elab(term), loc=d.loc))
             case _:
                 decls.append(d)
     return Program(tuple(decls))

@@ -26,7 +26,7 @@ from ewire.syntax import (
     BIT, Box, GateRef, Output, PairP, QUBIT, TensorW, UnitP, WireP,
 )
 from ewire.typecheck import (
-    TypeCheckError, check_circuit, check_host, check_program,
+    TypeCheckError, bind_pattern, check_circuit, check_host, check_program,
     elaborate_sugar, generate_meas_circuit, generate_new_circuit,
     _default_ctx,
 )
@@ -103,9 +103,9 @@ def test_criterion_2_rewrite_soundness():
 def test_criterion_3_classical_control():
     prog = parse_program((PROGRAMS / "classical_control.ew").read_text())
     cp = check_program(prog)
-    decl = prog.find("cc")
+    box = prog.find("cc").term
     ev = Evaluator(ctx=cp.ctx)
-    got = ev.denote_circuit({}, cp.circ_types["cc"][0], decl.term, {})
+    got = ev.denote_circuit({}, bind_pattern(box.pat, box.w_in), box.body, {})
 
     # hand-assembled channel: measure a, classically controlled X on b,
     # discard the bit; built directly from the density-matrix formula

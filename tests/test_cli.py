@@ -433,13 +433,13 @@ def test_equiv_qft_with_itself(capsys, n):
 
 def _sweep_cases():
     from ewire.parser import parse_program
-    from ewire.syntax import CircDecl, DefDecl
+    from ewire.syntax import DefDecl
 
     for path in sorted(PROGRAMS.glob("*.ew")):
         if path.name == "qft.ew":
             continue
         for d in parse_program(path.read_text()).decls:
-            if isinstance(d, (DefDecl, CircDecl)):
+            if isinstance(d, DefDecl):
                 yield str(path), d.name
 
 
@@ -512,3 +512,50 @@ def test_denote_writes_each_number_once_at_12_digits(capsys, monkeypatch):
     for pair in ("[-0.0, 5e-324]", "[2.5e-310, 0.3]", "[1.0, 1e+21]", "[1e+16, -1e+16]",
                  "[-2.5e-310, -0.0]"):
         assert pair in want
+
+
+# -- a circ declaration is a boxed def -----------------------------------------------
+
+CIRC_AS_DEF = """
+def h : Circ(qubit, qubit) = box q : qubit => (q2 <- gate H q; output q2)
+circ c (a : qubit) : qubit = b <- unbox h a; output b
+def cd : Circ(qubit, qubit) = box a : qubit => (b <- unbox h a; output b)
+def kd : Circ(I, bit) = box () : I => (a <- gate init0 (); a2 <- gate H a; b <- gate meas a2; output b)
+"""
+
+
+def test_normalize_of_a_circ_inlines_the_defs_it_names(capsys, tmp_path):
+    src = tmp_path / "circ_as_def.ew"
+    src.write_text(CIRC_AS_DEF)
+    want = "circ {} (a : qubit) = q2 <- gate H a; output q2\n"
+    for entry in ("c", "cd"):
+        assert run_cli(capsys, "normalize", str(src), "--entry", entry)[:2] == (
+            0, want.format(entry))
+
+
+def test_run_of_a_closed_circuit_def(capsys, tmp_path):
+    src = tmp_path / "circ_as_def.ew"
+    src.write_text(CIRC_AS_DEF)
+    code, out, _ = run_cli(capsys, "run", str(src), "--entry", "kd", "--json")
+    assert code == 0
+    assert json.loads(out) == {"outcomes": {"0": 0.5, "1": 0.5}, "diverge_mass": 0.0}
+
+
+def test_circ_over_a_qlist_is_instantiated(capsys, tmp_path):
+    src = tmp_path / "circ_qlist.ew"
+    src.write_text("circ rev (qs : qlist) : qlist = output qs\n")
+    code, out, _ = run_cli(capsys, "check", str(src), "--qlist-size", "2")
+    assert (code, out) == (0, "rev__2 : Circ(qubit * qubit * I, qubit * qubit * I)\n")
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+def test_parse_error_prints_its_position_once(capsys, tmp_path, json_flag):
+    src = tmp_path / "bad.ew"
+    src.write_text("def x = (\n")
+    code, out, err = run_cli(capsys, "check", str(src), *(["--json"] if json_flag else []))
+    assert code == 1
+    if json_flag:
+        assert json.loads(out) == {"kind": "ParseError", "span": [2, 0],
+                                   "message": "expected a host term"}
+    else:
+        assert err == "error[ParseError] at 2:0: expected a host term\n"

@@ -18,7 +18,7 @@ from ewire.normalize import normalize
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.qlist import monomorphize
 from ewire.syntax import (
-    BIT, CircDecl, ClassicalW, Compose, DefDecl, Gate, GateRef, Init, Lift,
+    BIT, ClassicalW, Compose, DefDecl, Gate, GateRef, Init, Lift,
     Output, QUBIT, TensorW, UnitW, Var, WireP, children,
 )
 from ewire.typecheck import (
@@ -554,10 +554,7 @@ def test_evaluator_never_rechecks(monkeypatch):
             monkeypatch.setattr(module, name, forbidden)
     for cp, modes in checked:
         for mode in modes:
-            ev, _, env = evaluate_program(cp, mode=mode)
-            for d in cp.program.decls:
-                if isinstance(d, CircDecl):
-                    ev.denote_circuit(None, cp.circ_types[d.name][0], d.term, env)
+            evaluate_program(cp, mode=mode)
     for ctx, omega, term in corpus:
         for mode in (Mode.cpu(), Mode.cpsu()):
             Evaluator(ctx=ctx, mode=mode).denote_circuit(None, omega, term, {})
@@ -883,9 +880,6 @@ def _pruning_jobs():
                 if isinstance(d, DefDecl):
                     env[d.name] = ev.eval_host(None, d.term, dict(env))
                     values.append(env[d.name])
-                elif isinstance(d, CircDecl):
-                    omega = cp.circ_types[d.name][0]
-                    values.append(ev.denote_circuit(None, omega, d.term, env))
             return values
         return run
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ewire import syntax
 from ewire.cli import main
 from ewire.parser import ParseError, parse_circuit, parse_host_term, parse_program
+from ewire.qlist import monomorphize
 from ewire.syntax import (
     BIT, QUBIT, CircuitTerm, ClassicalT, ClassicalW, Fix, GateRef, HostTerm,
     Init, NotClassicalError, Output, PairP, ProductT, QLift, QRun, QuantumW,
@@ -17,6 +18,7 @@ from ewire.syntax import (
     classicalize, free_wires, is_classical, lift_type,
     map_children, pattern_wires, pretty_print, subst_pattern, unlift_type,
 )
+from ewire.typecheck import check_program
 
 FLIP = "a <- gate init0 (); a' <- gate H a; b <- gate meas a'; output b"
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -192,6 +194,21 @@ def main : T(bit) = run flip
     for d, d2 in zip(p.decls, p2.decls):
         if hasattr(d, "term"):
             assert alpha_equiv(d.term, d2.term)
+
+
+@pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.ew")), ids=lambda p: p.stem)
+def test_every_program_roundtrips_through_the_printer(path):
+    # a circ declaration prints as the boxed def it parses to
+    p = parse_program(path.read_text())
+    p2 = parse_program(pretty_print(p))
+    assert [getattr(d, "name", None) for d in p.decls] == [
+        getattr(d, "name", None) for d in p2.decls]
+    for d, d2 in zip(p.decls, p2.decls):
+        if hasattr(d, "term"):
+            assert alpha_equiv(d.term, d2.term)
+    if path.name == "qft.ew":
+        p, p2 = (monomorphize(q, 2, None)[0] for q in (p, p2))
+    assert check_program(p).def_types == check_program(p2).def_types
 
 
 def test_comments_and_directives():

@@ -5,7 +5,7 @@ import pytest
 
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.syntax import (
-    BIT, Box, CircDecl, CircT, ClassicalLit, ClassicalT, ClassicalW, Compose,
+    BIT, Box, CircT, ClassicalLit, ClassicalT, ClassicalW, Compose,
     DefDecl, Gate, Init, IntLit, Lift, MonadT, Output, PairElim, PairP, Prim,
     QLift, QRun, QUBIT, TensorW, UnitElim, UnitP, UnitW, Unbox, Var, WireP,
     children, classicalize, pretty_print,
@@ -471,7 +471,7 @@ def f : Circ(qubit, bit * qubit) =
     def sugar_free(n):
         return not isinstance(n, (QRun, QLift)) and all(map(sugar_free, children(n)))
 
-    assert all(sugar_free(d.term) for d in el.decls if isinstance(d, (DefDecl, CircDecl)))
+    assert all(sugar_free(d.term) for d in el.decls if isinstance(d, DefDecl))
     after = check_program(el)
     assert before.def_types == after.def_types
 
@@ -504,4 +504,4 @@ circ c (q : qubit) : qubit = q2 <- gate amp q; output q2
 """
     )
     cp = check_program(prog)
-    assert cp.circ_types["c"][1] == QUBIT
+    assert cp.def_types["c"] == CircT(QUBIT, QUBIT)
