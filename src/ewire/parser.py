@@ -18,6 +18,12 @@ A ``circ`` declaration is sugar for a boxed ``def``: it parses to
 (... * Wn) => <circuit>``, with ``I`` and ``()`` for an empty context.
 ``run f`` and ``qrun f`` of a name ``f`` stand for ``run (unbox f ())``.
 
+The pattern grammar (``Parser.pattern``) also settles what a ``(``
+opens, by trying it and rewinding: in circuit position, a binding
+statement if a pattern parses there and ``<-`` or ``<=`` follows it,
+else a parenthesised circuit; after ``p <-``, the pattern of a ``()``
+or ``(w1, w2)`` eliminator if one parses there, else a circuit.
+
 Wire and host variables live in separate namespaces.
 """
 
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from .syntax import (
     App, Ascribe, ArrowT, Bind, Box, CircT, ClassicalDecl,
     ClassicalLit, ClassicalT, ClassicalW, Compose, DefDecl,
-    DEFAULT_INT_CARDINALITY, Fix, Gate, GateDecl, GateFam, GateRef,
+    DEFAULT_BASES, Fix, Gate, GateDecl, GateFam, GateRef,
     HostTerm, HostType, If, Init, IntLit, Lam, Lift, MonadT, Output, Pair,
     PairElim, PairP, Pattern, Prim, Program, Proj, ProductT, QListW, QUBIT,
     QLift, QRun, Ret, Run, Span, TensorW, UnitElim, UnitP, UnitT,
@@ -104,10 +110,6 @@ def tokenize(text: str) -> list[Token]:
         i = m.end()
     toks.append(Token("eof", "", line, col))
     return toks
-
-
-# statement right-hand sides that begin a circuit term
-_CIRCUIT_KEYWORDS = {"output", "gate", "unbox", "init"}
 
 
 class Parser:
@@ -225,66 +227,51 @@ class Parser:
     # -- patterns -----------------------------------------------------------
 
     def pattern(self) -> Pattern:
-        t = self.peek()
-        if t.kind == "(":
-            self.next()
-            if self.accept(")"):
-                return UnitP()
-            p = self.pattern()
-            if self.accept(","):
-                q = self.pattern()
-                self.expect(")")
-                return PairP(p, q)
-            self.expect(")")
-            return p
-        if t.kind == "ident":
-            self.next()
-            return WireP(t.text)
-        self.fail("expected a pattern", ["(", "identifier"])
+        return self._pattern(annotated=False)[0]
 
     def annotated_pattern(self):
         """Pattern with per-leaf or whole ': W' annotations; returns the
         pattern together with the fully determined wire type."""
-        p, ty = self._ann_pattern_inner()
-        if self.accept(":"):
-            w = self.wire_type()
-            ty = self._merge_annotation(p, ty, w)
+        p, ty = self._pattern_part(annotated=True)
         if ty is None or _has_hole(ty):
             self.fail("box pattern needs a complete type annotation")
         return p, ty
 
-    def _ann_pattern_inner(self):
+    def _pattern(self, annotated):
+        """The pattern grammar.  Returns the pattern and its type as far
+        as annotations give it (None for a bare wire, a ``_Hole`` for a
+        pair with one); ': W' annotations are parsed if ``annotated``."""
         t = self.peek()
-        if t.kind == "(":
-            self.next()
-            if self.accept(")"):
-                return UnitP(), UnitW()
-            p, ty = self._ann_pattern_inner()
-            if self.accept(":"):
-                w = self.wire_type()
-                ty = self._merge_annotation(p, ty, w)
-            if self.accept(","):
-                q, ty2 = self._ann_pattern_inner()
-                if self.accept(":"):
-                    w2 = self.wire_type()
-                    ty2 = self._merge_annotation(q, ty2, w2)
-                self.expect(")")
-                return PairP(p, q), _Hole() if ty is None or ty2 is None else TensorW(ty, ty2)
-            self.expect(")")
-            return p, ty
         if t.kind == "ident":
             self.next()
             return WireP(t.text), None
-        self.fail("expected a pattern", ["(", "identifier"])
+        if t.kind != "(":
+            self.fail("expected a pattern", ["(", "identifier"])
+        self.next()
+        if self.accept(")"):
+            return UnitP(), UnitW()
+        p, ty = self._pattern_part(annotated)
+        if self.accept(","):
+            q, ty2 = self._pattern_part(annotated)
+            self.expect(")")
+            return PairP(p, q), _Hole() if ty is None or ty2 is None else TensorW(ty, ty2)
+        self.expect(")")
+        return p, ty
 
-    def _merge_annotation(self, p, partial, w):
+    def _pattern_part(self, annotated):
+        p, ty = self._pattern(annotated)
+        if annotated and self.accept(":"):
+            ty = self._merge_annotation(ty, self.wire_type())
+        return p, ty
+
+    def _merge_annotation(self, partial, w):
         # an explicit annotation must agree with and complete any inner ones
         if partial is None or isinstance(partial, _Hole):
             return w
         if isinstance(partial, TensorW) and isinstance(w, TensorW):
             return TensorW(
-                self._merge_annotation(None, partial.left, w.left),
-                self._merge_annotation(None, partial.right, w.right),
+                self._merge_annotation(partial.left, w.left),
+                self._merge_annotation(partial.right, w.right),
             )
         if partial != w:
             self.fail(f"conflicting pattern annotations: {partial} vs {w}")
@@ -304,7 +291,7 @@ class Parser:
         if t.kind == "init":
             self.next()
             return Init(self.host_atom(), loc=t.span)
-        if t.kind == "(" and not self._paren_starts_pattern_stmt():
+        if t.kind == "(" and self._after_pattern() not in ("<-", "<="):
             self.next()
             c = self.circuit()
             self.expect(")")
@@ -312,28 +299,17 @@ class Parser:
         # otherwise: a binding statement
         return self.statement()
 
-    def _paren_starts_pattern_stmt(self) -> bool:
-        """Lookahead: does '(' open the pattern of a binding statement
-        rather than a parenthesized circuit?"""
-        depth = 0
-        k = 0
-        while True:
-            t = self.peek(k)
-            if t.kind == "(":
-                depth += 1
-            elif t.kind == ")":
-                depth -= 1
-                if depth == 0:
-                    nxt = self.peek(k + 1)
-                    return nxt.kind in ("<-", "<=")
-            elif t.kind in ("ident", ","):
-                pass
-            elif t.kind == "eof":
-                return False
-            else:
-                # a keyword or other token inside the parens: a circuit
-                return False
-            k += 1
+    def _after_pattern(self):
+        """Lookahead: the kind of the token that follows a pattern parsed
+        here, or None if no pattern parses; the position is kept."""
+        start = self.pos
+        try:
+            self.pattern()
+            return self.peek().kind
+        except ParseError:
+            return None
+        finally:
+            self.pos = start
 
     def statement(self):
         t = self.peek()
@@ -353,32 +329,30 @@ class Parser:
             cls = Lift if kw.kind == "lift" else QLift
             return cls(pat.name, src, rest, loc=t.span)
         self.expect("<-")
-        rhs_tok = self.peek()
-        if rhs_tok.kind == "gate":
-            self.next()
+        if self.accept("gate"):
             g = self.gate_spec()
             in_pat = self.pattern()
             self.expect(";")
             rest = self.circuit()
             self._check_pattern(pat, t)
             return Gate(pat, g, in_pat, rest, loc=t.span)
-        first = self._binding_rhs(pat, t)
-        if isinstance(first, Pattern):
+        if self._after_pattern() is not None:
             # eliminator form: () <- p  |  (w1, w2) <- p
+            src = self.pattern()
             self.expect(";")
             rest = self.circuit()
-            if isinstance(pat, UnitP):
-                return UnitElim(first, rest, loc=t.span)
-            if (
-                isinstance(pat, PairP)
-                and isinstance(pat.left, WireP)
-                and isinstance(pat.right, WireP)
-            ):
-                return PairElim(pat.left.name, pat.right.name, first, rest, loc=t.span)
+            match pat:
+                case UnitP():
+                    return UnitElim(src, rest, loc=t.span)
+                case PairP(WireP(w1), WireP(w2)):
+                    return PairElim(w1, w2, src, rest, loc=t.span)
             raise ParseError(
                 "left side of a pattern elimination must be () or a pair of wires",
                 t.line, t.col,
             )
+        if self.peek().kind not in ("output", "unbox", "init", "("):
+            self.fail("expected a circuit or pattern after '<-'")
+        first = self.circuit()
         self.expect(";")
         rest = self.circuit()
         self._check_pattern(pat, t)
@@ -389,45 +363,6 @@ class Parser:
             raise ParseError(
                 f"duplicate wire name in pattern {pat}", tok.line, tok.col
             )
-
-    def _binding_rhs(self, lhs, tok):
-        """After 'p <-': a circuit right-hand side, or a pattern for the
-        unit/pair eliminators."""
-        t = self.peek()
-        if t.kind in ("output", "unbox", "init"):
-            return self.circuit()
-        if t.kind == "(":
-            if not self._paren_is_circuit():
-                return self.pattern()
-            self.next()
-            c = self.circuit()
-            self.expect(")")
-            return c
-        if t.kind == "ident":
-            return self.pattern()
-        self.fail("expected a circuit or pattern after '<-'")
-
-    def _paren_is_circuit(self) -> bool:
-        """Lookahead inside '( ...': distinguish '(a, b)' from '(a <- ...)'."""
-        k = 1
-        depth = 1
-        while True:
-            t = self.peek(k)
-            if t.kind in _CIRCUIT_KEYWORDS or t.kind in ("lift", "qlift"):
-                return True
-            if t.kind == "(":
-                depth += 1
-            elif t.kind == ")":
-                depth -= 1
-                if depth == 0:
-                    return False
-            elif t.kind in ("<-", "<="):
-                return True
-            elif t.kind in ("ident", ","):
-                pass
-            else:
-                return True
-            k += 1
 
     def gate_spec(self) -> GateRef:
         t = self.peek()
@@ -696,14 +631,13 @@ def _has_hole(ty):
 
 def parse_program(text: str) -> Program:
     """Parse a complete ``.ew`` source file."""
-    bases = {"bit": 2, "int": DEFAULT_INT_CARDINALITY}
-    p = Parser(tokenize(text), bases)
+    p = Parser(tokenize(text), DEFAULT_BASES)
     return p.program()
 
 
 def parse_circuit(text: str, bases: dict[str, int] | None = None):
     """Parse a bare circuit term (mainly for tests and tooling)."""
-    p = Parser(tokenize(text), bases or {"bit": 2, "int": DEFAULT_INT_CARDINALITY})
+    p = Parser(tokenize(text), bases or DEFAULT_BASES)
     c = p.circuit()
     p.expect("eof")
     return c
@@ -711,7 +645,7 @@ def parse_circuit(text: str, bases: dict[str, int] | None = None):
 
 def parse_host_term(text: str, bases: dict[str, int] | None = None) -> HostTerm:
     """Parse a bare host term."""
-    p = Parser(tokenize(text), bases or {"bit": 2, "int": DEFAULT_INT_CARDINALITY})
+    p = Parser(tokenize(text), bases or DEFAULT_BASES)
     t = p.host_term()
     p.expect("eof")
     return t

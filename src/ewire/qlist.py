@@ -33,14 +33,12 @@ from . import algebra
 from .syntax import (
     App, ArrowT, Box, CircT, ClassicalDecl, Compose, DefDecl, Gate,
     GateDecl, GateRef, HostTerm, If, Init, Lam, Lift, NotClassicalError,
-    Output, PairElim, PairP, Pattern, Program, QListW, QUBIT, QuantumW,
-    TensorW, UnitElim, UnitP, UnitW, Unbox, Var, WireP, WireType,
-    _subst_in_pattern, free_wires, lift_type, mentions_qlist,
-    pattern_wires, pretty_print, unlift_type,
+    Output, PairElim, PairP, Program, QListW, QUBIT, QuantumW, TensorW,
+    UnitElim, UnitP, UnitW, Unbox, Var, WireP, WireType, _subst_in_pattern,
+    free_wires, lift_type, mentions_qlist, pretty_print, unlift_type,
 )
 from .typecheck import (
-    CheckContext, TypeCheckError, _select, bind_pattern, check_host,
-    pattern_type,
+    CheckContext, TypeCheckError, _select, bind_pattern, check_host, take,
 )
 
 
@@ -62,12 +60,17 @@ def qlist_type(k: int) -> WireType:
     return w
 
 
-def subst_qlist(w: WireType, k: int) -> WireType:
+def subst_qlist(w, k: int):
+    """The wire or host type ``w`` (or None) with every qlist of size ``k``."""
     match w:
         case QListW():
             return qlist_type(k)
         case TensorW(l, r):
             return TensorW(subst_qlist(l, k), subst_qlist(r, k))
+        case CircT(l, r):
+            return CircT(subst_qlist(l, k), subst_qlist(r, k))
+        case ArrowT(l, r):
+            return ArrowT(subst_qlist(l, k), subst_qlist(r, k))
         case _:
             return w
 
@@ -112,18 +115,12 @@ def _unify_size(template: WireType, concrete: WireType) -> int | None:
     return found[0]
 
 
-def _take(omega: tuple, p: Pattern, loc):
-    """The type of ``p``'s wires in ``omega``, and the wires left over."""
-    sel, rest = _select(omega, pattern_wires(p), loc, frozenset())
-    return pattern_type(dict(sel), p), rest
-
-
 def _core_node(c: Gate, omega: tuple):
     """The core node a list gate becomes; for ``isempty``, the ``unbox``
     of the branch the list's static size selects."""
     match c:
         case Gate(PairP(WireP(b), WireP(qs)), GateRef("isempty"), WireP() as q, rest):
-            size = list_size(_take(omega, q, c.loc)[0])
+            size = list_size(take(omega, q, c.loc)[0])
             match rest:
                 case Lift(x, WireP(b2), Unbox(If(Var(xv), e_then, e_else), args)) if (
                     b2 == b and xv == x
@@ -139,13 +136,13 @@ def _core_node(c: Gate, omega: tuple):
         case Gate(_, GateRef("isempty"), _, _):
             raise QListError("isempty must be used as (b, qs) <- gate isempty qs")
         case Gate(PairP(WireP(h), WireP(t)), GateRef("headtail"), WireP() as q, rest):
-            if list_size(_take(omega, q, c.loc)[0]) < 1:
+            if list_size(take(omega, q, c.loc)[0]) < 1:
                 raise QListError("headtail applied to the empty list")
             return PairElim(h, t, q, rest, loc=c.loc)
         case Gate(_, GateRef("headtail"), _, _):
             raise QListError("headtail must bind (head, tail) from a single list wire")
         case Gate(WireP() as out_p, GateRef("cons"), in_p, rest):
-            ty = _take(omega, in_p, c.loc)[0]
+            ty = take(omega, in_p, c.loc)[0]
             if not (isinstance(ty, TensorW) and isinstance(ty.left, QuantumW)):
                 raise QListError("cons needs a (qubit, list) pair")
             list_size(ty)  # validates the tail shape
@@ -155,6 +152,19 @@ def _core_node(c: Gate, omega: tuple):
     raise QListError(f"{c.gate.name} must bind a single list wire")
 
 
+def _signature(d: DefDecl):
+    """Whether a declaration is a function of a host argument, and the
+    input type of the circuit it declares or, with no annotation, boxes
+    (None if there is none)."""
+    if d.ann is None:
+        family = isinstance(d.term, Lam)
+        box = d.term.body if family else d.term
+        return family, box.w_in if isinstance(box, Box) else None
+    family = isinstance(d.ann, ArrowT)
+    circ = d.ann.result if family else d.ann
+    return family, circ.w_in if isinstance(circ, CircT) else None
+
+
 @dataclass
 class _Instantiator:
     ctx: CheckContext
@@ -162,6 +172,10 @@ class _Instantiator:
     templates: dict  # name -> DefDecl
     started: set = field(default_factory=set)  # (name, k) begun
     order: list = field(default_factory=list)  # emitted declaration order
+    # (name, k) -> the instance's output type: an annotated template's
+    # from its annotation, another's from its body's walk, so a use
+    # inside that body finds none yet
+    outputs: dict = field(default_factory=dict)
 
     def instantiate(self, name: str, k: int) -> str:
         if (name, k) not in self.started:
@@ -173,29 +187,28 @@ class _Instantiator:
 
     def _specialize_decl(self, d: DefDecl, k: int) -> DefDecl:
         ann, term = d.ann, d.term
-        if isinstance(ann, ArrowT):
+        family, w_in = _signature(d)
+        if family:
             if not isinstance(term, Lam):
                 raise QListError(
                     f"{d.name}: a function-typed list declaration must be a lambda"
                 )
-            if not isinstance(ann.result, CircT):
+            if ann is not None and not isinstance(ann.result, CircT):
                 raise QListError(f"{d.name}: expected ... -> Circ(...)")
-            if mentions_qlist(ann.arg):
+            arg = term.ann if ann is None else ann.arg
+            if mentions_qlist(arg):
                 raise QListError(f"{d.name}: list-typed host arguments unsupported")
-            circ, box = ann.result, term.body
-            gamma = {**self.gamma, term.var: ann.arg}
-        elif isinstance(ann, CircT):
-            circ, box, gamma = ann, term, self.gamma
-        else:
+            box, gamma = term.body, {**self.gamma, term.var: arg}
+        elif w_in is None:
             raise QListError(f"{d.name}: unsupported list declaration type {ann}")
-        w_in = subst_qlist(circ.w_in, k)
-        new_box, _ = self._box(box, w_in, gamma)
-        new_circ = CircT(w_in, subst_qlist(circ.w_out, k))
-        if isinstance(ann, ArrowT):
-            new_ann = ArrowT(ann.arg, new_circ)
-            new_term = Lam(term.var, ann.arg, new_box, loc=term.loc)
         else:
-            new_ann, new_term = new_circ, new_box
+            box, gamma = term, self.gamma
+        new_ann = subst_qlist(ann, k)
+        if new_ann is not None:
+            self.outputs[d.name, k] = (new_ann.result if family else new_ann).w_out
+        new_box, out = self._box(box, subst_qlist(w_in, k), gamma)
+        self.outputs.setdefault((d.name, k), out)
+        new_term = Lam(term.var, arg, new_box, loc=term.loc) if family else new_box
         return DefDecl(f"{d.name}__{k}", new_ann, new_term, loc=d.loc)
 
     def _box(self, t: HostTerm, w_in: WireType, gamma: dict):
@@ -211,18 +224,18 @@ class _Instantiator:
         """Specialize a circuit term; returns (term, output type)."""
         match c:
             case Output(p):
-                return c, _take(omega, p, c.loc)[0]
+                return c, take(omega, p, c.loc)[0]
             case Init(t):
                 return c, unlift_type(check_host(gamma, t, self.ctx))
             case Unbox(h, p):
-                h2, out = self._circ_value(h, _take(omega, p, c.loc)[0], gamma)
+                h2, out = self._circ_value(h, take(omega, p, c.loc)[0], gamma)
                 return replace(c, term=h2), out
             case Gate(_, g, _, _) if g.name in LIST_GATES:
                 return self._circ(_core_node(c, omega), omega, gamma)
             case Gate(out_p, g, in_p, _):
                 _, w_out = algebra.gate_signature(g, self.ctx.gates)
                 bound = bind_pattern(out_p, w_out, c.loc)
-                return self._then(c, bound + _take(omega, in_p, c.loc)[1], gamma)
+                return self._then(c, bound + take(omega, in_p, c.loc)[2], gamma)
             case Compose(p, first, rest):
                 names = sorted(free_wires(first))
                 sel, rest_omega = _select(omega, names, c.loc, frozenset())
@@ -231,13 +244,13 @@ class _Instantiator:
                 rest2, out = self._circ(rest, bound + rest_omega, gamma)
                 return replace(c, first=first2, rest=rest2), out
             case UnitElim(p, _):
-                return self._then(c, _take(omega, p, c.loc)[1], gamma)
+                return self._then(c, take(omega, p, c.loc)[2], gamma)
             case PairElim(w1, w2, p, _):
-                v, rest_omega = _take(omega, p, c.loc)
+                v, _, rest_omega = take(omega, p, c.loc)
                 bound = bind_pattern(PairP(WireP(w1), WireP(w2)), v, c.loc)
                 return self._then(c, bound + rest_omega, gamma)
             case Lift(x, p, _):
-                v, rest_omega = _take(omega, p, c.loc)
+                v, _, rest_omega = take(omega, p, c.loc)
                 return self._then(c, rest_omega, {**gamma, x: lift_type(v)})
         raise QListError(f"unsupported circuit form in sized-list body: {c}")
 
@@ -253,19 +266,26 @@ class _Instantiator:
         type ``u``; returns (term, output wire type)."""
         match h:
             case Var(name) | App(Var(name), _) if name in self.templates:
-                ann = self.templates[name].ann
-                family = isinstance(h, App)
-                circ = ann.result if family and isinstance(ann, ArrowT) else ann
-                if isinstance(ann, ArrowT) != family or not isinstance(circ, CircT):
-                    raise QListError(f"{name!r} used at a type other than {ann}")
-                k = _unify_size(circ.w_in, u)
+                d = self.templates[name]
+                family, w_in = _signature(d)
+                if family != isinstance(h, App) or w_in is None:
+                    raise QListError(
+                        f"{name!r} used at a type other than {d.ann or 'its own'}"
+                    )
+                k = _unify_size(w_in, u)
                 if k is None:
                     raise QListError(
                         f"cannot infer the list size of {name!r} from its argument"
                     )
                 inst = Var(self.instantiate(name, k), loc=h.loc)
+                out = self.outputs.get((name, k))
+                if out is None:
+                    raise QListError(
+                        f"{name!r} is used at list size {k} in its own body, "
+                        "before its output type is known"
+                    )
                 h2 = App(inst, h.arg, loc=h.loc) if family else inst
-                return h2, subst_qlist(circ.w_out, k)
+                return h2, out
             case Box():
                 return self._box(h, u, gamma)
         ty = check_host(gamma, h, self.ctx)
@@ -277,8 +297,9 @@ class _Instantiator:
 def monomorphize(prog: Program, size: int, entry: str | None):
     """Instantiate the entry declaration (and its dependencies) at the
     given list size, or with no entry every list-typed declaration.
-    Returns ``(program, entry_name)``; declarations whose types mention
-    qlist are replaced by their sized instances, after every other
+    Returns ``(program, entry_name)``; list-typed declarations (whose
+    annotation or, with none, whose box's domain mentions qlist) are
+    replaced by their sized instances, after every other
     declaration (an instance may use any annotated plain declaration),
     and everything else is kept.  Every failure is a ``QListError``."""
     if size < 0:
@@ -288,7 +309,7 @@ def monomorphize(prog: Program, size: int, entry: str | None):
     passthrough = []
     for d in prog.decls:
         match d:
-            case DefDecl(name, ann, _) if ann is not None and mentions_qlist(ann):
+            case DefDecl(name, ann, _) if mentions_qlist(ann or _signature(d)[1]):
                 templates[name] = d
             case DefDecl(name, ann, _):
                 if ann is not None:

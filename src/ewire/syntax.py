@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
-from typing import Optional, Union
+from types import MappingProxyType
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,9 @@ class QListW(WireType):
 BIT = ClassicalW("bit", 2)
 QUBIT = QuantumW("qubit", 2)
 
-DEFAULT_INT_CARDINALITY = 64
+# the classical bases every program starts with; read-only, so a caller
+# that declares more copies them first
+DEFAULT_BASES = MappingProxyType({"bit": 2, "int": 64})
 
 
 def is_classical(w: WireType) -> bool:
@@ -559,15 +562,12 @@ class DefDecl:
     loc: Optional[Span] = _loc_field()
 
 
-Decl = Union[ClassicalDecl, GateDecl, DefDecl]
-
-
 @dataclass(frozen=True)
 class Program:
     decls: tuple
 
     def classical_bases(self) -> dict[str, int]:
-        bases = {"bit": 2, "int": DEFAULT_INT_CARDINALITY}
+        bases = dict(DEFAULT_BASES)
         for d in self.decls:
             if isinstance(d, ClassicalDecl):
                 bases[d.name] = d.cardinality

@@ -6,6 +6,11 @@ input/output threading (the first subterm of a sequence receives
 exactly the wires it mentions, in context order, the continuation the
 remainder), which is equivalent to searching over rule-level splits.
 
+Every step but a composition (which takes its first circuit's free
+wires) consumes the wires of one pattern, through ``take``.  The steps
+that bind wires share one tail: no new wire may shadow a live one, and
+the continuation gets the new wires followed by the remaining ones.
+
 Also elaborates the measurement sugar (``qrun``, ``qlift``) into core
 syntax, generating the structural measure/prepare circuits by induction
 on the wire type.
@@ -18,13 +23,12 @@ from typing import NamedTuple, Optional
 
 from . import algebra
 from .syntax import (
-    App, Ascribe, ArrowT, Bind, Box, ClassicalDecl,
-    ClassicalLit, ClassicalT, CircT, Compose, DefDecl, Fix, Gate,
-    GateDecl, GateFam, GateRef, HostTerm, HostType, If, Init, IntLit,
-    Lam, Lift, MonadT, NotClassicalError, Output, Pair, PairElim, PairP,
-    Pattern, Prim, Program, Proj, ProductT, QUBIT, QuantumW,
-    QLift, QRun, Ret, Run, Span, TensorW, UnitElim, UnitP, UnitT,
-    UnitVal, UnitW, Unbox, Var, WireP, WireType, _fresh_name,
+    App, Ascribe, ArrowT, Bind, Box, ClassicalLit, ClassicalT, CircT,
+    Compose, DEFAULT_BASES, DefDecl, Fix, Gate, GateFam, GateRef, HostTerm,
+    HostType, If, Init, IntLit, Lam, Lift, MonadT, NotClassicalError,
+    Output, Pair, PairElim, PairP, Pattern, Prim, Program, Proj, ProductT,
+    QUBIT, QuantumW, QLift, QRun, Ret, Run, Span, TensorW, UnitElim, UnitP,
+    UnitT, UnitVal, UnitW, Unbox, Var, WireP, WireType, _fresh_name,
     classicalize, free_wires, is_classical, lift_type, map_children,
     mentions_qlist, pattern_linear, pattern_wires, unlift_type,
 )
@@ -85,15 +89,11 @@ class Split(NamedTuple):
 
 
 def _default_ctx() -> CheckContext:
-    from .syntax import DEFAULT_INT_CARDINALITY
-
-    return CheckContext(
-        bases={"bit": 2, "int": DEFAULT_INT_CARDINALITY}, gates={}, table={}
-    )
+    return CheckContext(bases=DEFAULT_BASES, gates={}, table={})
 
 
 def _int_type(ctx: CheckContext) -> ClassicalT:
-    return ClassicalT("int", ctx.bases.get("int", 64))
+    return ClassicalT("int", ctx.bases.get("int", DEFAULT_BASES["int"]))
 
 
 def _no_qlist(w: WireType, loc=None):
@@ -145,17 +145,13 @@ def bind_pattern(p: Pattern, w: WireType, loc=None) -> tuple:
     wires in pattern order with their component types."""
     if not pattern_linear(p):
         raise TypeCheckError(PATTERN_SHAPE, f"duplicate wire in pattern {p}", loc)
-    return _bind(p, w, loc)
-
-
-def _bind(p: Pattern, w: WireType, loc) -> tuple:
     match p:
         case WireP(x):
             return ((x, w),)
         case UnitP() if isinstance(w, UnitW):
             return ()
         case PairP(l, r) if isinstance(w, TensorW):
-            return _bind(l, w.left, loc) + _bind(r, w.right, loc)
+            return bind_pattern(l, w.left, loc) + bind_pattern(r, w.right, loc)
         case UnitP():
             raise TypeCheckError(PATTERN_SHAPE, f"pattern () does not match {w}", loc)
         case PairP():
@@ -166,14 +162,6 @@ def _bind(p: Pattern, w: WireType, loc) -> tuple:
 # ---------------------------------------------------------------------------
 # Circuit judgment
 # ---------------------------------------------------------------------------
-
-
-def _pattern_names(p: Pattern, loc) -> tuple:
-    """The wires of ``p`` in pattern order; none may occur twice."""
-    names = tuple(pattern_wires(p))
-    if len(set(names)) != len(names):
-        raise TypeCheckError(PATTERN_SHAPE, f"duplicate wire in pattern {p}", loc)
-    return names
 
 
 def _select(omega: WireContext, names, loc, spent: frozenset, whole=False):
@@ -192,13 +180,15 @@ def _select(omega: WireContext, names, loc, spent: frozenset, whole=False):
     return sel, rest
 
 
-def _bindings_fresh(bindings, rest, loc):
-    live = {w for w, _ in rest}
-    for x, _ in bindings:
-        if x in live:
-            raise TypeCheckError(
-                LINEARITY, f"wire {x!r} rebound while still live", loc
-            )
+def take(omega: WireContext, p: Pattern, loc, spent=frozenset(), whole=False):
+    """Consume ``p``'s wires from ``omega``: the type ``p`` assembles,
+    its wires in pattern order and the rest of ``omega`` (empty if
+    ``whole``).  Repeated, unbound, ``spent`` or dropped wires fail."""
+    names = tuple(pattern_wires(p))
+    if len(set(names)) != len(names):
+        raise TypeCheckError(PATTERN_SHAPE, f"duplicate wire in pattern {p}", loc)
+    sel, rest = _select(omega, names, loc, spent, whole)
+    return match_pattern(sel, p), names, rest
 
 
 def check_circuit(
@@ -219,10 +209,9 @@ def check_circuit(
         _no_qlist(ty)
     match term:
         case Output(p):
-            names = _pattern_names(p, term.loc)
-            sel, _ = _select(omega, names, term.loc, spent, whole=True)
+            got, names, _ = take(omega, p, term.loc, spent, whole=True)
             ctx.record(term, Split(names))
-            return match_pattern(sel, p)
+            return got
         case Unbox(t, p):
             ty = check_host(gamma, t, ctx)
             if isinstance(ty, MonadT) and isinstance(ty.inner, CircT):
@@ -235,9 +224,14 @@ def check_circuit(
                 raise TypeCheckError(
                     MISMATCH, f"unbox expects a Circ value, got {ty}", term.loc
                 )
-            names = _pattern_names(p, term.loc)
-            sel, _ = _select(omega, names, term.loc, spent, whole=True)
-            got = match_pattern(sel, p)
+            got, names, _ = take(omega, p, term.loc, spent, whole=True)
+            if got != ty.w_in and isinstance(p, UnitP):
+                raise TypeCheckError(
+                    MISMATCH,
+                    f"circuit of type {ty} is not closed: it expects wires of "
+                    f"type {ty.w_in}, and none are given",
+                    term.loc,
+                )
             if got != ty.w_in:
                 raise TypeCheckError(
                     MISMATCH,
@@ -263,57 +257,36 @@ def check_circuit(
                 )
             ctx.record(term, Split((), (), v))
             return v
-        case Compose(p, first, rest):
+        case Compose(p, first, _):
             fw = frozenset(free_wires(first))
             # sorted, so that the wire a diagnostic names never depends on hashing
             sel, remaining = _select(omega, sorted(fw), term.loc, spent)
             w1 = check_circuit(gamma, sel, first, ctx, spent)
-            bindings = bind_pattern(p, w1, term.loc)
-            _bindings_fresh(bindings, remaining, term.loc)
-            ctx.record(term, Split(fw, bindings))
-            new_spent = (spent | fw) - {x for x, _ in bindings}
-            return check_circuit(
-                gamma, bindings + remaining, rest, ctx, new_spent
-            )
-        case UnitElim(p, rest):
-            names = _pattern_names(p, term.loc)
-            sel, remaining = _select(omega, names, term.loc, spent)
-            got = match_pattern(sel, p)
+            consumes, bindings = fw, bind_pattern(p, w1, term.loc)
+        case UnitElim(p, _):
+            got, consumes, remaining = take(omega, p, term.loc, spent)
             if not isinstance(got, UnitW):
                 raise TypeCheckError(
                     MISMATCH, f"() <- pattern of type {got}", term.loc
                 )
-            ctx.record(term, Split(names))
-            return check_circuit(
-                gamma, remaining, rest, ctx, spent | set(names)
-            )
-        case PairElim(w1, w2, p, rest):
+            bindings = ()
+        case PairElim(w1, w2, p, _):
             if w1 == w2:
                 raise TypeCheckError(
                     PATTERN_SHAPE, f"duplicate wire {w1!r} in pair binder", term.loc
                 )
-            names = _pattern_names(p, term.loc)
-            sel, remaining = _select(omega, names, term.loc, spent)
-            got = match_pattern(sel, p)
+            got, consumes, remaining = take(omega, p, term.loc, spent)
             if not isinstance(got, TensorW):
                 raise TypeCheckError(
                     MISMATCH, f"(w1, w2) <- pattern of type {got}", term.loc
                 )
             bindings = ((w1, got.left), (w2, got.right))
-            _bindings_fresh(bindings, remaining, term.loc)
-            ctx.record(term, Split(names, bindings))
-            new_spent = (spent | set(names)) - {w1, w2}
-            return check_circuit(
-                gamma, bindings + remaining, rest, ctx, new_spent
-            )
-        case Gate(out_p, g, in_p, rest):
+        case Gate(out_p, g, in_p, _):
             try:
                 w_in, w_out = algebra.gate_signature(g, ctx.gates)
             except algebra.UnknownGate as e:
                 raise TypeCheckError(GATE_SIGNATURE, str(e.args[0]), term.loc)
-            names = _pattern_names(in_p, term.loc)
-            sel, remaining = _select(omega, names, term.loc, spent)
-            got = match_pattern(sel, in_p)
+            got, consumes, remaining = take(omega, in_p, term.loc, spent)
             if got != w_in:
                 raise TypeCheckError(
                     GATE_SIGNATURE,
@@ -321,16 +294,8 @@ def check_circuit(
                     term.loc,
                 )
             bindings = bind_pattern(out_p, w_out, term.loc)
-            _bindings_fresh(bindings, remaining, term.loc)
-            ctx.record(term, Split(names, bindings))
-            new_spent = (spent | set(names)) - {x for x, _ in bindings}
-            return check_circuit(
-                gamma, bindings + remaining, rest, ctx, new_spent
-            )
         case Lift(x, p, rest) | QLift(x, p, rest):
-            names = _pattern_names(p, term.loc)
-            sel, remaining = _select(omega, names, term.loc, spent)
-            v = match_pattern(sel, p)
+            v, names, remaining = take(omega, p, term.loc, spent)
             sugar = isinstance(term, QLift)
             if sugar:
                 ctx.record(term, Split(names, (), v))
@@ -347,7 +312,18 @@ def check_circuit(
             if not sugar:
                 ctx.record(term, Split(names, (), (v, w_out)))
             return w_out
-    raise TypeCheckError(MISMATCH, f"not a circuit term: {term!r}")
+        case _:
+            raise TypeCheckError(MISMATCH, f"not a circuit term: {term!r}")
+    # the tail of a step that binds wires
+    live = {w for w, _ in remaining}
+    for x, _ in bindings:
+        if x in live:
+            raise TypeCheckError(
+                LINEARITY, f"wire {x!r} rebound while still live", term.loc
+            )
+    ctx.record(term, Split(consumes, bindings))
+    spent = spent.union(consumes) - {x for x, _ in bindings}
+    return check_circuit(gamma, bindings + remaining, term.rest, ctx, spent)
 
 
 # ---------------------------------------------------------------------------
@@ -545,18 +521,12 @@ def check_program(prog: Program) -> CheckedProgram:
     """Check declarations in order; later ones may use earlier ones."""
     ctx = CheckContext(bases=prog.classical_bases(), gates=prog.declared_gates(),
                        table={})
-    gamma: dict = {}
     def_types: dict = {}
     for d in prog.decls:
-        match d:
-            case ClassicalDecl() | GateDecl():
-                continue
-            case DefDecl(name, ann, term):
-                if ann is not None:
-                    _check_host_type(ann, d.loc)
-                ty = check_host(gamma, term, ctx, ann)
-                gamma[name] = ty
-                def_types[name] = ty
+        if isinstance(d, DefDecl):
+            if d.ann is not None:
+                _check_host_type(d.ann, d.loc)
+            def_types[d.name] = check_host(def_types, d.term, ctx, d.ann)
     return CheckedProgram(prog, def_types, ctx)
 
 

@@ -548,6 +548,31 @@ def test_circ_over_a_qlist_is_instantiated(capsys, tmp_path):
     assert (code, out) == (0, "rev__2 : Circ(qubit * qubit * I, qubit * qubit * I)\n")
 
 
+@pytest.mark.parametrize("src", [
+    "circ rev (qs : qlist) = output qs\n",
+    "def rev = box qs : qlist => output qs\n",
+], ids=["circ", "def"])
+def test_list_circuit_without_output_type_is_instantiated(capsys, tmp_path, src):
+    path = tmp_path / "rev.ew"
+    path.write_text(src)
+    code, out, _ = run_cli(capsys, "check", str(path), "--qlist-size", "2")
+    assert (code, out) == (0, "rev__2 : Circ(qubit * qubit * I, qubit * qubit * I)\n")
+
+
+def test_run_of_an_open_circuit_says_it_is_not_closed(capsys, tmp_path):
+    src = tmp_path / "open.ew"
+    src.write_text(
+        "def h : Circ(qubit, qubit) = box q : qubit => output q\n"
+        "def m : T(bit) = run h\n"
+    )
+    code, out, err = run_cli(capsys, "check", str(src))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error[Mismatch] at 2:21: circuit of type Circ(qubit, qubit) is not "
+        "closed: it expects wires of type qubit, and none are given\n"
+    )
+
+
 @pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
 def test_parse_error_prints_its_position_once(capsys, tmp_path, json_flag):
     src = tmp_path / "bad.ew"

@@ -1,7 +1,8 @@
 """Source hygiene of the ``ewire`` package, read with the stdlib ``ast``.
 
 Every module except ``__init__`` (which re-exports) must use each name
-it imports; a name left behind by deleted code fails here.  Every module
+it imports; a name left behind by deleted code fails here, and so does a
+module-level private helper that nothing in the package reads any more.  Every module
 imports only the standard library, its own package and the dependencies
 ``pyproject.toml`` declares, so a heavy optional import (``scipy.sparse``
 alone takes about a quarter of a second) cannot slip into start-up.
@@ -93,3 +94,61 @@ def test_foreign_import_detected():
         "def f():\n    import pandas as pd\n    return pd\n"
     )
     assert foreign_imports(src, {"numpy", "ewire"}) == ["scipy.sparse", "pandas"]
+
+
+def dead_private_names(sources: dict) -> list:
+    """``(module, name)`` of every module-level private name (``_x``, not
+    a dunder) that no statement of any module reads, its own definition
+    excepted.  ``sources`` maps module names to source text; a read is a
+    name load, an attribute of that name or an import of it."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(a.name for a in node.names)
+            reads.append((stmt, names))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                targets = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                lhs = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                targets = [
+                    n.id for t in lhs for n in ast.walk(t) if isinstance(n, ast.Name)
+                ]
+            else:
+                targets = []
+            defined.extend(
+                (module, name, stmt) for name in targets
+                if name.startswith("_") and not name.startswith("__")
+            )
+    return [
+        (module, name) for module, name, own in defined
+        if not any(name in names for stmt, names in reads if stmt is not own)
+    ]
+
+
+def test_no_dead_private_names():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
+def test_dead_private_name_detected():
+    sources = {
+        "a": (
+            "_LIVE = 1\n_DEAD, __dunder__ = 2, 3\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "def _imported():\n    pass\n"
+            "class _ReadAsAttribute:\n    pass\n"
+            "def public():\n    return _LIVE\n"
+        ),
+        "b": (
+            "from .a import _imported\nfrom . import a\n"
+            "def g():\n    return a._ReadAsAttribute\n"
+        ),
+    }
+    assert dead_private_names(sources) == [("a", "_DEAD"), ("a", "_recursive")]

@@ -192,6 +192,10 @@ def bad : Circ(qlist, qlist) =
     "nil_binding_a_pair": ("""
 def bad : Circ(qlist, qlist) = box qs : qlist => ((a, b) <- gate nil (); output qs)
 """, 1),
+    # without an output type, a use at the template's own size has none yet
+    "unannotated_self_use": ("""
+circ bad (qs : qlist) = (r <- unbox bad qs; output r)
+""", 1),
     "unbound_family": ("""
 def bad : Circ(qlist, qlist) =
   box qs : qlist =>
@@ -208,6 +212,17 @@ def test_ill_formed_template_raises_qlist_error(case):
     src, size = ILL_FORMED_TEMPLATES[case]
     with pytest.raises(QListError):
         monomorphize(parse_program(src), size, None)
+
+
+def test_unannotated_family_template_takes_its_output_type_from_its_body():
+    src = """
+def keep = lambda n : int . box qs : qlist => output qs
+circ user (q : qubit, qs : qlist) = (r <- unbox (keep 3) qs; output (q, r))
+"""
+    mono, entry = monomorphize(parse_program(src), 1, "user")
+    types = check_program(mono).def_types
+    assert str(types["keep__1"]) == "int -> Circ(qubit * I, qubit * I)"
+    assert str(types[entry]) == "Circ(qubit * qubit * I, qubit * qubit * I)"
 
 
 def test_non_template_entry_passthrough():

@@ -11,10 +11,10 @@ from ewire.cli import main
 from ewire.parser import ParseError, parse_circuit, parse_host_term, parse_program
 from ewire.qlist import monomorphize
 from ewire.syntax import (
-    BIT, QUBIT, CircuitTerm, ClassicalT, ClassicalW, Fix, GateRef, HostTerm,
-    Init, NotClassicalError, Output, PairP, ProductT, QLift, QRun, QuantumW,
-    Ret, ShapeMismatch, Span, TensorW, UnitP, UnitT, UnitW, Var, WireP,
-    alpha_equiv, children,
+    BIT, QUBIT, CircuitTerm, ClassicalT, ClassicalW, Compose, Fix, Gate,
+    GateRef, HostTerm, Init, NotClassicalError, Output, PairElim, PairP,
+    ProductT, QLift, QRun, QuantumW, Ret, ShapeMismatch, Span, TensorW,
+    UnitP, UnitT, UnitW, Var, WireP, alpha_equiv, children,
     classicalize, free_wires, is_classical, lift_type,
     map_children, pattern_wires, pretty_print, subst_pattern, unlift_type,
 )
@@ -122,6 +122,49 @@ def test_parse_error_has_position():
         parse_circuit("output ,")
     assert e.value.line == 1
     assert e.value.col > 0
+
+
+# how the parser settles what a '(' opens: a binding statement iff a
+# pattern parses there and '<-' or '<=' follows; after 'p <-', an
+# eliminator's pattern iff one parses, else a circuit
+_H_Q = Gate(WireP("x"), GateRef("H"), WireP("q"), Output(WireP("x")))
+_CNOT = GateRef("CNOT")
+PAREN_DECISIONS = {
+    "pattern_statement": (
+        "(a, b) <- gate CNOT (x, y); output (a, b)",
+        Gate(PairP(WireP("a"), WireP("b")), _CNOT, PairP(WireP("x"), WireP("y")),
+             Output(PairP(WireP("a"), WireP("b")))),
+    ),
+    "parenthesised_circuit": ("(x <- gate H q; output x)", _H_Q),
+    "parenthesised_pattern_statement": (
+        "((a, b)) <- gate CNOT (x, y); output (a, b)",
+        Gate(PairP(WireP("a"), WireP("b")), _CNOT, PairP(WireP("x"), WireP("y")),
+             Output(PairP(WireP("a"), WireP("b")))),
+    ),
+    "eliminator_pattern": (
+        "(a, b) <- (x, y); output (b, a)",
+        PairElim("a", "b", PairP(WireP("x"), WireP("y")),
+                 Output(PairP(WireP("b"), WireP("a")))),
+    ),
+    "circuit_right_hand_side": (
+        "z <- (x <- gate H q; output x); output z",
+        Compose(WireP("z"), _H_Q, Output(WireP("z"))),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PAREN_DECISIONS))
+def test_parser_settles_an_open_paren(case):
+    text, expected = PAREN_DECISIONS[case]
+    assert parse_circuit(text) == expected
+
+
+def test_parenthesised_wire_is_no_eliminator_binder():
+    with pytest.raises(ParseError) as e:
+        parse_circuit("p <- (q); output p")
+    assert (e.value.message, e.value.line, e.value.col) == (
+        "left side of a pattern elimination must be () or a pair of wires", 1, 0,
+    )
 
 
 ROUNDTRIP_CIRCUITS = [

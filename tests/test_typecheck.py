@@ -313,6 +313,71 @@ def test_duplicate_wire_in_pattern_reported_first_at_its_node(text):
     assert str(e.value.loc) == "1:22"
 
 
+# every step that consumes wires, after "() <- u;" has spent u: each
+# diagnostic's kind and message, reported at the step (column 9)
+SWAP = "(box (x, y) : qubit * qubit => output (y, x))"
+CONSUMING_ERRORS = {
+    "output_unbound": ("output (a, z)", "UnboundWire", "wire 'z' not in scope"),
+    "output_consumed": ("output (a, u)", "LinearityViolation", "wire 'u' already consumed"),
+    "output_duplicate": ("output (a, a)", "PatternShape", "duplicate wire in pattern (a, a)"),
+    "output_dropped": ("output (a, c)", "LinearityViolation", "wire 'b' is dropped"),
+    "unbox_unbound": (f"unbox {SWAP} (a, z)", "UnboundWire", "wire 'z' not in scope"),
+    "unbox_consumed": (f"unbox {SWAP} (a, u)", "LinearityViolation", "wire 'u' already consumed"),
+    "unbox_duplicate": (f"unbox {SWAP} (a, a)", "PatternShape",
+                        "duplicate wire in pattern (a, a)"),
+    "unbox_dropped": (f"unbox {SWAP} (a, c)", "LinearityViolation", "wire 'b' is dropped"),
+    "unit_elim_unbound": ("() <- z; output (a, (b, c))", "UnboundWire", "wire 'z' not in scope"),
+    "unit_elim_consumed": ("() <- u; output (a, (b, c))", "LinearityViolation",
+                           "wire 'u' already consumed"),
+    "unit_elim_duplicate": ("() <- (a, a); output (b, c)", "PatternShape",
+                            "duplicate wire in pattern (a, a)"),
+    "pair_elim_unbound": ("(x, y) <- (a, z); output (x, y)", "UnboundWire",
+                          "wire 'z' not in scope"),
+    "pair_elim_consumed": ("(x, y) <- (a, u); output (x, y)", "LinearityViolation",
+                           "wire 'u' already consumed"),
+    "pair_elim_duplicate": ("(x, y) <- (a, a); output (x, y)", "PatternShape",
+                            "duplicate wire in pattern (a, a)"),
+    "pair_elim_rebinds": ("(b, y) <- (a, c); output (b, y)", "LinearityViolation",
+                          "wire 'b' rebound while still live"),
+    "gate_unbound": ("(x, y) <- gate CNOT (a, z); output (x, y)", "UnboundWire",
+                     "wire 'z' not in scope"),
+    "gate_consumed": ("(x, y) <- gate CNOT (a, u); output (x, y)", "LinearityViolation",
+                      "wire 'u' already consumed"),
+    "gate_duplicate": ("(x, y) <- gate CNOT (a, a); output (x, y)", "PatternShape",
+                       "duplicate wire in pattern (a, a)"),
+    "gate_rebinds": ("(b, y) <- gate CNOT (a, c); output (b, y)", "LinearityViolation",
+                     "wire 'b' rebound while still live"),
+    "lift_unbound": ("x <= lift (a, z); output ()", "UnboundWire", "wire 'z' not in scope"),
+    "lift_consumed": ("x <= lift (a, u); output ()", "LinearityViolation",
+                      "wire 'u' already consumed"),
+    "lift_duplicate": ("x <= lift (a, a); output ()", "PatternShape",
+                       "duplicate wire in pattern (a, a)"),
+    "compose_rebinds": ("b <- output a; output (b, c)", "LinearityViolation",
+                        "wire 'b' rebound while still live"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONSUMING_ERRORS))
+def test_consuming_step_diagnostics(case):
+    text, kind, message = CONSUMING_ERRORS[case]
+    omega = (("a", QUBIT), ("b", QUBIT), ("c", QUBIT), ("u", UnitW()))
+    with pytest.raises(TypeCheckError) as e:
+        check_circuit({}, omega, parse_circuit(f"() <- u; {text}"))
+    assert (e.value.kind, e.value.message, str(e.value.loc)) == (kind, message, "1:9")
+
+
+def test_unbox_of_an_open_circuit_without_wires_says_it_is_not_closed():
+    t = parse_host_term("run (unbox (box q : qubit => output q) ())")
+    with pytest.raises(TypeCheckError) as e:
+        check_host({}, t)
+    assert (e.value.kind, e.value.message, str(e.value.loc)) == (
+        "Mismatch",
+        "circuit of type Circ(qubit, qubit) is not closed: it expects wires of "
+        "type qubit, and none are given",
+        "1:5",
+    )
+
+
 def test_composition_names_the_first_unbound_wire_in_name_order():
     c = parse_circuit("w <- output (e, (c, (d, b))); output w")
     with pytest.raises(TypeCheckError, match="wire 'b' not in scope"):
