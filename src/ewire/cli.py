@@ -403,6 +403,10 @@ def main(argv=None) -> int:
     except EvalError as e:
         _diag(args, type(e).__name__, str(e), None)
         return 1
+    except algebra.UnknownGate as e:
+        # a header-declared gate types, but has no denotation
+        _diag(args, "UnknownGate", e.args[0], None)
+        return 1
     except StepLimit as e:
         print(f"step limit reached; partial result:\n{pretty_print(e.partial)}",
               file=sys.stderr)

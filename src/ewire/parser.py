@@ -7,6 +7,9 @@ to end of line.  Header directives::
     classical <name> <cardinality>
     gate <name> : <W> -> <W>
 
+Each declares its name once.  ``bit`` keeps cardinality 2, and a gate
+may neither take a built-in gate's name nor act on ``qlist`` wires.
+
 Declarations::
 
     def <name> [: <A>] = <host term>
@@ -17,6 +20,9 @@ A ``circ`` declaration is sugar for a boxed ``def``: it parses to
 ``def <name> [: Circ(W1 * (... * Wn), W)] = box (w1, (..., wn)) : W1 *
 (... * Wn) => <circuit>``, with ``I`` and ``()`` for an empty context.
 ``run f`` and ``qrun f`` of a name ``f`` stand for ``run (unbox f ())``.
+
+Any part of a box's binder may be annotated ``: W``; ``bind_pattern``
+splits W onto the part's wires, and a wire given two types is an error.
 
 The pattern grammar (``Parser.pattern``) also settles what a ``(``
 opens, by trying it and rewinding: in circuit position, a binding
@@ -32,6 +38,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .algebra import BUILTIN_GATES
+from .qlist import LIST_GATES
 from .syntax import (
     App, Ascribe, ArrowT, Bind, Box, CircT, ClassicalDecl,
     ClassicalLit, ClassicalT, ClassicalW, Compose, DefDecl,
@@ -39,8 +47,10 @@ from .syntax import (
     HostTerm, HostType, If, Init, IntLit, Lam, Lift, MonadT, Output, Pair,
     PairElim, PairP, Pattern, Prim, Program, Proj, ProductT, QListW, QUBIT,
     QLift, QRun, Ret, Run, Span, TensorW, UnitElim, UnitP, UnitT,
-    UnitVal, UnitW, Unbox, Var, WireP, WireType, pattern_linear,
+    UnitVal, UnitW, Unbox, Var, WireP, WireType, mentions_qlist,
+    pattern_linear, pattern_wires,
 )
+from .typecheck import TypeCheckError, bind_pattern, pattern_type
 
 
 class ParseError(Exception):
@@ -226,55 +236,52 @@ class Parser:
 
     # -- patterns -----------------------------------------------------------
 
-    def pattern(self) -> Pattern:
-        return self._pattern(annotated=False)[0]
-
-    def annotated_pattern(self):
-        """Pattern with per-leaf or whole ': W' annotations; returns the
-        pattern together with the fully determined wire type."""
-        p, ty = self._pattern_part(annotated=True)
-        if ty is None or _has_hole(ty):
-            self.fail("box pattern needs a complete type annotation")
-        return p, ty
-
-    def _pattern(self, annotated):
-        """The pattern grammar.  Returns the pattern and its type as far
-        as annotations give it (None for a bare wire, a ``_Hole`` for a
-        pair with one); ': W' annotations are parsed if ``annotated``."""
+    def pattern(self, types=None) -> Pattern:
+        """The pattern grammar; parts are annotated into ``types`` if given."""
         t = self.peek()
         if t.kind == "ident":
             self.next()
-            return WireP(t.text), None
+            return WireP(t.text)
         if t.kind != "(":
             self.fail("expected a pattern", ["(", "identifier"])
         self.next()
         if self.accept(")"):
-            return UnitP(), UnitW()
-        p, ty = self._pattern_part(annotated)
+            return UnitP()
+        p = self.pattern(types)
+        self._annotation(types, p)
         if self.accept(","):
-            q, ty2 = self._pattern_part(annotated)
-            self.expect(")")
-            return PairP(p, q), _Hole() if ty is None or ty2 is None else TensorW(ty, ty2)
+            q = self.pattern(types)
+            self._annotation(types, q)
+            p = PairP(p, q)
         self.expect(")")
-        return p, ty
+        return p
 
-    def _pattern_part(self, annotated):
-        p, ty = self._pattern(annotated)
-        if annotated and self.accept(":"):
-            ty = self._merge_annotation(ty, self.wire_type())
-        return p, ty
+    def annotated_pattern(self):
+        """A box's binder pattern and type: the whole pattern's annotation,
+        or else the type that its wires' annotations assemble."""
+        types = {}
+        p = self.pattern(types)
+        w = self._annotation(types, p, whole=True)
+        if w is None and not all(x in types for x in pattern_wires(p)):
+            self.fail("box pattern needs a complete type annotation")
+        return p, pattern_type(types, p) if w is None else w
 
-    def _merge_annotation(self, partial, w):
-        # an explicit annotation must agree with and complete any inner ones
-        if partial is None or isinstance(partial, _Hole):
-            return w
-        if isinstance(partial, TensorW) and isinstance(w, TensorW):
-            return TensorW(
-                self._merge_annotation(partial.left, w.left),
-                self._merge_annotation(partial.right, w.right),
-            )
-        if partial != w:
-            self.fail(f"conflicting pattern annotations: {partial} vs {w}")
+    def _annotation(self, types, p, whole=False):
+        """An optional ': W' after the part ``p``, split onto its wires and
+        returned.  A W that does not split fails, unless it is the ``whole``
+        pattern's and a wire has no other annotation: W is the box's type."""
+        if types is None or not self.accept(":"):
+            return None
+        w = self.wire_type()
+        try:
+            bound = bind_pattern(p, w)
+        except TypeCheckError as e:
+            if whole and not all(x in types for x in pattern_wires(p)):
+                return w
+            self.fail(e.message)
+        for x, ty in bound:
+            if types.setdefault(x, ty) != ty:
+                self.fail(f"conflicting pattern annotations: {types[x]} vs {ty}")
         return w
 
     # -- circuits ------------------------------------------------------------
@@ -528,15 +535,14 @@ class Parser:
 
     def program(self) -> Program:
         decls = []
-        names = set()
+        names = set()  # (kind, name): defs, classical bases and gates apart
         while not self.at("eof"):
             d = self.declaration()
-            if isinstance(d, DefDecl):
-                if d.name in names:
-                    raise ParseError(
-                        f"duplicate declaration {d.name!r}", d.loc.line, d.loc.col
-                    )
-                names.add(d.name)
+            if (type(d), d.name) in names:
+                raise ParseError(
+                    f"duplicate declaration {d.name!r}", d.loc.line, d.loc.col
+                )
+            names.add((type(d), d.name))
             decls.append(d)
         return Program(tuple(decls))
 
@@ -548,6 +554,8 @@ class Parser:
             card = self.expect("int")
             if int(card.text) < 1:
                 raise ParseError("cardinality must be >= 1", card.line, card.col)
+            if name.text == "bit" and int(card.text) != 2:
+                raise ParseError("bit is built in with cardinality 2", t.line, t.col)
             self.bases[name.text] = int(card.text)
             return ClassicalDecl(name.text, int(card.text), loc=t.span)
         if t.kind == "gate":
@@ -557,6 +565,11 @@ class Parser:
             w1 = self.wire_type()
             self.expect("->")
             w2 = self.wire_type()
+            if name.text in LIST_GATES | {g.name for g in BUILTIN_GATES}:
+                raise ParseError(f"gate {name.text!r} is built in", t.line, t.col)
+            if mentions_qlist(w1) or mentions_qlist(w2):
+                message = f"declared gate {name.text!r} cannot act on qlist wires"
+                raise ParseError(message, t.line, t.col)
             return GateDecl(name.text, w1, w2, loc=t.span)
         if t.kind == "def":
             self.next()
@@ -583,14 +596,12 @@ class Parser:
                     if not self.accept(","):
                         break
                 self.expect(")")
-            pat, dom = UnitP(), UnitW()
-            for w, ty in reversed(ctx):
-                if isinstance(pat, UnitP):
-                    pat, dom = WireP(w), ty
-                else:
-                    pat, dom = PairP(WireP(w), pat), TensorW(ty, dom)
+            pat = UnitP()
+            for w, _ in reversed(ctx):
+                pat = WireP(w) if isinstance(pat, UnitP) else PairP(WireP(w), pat)
             if not pattern_linear(pat):
                 raise ParseError(f"duplicate wire in pattern {pat}", t.line, t.col)
+            dom = pattern_type(dict(ctx), pat)
             ann = None
             if self.accept(":"):
                 ann = CircT(dom, self.wire_type())
@@ -615,18 +626,6 @@ class Parser:
         fix = Fix(ann.arg, ann.result.w_in, ann.result.w_out, loc=t.span)
         term = App(fix, Lam(name.text, ann, body, loc=t.span), loc=t.span)
         return DefDecl(name.text, ann, term, loc=t.span)
-
-
-class _Hole:
-    """Marks a missing part of a partially annotated pattern type."""
-
-
-def _has_hole(ty):
-    if ty is None or isinstance(ty, _Hole):
-        return True
-    if isinstance(ty, TensorW):
-        return _has_hole(ty.left) or _has_hole(ty.right)
-    return False
 
 
 def parse_program(text: str) -> Program:

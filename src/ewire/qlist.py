@@ -19,10 +19,12 @@ sizes, so the output program is recursion-free in the list structure.
 
 The walk only rewrites: a list gate is first replaced by the core node
 it becomes, which is then walked like any other.  It threads an ordered
-wire context as ``typecheck.check_circuit`` does, and every wire and
-host type it needs (the argument of an ``unbox``, which fixes the size a
-template is instantiated at) comes from the typechecker's own pattern
-typing, binders, context splits and host judgment.
+wire context and the consumed wires as ``typecheck.check_circuit`` does,
+through the typechecker's own pattern typing, binders, context splits,
+binding tail and host judgment; these give every wire and host type it
+needs (the argument of an ``unbox`` fixes the size a template is
+instantiated at).  A failure inside a declaration is a ``QListError`` at
+the span of the step or declaration it concerns.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from .syntax import (
     free_wires, lift_type, mentions_qlist, pretty_print, unlift_type,
 )
 from .typecheck import (
-    CheckContext, TypeCheckError, _select, bind_pattern, check_host, take,
+    CheckContext, TypeCheckError, _select, bind_pattern, bind_step,
+    check_host, take,
 )
 
 
@@ -75,43 +78,46 @@ def subst_qlist(w, k: int):
             return w
 
 
-def list_size(w: WireType) -> int:
-    """Length of a right-nested qubit list type."""
+def list_size(w: WireType, loc=None) -> int:
+    """Length of a right-nested qubit list type; ``loc`` is the span of
+    the step that needs it."""
     n = 0
     while isinstance(w, TensorW) and isinstance(w.left, QuantumW):
         n += 1
         w = w.right
     if not isinstance(w, UnitW):
-        raise QListError(f"{pretty_print(w)} is not a sized qubit list")
+        raise QListError(f"{pretty_print(w)} is not a sized qubit list", loc)
     return n
 
 
-def _unify_size(template: WireType, concrete: WireType) -> int | None:
+def _unify_size(template: WireType, concrete: WireType, loc) -> int | None:
     """Find the single list size k with template[qlist := k] = concrete."""
     found: list[int] = []
 
     def go(t, c):
         match t:
             case QListW():
-                found.append(list_size(c))
+                found.append(list_size(c, loc))
             case TensorW(l, r):
                 if not isinstance(c, TensorW):
                     raise QListError(
-                        f"cannot match {pretty_print(t)} against {pretty_print(c)}"
+                        f"cannot match {pretty_print(t)} against {pretty_print(c)}",
+                        loc,
                     )
                 go(l, c.left)
                 go(r, c.right)
             case _:
                 if t != c:
                     raise QListError(
-                        f"cannot match {pretty_print(t)} against {pretty_print(c)}"
+                        f"cannot match {pretty_print(t)} against {pretty_print(c)}",
+                        loc,
                     )
 
     go(template, concrete)
     if not found:
         return None
     if len(set(found)) != 1:
-        raise QListError(f"inconsistent list sizes {sorted(set(found))}")
+        raise QListError(f"inconsistent list sizes {sorted(set(found))}", loc)
     return found[0]
 
 
@@ -120,7 +126,7 @@ def _core_node(c: Gate, omega: tuple):
     of the branch the list's static size selects."""
     match c:
         case Gate(PairP(WireP(b), WireP(qs)), GateRef("isempty"), WireP() as q, rest):
-            size = list_size(take(omega, q, c.loc)[0])
+            size = list_size(take(omega, q, c.loc)[0], c.loc)
             match rest:
                 case Lift(x, WireP(b2), Unbox(If(Var(xv), e_then, e_else), args)) if (
                     b2 == b and xv == x
@@ -131,25 +137,27 @@ def _core_node(c: Gate, omega: tuple):
                     return Unbox(e_then if size == 0 else e_else, args2, loc=c.loc)
             raise QListError(
                 "isempty must be followed by 'b <= lift b; unbox (if b then ... "
-                "else ...) p'"
+                "else ...) p'", c.loc,
             )
         case Gate(_, GateRef("isempty"), _, _):
-            raise QListError("isempty must be used as (b, qs) <- gate isempty qs")
+            raise QListError("isempty must be used as (b, qs) <- gate isempty qs", c.loc)
         case Gate(PairP(WireP(h), WireP(t)), GateRef("headtail"), WireP() as q, rest):
-            if list_size(take(omega, q, c.loc)[0]) < 1:
-                raise QListError("headtail applied to the empty list")
+            if list_size(take(omega, q, c.loc)[0], c.loc) < 1:
+                raise QListError("headtail applied to the empty list", c.loc)
             return PairElim(h, t, q, rest, loc=c.loc)
         case Gate(_, GateRef("headtail"), _, _):
-            raise QListError("headtail must bind (head, tail) from a single list wire")
+            raise QListError(
+                "headtail must bind (head, tail) from a single list wire", c.loc
+            )
         case Gate(WireP() as out_p, GateRef("cons"), in_p, rest):
             ty = take(omega, in_p, c.loc)[0]
             if not (isinstance(ty, TensorW) and isinstance(ty.left, QuantumW)):
-                raise QListError("cons needs a (qubit, list) pair")
-            list_size(ty)  # validates the tail shape
+                raise QListError("cons needs a (qubit, list) pair", c.loc)
+            list_size(ty, c.loc)  # validates the tail shape
             return Compose(out_p, Output(in_p), rest, loc=c.loc)
         case Gate(WireP() as out_p, GateRef("nil"), _, rest):
             return Compose(out_p, Output(UnitP()), rest, loc=c.loc)
-    raise QListError(f"{c.gate.name} must bind a single list wire")
+    raise QListError(f"{c.gate.name} must bind a single list wire", c.loc)
 
 
 def _signature(d: DefDecl):
@@ -179,8 +187,6 @@ class _Instantiator:
 
     def instantiate(self, name: str, k: int) -> str:
         if (name, k) not in self.started:
-            if name not in self.templates:
-                raise QListError(f"{name!r} is not a list-typed declaration")
             self.started.add((name, k))  # before the body: a cycle guard
             self.order.append(self._specialize_decl(self.templates[name], k))
         return f"{name}__{k}"
@@ -191,16 +197,21 @@ class _Instantiator:
         if family:
             if not isinstance(term, Lam):
                 raise QListError(
-                    f"{d.name}: a function-typed list declaration must be a lambda"
+                    f"{d.name}: a function-typed list declaration must be a lambda",
+                    d.loc,
                 )
             if ann is not None and not isinstance(ann.result, CircT):
-                raise QListError(f"{d.name}: expected ... -> Circ(...)")
+                raise QListError(f"{d.name}: expected ... -> Circ(...)", d.loc)
             arg = term.ann if ann is None else ann.arg
             if mentions_qlist(arg):
-                raise QListError(f"{d.name}: list-typed host arguments unsupported")
+                raise QListError(
+                    f"{d.name}: list-typed host arguments unsupported", d.loc
+                )
             box, gamma = term.body, {**self.gamma, term.var: arg}
         elif w_in is None:
-            raise QListError(f"{d.name}: unsupported list declaration type {ann}")
+            raise QListError(
+                f"{d.name}: unsupported list declaration type {ann}", d.loc
+            )
         else:
             box, gamma = term, self.gamma
         new_ann = subst_qlist(ann, k)
@@ -214,75 +225,90 @@ class _Instantiator:
     def _box(self, t: HostTerm, w_in: WireType, gamma: dict):
         """A box at input type ``w_in``; returns (box, output type)."""
         if not isinstance(t, Box):
-            raise QListError(f"expected a box, found {t}")
+            raise QListError(f"expected a box, found {t}", t.loc)
         body, out = self._circ(t.body, bind_pattern(t.pat, w_in, t.loc), gamma)
         return Box(t.pat, w_in, body, loc=t.loc), out
 
     # -- circuit walk -------------------------------------------------------
 
-    def _circ(self, c, omega: tuple, gamma: dict):
+    def _circ(self, c, omega: tuple, gamma: dict, spent=frozenset()):
         """Specialize a circuit term; returns (term, output type)."""
         match c:
             case Output(p):
-                return c, take(omega, p, c.loc)[0]
+                return c, take(omega, p, c.loc, spent)[0]
             case Init(t):
-                return c, unlift_type(check_host(gamma, t, self.ctx))
+                try:
+                    return c, unlift_type(check_host(gamma, t, self.ctx))
+                except NotClassicalError as e:
+                    raise QListError(e.args[0], c.loc) from None
             case Unbox(h, p):
-                h2, out = self._circ_value(h, take(omega, p, c.loc)[0], gamma)
+                u = take(omega, p, c.loc, spent)[0]
+                h2, out = self._circ_value(h, u, gamma, c.loc)
                 return replace(c, term=h2), out
             case Gate(_, g, _, _) if g.name in LIST_GATES:
-                return self._circ(_core_node(c, omega), omega, gamma)
+                return self._circ(_core_node(c, omega), omega, gamma, spent)
             case Gate(out_p, g, in_p, _):
-                _, w_out = algebra.gate_signature(g, self.ctx.gates)
+                try:
+                    w_out = algebra.gate_signature(g, self.ctx.gates)[1]
+                except algebra.UnknownGate as e:
+                    raise QListError(e.args[0], c.loc) from None
+                _, consumes, rest_omega = take(omega, in_p, c.loc, spent)
                 bound = bind_pattern(out_p, w_out, c.loc)
-                return self._then(c, bound + take(omega, in_p, c.loc)[2], gamma)
-            case Compose(p, first, rest):
-                names = sorted(free_wires(first))
-                sel, rest_omega = _select(omega, names, c.loc, frozenset())
-                first2, w = self._circ(first, sel, gamma)
-                bound = bind_pattern(p, w, c.loc)
-                rest2, out = self._circ(rest, bound + rest_omega, gamma)
-                return replace(c, first=first2, rest=rest2), out
+            case Compose(p, first, _):
+                consumes = frozenset(free_wires(first))
+                sel, rest_omega = _select(omega, sorted(consumes), c.loc, spent)
+                first2, w = self._circ(first, sel, gamma, spent)
+                c, bound = replace(c, first=first2), bind_pattern(p, w, c.loc)
             case UnitElim(p, _):
-                return self._then(c, take(omega, p, c.loc)[2], gamma)
+                _, consumes, rest_omega = take(omega, p, c.loc, spent)
+                bound = ()
             case PairElim(w1, w2, p, _):
-                v, _, rest_omega = take(omega, p, c.loc)
+                v, consumes, rest_omega = take(omega, p, c.loc, spent)
                 bound = bind_pattern(PairP(WireP(w1), WireP(w2)), v, c.loc)
-                return self._then(c, bound + rest_omega, gamma)
             case Lift(x, p, _):
-                v, _, rest_omega = take(omega, p, c.loc)
-                return self._then(c, rest_omega, {**gamma, x: lift_type(v)})
-        raise QListError(f"unsupported circuit form in sized-list body: {c}")
-
-    def _then(self, c, omega: tuple, gamma: dict):
-        """``c`` with its continuation walked under ``omega``."""
-        rest, out = self._circ(c.rest, omega, gamma)
+                v, consumes, rest_omega = take(omega, p, c.loc, spent)
+                try:
+                    gamma = {**gamma, x: lift_type(v)}
+                except NotClassicalError as e:
+                    raise QListError(e.args[0], c.loc) from None
+                bound = ()
+            case _:
+                raise QListError(
+                    f"unsupported circuit form in sized-list body: {c}", c.loc
+                )
+        # every other step ends in the typechecker's tail, and the walk
+        # goes on with its continuation
+        omega, spent = bind_step(bound, rest_omega, consumes, spent, c.loc)
+        rest, out = self._circ(c.rest, omega, gamma, spent)
         return replace(c, rest=rest), out
 
     # -- host values of Circ type --------------------------------------------
 
-    def _circ_value(self, h: HostTerm, u: WireType, gamma: dict):
+    def _circ_value(self, h: HostTerm, u: WireType, gamma: dict, loc):
         """Specialize a host term used in unbox position at argument
-        type ``u``; returns (term, output wire type)."""
+        type ``u`` by the step at ``loc``; returns (term, output wire
+        type)."""
         match h:
             case Var(name) | App(Var(name), _) if name in self.templates:
                 d = self.templates[name]
                 family, w_in = _signature(d)
                 if family != isinstance(h, App) or w_in is None:
                     raise QListError(
-                        f"{name!r} used at a type other than {d.ann or 'its own'}"
+                        f"{name!r} used at a type other than {d.ann or 'its own'}",
+                        loc,
                     )
-                k = _unify_size(w_in, u)
+                k = _unify_size(w_in, u, loc)
                 if k is None:
                     raise QListError(
-                        f"cannot infer the list size of {name!r} from its argument"
+                        f"cannot infer the list size of {name!r} from its argument",
+                        loc,
                     )
                 inst = Var(self.instantiate(name, k), loc=h.loc)
                 out = self.outputs.get((name, k))
                 if out is None:
                     raise QListError(
                         f"{name!r} is used at list size {k} in its own body, "
-                        "before its output type is known"
+                        "before its output type is known", loc,
                     )
                 h2 = App(inst, h.arg, loc=h.loc) if family else inst
                 return h2, out
@@ -290,7 +316,7 @@ class _Instantiator:
                 return self._box(h, u, gamma)
         ty = check_host(gamma, h, self.ctx)
         if not isinstance(ty, CircT):
-            raise QListError(f"unbox expects a circuit, got {ty}")
+            raise QListError(f"unbox expects a circuit, got {ty}", loc)
         return h, ty.w_out
 
 
@@ -332,8 +358,6 @@ def monomorphize(prog: Program, size: int, entry: str | None):
             return prog, entry
     except TypeCheckError as e:
         raise QListError(e.message, e.loc) from None
-    except (NotClassicalError, algebra.UnknownGate) as e:
-        raise QListError(e.args[0]) from None
     headers = [d for d in passthrough if isinstance(d, (ClassicalDecl, GateDecl))]
     others = [d for d in passthrough if not isinstance(d, (ClassicalDecl, GateDecl))]
     return Program(tuple(headers) + tuple(others) + tuple(inst.order)), new_entry

@@ -6,10 +6,10 @@ input/output threading (the first subterm of a sequence receives
 exactly the wires it mentions, in context order, the continuation the
 remainder), which is equivalent to searching over rule-level splits.
 
-Every step but a composition (which takes its first circuit's free
-wires) consumes the wires of one pattern, through ``take``.  The steps
-that bind wires share one tail: no new wire may shadow a live one, and
-the continuation gets the new wires followed by the remaining ones.
+The pattern relation is decided here once, for the parser's box
+annotations and the qlist walk too: ``take`` consumes a pattern's wires,
+``pattern_type`` assembles their type, ``bind_pattern`` splits a type
+onto a binder and ``bind_step`` binds new wires that shadow no live one.
 
 Also elaborates the measurement sugar (``qrun``, ``qlift``) into core
 syntax, generating the structural measure/prepare circuits by induction
@@ -122,24 +122,6 @@ def pattern_type(types: dict, p: Pattern) -> WireType:
     raise TypeCheckError(PATTERN_SHAPE, f"not a pattern: {p!r}")
 
 
-def match_pattern(omega: WireContext, p: Pattern) -> WireType:
-    """Decide the pattern relation: ``p`` must consume ``omega`` exactly
-    (up to exchange) and the assembled wire type is returned."""
-    if not pattern_linear(p):
-        raise TypeCheckError(PATTERN_SHAPE, f"duplicate wire in pattern {p}")
-    names = pattern_wires(p)
-    declared = dict(omega)
-    if len(declared) != len(omega):
-        raise TypeCheckError(LINEARITY, "duplicate wire name in context")
-    missing = [x for x in names if x not in declared]
-    if missing:
-        raise TypeCheckError(UNBOUND_WIRE, f"unbound wire {missing[0]!r}")
-    unused = [x for x, _ in omega if x not in set(names)]
-    if unused:
-        raise TypeCheckError(UNUSED_WIRE, f"wire {unused[0]!r} left unused")
-    return pattern_type(declared, p)
-
-
 def bind_pattern(p: Pattern, w: WireType, loc=None) -> tuple:
     """Split a wire type along a binder pattern, yielding the bound
     wires in pattern order with their component types."""
@@ -188,7 +170,30 @@ def take(omega: WireContext, p: Pattern, loc, spent=frozenset(), whole=False):
     if len(set(names)) != len(names):
         raise TypeCheckError(PATTERN_SHAPE, f"duplicate wire in pattern {p}", loc)
     sel, rest = _select(omega, names, loc, spent, whole)
-    return match_pattern(sel, p), names, rest
+    if len(sel) != len(names):
+        raise TypeCheckError(LINEARITY, "duplicate wire name in context", loc)
+    return pattern_type(dict(sel), p), names, rest
+
+
+def match_pattern(omega: WireContext, p: Pattern) -> WireType:
+    """Decide the pattern relation: ``p`` must consume ``omega`` exactly
+    (up to exchange) and the assembled wire type is returned."""
+    got, _, rest = take(omega, p, None)
+    if rest:
+        raise TypeCheckError(UNUSED_WIRE, f"wire {rest[0][0]!r} left unused")
+    return got
+
+
+def bind_step(bindings: tuple, remaining: WireContext, consumes, spent, loc):
+    """The context and spent wires after a step that consumes
+    ``consumes`` and binds ``bindings``, which may not shadow a live wire."""
+    live = {w for w, _ in remaining}
+    for x, _ in bindings:
+        if x in live:
+            raise TypeCheckError(
+                LINEARITY, f"wire {x!r} rebound while still live", loc
+            )
+    return bindings + remaining, spent.union(consumes) - {x for x, _ in bindings}
 
 
 def check_circuit(
@@ -314,16 +319,9 @@ def check_circuit(
             return w_out
         case _:
             raise TypeCheckError(MISMATCH, f"not a circuit term: {term!r}")
-    # the tail of a step that binds wires
-    live = {w for w, _ in remaining}
-    for x, _ in bindings:
-        if x in live:
-            raise TypeCheckError(
-                LINEARITY, f"wire {x!r} rebound while still live", term.loc
-            )
+    omega, spent = bind_step(bindings, remaining, consumes, spent, term.loc)
     ctx.record(term, Split(consumes, bindings))
-    spent = spent.union(consumes) - {x for x, _ in bindings}
-    return check_circuit(gamma, bindings + remaining, term.rest, ctx, spent)
+    return check_circuit(gamma, omega, term.rest, ctx, spent)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,8 @@ NO_TRACEBACK_CASES = [
      3, "usage error:"),
     (["denote", "programs/qft.ew", "--entry", "fourier", "--qlist-size", "-1"],
      3, "usage error:"),
+    (["denote", "tests/abstract_gate.ew", "--entry", "c"], 1, "error[UnknownGate]"),
+    (["equiv", "tests/abstract_gate.ew", "c", "c"], 1, "error[UnknownGate]"),
 ]
 
 
@@ -183,7 +185,8 @@ def test_evaluation_error_exits_without_traceback(argv, code, prefix):
     # cpu mode rejects the fixed point of hs.ew, and an out-of-range int
     # of qft.ew at size 3; both are diagnostics, not tracebacks, and so
     # are negative counts of shots, fuel or rewrite steps and a negative
-    # or non-finite tolerance
+    # or non-finite tolerance, and a header-declared gate, which has no
+    # denotation
     _assert_no_traceback(argv, code, prefix)
 
 

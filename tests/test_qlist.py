@@ -231,3 +231,27 @@ def test_non_template_entry_passthrough():
     mono, entry = monomorphize(prog, 3, "main")
     assert entry == "main"
     assert mono is prog
+
+
+# a template that rebinds a live wire, or reuses a consumed one, is
+# reported as the typechecker reports it, at the step
+LINEARITY_IN_TEMPLATES = {
+    "rebinds_a_live_wire": ("""
+def f : Circ(qlist, qubit) =
+  box qs : qlist => ((h, t) <- gate headtail qs; t <- gate H h; output t)
+""", "wire 't' rebound while still live", (3, 49)),
+    "reuses_a_consumed_wire": ("""
+def f : Circ(qlist, qubit * qlist) =
+  box qs : qlist => ((h, t) <- gate headtail qs; h2 <- gate H h; h3 <- gate H h;
+                     output (h3, t))
+""", "wire 'h' already consumed", (3, 65)),
+}
+
+
+@pytest.mark.parametrize("case", list(LINEARITY_IN_TEMPLATES))
+def test_linearity_in_a_template_is_reported_at_the_step(case):
+    src, message, (line, col) = LINEARITY_IN_TEMPLATES[case]
+    with pytest.raises(QListError) as e:
+        monomorphize(parse_program(src), 2, None)
+    assert str(e.value) == message
+    assert (e.value.loc.line, e.value.loc.col) == (line, col)

@@ -20,6 +20,8 @@ from ewire.syntax import (
 )
 from ewire.typecheck import check_program
 
+from tests.gen import random_circuit
+
 FLIP = "a <- gate init0 (); a' <- gate H a; b <- gate meas a'; output b"
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -107,6 +109,149 @@ def test_parse_box_unit_pattern():
     t = parse_host_term("box () => output ()")
     assert t.pat == UnitP()
     assert t.w_in == UnitW()
+
+
+# -- box annotations ------------------------------------------------------------
+
+# an annotation is split onto its part's wires, and a wire given two
+# types is rejected at the annotation, whether or not another part of
+# the pattern is annotated
+ANNOTATION_CONFLICTS = {
+    "unannotated_sibling": "box (a, c : qubit) : qubit * bit => output (a, c)",
+    "annotated_sibling": "box (a : qubit, c : qubit) : qubit * bit => output (a, c)",
+    "nested": "box ((a, b), c : qubit) : (qubit * qubit) * bit => output c",
+    "outer_pair": "box ((a, b) : qubit * qubit, c) : (qubit * bit) * bit => output c",
+}
+
+
+@pytest.mark.parametrize("case", list(ANNOTATION_CONFLICTS))
+def test_conflicting_box_annotations_rejected(case):
+    text = ANNOTATION_CONFLICTS[case]
+    with pytest.raises(ParseError) as e:
+        parse_host_term(text)
+    assert e.value.message == "conflicting pattern annotations: qubit vs bit"
+    assert (e.value.line, e.value.col) == (1, text.index("=>"))
+
+
+def _pattern_tree(wires, rng):
+    """A random binder over ``wires`` (in order), with its type; a part
+    with no wire is ``()``."""
+    if not wires:
+        return UnitP(), UnitW()
+    if len(wires) == 1 and rng.random() < 0.8:
+        return WireP(wires[0][0]), wires[0][1]
+    k = rng.randint(0, len(wires))
+    (l, lw), (r, rw) = _pattern_tree(wires[:k], rng), _pattern_tree(wires[k:], rng)
+    return PairP(l, r), TensorW(lw, rw)
+
+
+def _parts(p, path=()):
+    yield path, p
+    if isinstance(p, PairP):
+        yield from _parts(p.left, path + (0,))
+        yield from _parts(p.right, path + (1,))
+
+
+def _annotated(p, w, annotated, changed=None, path=()):
+    """Source of the binder ``p : w``, annotated at the parts whose paths
+    are in ``annotated``, the part at ``changed`` with another type."""
+    match p:
+        case WireP(x):
+            text = x
+        case UnitP():
+            text = "()"
+        case PairP(l, r):
+            text = (f"({_annotated(l, w.left, annotated, changed, path + (0,))}, "
+                    f"{_annotated(r, w.right, annotated, changed, path + (1,))})")
+    if path in annotated:
+        text += f" : {pretty_print(_other_type(w) if path == changed else w)}"
+    return text
+
+
+def _other_type(w):
+    """A wire type other than ``w``: its first leaf changed."""
+    if isinstance(w, TensorW):
+        return TensorW(_other_type(w.left), w.right)
+    return {QUBIT: BIT, BIT: QUBIT, UnitW(): QUBIT}[w]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_box_annotations_on_generated_contexts(seed):
+    # a generated circuit's context boxed as a def, its binder annotated
+    # on every wire, on pairs, on the whole pattern, or at random parts
+    import random
+
+    rng = random.Random(seed)
+    omega, body = random_circuit(seed)
+    p, w = _pattern_tree(list(omega), rng)
+    parts = dict(_parts(p))
+    placement = ["wire", "pair", "whole", "mixed"][seed % 4]
+    annotated = {
+        "wire": set(),
+        "pair": {q for q, part in parts.items()
+                 if isinstance(part, PairP) and rng.random() < 0.5},
+        "whole": {()},
+        "mixed": {q for q in parts if rng.random() < 0.4},
+    }[placement]
+    leaves = [q for q, part in parts.items() if isinstance(part, WireP)]
+    annotated |= {q for q in leaves
+                  if not any(q[:i] in annotated for i in range(len(q) + 1))}
+
+    def source(changed=None):
+        pat = _annotated(p, w, annotated, changed)
+        return f"def f = box {pat} => ({pretty_print(body)})\n"
+
+    box = parse_program(source()).decls[0].term
+    assert (box.pat, box.w_in) == (p, w)
+    assert alpha_equiv(parse_host_term(pretty_print(box)), box)
+    # changing a part's annotation contradicts the other annotations of
+    # its wires, if every wire of it has one
+    for q in annotated:
+        wires = [x for x in leaves if x[:len(q)] == q]
+        if all(any(x[:i] in annotated - {q} for i in range(len(x) + 1))
+               for x in wires):
+            with pytest.raises(ParseError):
+                parse_program(source(changed=q))
+
+
+def test_unannotated_box_wire_rejected():
+    with pytest.raises(ParseError) as e:
+        parse_host_term("box (a : qubit, b) => output (a, b)")
+    assert e.value.message == "box pattern needs a complete type annotation"
+
+
+# -- header declarations ------------------------------------------------------
+
+# each is rejected at the declaration that breaks the rule
+HEADER_ERRORS = {
+    "second_classical": ("classical color 3\nclassical color 2\n",
+                         "duplicate declaration 'color'"),
+    "second_int": ("classical int 6\nclassical int 6\n", "duplicate declaration 'int'"),
+    "second_gate": ("gate g : qubit -> qubit\ngate g : qubit -> qubit\n",
+                    "duplicate declaration 'g'"),
+    "bit_cardinality": ("classical color 3\nclassical bit 3\n",
+                        "bit is built in with cardinality 2"),
+    "built_in_gate": ("gate g : qubit -> qubit\ngate meas : qubit -> qubit\n",
+                      "gate 'meas' is built in"),
+    "list_gate": ("gate g : qubit -> qubit\ngate cons : qubit -> qubit\n",
+                  "gate 'cons' is built in"),
+    "qlist_gate": ("gate g : qubit -> qubit\ngate h : qubit * qlist -> qlist\n",
+                   "declared gate 'h' cannot act on qlist wires"),
+}
+
+
+@pytest.mark.parametrize("case", list(HEADER_ERRORS))
+def test_header_declaration_rejected_at_its_span(case):
+    text, message = HEADER_ERRORS[case]
+    with pytest.raises(ParseError) as e:
+        parse_program(text + "circ c (q : qubit) : qubit = output q\n")
+    assert (e.value.message, e.value.line, e.value.col) == (message, 2, 0)
+
+
+def test_built_in_classical_bases_may_be_declared_once():
+    prog = parse_program("classical int 6\nclassical bit 2\n"
+                         "def n : int = 5\ndef b : bit = 1\n")
+    assert check_program(prog).def_types["n"] == ClassicalT("int", 6)
 
 
 def test_pretty_print_output():

@@ -570,3 +570,60 @@ circ c (q : qubit) : qubit = q2 <- gate amp q; output q2
     )
     cp = check_program(prog)
     assert cp.def_types["c"] == CircT(QUBIT, QUBIT)
+
+
+def test_context_naming_a_wire_twice_is_reported_at_the_step():
+    c = parse_circuit("output a")
+    omega = (("a", QUBIT), ("a", QUBIT))
+    with pytest.raises(TypeCheckError) as e:
+        check_circuit({}, omega, c)
+    assert (e.value.kind, e.value.message) == (
+        "LinearityViolation", "duplicate wire name in context"
+    )
+    assert e.value.loc == c.loc
+
+
+def _token_mutants(count, seed):
+    """Single-token mutations of ``programs/*.ew``: a token replaced by
+    one of the programs' tokens, or deleted."""
+    import random
+    from pathlib import Path
+
+    from ewire.parser import tokenize
+
+    rng = random.Random(seed)
+    sources = [p.read_text() for p in sorted(
+        (Path(__file__).resolve().parent.parent / "programs").glob("*.ew"))]
+    tokens = []
+    for text in sources:
+        starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+        tokens.append([(starts[t.line - 1] + t.col, t.text)
+                       for t in tokenize(text)[:-1]])
+    vocabulary = sorted({t for ts in tokens for _, t in ts})
+    for _ in range(count):
+        i = rng.randrange(len(sources))
+        start, text = rng.choice(tokens[i])
+        new = "" if rng.random() < 0.2 else rng.choice(vocabulary)
+        yield sources[i][:start] + new + sources[i][start + len(text):]
+
+
+def test_every_type_error_in_a_mutated_program_has_a_span():
+    # monomorphizing (at sizes 0..2 where a list is mentioned) and
+    # checking a program reports every error at a source span
+    from ewire.parser import ParseError
+    from ewire.qlist import QListError, monomorphize
+
+    raised = 0
+    for text in _token_mutants(2000, seed=0):
+        try:
+            prog = parse_program(text)
+        except ParseError:
+            continue
+        for size in range(3) if "qlist" in text else [None]:
+            try:
+                check_program(prog if size is None
+                              else monomorphize(prog, size, None)[0])
+            except (TypeCheckError, QListError) as e:
+                raised += 1
+                assert e.loc is not None, (e, text)
+    assert raised > 300
