@@ -208,10 +208,7 @@ class AlgElement:
     def is_positive(self, tol: float = 1e-9) -> bool:
         if not self.is_selfadjoint(math.sqrt(tol)):
             return False
-        return all(
-            np.linalg.eigvalsh((b + b.conj().T) / 2).min() >= -tol
-            for b in self.blocks_list()
-        )
+        return all(psd_within((b + b.conj().T) / 2, tol) for b in self.blocks_list())
 
 
 def element_from_blocks(algebra: FdAlgebra, mats: Iterable[np.ndarray]) -> AlgElement:
@@ -730,13 +727,65 @@ def choi_matrix(f: SuperOp) -> np.ndarray:
     return out
 
 
+def psd_within(h: np.ndarray, tol: float) -> bool:
+    """Whether the Hermitian matrix ``h`` has no eigenvalue below ``-tol``,
+    as ``eigvalsh`` computes them: at most two Cholesky factorisations
+    decide all but a band of width ``2 * _psd_margin(h, tol)`` around
+    ``-tol``.  If ``h + (tol - delta) I`` factors, the answer is yes; if
+    ``h + (tol + delta) I`` does not, it is no; otherwise, and for a zero
+    or non-finite margin (a zero ``h`` at ``tol`` 0, a NaN), ``eigvalsh``
+    decides."""
+    delta = _psd_margin(h, tol)
+    if 0 < delta < math.inf:
+        if _factors(h, tol - delta):
+            return True
+        if not _factors(h, tol + delta):
+            return False
+    return bool(np.linalg.eigvalsh(h).min() >= -tol)
+
+
+def _psd_margin(h: np.ndarray, tol: float) -> float:
+    """The margin ``delta = 8 (d + 1) u nu`` of ``psd_within``, with ``d``
+    the order of ``h``, ``u = eps / 2`` the unit roundoff and ``nu = d
+    (max_i |h_ii| + tol) + ||h||_F``.
+
+    It exceeds what rounding can move either method by (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, thm. 10.3 and 10.7, for ``a =
+    h + s I``): a factorisation that succeeds is exact for some ``a + e``
+    with ``||e||_2 <= (d + 1) u tr(a)``; one cannot fail once the least
+    eigenvalue of ``a`` is above ``d (d + 1) u max_i a_ii``; and
+    ``eigvalsh``'s eigenvalues are those of some ``h + e`` with ``||e||_2``
+    a modest multiple of ``eps ||h||_2``, below ``d eps ||h||_F``.  So a
+    shortcut of ``psd_within`` answers only where ``eigvalsh`` answers the
+    same.
+    """
+    d = h.shape[0]
+    with np.errstate(over="ignore"):  # an infinite margin leaves it to eigvalsh
+        nu = d * (np.abs(np.diagonal(h)).max() + tol) + np.linalg.norm(h)
+    return 4 * (d + 1) * float(np.finfo(float).eps) * nu
+
+
+def _factors(h: np.ndarray, shift: float) -> bool:
+    """Whether ``h + shift I`` has a Cholesky factorisation."""
+    a = h.copy()
+    a[np.diag_indices_from(a)] += shift
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def is_cp(f: SuperOp, tol: float = 1e-9) -> bool:
-    """Complete positivity, via the least eigenvalue of each Choi block."""
+    """Complete positivity within ``tol``: each Choi block ``c`` is Hermitian
+    to within ``max(tol, 1e-9)`` relative to ``max(1, ||c||_F)``, and its
+    Hermitian part has no eigenvalue below ``-tol`` (``psd_within``, which
+    answers as ``eigvalsh`` would, mostly by Cholesky)."""
     for c in _choi_blocks(f):
         h = (c + c.conj().T) / 2
         if np.linalg.norm(c - h) > max(tol, 1e-9) * max(1.0, np.linalg.norm(c)):
             return False
-        if np.linalg.eigvalsh(h).min() < -tol:
+        if not psd_within(h, tol):
             return False
     return True
 
@@ -965,12 +1014,23 @@ def _fmt(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def superop_to_json(f: SuperOp) -> dict:
-    """JSON form: block lists plus the matrix as [re, im] pairs, row-major,
-    each part at 12 significant digits."""
-    return {
-        "source_blocks": list(f.source.blocks),
-        "target_blocks": list(f.target.blocks),
-        "matrix": [[_fmt(z.real), _fmt(z.imag)]
-                   for z in f.matrix.reshape(-1).tolist()],
+def superop_to_json(f: SuperOp, **fields) -> str:
+    """``f`` as the JSON text that ``json.dumps`` prints for the object
+    ``{"source_blocks": ..., "target_blocks": ..., "matrix": ...}``
+    followed by ``fields`` in order.  ``matrix`` holds the entries
+    row-major as [re, im] pairs, each part at 12 significant digits
+    (``_fmt``).  Each distinct pair of bit patterns (so ``-0.0`` and every
+    NaN payload apart) is formatted once, by ``json.dumps``, and the texts
+    are joined once."""
+    import json  # here: importing the package does not load json
+
+    pairs, inverse = np.unique(f.matrix.reshape(-1).view("V16"), return_inverse=True)
+    texts = np.array([json.dumps([_fmt(z.real), _fmt(z.imag)])
+                      for z in pairs.view(complex).tolist()], dtype=object)
+    parts = {
+        "source_blocks": json.dumps(list(f.source.blocks)),
+        "target_blocks": json.dumps(list(f.target.blocks)),
+        "matrix": "[" + ", ".join(texts[inverse].tolist()) + "]",
     }
+    parts.update((k, json.dumps(v)) for k, v in fields.items())
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in parts.items()) + "}"

@@ -208,17 +208,13 @@ def cmd_denote(args) -> int:
     checked, entry = _load(args.file, args.qlist_size, args.entry)
     term, _ = _entry(checked, entry, CircT, "a circuit value (type Circ(...))")
     value = call_with_stack(lambda: _value(checked, term, mode))
-    payload = superop_to_json(value.op)
-    payload["signature"] = {
-        "in": str(value.w_in),
-        "out": str(value.w_out),
-    }
-    payload["report"] = {
+    report = {
         "is_cp": is_cp(value.op, args.tol),
         "is_unital": is_unital(value.op, args.tol),
         "is_subunital": is_subunital(value.op, args.tol),
     }
-    print(json.dumps(payload))
+    signature = {"in": str(value.w_in), "out": str(value.w_out)}
+    print(superop_to_json(value.op, signature=signature, report=report))
     return 0
 
 

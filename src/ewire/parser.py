@@ -7,8 +7,10 @@ to end of line.  Header directives::
     classical <name> <cardinality>
     gate <name> : <W> -> <W>
 
-Each declares its name once.  ``bit`` keeps cardinality 2, and a gate
-may neither take a built-in gate's name nor act on ``qlist`` wires.
+Each declares its name once.  ``bit`` keeps cardinality 2, a classical
+type may not take the name of a built-in wire type (``qubit``, ``I``,
+``qlist``), and a gate may neither take a built-in gate's name nor act
+on ``qlist`` wires.
 
 Declarations::
 
@@ -551,6 +553,8 @@ class Parser:
         if t.kind == "classical":
             self.next()
             name = self.expect("ident")
+            if name.text in ("qubit", "I", "qlist"):
+                raise ParseError(f"{name.text!r} is a built-in wire type", t.line, t.col)
             card = self.expect("int")
             if int(card.text) < 1:
                 raise ParseError("cardinality must be >= 1", card.line, card.col)

@@ -208,10 +208,16 @@ def check_circuit(
     Every wire of ``omega`` must be consumed exactly once.  Each node's
     ``Split`` is recorded in ``ctx``.
     """
-    ctx = ctx or _default_ctx()
     omega = tuple(omega)
     for _, ty in omega:
         _no_qlist(ty)
+    return _circuit(gamma, omega, term, ctx or _default_ctx(), spent)
+
+
+def _circuit(gamma, omega, term, ctx, spent=frozenset()) -> WireType:
+    """``check_circuit`` on a context already free of ``qlist``: a wire
+    type is checked for it once, where it enters (the caller's context, a
+    box's domain, the wires a step binds)."""
     match term:
         case Output(p):
             got, names, _ = take(omega, p, term.loc, spent, whole=True)
@@ -266,7 +272,7 @@ def check_circuit(
             fw = frozenset(free_wires(first))
             # sorted, so that the wire a diagnostic names never depends on hashing
             sel, remaining = _select(omega, sorted(fw), term.loc, spent)
-            w1 = check_circuit(gamma, sel, first, ctx, spent)
+            w1 = _circuit(gamma, sel, first, ctx, spent)
             consumes, bindings = fw, bind_pattern(p, w1, term.loc)
         case UnitElim(p, _):
             got, consumes, remaining = take(omega, p, term.loc, spent)
@@ -311,9 +317,7 @@ def check_circuit(
                 )
             gamma2 = dict(gamma)
             gamma2[x] = lift_type(v)
-            w_out = check_circuit(
-                gamma2, remaining, rest, ctx, spent | set(names)
-            )
+            w_out = _circuit(gamma2, remaining, rest, ctx, spent | set(names))
             if not sugar:
                 ctx.record(term, Split(names, (), (v, w_out)))
             return w_out
@@ -321,7 +325,9 @@ def check_circuit(
             raise TypeCheckError(MISMATCH, f"not a circuit term: {term!r}")
     omega, spent = bind_step(bindings, remaining, consumes, spent, term.loc)
     ctx.record(term, Split(consumes, bindings))
-    return check_circuit(gamma, omega, term.rest, ctx, spent)
+    for _, ty in bindings:
+        _no_qlist(ty, term.loc)
+    return _circuit(gamma, omega, term.rest, ctx, spent)
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +415,11 @@ def _infer_host(gamma, term, ctx, expected):
         case Box(p, w, body):
             _no_qlist(w, term.loc)
             bindings = bind_pattern(p, w, term.loc)
-            w2 = check_circuit(gamma, bindings, body, ctx)
+            w2 = _circuit(gamma, bindings, body, ctx)
             ctx.record(term, (w, w2, bindings))
             return CircT(w, w2)
         case Run(c):
-            w = check_circuit(gamma, (), c, ctx)
+            w = _circuit(gamma, (), c, ctx)
             if not is_classical(w):
                 raise TypeCheckError(
                     NOT_CLASSICAL,
@@ -424,7 +430,7 @@ def _infer_host(gamma, term, ctx, expected):
             ctx.record(term, w)
             return MonadT(lift_type(w))
         case QRun(c):
-            w = check_circuit(gamma, (), c, ctx)
+            w = _circuit(gamma, (), c, ctx)
             ctx.record(term, w)
             return MonadT(lift_type(classicalize(w)))
         case IntLit(n):

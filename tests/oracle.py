@@ -8,14 +8,20 @@ permutations, and channels are extracted by pushing basis matrices
 through.  Circuits are walked directly off the AST with a tiny host
 evaluator for literals; only the constructor subset used by the test
 corpus is supported (unbox of literal boxes, literal-ish init).
+
+It also keeps the direct forms of what the package computes faster: the
+``denote`` JSON as ``json.dumps`` of a list of [re, im] pairs, and the
+positivity tests by the least eigenvalue from ``eigvalsh``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
+from ewire.algebra import AlgElement, _choi_blocks, _fmt, apply_to_unit, unit_element
 from ewire.syntax import (
     Box, ClassicalLit, ClassicalW, Compose, Gate, Init, IntLit, Lift,
     Output, PairElim, PairP, Pattern, Prim, QuantumW, TensorW, UnitElim,
@@ -534,3 +540,45 @@ def random_cpu_map(src, tgt, rng, env_dim=2):
                     col[toff[j] : toff[j] + bj * bj] = out.reshape(-1)
                 m[:, soff[i] + r * ai + s_] = col
     return SuperOp(src, tgt, m)
+
+
+# ---------------------------------------------------------------------------
+# Direct forms of the serialiser and the positivity tests
+# ---------------------------------------------------------------------------
+
+
+def json_by_pairs(f, **fields) -> str:
+    """The ``denote`` JSON of the map ``f`` followed by ``fields``, as one
+    ``json.dumps`` of the matrix as a list of [re, im] pairs."""
+    payload = {
+        "source_blocks": list(f.source.blocks),
+        "target_blocks": list(f.target.blocks),
+        "matrix": [[_fmt(z.real), _fmt(z.imag)] for z in f.matrix.reshape(-1).tolist()],
+    }
+    payload.update(fields)
+    return json.dumps(payload)
+
+
+def psd_by_eigvalsh(h, tol) -> bool:
+    """No eigenvalue of the Hermitian ``h`` below ``-tol``, by ``eigvalsh``."""
+    return bool(np.linalg.eigvalsh(h).min() >= -tol)
+
+
+def is_cp_by_eigvalsh(f, tol) -> bool:
+    """``is_cp`` with each Choi block decided by its least eigenvalue."""
+    for c in _choi_blocks(f):
+        h = (c + c.conj().T) / 2
+        if np.linalg.norm(c - h) > max(tol, 1e-9) * max(1.0, np.linalg.norm(c)):
+            return False
+        if not psd_by_eigvalsh(h, tol):
+            return False
+    return True
+
+
+def is_subunital_by_eigvalsh(f, tol) -> bool:
+    """``is_subunital`` with each block of ``1 - f(1)`` decided by its least
+    eigenvalue."""
+    gap = AlgElement(f.target, unit_element(f.target).vec - apply_to_unit(f).vec)
+    if not gap.is_selfadjoint(math.sqrt(tol)):
+        return False
+    return all(psd_by_eigvalsh((b + b.conj().T) / 2, tol) for b in gap.blocks_list())

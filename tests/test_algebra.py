@@ -1,7 +1,10 @@
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ewire.algebra import (
     BUILTIN_GATES, DimensionMismatch, FdAlgebra, ResourceLimit, SCALARS,
@@ -11,13 +14,16 @@ from ewire.algebra import (
     factor_permutation, frobenius_distance, gate_denotation,
     gate_signature, is_cp, is_subunital, is_unital, loewner_leq, max_dim,
     op_compose, op_identity, op_relabel, op_scale, op_tensor, op_zero,
-    permutation_superop,
+    permutation_superop, psd_within, _psd_margin,
     set_max_dim, state_to_distribution, superop_to_json,
     tensor_copower_iso, tensor_many, unit_element,
 )
 from ewire.syntax import BIT, GateRef, QUBIT, TensorW
 
-from tests.oracle import random_cpu_map
+from tests.oracle import (
+    is_cp_by_eigvalsh, is_subunital_by_eigvalsh, json_by_pairs, psd_by_eigvalsh,
+    random_cpu_map,
+)
 
 M2 = alg(2)
 C2 = alg(1, 1)
@@ -725,8 +731,91 @@ def test_state_rejects_matrix_source():
 
 
 def test_superop_json_shape():
-    j = superop_to_json(gate_denotation(GateRef("meas")))
+    text = superop_to_json(gate_denotation(GateRef("meas")), report={"is_cp": True})
+    j = json.loads(text)
+    assert list(j) == ["source_blocks", "target_blocks", "matrix", "report"]
     assert j["source_blocks"] == [1, 1]
     assert j["target_blocks"] == [2]
     assert len(j["matrix"]) == 8
     assert all(len(entry) == 2 for entry in j["matrix"])
+    assert j["report"] == {"is_cp": True}
+
+
+# each part of an entry is drawn from these or from any float, so that
+# entries repeat and the edge cases of the 12-digit format meet
+_NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+    0.9999999999995, -0.99999999999949, 9.9999999999995e-5, 123456789012.5,
+    1e-5, 1e16, -1e16, 1e21, 1.2345678901235e20, 1 / 3,
+    math.nan, -math.nan, _NAN_PAYLOAD, math.inf, -math.inf,
+]
+ALGEBRAS = [alg(1), alg(2), alg(1, 1), alg(2, 1), alg(1, 1, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(ALGEBRAS), st.sampled_from(ALGEBRAS),
+    st.data(),
+)
+def test_superop_json_is_the_list_of_pairs_text(source, target, data):
+    part = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+    n = target.dim * source.dim
+    re = data.draw(st.lists(part, min_size=n, max_size=n))
+    im = data.draw(st.lists(part, min_size=n, max_size=n))
+    m = np.empty(n, dtype=complex)
+    # assigned part by part, so that signed zeros and NaN payloads stay
+    m.real, m.imag = re, im
+    f = SuperOp(source, target, m.reshape(target.dim, source.dim))
+    fields = {"signature": {"in": "qubit", "out": "bit"}, "report": {"is_cp": False}}
+    assert superop_to_json(f, **fields) == json_by_pairs(f, **fields)
+
+
+# -- positivity by Cholesky ---------------------------------------------------------
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, 1e-3])
+def test_is_cp_answers_as_eigvalsh_on_random_maps(tol):
+    rng = np.random.default_rng(31)
+    for src, tgt in [(M2, M2), (alg(2, 1), alg(3)), (alg(4), alg(2, 2)), (C2, alg(1, 3))]:
+        for _ in range(8):
+            f = random_cpu_map(src, tgt, rng)
+            g = random_cpu_map(src, tgt, rng)
+            # CP maps, and differences of them that mostly are not CP
+            for h in (f, op_scale(0.5, f), op_add_scaled(f, -rng.uniform(0.2, 1.5), g)):
+                assert is_cp(h, tol) == is_cp_by_eigvalsh(h, tol)
+                assert is_subunital(h, tol) == is_subunital_by_eigvalsh(h, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, 1e-3])
+@pytest.mark.parametrize("k", [-8, -1, -0.5, -1e-3, 0, 1e-3, 0.5, 1, 8])
+def test_psd_within_answers_as_eigvalsh_at_its_margin(tol, k):
+    # the least eigenvalue placed at -tol + k delta, some others at 0:
+    # within the margin (|k| < 1) eigvalsh answers, beyond it a Cholesky
+    # shortcut does and must answer the same
+    rng = np.random.default_rng(int(1000 * k) % 2**32 + int(1e9 * tol))
+    for d in [1, 2, 3, 4, 8, 16, 32, 64] * 3:
+        q = _unitary(rng, d)
+        spec = rng.uniform(0, 1, size=d) * rng.choice([1e-6, 1.0, 1e3])
+        spec[: rng.integers(0, d)] = 0.0
+        delta = _psd_margin((q * spec) @ q.conj().T, tol)
+        spec[0] = -tol + k * delta
+        h = (q * spec) @ q.conj().T
+        h = (h + h.conj().T) / 2
+        assert psd_within(h, tol) == psd_by_eigvalsh(h, tol)
+
+
+def test_psd_within_zero_and_non_finite():
+    assert psd_within(np.zeros((3, 3)), 0.0)
+    assert psd_within(np.zeros((3, 3)), 1e-9)
+    assert not psd_within(-np.eye(2), 0.5)
+    assert psd_within(-np.eye(2), 1.0)
+    # no margin: eigvalsh answers, whatever it makes of a NaN
+    for h in (np.diag([1.0, math.nan]), np.diag([1.0, -math.inf]), np.full((2, 2), 1e300)):
+        assert not 0 < _psd_margin(h, 1e-9) < math.inf
+        assert psd_within(h, 1e-9) == psd_by_eigvalsh(h, 1e-9)

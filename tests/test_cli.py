@@ -464,6 +464,61 @@ def test_every_entry_exits_with_a_code_and_mode_free_usage_errors(capsys, path, 
             assert cpu == cpsu, argv
 
 
+def _denote_cases():
+    """``denote`` arguments: every circuit entry of ``programs/*.ew`` in cpu
+    mode, at ``--tol 0`` and in cpsu mode with fuel 50, and ``fourier`` at
+    list sizes 1 to 3 in cpsu mode."""
+    from ewire.parser import parse_program
+    from ewire.syntax import CircT
+    from ewire.typecheck import check_program, elaborate_sugar
+
+    for path in sorted(PROGRAMS.glob("*.ew")):
+        if path.name == "qft.ew":
+            continue
+        checked = check_program(elaborate_sugar(parse_program(path.read_text())))
+        for name, ty in checked.def_types.items():
+            if isinstance(ty, CircT):
+                for extra in ([], ["--tol", "0"], ["--mode", "cpsu", "--fuel", "50"]):
+                    yield [str(path), "--entry", name, *extra]
+    for n in (1, 2, 3):
+        yield [str(PROGRAMS / "qft.ew"), "--entry", "fourier", "--qlist-size", str(n),
+               "--mode", "cpsu"]
+
+
+DENOTE_CASES = list(_denote_cases())
+
+
+@pytest.mark.parametrize("argv", DENOTE_CASES, ids=[
+    "-".join([Path(a[0]).stem, *a[2:]]) for a in DENOTE_CASES
+])
+def test_denote_prints_what_the_direct_serialiser_prints(capsys, argv):
+    # the map the command evaluates, written by json.dumps of its list of
+    # [re, im] pairs, with CP and subunitality decided by eigvalsh
+    from ewire.cli import _entry, _load, _mode_of, _value, build_parser
+    from ewire.denote import EvalError, call_with_stack
+    from ewire.syntax import CircT
+    from tests.oracle import is_cp_by_eigvalsh, is_subunital_by_eigvalsh, json_by_pairs
+
+    code, out, _ = run_cli(capsys, "denote", *argv)
+    args = build_parser().parse_args(["denote", *argv])
+    checked, entry = _load(args.file, args.qlist_size, args.entry)
+    term, _ = _entry(checked, entry, CircT, "a circuit")
+    try:
+        value = call_with_stack(lambda: _value(checked, term, _mode_of(args)))
+    except EvalError:
+        # hs3 needs cpsu mode
+        assert (code, out) == (1, "")
+        return
+    f = value.op
+    report = {
+        "is_cp": is_cp_by_eigvalsh(f, args.tol),
+        "is_unital": algebra.is_unital(f, args.tol),
+        "is_subunital": is_subunital_by_eigvalsh(f, args.tol),
+    }
+    signature = {"in": str(value.w_in), "out": str(value.w_out)}
+    assert (code, out) == (0, json_by_pairs(f, signature=signature, report=report) + "\n")
+
+
 NON_PRINTABLE = """\
 def rec Hs : int -> Circ(qubit, qubit) =
   lambda n : int .

@@ -27,7 +27,8 @@ from ewire.typecheck import (
 
 from tests.gen import random_circuit
 from tests.oracle import (
-    channel_matrix, context_leaves, embedding_matrix, leaves, transpose_vec,
+    channel_matrix, context_leaves, embedding_matrix, is_cp_by_eigvalsh,
+    is_subunital_by_eigvalsh, leaves, transpose_vec,
 )
 
 FLIP = "a <- gate init0 (); a' <- gate H a; b <- gate meas a'; output b"
@@ -127,6 +128,19 @@ def test_denotations_cp_and_unital(seed):
     _, op = _denote(omega, term)
     assert is_cp(op, 1e-9)
     assert is_unital(op, 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_positivity_answers_as_eigvalsh_on_the_oracle_suite(seed):
+    # the circuits of the adjointness test, in both modes, at the default
+    # tolerance and at 0, where the Choi blocks of unitary channels are
+    # singular and the answer rests on eigvalsh's rounding
+    omega, term = random_circuit(seed, max_qubits=3, max_stmts=8)
+    for mode in (Mode.cpu(), Mode.cpsu()):
+        _, op = _denote(omega, term, mode=mode)
+        for tol in (1e-9, 0.0):
+            assert is_cp(op, tol) == is_cp_by_eigvalsh(op, tol)
+            assert is_subunital(op, tol) == is_subunital_by_eigvalsh(op, tol)
 
 
 def test_exchange_coherence():

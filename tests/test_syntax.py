@@ -237,6 +237,14 @@ HEADER_ERRORS = {
                   "gate 'cons' is built in"),
     "qlist_gate": ("gate g : qubit -> qubit\ngate h : qubit * qlist -> qlist\n",
                    "declared gate 'h' cannot act on qlist wires"),
+    # a classical type named like a wire type would be quantum in circuits
+    # and classical in host types
+    "classical_qubit": ("classical color 3\nclassical qubit 3\n",
+                        "'qubit' is a built-in wire type"),
+    "classical_unit": ("classical color 3\nclassical I 2\n",
+                       "'I' is a built-in wire type"),
+    "classical_qlist": ("classical color 3\nclassical qlist 4\n",
+                        "'qlist' is a built-in wire type"),
 }
 
 

@@ -6,12 +6,12 @@ import pytest
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.syntax import (
     BIT, Box, CircT, ClassicalLit, ClassicalT, ClassicalW, Compose,
-    DefDecl, Gate, Init, IntLit, Lift, MonadT, Output, PairElim, PairP, Prim,
-    QLift, QRun, QUBIT, TensorW, UnitElim, UnitP, UnitW, Unbox, Var, WireP,
+    DEFAULT_BASES, DefDecl, Gate, Init, IntLit, Lift, MonadT, Output, PairElim, PairP, Prim,
+    QLift, QListW, QRun, QUBIT, TensorW, UnitElim, UnitP, UnitW, Unbox, Var, WireP,
     children, classicalize, pretty_print,
 )
 from ewire.typecheck import (
-    TypeCheckError, check_circuit, check_host, check_program,
+    CheckContext, TypeCheckError, check_circuit, check_host, check_program,
     elaborate_sugar, generate_meas_circuit, generate_new_circuit,
     match_pattern, _default_ctx,
 )
@@ -581,6 +581,35 @@ def test_context_naming_a_wire_twice_is_reported_at_the_step():
         "LinearityViolation", "duplicate wire name in context"
     )
     assert e.value.loc == c.loc
+
+
+QLIST = "qlist must be instantiated with --qlist-size"
+# (host context, declared gates, wire context, circuit): the second step
+# binds a list-typed wire
+QLIST_STEPS = {
+    # a header gate on lists, which only a program built without the
+    # parser can declare
+    "gate": ({}, {"g": (QUBIT, TensorW(QUBIT, QListW()))}, (("q", QUBIT), ("r", QUBIT)),
+             "r2 <- gate H r; (a, b) <- gate g q; output ((a, b), r2)"),
+    # a circuit into lists from the caller's host context
+    "unbox": ({"f": CircT(QUBIT, QListW())}, {}, (("q", QUBIT), ("r", QUBIT)),
+              "r2 <- gate H r; x <- unbox f q; output (x, r2)"),
+}
+
+
+@pytest.mark.parametrize("case", list(QLIST_STEPS))
+def test_a_step_binding_a_list_wire_is_reported_at_the_step(case):
+    # a wire type is checked for qlist where it enters: in the caller's
+    # context (no span), or as a wire a step binds (that step's span)
+    gamma, gates, omega, text = QLIST_STEPS[case]
+    c = parse_circuit(text)
+    ctx = CheckContext(bases=DEFAULT_BASES, gates=gates, table={})
+    with pytest.raises(TypeCheckError) as e:
+        check_circuit(gamma, omega, c, ctx)
+    assert (e.value.kind, e.value.message, e.value.loc) == ("Mismatch", QLIST, c.rest.loc)
+    with pytest.raises(TypeCheckError) as e:
+        check_circuit(gamma, (*omega, ("qs", QListW())), c, ctx)
+    assert (e.value.kind, e.value.message, e.value.loc) == ("Mismatch", QLIST, None)
 
 
 def _token_mutants(count, seed):
