@@ -10,9 +10,8 @@ from .algebra import (
     state_to_distribution, unit_element,
 )
 from .denote import (
-    CircV, DistV, Evaluator, IntV, Mode, PairV, UnitV, denote_circuit,
-    denote_wire, enumerate_classical, eval_host, evaluate_program,
-    fix_eval, run_circuit, sample,
+    CircV, Evaluator, Mode, denote_circuit, denote_wire, enumerate_classical,
+    eval_host, evaluate_program, sample,
 )
 from .normalize import apply_rule, check_equiv, normalize
 from .parser import ParseError, parse_circuit, parse_host_term, parse_program

@@ -733,8 +733,11 @@ def psd_within(h: np.ndarray, tol: float) -> bool:
     decide all but a band of width ``2 * _psd_margin(h, tol)`` around
     ``-tol``.  If ``h + (tol - delta) I`` factors, the answer is yes; if
     ``h + (tol + delta) I`` does not, it is no; otherwise, and for a zero
-    or non-finite margin (a zero ``h`` at ``tol`` 0, a NaN), ``eigvalsh``
-    decides."""
+    or overflowing margin (a zero ``h`` at ``tol`` 0, entries near the
+    largest float), ``eigvalsh`` decides.  A NaN or infinite entry is not
+    within any tolerance: ``eigvalsh`` may drop a NaN from its spectrum."""
+    if not np.isfinite(h).all():
+        return False
     delta = _psd_margin(h, tol)
     if 0 < delta < math.inf:
         if _factors(h, tol - delta):
@@ -818,13 +821,16 @@ def loewner_leq(f: SuperOp, g: SuperOp, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
-    """A finitely supported subprobability distribution.
+    """A finitely supported subprobability distribution: the value of a
+    host computation.
 
-    Keys are decoded classical values (ints, () and nested pairs); the
-    weights are non-negative and sum to at most 1, with the deficit the
-    probability of divergence.
+    Keys are host values: ``()``, ints and pairs for a first-order
+    outcome, or any other value, which is hashed by identity (a
+    distribution too, so that computations nest).  The weights are
+    non-negative and sum to at most 1, with the deficit the probability
+    of divergence.
     """
 
     weights: dict

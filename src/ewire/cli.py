@@ -34,8 +34,7 @@ from .algebra import (
     superop_to_json,
 )
 from .denote import (
-    BOTTOM, EvalError, IntV, Mode, PairV, UnitV, call_with_stack,
-    evaluate_program, sample,
+    BOTTOM, EvalError, Mode, call_with_stack, evaluate_program, sample,
 )
 from .normalize import (
     StepLimit, check_equiv, normalize, purify_host, unfold_definitions,
@@ -43,8 +42,9 @@ from .normalize import (
 from .parser import ParseError, parse_program
 from .qlist import QListError, monomorphize
 from .syntax import (
-    Box, CircT, ClassicalT, DefDecl, MonadT, PairP, ProductT, Run, TensorW,
-    Unbox, UnitP, UnitT, UnitW, Var, WireP, free_host_vars, pretty_print,
+    Box, CircT, DefDecl, MonadT, NotClassicalError, PairP, Run, TensorW,
+    Unbox, UnitP, UnitW, Var, WireP, free_host_vars, pretty_print,
+    unlift_type,
 )
 from .typecheck import (
     CheckedProgram, TypeCheckError, bind_pattern, check_host, check_program,
@@ -62,28 +62,6 @@ def _value_str(v) -> str:
     if isinstance(v, tuple):
         return f"({_value_str(v[0])}, {_value_str(v[1])})"
     return str(v)
-
-
-def _host_value_plain(hv):
-    match hv:
-        case UnitV():
-            return ()
-        case IntV(n):
-            return n
-        case PairV(a, b):
-            return (_host_value_plain(a), _host_value_plain(b))
-    raise UsageError(f"entry produced a non-printable value {hv!r}")
-
-
-def _printable(ty) -> bool:
-    """Whether the values of host type ``ty`` are built from unit, classical
-    bases and pairs, which ``_host_value_plain`` prints."""
-    match ty:
-        case UnitT() | ClassicalT():
-            return True
-        case ProductT(left, right):
-            return _printable(left) and _printable(right)
-    return False
 
 
 def _load(path: str, qlist_size, entry):
@@ -122,8 +100,12 @@ def _entry(checked: CheckedProgram, entry: str, want: type, what: str):
         ty = check_host(checked.def_types, term, checked.ctx)
     if not isinstance(ty, want):
         raise UsageError(f"{entry!r} is not {what}")
-    if want is MonadT and not _printable(ty.inner):
-        raise UsageError(f"{entry!r} returns non-printable values of type {ty.inner}")
+    if want is MonadT:
+        # outcomes of a first-order type are units, numbers and pairs
+        try:
+            unlift_type(ty.inner)
+        except NotClassicalError:
+            raise UsageError(f"{entry!r} returns non-printable values of type {ty.inner}")
     return term, ty
 
 
@@ -176,8 +158,8 @@ def cmd_run(args) -> int:
     checked, entry = _load(args.file, args.qlist_size, args.entry)
     term, _ = _entry(checked, entry, MonadT, "a computation (type T(...))")
     value = call_with_stack(lambda: _value(checked, term, mode))
-    plain = {_value_str(_host_value_plain(hv)): w for hv, w in value.weights.items()}
-    diverge = max(0.0, 1.0 - value.mass())
+    plain = {_value_str(v): w for v, w in value.items()}
+    diverge = value.diverge_mass()
     if diverge < 1e-12:
         diverge = 0.0
     payload = {

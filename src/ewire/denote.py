@@ -2,8 +2,12 @@
 
 Well-typed circuits denote completely positive (sub)unital maps in the
 Heisenberg direction (see ``algebra``); host terms evaluate call-by-value
-to host values, with probabilistic computations realised as finitely
-supported distributions.
+to host values.  A classical wire type and its host type share their
+values, which are plain Python values: ``()``, an ``int`` (never a
+``bool``) or a 2-tuple, as ``enumerate_classical`` lists them, so a
+``lift`` binds, an ``init`` indexes and a ``run`` returns them as they
+are.  A computation is an ``algebra.Distribution`` over host values.
+Closures, boxed circuits and fixed points are ``HostValue`` objects.
 
 Two modes are supported: ``cpu`` interprets circuits as unital maps and
 total probability distributions; ``cpsu`` admits subunital maps, where
@@ -81,23 +85,9 @@ class PartialityError(EvalError):
 
 
 class HostValue:
-    pass
-
-
-@dataclass(frozen=True)
-class UnitV(HostValue):
-    pass
-
-
-@dataclass(frozen=True)
-class IntV(HostValue):
-    value: int
-
-
-@dataclass(frozen=True)
-class PairV(HostValue):
-    left: HostValue
-    right: HostValue
+    """A higher-order host value.  A first-order value is a plain Python
+    value (``()``, an ``int`` or a 2-tuple) and a computation is an
+    ``algebra.Distribution``."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,16 +124,6 @@ class FixV(HostValue):
     w_out: WireType
 
 
-@dataclass(frozen=True, eq=False)
-class DistV(HostValue):
-    """A computation: a finitely supported subdistribution on values."""
-
-    weights: dict  # HostValue -> float
-
-    def mass(self):
-        return float(sum(self.weights.values()))
-
-
 @dataclass(frozen=True)
 class Mode:
     kind: str  # 'cpu' | 'cpsu'
@@ -166,7 +146,7 @@ BOTTOM = "⊥"  # reserved divergence outcome in sampled counts
 
 
 # ---------------------------------------------------------------------------
-# Classical enumeration and value coding
+# Classical enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -214,28 +194,6 @@ def classical_index(v: WireType, value) -> int:
     raise NonClassicalSource(f"{pretty_print(v)} is not classical")
 
 
-def decode_value(v: WireType, plain) -> HostValue:
-    match v:
-        case UnitW():
-            return UnitV()
-        case ClassicalW():
-            return IntV(plain)
-        case TensorW(l, r):
-            return PairV(decode_value(l, plain[0]), decode_value(r, plain[1]))
-    raise NonClassicalSource(f"{pretty_print(v)} is not classical")
-
-
-def encode_value(v: WireType, hv: HostValue):
-    match (v, hv):
-        case (UnitW(), UnitV()):
-            return ()
-        case (ClassicalW(), IntV(n)):
-            return n
-        case (TensorW(l, r), PairV(a, b)):
-            return (encode_value(l, a), encode_value(r, b))
-    raise EvalError(f"value {hv!r} does not inhabit {pretty_print(v)}")
-
-
 # ---------------------------------------------------------------------------
 # Wire type denotation
 # ---------------------------------------------------------------------------
@@ -281,19 +239,11 @@ def _denote_context(types: tuple, cap: int) -> FdAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _memo_key(hv: HostValue):
-    match hv:
-        case IntV(n):
-            return ("i", n)
-        case UnitV():
-            return ("u",)
-        case PairV(a, b):
-            ka, kb = _memo_key(a), _memo_key(b)
-            if ka is None or kb is None:
-                return None
-            return ("p", ka, kb)
-        case _:
-            return None
+def _first_order(v) -> bool:
+    """Whether ``v`` is built from units, numbers and pairs: the arguments
+    a closure application is memoised on."""
+    t = type(v)
+    return t is int or (t is tuple and all(_first_order(x) for x in v))
 
 
 class Evaluator:
@@ -303,10 +253,10 @@ class Evaluator:
     fixed points unfolded under one top-level evaluation) and the table
     of the checked program it runs (types, and each step's ``Split``).
 
-    Closure applications are memoised until the first fixed-point
-    unfolding, so a replayed result never skips fuel.  The ``gamma``
-    argument of ``eval_host`` and ``denote_circuit`` is never read.
-    Each circuit step places its rows where ``_placement`` says.  A step
+    Closure applications to first-order values are memoised until the
+    first fixed-point unfolding, so a replayed result never skips fuel.
+    The ``gamma`` argument of ``eval_host`` and ``denote_circuit`` is
+    never read.  Each circuit step places its rows where ``_placement`` says.  A step
     that only moves, scales or clears rows (``Output``, ``Unbox``,
     ``PairElim``, and ``Compose`` or ``Gate`` through a map with one
     nonzero per row) computes a new row index for a ``SuperOp.row_view``
@@ -370,7 +320,7 @@ class Evaluator:
 
     # -- host evaluation ---------------------------------------------------
 
-    def eval_host(self, gamma: dict | None, term, env: dict) -> HostValue:
+    def eval_host(self, gamma: dict | None, term, env: dict):
         while True:
             t = type(term)
             if t is Var:
@@ -382,26 +332,27 @@ class Evaluator:
                 fv = self.eval_host(gamma, term.fn, env)
                 av = self.eval_host(gamma, term.arg, env)
                 return self.apply(fv, av)
-            if t is IntLit:
-                return IntV(term.value)
+            if t is IntLit or t is ClassicalLit:
+                return term.value
             if t is Prim:
                 lv = self.eval_host(gamma, term.left, env)
                 rv = self.eval_host(gamma, term.right, env)
-                if not (isinstance(lv, IntV) and isinstance(rv, IntV)):
+                if not (type(lv) is int and type(rv) is int):
                     raise EvalError(f"arithmetic on non-numbers {lv!r}, {rv!r}")
                 op = term.op
                 if op == "+":
-                    return IntV(lv.value + rv.value)
+                    return lv + rv
                 if op == "-":
-                    return IntV(lv.value - rv.value)
+                    return lv - rv
                 if op == "=":
-                    return IntV(1 if lv.value == rv.value else 0)
+                    # never a bool: str(True) would print as an outcome
+                    return 1 if lv == rv else 0
                 raise EvalError(f"unknown primitive {op!r}")
             if t is If:
                 cv = self.eval_host(gamma, term.cond, env)
-                if not isinstance(cv, IntV):
+                if type(cv) is not int:
                     raise EvalError(f"condition evaluated to {cv!r}")
-                term = term.then if cv.value != 0 else term.orelse
+                term = term.then if cv != 0 else term.orelse
                 continue
             if t is Box:
                 _, w2, bindings = self._checked(term)
@@ -412,39 +363,36 @@ class Evaluator:
             if t is Ascribe:
                 term = term.term
                 continue
-            if t is ClassicalLit:
-                return IntV(term.value)
             if t is Pair:
-                return PairV(self.eval_host(gamma, term.left, env),
-                             self.eval_host(gamma, term.right, env))
+                return (self.eval_host(gamma, term.left, env),
+                        self.eval_host(gamma, term.right, env))
             if t is Proj:
                 v = self.eval_host(gamma, term.arg, env)
-                if not isinstance(v, PairV):
+                if type(v) is not tuple or len(v) != 2:
                     raise EvalError(f"projection from non-pair {v!r}")
-                return v.left if term.side == 1 else v.right
+                return v[term.side - 1]
             if t is UnitVal:
-                return UnitV()
+                return ()
             if t is Ret:
-                return DistV({self.eval_host(gamma, term.arg, env): 1.0})
+                return Distribution({self.eval_host(gamma, term.arg, env): 1.0})
             if t is Bind:
                 d = self.eval_host(gamma, term.arg, env)
-                if not isinstance(d, DistV):
+                if not isinstance(d, Distribution):
                     raise EvalError(f"let <= of a non-computation {d!r}")
                 out: dict = {}
-                for hv, w in d.weights.items():
+                for hv, w in d.items():
                     env2 = dict(env)
                     env2[term.var] = hv
                     d2 = self.eval_host(gamma, term.body, env2)
-                    if not isinstance(d2, DistV):
+                    if not isinstance(d2, Distribution):
                         raise EvalError("body of let <= must be a computation")
-                    for hv2, w2 in d2.weights.items():
+                    for hv2, w2 in d2.items():
                         out[hv2] = out.get(hv2, 0.0) + w * w2
-                return DistV(out)
+                return Distribution(out)
             if t is Run:
                 v = self._checked(term)
                 op = self.denote_circuit(gamma, (), term.circuit, env)
-                dist = self.run_circuit(op, v)
-                return DistV({decode_value(v, k): w for k, w in dist.items()})
+                return self.run_circuit(op, v)
             if t is Fix:
                 if not self.mode.is_cpsu:
                     raise EvalError(
@@ -454,32 +402,30 @@ class Evaluator:
             if t is GateFam:
                 w_in, w_out = self._checked(term)
                 n = self.eval_host(gamma, term.index, env)
-                if not isinstance(n, IntV):
+                if type(n) is not int:
                     raise EvalError("gate family index must be a number")
-                if n.value < 0:
+                if n < 0:
                     raise PartialityError(
-                        f"gate family {term.name} rejects negative index {n.value}"
+                        f"gate family {term.name} rejects negative index {n}"
                     )
                 return CircV(w_in, w_out,
-                             gate_denotation(GateRef(term.name, index=n.value)))
+                             gate_denotation(GateRef(term.name, index=n)))
             if t is QRun:
                 raise EvalError("qrun must be elaborated before evaluation")
             raise EvalError(f"cannot evaluate {term!r}")
 
-    def apply(self, fv: HostValue, av: HostValue) -> HostValue:
+    def apply(self, fv: HostValue, av):
         while True:
             t = type(fv)
             if t is ClosureV:
                 key = None
-                if self._app_cache is not None:
-                    k = _memo_key(av)
-                    if k is not None:
-                        key = (id(fv), k)
-                        hit = self._app_cache.get(key)
-                        # the cached closure is pinned so its id cannot
-                        # be recycled by a different closure
-                        if hit is not None and hit[0] is fv:
-                            return hit[1]
+                if self._app_cache is not None and _first_order(av):
+                    key = (id(fv), av)
+                    hit = self._app_cache.get(key)
+                    # the cached closure is pinned so its id cannot be
+                    # recycled by a different closure
+                    if hit is not None and hit[0] is fv:
+                        return hit[1]
                 env2 = dict(fv.env)
                 env2[fv.var] = av
                 out = self.eval_host(None, fv.body, env2)
@@ -539,7 +485,7 @@ class Evaluator:
         if t is Lift:
             p.own = split.own
             v = p.own[0]
-            p.values = [decode_value(v, val) for val in enumerate_classical(v)]
+            p.values = enumerate_classical(v)
         return p
 
     def _denote(self, omega: tuple, term, env: dict, need) -> SuperOp:
@@ -581,8 +527,7 @@ class Evaluator:
             h = self._lift(p, term, env, need)
         else:
             v = p.own
-            hv = self.eval_host(None, term.term, env)
-            idx = classical_index(v, encode_value(v, hv))
+            idx = classical_index(v, self.eval_host(None, term.term, env))
             index = np.array([idx], dtype=np.intp)
             return SuperOp.row_view(denote_wire(v), SCALARS, index)
         # h's rows are in context order, or placed there by rows
@@ -784,31 +729,11 @@ def denote_circuit(gamma, omega, term, env=None, mode: Mode | None = None,
 
 
 def eval_host(gamma, term, env=None, mode: Mode | None = None,
-              ctx: CheckContext | None = None) -> HostValue:
+              ctx: CheckContext | None = None):
     """Check ``gamma |- term`` into ``ctx`` and evaluate it."""
     ev = Evaluator(ctx=ctx, mode=mode or Mode.cpu())
     check_host(dict(gamma), term, ev.ctx)
     return ev.eval_host(gamma, term, dict(env or {}))
-
-
-def run_circuit(op: SuperOp, v: WireType, mode: Mode | None = None) -> Distribution:
-    ev = Evaluator(mode=mode or Mode.cpu())
-    return ev.run_circuit(op, v)
-
-
-def fix_eval(functional: HostValue, arg: HostValue, mode: Mode,
-             arg_type=None, w_in=None, w_out=None,
-             evaluator: Evaluator | None = None) -> HostValue:
-    """Apply the fixed point of ``functional`` to ``arg`` under a fuel
-    budget; bottoming out yields the zero circuit."""
-    ev = evaluator or Evaluator(mode=mode)
-    if isinstance(functional, FixV):
-        fv = functional
-    else:
-        if w_in is None or w_out is None:
-            raise EvalError("fix_eval needs the circuit signature")
-        fv = FixV(functional, arg_type, w_in, w_out)
-    return ev.apply(fv, arg)
 
 
 def evaluate_program(checked: CheckedProgram, mode: Mode | None = None):

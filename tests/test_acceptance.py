@@ -17,7 +17,7 @@ from ewire.algebra import (
     tensor_copower_iso,
 )
 from ewire.denote import (
-    CircV, Evaluator, IntV, Mode, call_with_stack, evaluate_program, sample,
+    CircV, Evaluator, Mode, call_with_stack, evaluate_program, sample,
 )
 from ewire.normalize import normalize
 from ewire.parser import parse_circuit, parse_host_term, parse_program
@@ -51,7 +51,7 @@ def test_criterion_1_coin_flip():
     prog = elaborate_sugar(parse_program((PROGRAMS / "flip.ew").read_text()))
     cp = check_program(prog)
     _, _, env = evaluate_program(cp)
-    dist = {hv.value: w for hv, w in env["main"].weights.items()}
+    dist = dict(env["main"].weights)
 
     # independent 2x2 density-matrix oracle: diag(H |0><0| H)
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -208,7 +208,7 @@ def test_criterion_5_recursion_divergence():
     def hs_at(fuel, n):
         def go():
             ev, _, env = evaluate_program(cp, mode=Mode.cpsu(fuel))
-            return ev.apply(env["Hs"], IntV(n)).op
+            return ev.apply(env["Hs"], n).op
 
         return call_with_stack(go)
 

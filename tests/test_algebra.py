@@ -815,7 +815,10 @@ def test_psd_within_zero_and_non_finite():
     assert psd_within(np.zeros((3, 3)), 1e-9)
     assert not psd_within(-np.eye(2), 0.5)
     assert psd_within(-np.eye(2), 1.0)
-    # no margin: eigvalsh answers, whatever it makes of a NaN
-    for h in (np.diag([1.0, math.nan]), np.diag([1.0, -math.inf]), np.full((2, 2), 1e300)):
-        assert not 0 < _psd_margin(h, 1e-9) < math.inf
-        assert psd_within(h, 1e-9) == psd_by_eigvalsh(h, 1e-9)
+    # a non-finite entry is never within tolerance (eigvalsh can drop a NaN)
+    for h in (np.diag([1.0, math.nan]), np.diag([1.0, math.inf]), np.diag([1.0, -math.inf])):
+        assert not psd_within(h, 1e-9)
+    # an overflowing margin: eigvalsh answers
+    h = np.full((2, 2), 1e300)
+    assert not 0 < _psd_margin(h, 1e-9) < math.inf
+    assert psd_within(h, 1e-9) == psd_by_eigvalsh(h, 1e-9)

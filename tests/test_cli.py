@@ -642,3 +642,64 @@ def test_parse_error_prints_its_position_once(capsys, tmp_path, json_flag):
                                    "message": "expected a host term"}
     else:
         assert err == "error[ParseError] at 2:0: expected a host term\n"
+
+
+VALUES = """\
+circ coin : bit =
+  a <- gate init0 (); a' <- gate H a; b <- gate meas a'; output b
+
+circ two : bit * bit =
+  a <- gate init0 (); a' <- gate H a; x <- gate meas a';
+  b <- gate init0 (); b' <- gate H b; y <- gate meas b';
+  output (x, y)
+
+circ tagged : I * bit =
+  a <- gate init0 (); a' <- gate H a; b <- gate meas a'; output ((), b)
+
+circ none : I = output ()
+
+def pair : T(bit * bit) = run two
+def unit_pair : T(1 * bit) = run tagged
+def unit : T(1) = run none
+def host_pair : T(bit * int) = let x <= run coin in return (x, 3)
+def nested : T((bit * 1) * (int * bit)) =
+  let x <= run coin in return ((x, ()), (if x then 5 else 7, x))
+def merged : T(int) =
+  let x <= run coin in let y <= run coin in
+  return (if x then 1 else (if y then 1 else 0))
+def merged_unit : T(1) = let x <= run coin in return ()
+"""
+
+# entry: (outcomes with their printed weights, counts of 20 shots at seed 3)
+VALUE_OUTCOMES = {
+    "pair": ([("(0, 0)", "0.25"), ("(0, 1)", "0.25"), ("(1, 0)", "0.25"),
+              ("(1, 1)", "0.25")],
+             [("(0, 0)", 6), ("(0, 1)", 4), ("(1, 0)", 7), ("(1, 1)", 3)]),
+    "unit_pair": ([("((), 0)", "0.5"), ("((), 1)", "0.5")],
+                  [("((), 0)", 10), ("((), 1)", 10)]),
+    "unit": ([("()", "1.0")], [("()", 20)]),
+    "host_pair": ([("(0, 3)", "0.5"), ("(1, 3)", "0.5")],
+                  [("(0, 3)", 10), ("(1, 3)", 10)]),
+    "nested": ([("((0, ()), (7, 0))", "0.5"), ("((1, ()), (5, 1))", "0.5")],
+               [("((0, ()), (7, 0))", 10), ("((1, ()), (5, 1))", 10)]),
+    "merged": ([("0", "0.25"), ("1", "0.75")], [("0", 6), ("1", 14)]),
+    "merged_unit": ([("()", "1.0")], [("()", 20)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VALUE_OUTCOMES))
+def test_run_prints_unit_pair_nested_and_merged_outcomes(capsys, tmp_path, entry):
+    src = tmp_path / "values.ew"
+    src.write_text(VALUES)
+    outcomes, counts = VALUE_OUTCOMES[entry]
+    text = "".join(f"{k}\t{w}\n" for k, w in outcomes)
+    shots_text = text + "counts:\n" + "".join(f"  {k}\t{n}\n" for k, n in counts)
+    head = "{\"outcomes\": {" + ", ".join(f'"{k}": {w}' for k, w in outcomes) + "}"
+    head += ", \"diverge_mass\": 0.0"
+    shots_json = ", \"shots\": 20, \"seed\": 3, \"counts\": {" + ", ".join(
+        f'"{k}": {n}' for k, n in counts) + "}"
+    shots = ["--shots", "20", "--seed", "3"]
+    for flags, want in (([], text), (["--json"], head + "}\n"),
+                        (shots, shots_text), (shots + ["--json"], head + shots_json + "}\n")):
+        argv = ["run", str(src), "--entry", entry, *flags]
+        assert run_cli(capsys, *argv) == (0, want, ""), flags

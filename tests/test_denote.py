@@ -10,9 +10,9 @@ from ewire.algebra import (
     loewner_leq, op_compose, op_zero,
 )
 from ewire.denote import (
-    BOTTOM, CircV, DistV, EvalError, Evaluator, IntV, Mode, PairV,
-    PartialityError, UnitV, decode_value, denote_context, denote_wire,
-    enumerate_classical, evaluate_program, fix_eval, sample,
+    BOTTOM, CircV, EvalError, Evaluator, Mode, PartialityError,
+    denote_context, denote_wire, enumerate_classical, evaluate_program,
+    sample,
 )
 from ewire.normalize import normalize
 from ewire.parser import parse_circuit, parse_host_term, parse_program
@@ -166,7 +166,16 @@ def test_exchange_coherence():
 def test_return_is_point_distribution():
     ev = Evaluator()
     v = ev.eval_host({}, parse_host_term("return 3"), {})
-    assert v == DistV({IntV(3): 1.0}) or v.weights == {IntV(3): 1.0}
+    assert v.weights == {3: 1.0}
+
+
+def test_a_computation_of_a_computation_is_a_point_distribution():
+    # computations nest, so a computation must be hashable as an outcome
+    prog = parse_program("def main : T(T(bit)) = return (return (1 : bit))")
+    _, _, env = evaluate_program(check_program(prog))
+    [(inner, p)] = env["main"].weights.items()
+    assert p == 1.0
+    assert inner.weights == {1: 1.0}
 
 
 def test_monad_laws_exact():
@@ -177,13 +186,13 @@ def test_monad_laws_exact():
         for hv, w in d.weights.items():
             for hv2, w2 in f(hv).weights.items():
                 out[hv2] = out.get(hv2, 0.0) + w * w2
-        return DistV(out)
+        return Distribution(out)
 
-    eta = lambda v: DistV({v: 1.0})
-    d = DistV({IntV(0): 0.25, IntV(1): 0.75})
-    f = lambda v: DistV({IntV(v.value + 1): 0.5, IntV(v.value): 0.5})
-    g = lambda v: DistV({IntV(2 * v.value): 1.0})
-    assert bind(eta(IntV(5)), f).weights == f(IntV(5)).weights
+    eta = lambda v: Distribution({v: 1.0})
+    d = Distribution({0: 0.25, 1: 0.75})
+    f = lambda v: Distribution({v + 1: 0.5, v: 0.5})
+    g = lambda v: Distribution({2 * v: 1.0})
+    assert bind(eta(5), f).weights == f(5).weights
     assert bind(d, eta).weights == d.weights
     lhs = bind(bind(d, f), g)
     rhs = bind(d, lambda v: bind(f(v), g))
@@ -204,8 +213,8 @@ def main : T(bit) =
     cp = check_program(prog)
     _, _, env = evaluate_program(cp)
     w = env["main"].weights
-    assert abs(w[IntV(1)] - 0.5) < 1e-12
-    assert abs(w[IntV(0)] - 0.5) < 1e-12
+    assert abs(w[1] - 0.5) < 1e-12
+    assert abs(w[0] - 0.5) < 1e-12
 
 
 def test_comp_evaluates_to_composite():
@@ -223,7 +232,7 @@ def test_comp_evaluates_to_composite():
     x = gate_denotation(GateRef("X"))
     cv = ev.apply(
         ev.eval_host({}, comp, {}),
-        PairV(CircV(QUBIT, QUBIT, h), CircV(QUBIT, QUBIT, x)),
+        (CircV(QUBIT, QUBIT, h), CircV(QUBIT, QUBIT, x)),
     )
     # circuit order H then X: Heisenberg applies X's map first
     expected = op_compose(x, h)
@@ -276,13 +285,13 @@ def _hs_env(fuel):
 
 def test_hs_zero_is_identity():
     ev, hs = _hs_env(100)
-    assert np.allclose(ev.apply(hs, IntV(0)).op.matrix, np.eye(4))
+    assert np.allclose(ev.apply(hs, 0).op.matrix, np.eye(4))
 
 
 def test_hs_three_is_h():
     ev, hs = _hs_env(100)
     h = gate_denotation(GateRef("H"))
-    assert frobenius_distance(ev.apply(hs, IntV(3)).op, h) < 1e-12
+    assert frobenius_distance(ev.apply(hs, 3).op, h) < 1e-12
 
 
 def test_hs_negative_diverges_at_any_fuel():
@@ -290,7 +299,7 @@ def test_hs_negative_diverges_at_any_fuel():
 
     for fuel in (0, 1, 7, 300):
         ev, hs = _hs_env(fuel)
-        op = call_with_stack(lambda: ev.apply(hs, IntV(-1)).op)
+        op = call_with_stack(lambda: ev.apply(hs, -1).op)
         assert np.allclose(op.matrix, 0.0)
 
 
@@ -304,7 +313,7 @@ def test_fix_monotone_in_fuel():
     results = []
     for fuel in range(0, 6):
         ev, hs = _hs_env(fuel)
-        results.append(ev.apply(hs, IntV(3)).op)
+        results.append(ev.apply(hs, 3).op)
     for a, b in zip(results, results[1:]):
         assert loewner_leq(a, b, 1e-9)
     assert np.allclose(results[0].matrix, 0.0)
@@ -314,8 +323,8 @@ def test_fix_monotone_in_fuel():
 def test_fix_eval_entrypoint():
     cp = check_program(parse_program(HS))
     ev, _, env = evaluate_program(cp, mode=Mode.cpsu(50))
-    # Hs is the fixed point value itself; fix_eval drives its application
-    out = fix_eval(env["Hs"], IntV(2), Mode.cpsu(50), evaluator=ev)
+    # Hs is the fixed point value itself; applying it unfolds it
+    out = ev.apply(env["Hs"], 2)
     assert np.allclose(out.op.matrix, np.eye(4))
 
 
@@ -352,11 +361,6 @@ def test_enumerate_pair_lexicographic():
 
 def test_enumerate_unit():
     assert enumerate_classical(UnitW()) == [()]
-
-
-def test_decode_value():
-    v = decode_value(TensorW(UnitW(), BIT), ((), 1))
-    assert v == PairV(UnitV(), IntV(1))
 
 
 def test_sample_point_mass():
@@ -403,7 +407,7 @@ def test_qrun_measures_implicitly():
     )
     cp = check_program(elaborate_sugar(prog))
     _, _, env = evaluate_program(cp)
-    w = {hv.value: p for hv, p in env["main"].weights.items()}
+    w = dict(env["main"].weights)
     assert abs(w[0] - 0.5) < 1e-12 and abs(w[1] - 0.5) < 1e-12
 
 
@@ -419,7 +423,7 @@ def test_qlift_measures_then_lifts():
     )
     cp = check_program(elaborate_sugar(prog))
     _, _, env = evaluate_program(cp)
-    w = {hv.value: p for hv, p in env["main"].weights.items()}
+    w = dict(env["main"].weights)
     assert abs(w[1] - 1.0) < 1e-12
 
 
@@ -522,7 +526,7 @@ def test_teleportation_is_identity_channel():
     _, _, env = evaluate_program(cp)
     op = env["teleport"].op
     assert np.abs(op.matrix - np.eye(4)).max() < 1e-12
-    dist = {hv.value: p for hv, p in env["main"].weights.items()}
+    dist = dict(env["main"].weights)
     assert abs(dist[0] - 0.5) < 1e-12 and abs(dist[1] - 0.5) < 1e-12
 
 
@@ -690,8 +694,8 @@ def test_memo_dropped_at_first_unfolding():
     # each application of g unfolds Hs three times; a replayed result
     # would skip that fuel
     ev, env = _hs_and("def g : int -> Circ(qubit, qubit) = lambda n : int . Hs n\n")
-    first = ev.apply(env["g"], IntV(2))
-    second = ev.apply(env["g"], IntV(2))
+    first = ev.apply(env["g"], 2)
+    second = ev.apply(env["g"], 2)
     assert ev.fuel == 100 - 6
     assert np.array_equal(first.op.matrix, second.op.matrix)
 
@@ -701,10 +705,27 @@ def test_memo_holds_until_first_unfolding():
         "def f : int -> Circ(qubit, qubit) = lambda n : int . "
         "box q : qubit => (q' <- gate H q; output q')\n"
     )
-    assert ev.apply(env["f"], IntV(1)) is ev.apply(env["f"], IntV(1))
-    ev.apply(env["Hs"], IntV(0))
+    assert ev.apply(env["f"], 1) is ev.apply(env["f"], 1)
+    ev.apply(env["Hs"], 0)
     assert ev.fuel == 99
-    assert ev.apply(env["f"], IntV(1)) is not ev.apply(env["f"], IntV(1))
+    assert ev.apply(env["f"], 1) is not ev.apply(env["f"], 1)
+
+
+def test_memo_keys_first_order_arguments_only():
+    # a nested pair of numbers and units is memoised; an argument holding
+    # a circuit is not
+    ev, env = _hs_and(
+        "def g : int * (1 * bit) -> Circ(qubit, qubit) = "
+        "lambda p : int * (1 * bit) . box q : qubit => output q\n"
+        "def f : (int * 1) * Circ(qubit, qubit) -> Circ(qubit, qubit) = "
+        "lambda p : (int * 1) * Circ(qubit, qubit) . "
+        "box q : qubit => (q2 <- unbox (snd p) q; output q2)\n"
+    )
+    c = ev.apply(env["g"], (1, ((), 0)))
+    assert ev.apply(env["g"], (1, ((), 0))) is c
+    assert ev.apply(env["g"], (1, ((), 1))) is not c
+    arg = ((2, ()), c)
+    assert ev.apply(env["f"], arg) is not ev.apply(env["f"], arg)
 
 
 def test_program_values_freed_without_cycle_collection():
@@ -797,7 +818,7 @@ def _fingerprint(value):
             return value.matrix.tobytes()
         case CircV(w_in, w_out, op):
             return (str(w_in), str(w_out), op.matrix.tobytes())
-        case DistV(weights):
+        case Distribution(weights):
             return sorted((repr(k), w) for k, w in weights.items())
         case list():
             return [_fingerprint(v) for v in value]
@@ -1054,7 +1075,7 @@ def _hs_jobs():
         for fuel in (0, 1, 3, 100):
             def job(ev, k=k):
                 hs = ev.eval_host(None, cp.program.find("Hs").term, {})
-                return ev.apply(hs, IntV(k))
+                return ev.apply(hs, k)
             jobs.append((cp.ctx, Mode.cpsu(fuel), job))
     return jobs
 
@@ -1147,6 +1168,6 @@ def test_an_unfolding_nests_at_most_six_frames(monkeypatch):
     for fuel in (50, 100):
         ev = Evaluator(ctx=cp.ctx, mode=Mode.cpsu(fuel))
         hs = ev.eval_host(None, cp.program.find("Hs").term, {})
-        ewire.denote.call_with_stack(lambda: ev.apply(hs, IntV(-1)))
+        ewire.denote.call_with_stack(lambda: ev.apply(hs, -1))
     assert len(depths) == 2
     assert depths[1] - depths[0] <= 6 * 50

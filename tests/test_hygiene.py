@@ -2,7 +2,9 @@
 
 Every module except ``__init__`` (which re-exports) must use each name
 it imports; a name left behind by deleted code fails here, and so does a
-module-level private helper that nothing in the package reads any more.  Every module
+module-level private helper that nothing in the package reads any more,
+or a public ``def`` or ``class`` that nothing in the package, ``tests/``
+or ``bench/`` reads (a re-export in ``__init__`` is no read).  Every module
 imports only the standard library, its own package and the dependencies
 ``pyproject.toml`` declares, so a heavy optional import (``scipy.sparse``
 alone takes about a quarter of a second) cannot slip into start-up.
@@ -96,40 +98,65 @@ def test_foreign_import_detected():
     assert foreign_imports(src, {"numpy", "ewire"}) == ["scipy.sparse", "pandas"]
 
 
-def dead_private_names(sources: dict) -> list:
-    """``(module, name)`` of every module-level private name (``_x``, not
-    a dunder) that no statement of any module reads, its own definition
-    excepted.  ``sources`` maps module names to source text; a read is a
-    name load, an attribute of that name or an import of it."""
-    defined, reads = [], []
+def _top_level(sources: dict) -> list:
+    """``(module, statement, names it defines, names it reads)`` of every
+    top-level statement of ``sources``, which maps module names to source
+    text.  A read is a name load, an attribute of that name or an import
+    of it."""
+    out = []
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            names = set()
+            reads = set()
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    names.add(node.id)
+                    reads.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
+                    reads.add(node.attr)
                 elif isinstance(node, ast.ImportFrom):
-                    names.update(a.name for a in node.names)
-            reads.append((stmt, names))
+                    reads.update(a.name for a in node.names)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                targets = [stmt.name]
+                defines = [stmt.name]
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 lhs = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                targets = [
+                defines = [
                     n.id for t in lhs for n in ast.walk(t) if isinstance(n, ast.Name)
                 ]
             else:
-                targets = []
-            defined.extend(
-                (module, name, stmt) for name in targets
-                if name.startswith("_") and not name.startswith("__")
-            )
+                defines = []
+            out.append((module, stmt, defines, reads))
+    return out
+
+
+def _unread(statements: list, select) -> list:
+    """``(module, name)`` of every name that a statement defines and
+    ``select(module, statement, name)`` picks, and that no other statement
+    reads."""
     return [
-        (module, name) for module, name, own in defined
-        if not any(name in names for stmt, names in reads if stmt is not own)
+        (module, name) for module, own, defines, _ in statements for name in defines
+        if select(module, own, name)
+        and not any(name in reads for _, stmt, _, reads in statements if stmt is not own)
     ]
+
+
+def dead_private_names(sources: dict) -> list:
+    """``(module, name)`` of every module-level private name (``_x``, not
+    a dunder) of ``sources`` that no statement of any module reads, its
+    own definition excepted."""
+    return _unread(_top_level(sources),
+                   lambda module, stmt, name: name.startswith("_") and not name.startswith("__"))
+
+
+def dead_public_names(sources: dict, readers: dict) -> list:
+    """``(module, name)`` of every public module-level ``def`` or ``class``
+    of ``sources`` that no statement of ``sources`` or ``readers`` reads,
+    its own definition excepted."""
+    return _unread(
+        _top_level({**sources, **readers}),
+        lambda module, stmt, name: (
+            module in sources and not name.startswith("_")
+            and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        ),
+    )
 
 
 def test_no_dead_private_names():
@@ -152,3 +179,28 @@ def test_dead_private_name_detected():
         ),
     }
     assert dead_private_names(sources) == [("a", "_DEAD"), ("a", "_recursive")]
+
+
+def test_no_dead_public_names():
+    # __init__ is left out: a re-export there is not a read
+    sources = {p.stem: p.read_text() for p in MODULES}
+    readers = {
+        str(p.relative_to(ROOT)): p.read_text()
+        for folder in ("tests", "bench") for p in sorted((ROOT / folder).rglob("*.py"))
+    }
+    assert dead_public_names(sources, readers) == []
+
+
+def test_dead_public_name_detected():
+    sources = {
+        "a": (
+            "LIMIT = 1\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def helper():\n    pass\n"
+            "def entry():\n    return helper()\n"
+            "class Tested:\n    pass\n"
+        ),
+    }
+    readers = {"tests/test_a.py": "from ewire.a import Tested\nimport ewire.a\newire.a.entry()\n"}
+    # helper is read by entry, LIMIT is no def or class
+    assert dead_public_names(sources, readers) == [("a", "recursive")]
