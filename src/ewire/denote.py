@@ -531,7 +531,7 @@ class Evaluator:
             index = np.array([idx], dtype=np.intp)
             return SuperOp.row_view(denote_wire(v), SCALARS, index)
         # h's rows are in context order, or placed there by rows
-        return op_relabel(h, p.target(), rows=rows)
+        return h if rows is None else op_relabel(h, p.target(), rows=rows)
 
     def _lift(self, p: "_Plan", term: Lift, env: dict, need) -> SuperOp:
         """The copower map of a lift, in canonical row order.  A branch
@@ -755,10 +755,10 @@ def evaluate_program(checked: CheckedProgram, mode: Mode | None = None):
     return ev, dict(checked.def_types), env
 
 
-def call_with_stack(fn, stack_bytes: int = 256 * 1024 * 1024,
-                    recursion_limit: int = 4_000_000):
-    """Run ``fn`` on a thread with a large stack and recursion limit;
-    deeply fueled fixed points recurse far beyond the defaults."""
+def call_with_stack(fn):
+    """Run ``fn`` on a thread with a 256 MiB stack and a recursion limit
+    of 4,000,000; deeply fueled fixed points recurse far beyond the
+    defaults."""
     import sys as sys_mod
     import threading
 
@@ -767,7 +767,7 @@ def call_with_stack(fn, stack_bytes: int = 256 * 1024 * 1024,
     def target():
         old = sys_mod.getrecursionlimit()
         try:
-            sys_mod.setrecursionlimit(recursion_limit)
+            sys_mod.setrecursionlimit(4_000_000)
             box["value"] = fn()
         except BaseException as exc:
             box["error"] = exc
@@ -775,7 +775,7 @@ def call_with_stack(fn, stack_bytes: int = 256 * 1024 * 1024,
             sys_mod.setrecursionlimit(old)
 
     try:
-        old_size = threading.stack_size(stack_bytes)
+        old_size = threading.stack_size(256 * 1024 * 1024)
     except (ValueError, RuntimeError):
         old_size = None
     try:

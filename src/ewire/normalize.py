@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, replace
 from .algebra import frobenius_distance
 from .denote import Evaluator, Mode
 from .syntax import (
-    App, Ascribe, Box, CircuitTerm, ClassicalLit, Compose, Gate, HostTerm,
+    App, Ascribe, Box, ClassicalLit, Compose, Gate, HostTerm,
     If, Init, IntLit, Lam, Lift, Output, Pair, PairElim, PairP, Prim, Proj,
     ShapeMismatch, UnitElim, UnitP, Unbox, Var, WireP, _fresh_name,
-    _term_fields, free_host_vars, free_wires, freshen_binder, map_children,
+    _scope, free_host_vars, free_wires, freshen_binder, map_children,
     pattern_wires, subst_host, subst_pattern,
 )
 from .typecheck import CheckContext, _default_ctx, check_circuit
@@ -76,25 +76,30 @@ def _rule_output_subst(c):
     raise NoMatch
 
 
-def _rule_gate_commute(c):
-    match c:
-        case Compose(w, Gate(p2, g, p1, n), rest):
-            p2f, nf = freshen_binder(
-                p2, n, free_wires(rest) | set(pattern_wires(w))
+def _commute(cls):
+    """The commuting conversion of step class ``cls``:
+    ``p <- (S; C); C'  ==  S; (p <- C; C')``, where ``S`` binds in ``C``,
+    its binder first renamed away from what ``p <- _; C'`` would capture."""
+    s = _scope(cls)
+
+    def rule(c):
+        if type(c) is not Compose or type(c.first) is not cls:
+            raise NoMatch
+        step, rest, new = c.first, c.rest, {}
+        body = getattr(step, s.scope)
+        if s.wires is not None:
+            new[s.wires], body = freshen_binder(
+                getattr(step, s.wires), body, free_wires(rest) | set(pattern_wires(c.pat))
             )
-            return Gate(p2f, g, p1, Compose(w, nf, rest, loc=c.loc), loc=c.loc)
-    raise NoMatch
-
-
-def _rule_lift_commute(c):
-    match c:
-        case Compose(w, Lift(x, p, n), rest):
+        elif s.var is not None:
+            x = getattr(step, s.var)
             if x in free_host_vars(rest):
-                y = _fresh_name(x, free_host_vars(rest) | free_host_vars(n) | {x})
-                n = subst_host(n, x, Var(y))
-                x = y
-            return Lift(x, p, Compose(w, n, rest, loc=c.loc), loc=c.loc)
-    raise NoMatch
+                y = _fresh_name(x, free_host_vars(rest) | free_host_vars(body) | {x})
+                new[s.var], body = y, subst_host(body, x, Var(y))
+        new[s.scope] = Compose(c.pat, body, rest, loc=c.loc)
+        return replace(step, loc=c.loc, **new)
+
+    return rule
 
 
 def _rule_unit_eta(c):
@@ -106,35 +111,11 @@ def _rule_unit_eta(c):
 
 def _rule_pair_eta(c):
     match c:
-        case PairElim(w1, w2, PairP(p1, p2), rest):
+        case PairElim(binder, PairP() as p, rest):
             try:
-                return subst_pattern(
-                    rest, PairP(WireP(w1), WireP(w2)), PairP(p1, p2)
-                )
+                return subst_pattern(rest, binder, p)
             except ShapeMismatch:
                 raise NoMatch
-    raise NoMatch
-
-
-def _rule_unit_commute(c):
-    match c:
-        case Compose(w, UnitElim(p, n), rest):
-            return UnitElim(p, Compose(w, n, rest, loc=c.loc), loc=c.loc)
-    raise NoMatch
-
-
-def _rule_pair_commute(c):
-    match c:
-        case Compose(w, PairElim(w1, w2, p, n), rest):
-            binder = PairP(WireP(w1), WireP(w2))
-            bf, nf = freshen_binder(
-                binder, n, free_wires(rest) | set(pattern_wires(w))
-            )
-            assert isinstance(bf, PairP)
-            return PairElim(
-                bf.left.name, bf.right.name, p,
-                Compose(w, nf, rest, loc=c.loc), loc=c.loc,
-            )
     raise NoMatch
 
 
@@ -163,12 +144,12 @@ class RewriteRule:
 STRUCTURAL_RULES = (
     RewriteRule("UnboxBox", _rule_unbox_box),
     RewriteRule("OutputSubst", _rule_output_subst),
-    RewriteRule("GateCommute", _rule_gate_commute),
-    RewriteRule("LiftCommute", _rule_lift_commute),
+    RewriteRule("GateCommute", _commute(Gate)),
+    RewriteRule("LiftCommute", _commute(Lift)),
     RewriteRule("UnitEta", _rule_unit_eta),
     RewriteRule("PairEta", _rule_pair_eta),
-    RewriteRule("UnitCommute", _rule_unit_commute),
-    RewriteRule("PairCommute", _rule_pair_commute),
+    RewriteRule("UnitCommute", _commute(UnitElim)),
+    RewriteRule("PairCommute", _commute(PairElim)),
 )
 
 COPOWER_RULES = (
@@ -197,12 +178,10 @@ def _rewrite_first(term, rules, trace: Trace):
         trace.record(rule.name, getattr(term, "loc", None))
         return out
     # descend, leftmost child first, through the circuit subterms only
-    for name in _term_fields(type(term)):
-        sub = getattr(term, name)
-        if isinstance(sub, CircuitTerm):
-            out = _rewrite_first(sub, rules, trace)
-            if out is not None:
-                return replace(term, **{name: out})
+    for name in _scope(type(term)).circuits:
+        out = _rewrite_first(getattr(term, name), rules, trace)
+        if out is not None:
+            return replace(term, **{name: out})
     return None
 
 

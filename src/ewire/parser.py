@@ -261,9 +261,10 @@ class Parser:
     def annotated_pattern(self):
         """A box's binder pattern and type: the whole pattern's annotation,
         or else the type that its wires' annotations assemble."""
-        types = {}
+        types, start = {}, self.pos
         p = self.pattern(types)
-        w = self._annotation(types, p, whole=True)
+        bare = all(tok.kind != ":" for tok in self.toks[start:self.pos])
+        w = self._annotation(types, p, whole=bare)
         if w is None and not all(x in types for x in pattern_wires(p)):
             self.fail("box pattern needs a complete type annotation")
         return p, pattern_type(types, p) if w is None else w
@@ -271,7 +272,8 @@ class Parser:
     def _annotation(self, types, p, whole=False):
         """An optional ': W' after the part ``p``, split onto its wires and
         returned.  A W that does not split fails, unless it is the ``whole``
-        pattern's and a wire has no other annotation: W is the box's type."""
+        pattern's, no part of which is annotated, and the pattern has a
+        wire: W is then the box's type as written."""
         if types is None or not self.accept(":"):
             return None
         w = self.wire_type()
@@ -353,8 +355,8 @@ class Parser:
             match pat:
                 case UnitP():
                     return UnitElim(src, rest, loc=t.span)
-                case PairP(WireP(w1), WireP(w2)):
-                    return PairElim(w1, w2, src, rest, loc=t.span)
+                case PairP(WireP(), WireP()):
+                    return PairElim(pat, src, rest, loc=t.span)
             raise ParseError(
                 "left side of a pattern elimination must be () or a pair of wires",
                 t.line, t.col,

@@ -141,10 +141,10 @@ def _core_node(c: Gate, omega: tuple):
             )
         case Gate(_, GateRef("isempty"), _, _):
             raise QListError("isempty must be used as (b, qs) <- gate isempty qs", c.loc)
-        case Gate(PairP(WireP(h), WireP(t)), GateRef("headtail"), WireP() as q, rest):
+        case Gate(PairP(WireP(), WireP()) as out_p, GateRef("headtail"), WireP() as q, rest):
             if list_size(take(omega, q, c.loc)[0], c.loc) < 1:
                 raise QListError("headtail applied to the empty list", c.loc)
-            return PairElim(h, t, q, rest, loc=c.loc)
+            return PairElim(out_p, q, rest, loc=c.loc)
         case Gate(_, GateRef("headtail"), _, _):
             raise QListError(
                 "headtail must bind (head, tail) from a single list wire", c.loc
@@ -262,9 +262,9 @@ class _Instantiator:
             case UnitElim(p, _):
                 _, consumes, rest_omega = take(omega, p, c.loc, spent)
                 bound = ()
-            case PairElim(w1, w2, p, _):
+            case PairElim(binder, p, _):
                 v, consumes, rest_omega = take(omega, p, c.loc, spent)
-                bound = bind_pattern(PairP(WireP(w1), WireP(w2)), v, c.loc)
+                bound = bind_pattern(binder, v, c.loc)
             case Lift(x, p, _):
                 v, consumes, rest_omega = take(omega, p, c.loc, spent)
                 try:

@@ -12,8 +12,17 @@ pure and safe to run concurrently on shared terms.
 
 ``children`` and ``map_children`` are the one traversal of terms: they
 find a node's subterms from the fields annotated ``HostTerm`` or
-``CircuitTerm``, so a new term constructor needs cases only in the
-functions that know about binders and patterns.
+``CircuitTerm``.  Scope is declared once, next to each term class:
+``consumes`` names the ``Pattern`` fields whose wires the node reads,
+and ``binds`` the field it binds, a ``Pattern`` of wires or a ``str``
+host variable, in its last term field (``body`` or ``rest``; an earlier
+one, like ``Compose.first`` or ``Bind.arg``, is outside the binder).
+``free_wires``, ``free_host_vars``, wire and host substitution and
+``alpha_equiv`` are one walk each over these declarations (``_scope``).
+Wire walks stay in circuit fields: a host term's circuits are boxed, and
+a box binds every wire its body uses.  So a new term constructor needs a
+declaration here, and cases of its own only in typing, evaluation and
+printing.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 @dataclass(frozen=True)
@@ -289,6 +298,10 @@ class GateRef:
 
 
 class CircuitTerm:
+    # the scope declaration of a term class (see the module docstring)
+    consumes = ()
+    binds = None
+
     def __str__(self):
         return pretty_print(self)
 
@@ -297,6 +310,8 @@ class CircuitTerm:
 class Output(CircuitTerm):
     pat: Pattern
     loc: Optional[Span] = _loc_field()
+
+    consumes = ("pat",)
 
 
 @dataclass(frozen=True)
@@ -308,6 +323,8 @@ class Compose(CircuitTerm):
     rest: CircuitTerm
     loc: Optional[Span] = _loc_field()
 
+    binds = "pat"
+
 
 @dataclass(frozen=True)
 class UnitElim(CircuitTerm):
@@ -317,16 +334,21 @@ class UnitElim(CircuitTerm):
     rest: CircuitTerm
     loc: Optional[Span] = _loc_field()
 
+    consumes = ("pat",)
+
 
 @dataclass(frozen=True)
 class PairElim(CircuitTerm):
-    """(w1, w2) <- p; C — split a tensor-typed pattern into two wires."""
+    """(w1, w2) <- p; C — split a tensor-typed pattern into two wires;
+    ``binder`` is the pattern (w1, w2)."""
 
-    left: str
-    right: str
+    binder: Pattern
     pat: Pattern
     rest: CircuitTerm
     loc: Optional[Span] = _loc_field()
+
+    consumes = ("pat",)
+    binds = "binder"
 
 
 @dataclass(frozen=True)
@@ -339,6 +361,9 @@ class Gate(CircuitTerm):
     rest: CircuitTerm
     loc: Optional[Span] = _loc_field()
 
+    consumes = ("in_pat",)
+    binds = "out_pat"
+
 
 @dataclass(frozen=True)
 class Unbox(CircuitTerm):
@@ -347,6 +372,8 @@ class Unbox(CircuitTerm):
     term: HostTerm
     pat: Pattern
     loc: Optional[Span] = _loc_field()
+
+    consumes = ("pat",)
 
 
 @dataclass(frozen=True)
@@ -357,6 +384,9 @@ class Lift(CircuitTerm):
     pat: Pattern
     rest: CircuitTerm
     loc: Optional[Span] = _loc_field()
+
+    consumes = ("pat",)
+    binds = "var"
 
 
 @dataclass(frozen=True)
@@ -376,6 +406,9 @@ class QLift(CircuitTerm):
     rest: CircuitTerm
     loc: Optional[Span] = _loc_field()
 
+    consumes = ("pat",)
+    binds = "var"
+
 
 # ---------------------------------------------------------------------------
 # Host terms
@@ -383,6 +416,10 @@ class QLift(CircuitTerm):
 
 
 class HostTerm:
+    # the scope declaration of a term class (see the module docstring)
+    consumes = ()
+    binds = None
+
     def __str__(self):
         return pretty_print(self)
 
@@ -399,6 +436,8 @@ class Lam(HostTerm):
     ann: HostType
     body: HostTerm
     loc: Optional[Span] = _loc_field()
+
+    binds = "var"
 
 
 @dataclass(frozen=True)
@@ -446,6 +485,8 @@ class Bind(HostTerm):
     body: HostTerm
     loc: Optional[Span] = _loc_field()
 
+    binds = "var"
+
 
 @dataclass(frozen=True)
 class Box(HostTerm):
@@ -455,6 +496,8 @@ class Box(HostTerm):
     w_in: WireType
     body: CircuitTerm
     loc: Optional[Span] = _loc_field()
+
+    binds = "pat"
 
 
 @dataclass(frozen=True)
@@ -592,25 +635,61 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
+class _Scope(NamedTuple):
+    """A term class's fields by role, as ``_scope`` reads them."""
+
+    terms: tuple  # the fields that hold terms, in field order
+    outside: tuple  # the term fields before the last, out of the binder's reach
+    scope: Optional[str]  # the last term field, where the binder binds
+    circuits: tuple  # the circuit fields of terms: wire walks enter no host term
+    consumes: tuple  # the Pattern fields whose wires the node reads
+    wires: Optional[str]  # the Pattern field it binds, if any
+    var: Optional[str]  # the str field, a host variable, it binds if any
+    data: tuple  # the other fields that equality compares
+
+
 @cache
-def _term_fields(cls) -> tuple[str, ...]:
-    """Names of the fields of term class ``cls`` that hold terms."""
+def _scope(cls) -> _Scope:
+    """The fields of term class ``cls`` by role, from their annotations
+    and the class's scope declaration, which is checked: every ``Pattern``
+    field is consumed or bound, and ``binds`` names a ``Pattern`` or
+    ``str`` field and binds in a last term field (a circuit, for wires).
+    Raises TypeError otherwise."""
     if not issubclass(cls, (HostTerm, CircuitTerm)):
         raise TypeError(f"not a term class: {cls.__name__}")
-    return tuple(
-        f.name for f in fields(cls) if f.type in ("HostTerm", "CircuitTerm")
+    types = {f.name: f.type for f in fields(cls) if f.compare}
+    terms = tuple(n for n, t in types.items() if t in ("HostTerm", "CircuitTerm"))
+    bound, kind = cls.binds, types.get(cls.binds)
+    declared = {*cls.consumes, bound}
+    loose = [n for n, t in types.items() if t == "Pattern" and n not in declared]
+    if loose:
+        raise TypeError(f"{cls.__name__}.{loose[0]} is neither consumed nor bound")
+    if any(types.get(n) != "Pattern" for n in cls.consumes):
+        raise TypeError(f"{cls.__name__} consumes a field that is not a Pattern")
+    if bound is not None and kind not in ("Pattern", "str"):
+        raise TypeError(f"{cls.__name__} binds {bound!r}: not a Pattern or str field")
+    if bound is not None and (
+        not terms or (kind == "Pattern" and types[terms[-1]] != "CircuitTerm")
+    ):
+        raise TypeError(f"{cls.__name__} binds {bound!r} with no scope to bind in")
+    return _Scope(
+        terms, terms[:-1], terms[-1] if terms else None,
+        tuple(n for n in terms if types[n] == "CircuitTerm"),
+        tuple(cls.consumes), bound if kind == "Pattern" else None,
+        bound if kind == "str" else None,
+        tuple(n for n in types if n not in declared and n not in terms),
     )
 
 
 def children(node) -> tuple:
     """The host and circuit subterms of a term node, in field order."""
-    return tuple(getattr(node, name) for name in _term_fields(type(node)))
+    return tuple(getattr(node, name) for name in _scope(type(node)).terms)
 
 
 def map_children(node, fn):
     """``node`` rebuilt with ``fn`` applied to each subterm, keeping its
     source span; a node without subterms comes back unchanged."""
-    names = _term_fields(type(node))
+    names = _scope(type(node)).terms
     if not names:
         return node
     return replace(node, **{name: fn(getattr(node, name)) for name in names})
@@ -623,36 +702,32 @@ def map_children(node, fn):
 
 def free_wires(c: CircuitTerm) -> set[str]:
     """Wires consumed by ``c`` that it does not bind itself."""
-    match c:
-        case Output(p) | Unbox(_, p):
-            return set(pattern_wires(p))
-        case Init(_):
-            return set()
-        case Compose(p, first, rest):
-            return free_wires(first) | (free_wires(rest) - set(pattern_wires(p)))
-        case UnitElim(p, rest):
-            return set(pattern_wires(p)) | free_wires(rest)
-        case PairElim(w1, w2, p, rest):
-            return set(pattern_wires(p)) | (free_wires(rest) - {w1, w2})
-        case Gate(out_p, _, in_p, rest):
-            return set(pattern_wires(in_p)) | (
-                free_wires(rest) - set(pattern_wires(out_p))
-            )
-        case Lift(_, p, rest) | QLift(_, p, rest):
-            return set(pattern_wires(p)) | free_wires(rest)
-    raise TypeError(f"not a circuit term: {c!r}")
+    s = _scope(type(c))
+    out = set()
+    for name in s.consumes:
+        out.update(pattern_wires(getattr(c, name)))
+    for name in s.circuits:
+        inner = free_wires(getattr(c, name))
+        if name == s.scope and s.wires is not None:
+            inner.difference_update(pattern_wires(getattr(c, s.wires)))
+        out |= inner
+    return out
 
 
 def free_host_vars(node) -> set[str]:
     """Free host-language variables of a host or circuit term."""
-    match node:
-        case Var(x):
-            return {x}
-        case Lam(x, _, body) | Lift(x, _, body) | QLift(x, _, body):
-            return free_host_vars(body) - {x}
-        case Bind(t, x, u):
-            return free_host_vars(t) | (free_host_vars(u) - {x})
-    return set().union(*map(free_host_vars, children(node)))
+    if type(node) is Var:
+        return {node.name}
+    s = _scope(type(node))
+    out = set()
+    for name in s.outside:
+        out |= free_host_vars(getattr(node, name))
+    if s.scope is not None:
+        inner = free_host_vars(getattr(node, s.scope))
+        if s.var is not None:
+            inner.discard(getattr(node, s.var))
+        out |= inner
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -715,48 +790,21 @@ def subst_pattern(c: CircuitTerm, src: Pattern, dst: Pattern) -> CircuitTerm:
 def _subst_wires(c: CircuitTerm, binding: dict[str, Pattern]) -> CircuitTerm:
     if not binding:
         return c
-    introduced = {w for p in binding.values() for w in pattern_wires(p)}
-    match c:
-        case Output(p):
-            return Output(_subst_in_pattern(p, binding), loc=c.loc)
-        case Unbox(t, p):
-            return Unbox(t, _subst_in_pattern(p, binding), loc=c.loc)
-        case Init(_):
-            return c
-        case Compose(p, first, rest):
-            first2 = _subst_wires(first, binding)
-            p2, rest2 = _under_binder(p, rest, binding, introduced)
-            return Compose(p2, first2, rest2, loc=c.loc)
-        case UnitElim(p, rest):
-            return UnitElim(_subst_in_pattern(p, binding), _subst_wires(rest, binding), loc=c.loc)
-        case PairElim(w1, w2, p, rest):
-            p2 = _subst_in_pattern(p, binding)
-            bp, rest2 = _under_binder(PairP(WireP(w1), WireP(w2)), rest, binding, introduced)
-            assert isinstance(bp, PairP) and isinstance(bp.left, WireP)
-            return PairElim(bp.left.name, bp.right.name, p2, rest2, loc=c.loc)
-        case Gate(out_p, g, in_p, rest):
-            in2 = _subst_in_pattern(in_p, binding)
-            out2, rest2 = _under_binder(out_p, rest, binding, introduced)
-            return Gate(out2, g, in2, rest2, loc=c.loc)
-        case Lift(x, p, rest):
-            return Lift(x, _subst_in_pattern(p, binding), _subst_wires(rest, binding), loc=c.loc)
-        case QLift(x, p, rest):
-            return QLift(x, _subst_in_pattern(p, binding), _subst_wires(rest, binding), loc=c.loc)
-    raise TypeError(f"not a circuit term: {c!r}")
-
-
-def _under_binder(bound_pat, rest, binding, introduced):
-    """Substitute in the scope of a wire binder.
-
-    Names bound here drop out of the substitution; binders clashing with
-    wires introduced by the substitution are alpha-renamed.
-    """
-    bound = set(pattern_wires(bound_pat))
-    avoid = introduced | {x for x in binding if x not in bound}
-    bound_pat, rest = freshen_binder(bound_pat, rest, avoid)
-    bound = set(pattern_wires(bound_pat))
-    inner = {x: p for x, p in binding.items() if x not in bound}
-    return bound_pat, _subst_wires(rest, inner)
+    s = _scope(type(c))
+    new = {name: _subst_in_pattern(getattr(c, name), binding) for name in s.consumes}
+    for name in s.circuits:
+        sub, inner = getattr(c, name), binding
+        if name == s.scope and s.wires is not None:
+            # names bound here drop out of the substitution, and a binder
+            # clashing with a wire the substitution brings in is renamed
+            bound = set(pattern_wires(getattr(c, s.wires)))
+            introduced = {w for p in binding.values() for w in pattern_wires(p)}
+            avoid = introduced | {x for x in binding if x not in bound}
+            new[s.wires], sub = freshen_binder(getattr(c, s.wires), sub, avoid)
+            bound = set(pattern_wires(new[s.wires]))
+            inner = {x: p for x, p in binding.items() if x not in bound}
+        new[name] = _subst_wires(sub, inner)
+    return replace(c, **new) if new else c
 
 
 def freshen_binder(pat: Pattern, scope: CircuitTerm, avoid: set[str]):
@@ -794,34 +842,25 @@ def freshen_binder(pat: Pattern, scope: CircuitTerm, avoid: set[str]):
 
 def subst_host(node, var: str, repl: HostTerm):
     """Substitute host term ``repl`` for ``var``, avoiding capture of
-    the free host variables of ``repl`` by lambda/let/lift binders."""
+    the free host variables of ``repl`` by host binders."""
     fv = free_host_vars(repl)
 
-    def rename(x, body):
-        # rename binder x of body away from the free variables of repl
-        if x not in fv:
-            return x, body
-        y = _fresh_name(x, fv | free_host_vars(body) | {var})
-        return y, subst_host(body, x, Var(y))
-
     def go(n):
-        match n:
-            case Var(x):
-                return repl if x == var else n
-            case Lam(x) | Lift(x) | QLift(x) if x == var:
-                return n
-            case Bind(t, x, u) if x == var:
-                return Bind(go(t), x, u, loc=n.loc)
-            case Lam(x, a, body):
-                x, body = rename(x, body)
-                return Lam(x, a, go(body), loc=n.loc)
-            case Lift(x, p, rest) | QLift(x, p, rest):
-                x, rest = rename(x, rest)
-                return type(n)(x, p, go(rest), loc=n.loc)
-            case Bind(t, x, u):
-                x, u = rename(x, u)
-                return Bind(go(t), x, go(u), loc=n.loc)
-        return map_children(n, go)
+        if type(n) is Var:
+            return repl if n.name == var else n
+        s = _scope(type(n))
+        if s.var is None:
+            return map_children(n, go)
+        new = {name: go(getattr(n, name)) for name in s.outside}
+        x = getattr(n, s.var)
+        if x != var:
+            body = getattr(n, s.scope)
+            if x in fv:
+                # rename binder x of body away from the free variables of repl
+                y = _fresh_name(x, fv | free_host_vars(body) | {var})
+                x, body = y, subst_host(body, x, Var(y))
+            new[s.var], new[s.scope] = x, go(body)
+        return replace(n, **new) if new else n
 
     return go(node)
 
@@ -862,57 +901,24 @@ def _pat_eq(p, q, wm):
 
 def _alpha(a, b, wm, hm):
     """wm maps wire names of a to those of b; hm likewise for host vars."""
-    if type(a) is not type(b):
+    if type(a) is not type(b) or not isinstance(a, (HostTerm, CircuitTerm)):
         return False
-    match (a, b):
-        case (Var(x), Var(y)):
-            return hm.get(x, x) == y
-        case (Lam(x1, t1, b1), Lam(x2, t2, b2)):
-            return t1 == t2 and _alpha(b1, b2, wm, {**hm, x1: x2})
-        case (Bind(t1, x1, u1), Bind(t2, x2, u2)):
-            return _alpha(t1, t2, wm, hm) and _alpha(u1, u2, wm, {**hm, x1: x2})
-        case (Box(p1, w1, c1), Box(p2, w2, c2)):
-            if w1 != w2:
-                return False
-            wm2 = dict(wm)
-            return _alpha_pat(p1, p2, wm2) and _alpha(c1, c2, wm2, hm)
-        # circuits
-        case (Output(p1), Output(p2)):
-            return _pat_eq(p1, p2, wm)
-        case (Unbox(t1, p1), Unbox(t2, p2)):
-            return _alpha(t1, t2, wm, hm) and _pat_eq(p1, p2, wm)
-        case (Compose(p1, f1, r1), Compose(p2, f2, r2)):
-            if not _alpha(f1, f2, wm, hm):
-                return False
-            wm2 = dict(wm)
-            return _alpha_pat(p1, p2, wm2) and _alpha(r1, r2, wm2, hm)
-        case (UnitElim(p1, r1), UnitElim(p2, r2)):
-            return _pat_eq(p1, p2, wm) and _alpha(r1, r2, wm, hm)
-        case (PairElim(w1, v1, p1, r1), PairElim(w2, v2, p2, r2)):
-            if not _pat_eq(p1, p2, wm):
-                return False
-            return _alpha(r1, r2, {**wm, w1: w2, v1: v2}, hm)
-        case (Gate(o1, g1, i1, r1), Gate(o2, g2, i2, r2)):
-            if g1 != g2 or not _pat_eq(i1, i2, wm):
-                return False
-            wm2 = dict(wm)
-            return _alpha_pat(o1, o2, wm2) and _alpha(r1, r2, wm2, hm)
-        case (Lift(x1, p1, r1), Lift(x2, p2, r2)) | (
-            QLift(x1, p1, r1),
-            QLift(x2, p2, r2),
-        ):
-            return _pat_eq(p1, p2, wm) and _alpha(r1, r2, wm, {**hm, x1: x2})
-    if not isinstance(a, (HostTerm, CircuitTerm)):
+    if type(a) is Var:
+        return hm.get(a.name, a.name) == b.name
+    s = _scope(type(a))
+    if not (all(getattr(a, n) == getattr(b, n) for n in s.data)
+            and all(_pat_eq(getattr(a, n), getattr(b, n), wm) for n in s.consumes)
+            and all(_alpha(getattr(a, n), getattr(b, n), wm, hm) for n in s.outside)):
         return False
-    # any other term: equal data fields and alpha-equivalent subterms
-    return _without_children(a) == _without_children(b) and all(
-        _alpha(x, y, wm, hm) for x, y in zip(children(a), children(b))
-    )
-
-
-def _without_children(node):
-    """``node`` with its subterms blanked out, to compare the rest."""
-    return map_children(node, lambda _: None)
+    if s.scope is None:
+        return True
+    if s.wires is not None:
+        wm = dict(wm)
+        if not _alpha_pat(getattr(a, s.wires), getattr(b, s.wires), wm):
+            return False
+    elif s.var is not None:
+        hm = {**hm, getattr(a, s.var): getattr(b, s.var)}
+    return _alpha(getattr(a, s.scope), getattr(b, s.scope), wm, hm)
 
 
 # ---------------------------------------------------------------------------
@@ -1014,8 +1020,8 @@ def _print_circuit(c: CircuitTerm) -> str:
             case UnitElim(p, rest):
                 parts.append(f"() <- {pretty_print(p)}")
                 c = rest
-            case PairElim(w1, w2, p, rest):
-                parts.append(f"({w1}, {w2}) <- {pretty_print(p)}")
+            case PairElim(binder, p, rest):
+                parts.append(f"{pretty_print(binder)} <- {pretty_print(p)}")
                 c = rest
             case Gate(out_p, g, in_p, rest):
                 parts.append(

@@ -281,7 +281,7 @@ def _circuit(gamma, omega, term, ctx, spent=frozenset()) -> WireType:
                     MISMATCH, f"() <- pattern of type {got}", term.loc
                 )
             bindings = ()
-        case PairElim(w1, w2, p, _):
+        case PairElim(PairP(WireP(w1), WireP(w2)), p, _):
             if w1 == w2:
                 raise TypeCheckError(
                     PATTERN_SHAPE, f"duplicate wire {w1!r} in pair binder", term.loc

@@ -182,7 +182,7 @@ class _Gen:
         return Compose(
             WireP(w),
             Output(PairP(WireP(a), WireP(b))),
-            PairElim(na, nb, WireP(w), rest),
+            PairElim(PairP(WireP(na), WireP(nb)), WireP(w), rest),
         )
 
     def _act_output_subst(self, live):

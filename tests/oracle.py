@@ -246,7 +246,7 @@ class Oracle:
                     types.pop(n, None)
                     st.wires = [w for w in st.wires if w[0] != n]
                 return self._walk(st, types, rest, env, env_types)
-            case PairElim(w1, w2, p, rest):
+            case PairElim(PairP(WireP(w1), WireP(w2)), p, rest):
                 ty = self._pat_type(types, p)
                 self._regroup(
                     st, types, pattern_wires(p), [(w1, ty.left), (w2, ty.right)]

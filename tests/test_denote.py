@@ -1034,6 +1034,42 @@ def test_dead_branch_keeps_host_effects_and_checks(monkeypatch, entry, mode, cap
     assert outcome() == pruned
 
 
+def test_unresolvable_demand_leaves_every_branch_live(monkeypatch):
+    # the lift's demand reads through pick (x) id_bit, of dimension 32, so
+    # under a cap of 16 it cannot be resolved; every branch is then live,
+    # and branch 0's init of -1 raises, as it does unpruned, before any
+    # step makes that dimension check
+    cp = check_program(parse_program(DEAD_BRANCHES + """
+def below : Circ(qubit * bit, int * (qubit * bit)) =
+  box (q, r) : qubit * bit =>
+    ((n, q) <- unbox pick q; n <= lift n; m <- init (n - 1); output (m, (q, r)))
+"""))
+    monkeypatch.setattr(ewire.algebra, "_max_dim", 16)
+    resolve, unresolved = ewire.denote._resolve, []
+
+    def spy(need):
+        try:
+            return resolve(need)
+        except ResourceLimit as e:
+            unresolved.append(e)
+            raise
+
+    monkeypatch.setattr(ewire.denote, "_resolve", spy)
+
+    def outcome():
+        ev, env = Evaluator(ctx=cp.ctx, mode=Mode.cpu()), {}
+        with pytest.raises((EvalError, ResourceLimit)) as e:
+            for name in ("pick", "below"):
+                env[name] = ev.eval_host(None, cp.program.find(name).term, dict(env))
+        return repr(e.value)
+
+    pruned = outcome()
+    assert len(unresolved) == 1
+    assert pruned.startswith("PartialityError('value -1 out of range")
+    _all_branches_live(monkeypatch)
+    assert outcome() == pruned
+
+
 def test_demand_of_a_deep_lift_resolves_without_recursion():
     # 800 gates, then a lift: the demand chain is as long as the circuit,
     # and resolving it must not double the recursion depth

@@ -8,14 +8,19 @@ or ``bench/`` reads (a re-export in ``__init__`` is no read).  Every module
 imports only the standard library, its own package and the dependencies
 ``pyproject.toml`` declares, so a heavy optional import (``scipy.sparse``
 alone takes about a quarter of a second) cannot slip into start-up.
+Every term class of ``ewire.syntax`` declares its scope, so the generic
+walks over binders cannot meet a constructor they do not know.
 """
 
 import ast
+import dataclasses
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from ewire import syntax
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ewire"
@@ -204,3 +209,43 @@ def test_dead_public_name_detected():
     readers = {"tests/test_a.py": "from ewire.a import Tested\nimport ewire.a\newire.a.entry()\n"}
     # helper is read by entry, LIMIT is no def or class
     assert dead_public_names(sources, readers) == [("a", "recursive")]
+
+
+def scope_faults(cls) -> list:
+    """What the scope declaration of term class ``cls`` leaves out: a
+    ``Pattern`` field neither consumed nor bound, a binder that is no
+    ``Pattern`` or ``str`` field, or a binder with no term field to be its
+    scope."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    faults = [f"{name} is neither consumed nor bound" for name, ty in types.items()
+              if ty == "Pattern" and name not in cls.consumes and name != cls.binds]
+    if cls.binds is not None:
+        if types.get(cls.binds) not in ("Pattern", "str"):
+            faults.append(f"{cls.binds} is no Pattern or str field")
+        if not any(ty in ("HostTerm", "CircuitTerm") for ty in types.values()):
+            faults.append(f"{cls.binds} has no scope")
+    return faults
+
+
+TERM_CLASSES = [
+    c for c in vars(syntax).values()
+    if isinstance(c, type) and dataclasses.is_dataclass(c)
+    and issubclass(c, (syntax.HostTerm, syntax.CircuitTerm))
+]
+
+
+@pytest.mark.parametrize("cls", TERM_CLASSES, ids=lambda c: c.__name__)
+def test_every_term_class_declares_its_scope(cls):
+    assert scope_faults(cls) == []
+    syntax._scope(cls)  # the walks read the declaration without complaint
+
+
+def test_undeclared_pattern_field_detected():
+    @dataclasses.dataclass(frozen=True)
+    class Stray(syntax.CircuitTerm):
+        pat: "Pattern"
+        rest: "CircuitTerm"
+
+    assert scope_faults(Stray) == ["pat is neither consumed nor bound"]
+    with pytest.raises(TypeError, match="Stray.pat is neither consumed nor bound"):
+        syntax._scope(Stray)

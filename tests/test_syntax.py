@@ -133,6 +133,17 @@ def test_conflicting_box_annotations_rejected(case):
     assert (e.value.line, e.value.col) == (1, text.index("=>"))
 
 
+# a whole-pattern annotation that does not split stands as written only
+# when no part of the pattern is annotated (as in a qlist template);
+# otherwise it is rejected where it ends
+def test_unsplittable_whole_annotation_rejected_if_a_part_is_annotated():
+    text = "box ((a, b : qubit * bit), c : I) : qubit * qubit => output ((a, b), c)"
+    with pytest.raises(ParseError) as e:
+        parse_host_term(text)
+    assert e.value.message == "pair pattern does not match qubit"
+    assert (e.value.line, e.value.col) == (1, text.index("=>"))
+
+
 def _pattern_tree(wires, rng):
     """A random binder over ``wires`` (in order), with its type; a part
     with no wire is ``()``."""
@@ -296,7 +307,7 @@ PAREN_DECISIONS = {
     ),
     "eliminator_pattern": (
         "(a, b) <- (x, y); output (b, a)",
-        PairElim("a", "b", PairP(WireP("x"), WireP("y")),
+        PairElim(PairP(WireP("a"), WireP("b")), PairP(WireP("x"), WireP("y")),
                  Output(PairP(WireP("b"), WireP("a")))),
     ),
     "circuit_right_hand_side": (

@@ -150,7 +150,7 @@ def brute_types(gamma, omega, c, henv=None):
                 o2 = tuple(x for i, x in enumerate(items) if not mask >> i & 1)
                 if brute_match(o1, p, UnitW()):
                     out |= brute_types(gamma, o2, rest, henv)
-        case PairElim(w1, w2, p, rest):
+        case PairElim(PairP(WireP(w1), WireP(w2)), p, rest):
             items = list(omega)
             for mask in range(2 ** len(items)):
                 o1 = tuple(x for i, x in enumerate(items) if mask >> i & 1)
