@@ -11,7 +11,8 @@ entries, unboxed onto one context of fresh wires: one per factor of
 their input types that is not I.  Each of the three evaluates only the
 ``def``s its entries depend on, directly or through other ``def``s, on a
 thread with a deep stack.  ``normalize`` rewrites the body of an entry
-once the other ``def``s are inlined and it reduces to a box.
+once its measurement sugar is expanded, the other ``def``s are inlined
+and it reduces to a box.
 
 Exit codes: 0 success, 1 type, evaluation or equivalence failure, 2
 resource, step, recursion or memory limits, 3 usage errors; each
@@ -73,7 +74,6 @@ def _load(path: str, qlist_size, entry):
     prog = parse_program(text)
     if qlist_size is not None:
         prog, entry = monomorphize(prog, qlist_size, entry)
-    prog = elaborate_sugar(prog)
     return check_program(prog), entry
 
 
@@ -203,7 +203,9 @@ def cmd_denote(args) -> int:
 def cmd_normalize(args) -> int:
     checked, entry = _load(args.file, args.qlist_size, args.entry)
     term, _ = _entry(checked, entry, CircT, "a circuit declaration")
-    defs = {d.name: d.term for d in checked.program.decls if isinstance(d, DefDecl)}
+    # the rewrite rules read core syntax: qrun and qlift as their expansions
+    defs = {d.name: d.term for d in elaborate_sugar(checked).decls
+            if isinstance(d, DefDecl)}
     term = purify_host(unfold_definitions(term, defs))
     if not isinstance(term, Box):
         raise UsageError(

@@ -21,8 +21,9 @@ true fixed point.
 An ``Evaluator`` evaluates only terms checked under its own
 ``CheckContext``: it reads every type it needs, and how each circuit
 step splits and binds its wires, from that context's table, and raises
-``EvalError`` where a record is missing.  It never types a pattern.
-The module-level ``denote_circuit`` and ``eval_host`` check their input
+``EvalError`` where a record is missing.  It never types a pattern, and
+evaluates a ``qrun`` or ``qlift`` as its recorded expansion.  The
+module-level ``denote_circuit`` and ``eval_host`` check their input
 first.
 
 A ``lift`` denotes one branch per classical value, but a branch whose
@@ -108,7 +109,6 @@ class CircV(HostValue):
 
 @dataclass(frozen=True, eq=False)
 class FixCombV(HostValue):
-    arg_type: object
     w_in: WireType
     w_out: WireType
 
@@ -119,7 +119,6 @@ class FixV(HostValue):
     fuel per unfolding."""
 
     functional: HostValue
-    arg_type: object
     w_in: WireType
     w_out: WireType
 
@@ -398,7 +397,7 @@ class Evaluator:
                     raise EvalError(
                         "the fixed-point combinator requires cpsu mode"
                     )
-                return FixCombV(term.arg_type, term.w_in, term.w_out)
+                return FixCombV(term.w_in, term.w_out)
             if t is GateFam:
                 w_in, w_out = self._checked(term)
                 n = self.eval_host(gamma, term.index, env)
@@ -411,7 +410,8 @@ class Evaluator:
                 return CircV(w_in, w_out,
                              gate_denotation(GateRef(term.name, index=n)))
             if t is QRun:
-                raise EvalError("qrun must be elaborated before evaluation")
+                term = self._checked(term)  # the checked expansion, a run
+                continue
             raise EvalError(f"cannot evaluate {term!r}")
 
     def apply(self, fv: HostValue, av):
@@ -446,7 +446,7 @@ class Evaluator:
                 fv = unfolded
                 continue
             if t is FixCombV:
-                return FixV(av, fv.arg_type, fv.w_in, fv.w_out)
+                return FixV(av, fv.w_in, fv.w_out)
             raise EvalError(f"cannot apply non-function {fv!r}")
 
     # -- circuit denotation --------------------------------------------------
@@ -469,14 +469,15 @@ class Evaluator:
         """The parts of a plan a step needs before anything else, in the
         order it needs them; ``_Plan`` fills in the rest on first use."""
         t = type(term)
-        if t is QLift:
-            raise EvalError("qlift must be elaborated before evaluation")
         if t not in _STEPS:
             raise EvalError(f"cannot denote {term!r}")
         p = _Plan(term, omega, max_dim())
         split = self._checked(term)
         if t is Init:
             p.own = split.own
+            return p
+        if t is QLift:
+            p.own = split  # the checked expansion
             return p
         if t is Gate:
             p.op = gate_denotation(term.gate)
@@ -525,6 +526,8 @@ class Evaluator:
             h = self._denote(p.remaining, term.rest, env, need)
         elif t is Lift:
             h = self._lift(p, term, env, need)
+        elif t is QLift:
+            return self._denote(omega, p.own, env, need)
         else:
             v = p.own
             idx = classical_index(v, self.eval_host(None, term.term, env))
@@ -580,7 +583,7 @@ class Evaluator:
 
 _DEAD = "dead"  # the demand of a step no later step reads
 _UNSET = object()  # a plan part not filled in yet
-_STEPS = frozenset({Output, Unbox, Init, Compose, UnitElim, PairElim, Gate, Lift})
+_STEPS = frozenset({Output, Unbox, Init, Compose, UnitElim, PairElim, Gate, Lift, QLift})
 
 
 class _Plan:
@@ -589,8 +592,8 @@ class _Plan:
 
     ``sel`` and ``remaining`` are the consumed and the other typed wires,
     ``cont`` the continuation's context, ``op`` a ``Gate``'s map or an
-    ``Output``'s identity, ``own`` the recorded type of an ``init`` or
-    ``lift``, and ``values`` a lift's branch values.  ``rest``, ``rows``
+    ``Output``'s identity, ``own`` what an ``init``, ``lift`` or ``qlift``
+    recorded, and ``values`` a lift's branch values.  ``rest``, ``rows``
     and ``target`` are computed on first call and then kept."""
 
     __slots__ = ("term", "omega", "cap", "sel", "remaining", "cont", "op",

@@ -1088,9 +1088,11 @@ def _print_host(t: HostTerm, prec: int) -> str:
         case QRun(circ):
             return wrap(5, f"qrun ({_print_circuit(circ)})")
         case Box(p, w, body):
-            return wrap(
-                0, f"box {_annotated_pattern(p, w)} => ({_print_circuit(body)})"
-            )
+            try:
+                binder = _annotated_pattern(p, w)
+            except ShapeMismatch:  # a type not split along p is printed whole
+                binder = f"{pretty_print(p)} : {pretty_print(w)}"
+            return wrap(0, f"box {binder} => ({_print_circuit(body)})")
         case Prim("=", l, r):
             return wrap(2, f"{_print_host(l, 3)} = {_print_host(r, 3)}")
         case Prim(op, l, r):

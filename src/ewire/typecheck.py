@@ -11,9 +11,9 @@ annotations and the qlist walk too: ``take`` consumes a pattern's wires,
 ``pattern_type`` assembles their type, ``bind_pattern`` splits a type
 onto a binder and ``bind_step`` binds new wires that shadow no live one.
 
-Also elaborates the measurement sugar (``qrun``, ``qlift``) into core
-syntax, generating the structural measure/prepare circuits by induction
-on the wire type.
+The measurement sugar (``qrun``, ``qlift``) is typed only as its
+expansion, which appends the measuring circuit generated by induction on
+the wire type; the expansion is recorded for evaluation and elaboration.
 """
 
 from __future__ import annotations
@@ -63,9 +63,10 @@ class CheckContext:
     bases: dict
     gates: dict
     # id(node) -> (node, info): a circuit node -> its ``Split``; Box ->
-    # (w_in, w_out, its bound wires); Run, QRun -> the wire type made;
-    # GateFam -> (w_in, w_out).  An entry never depends on the context's
-    # order, so a subterm shared by two checked terms has one entry
+    # (w_in, w_out, its bound wires); Run -> the wire type made;
+    # GateFam -> (w_in, w_out); QLift, QRun -> the checked expansion.
+    # An entry never depends on the context's order, so a subterm shared
+    # by two checked terms has one entry
     table: dict
 
     def record(self, node, info):
@@ -81,7 +82,7 @@ class Split(NamedTuple):
     consumes (its pattern's, in order; a ``Compose``'s first circuit's
     free wires, as a set), the typed wires heading its continuation's
     context, and its own type: ``init``'s value type, ``(V, W)`` for a
-    ``lift`` of type V with output W, what a ``qlift`` measures."""
+    ``lift`` of type V with output W."""
 
     consumes: tuple | frozenset
     binds: tuple = ()
@@ -305,21 +306,25 @@ def _circuit(gamma, omega, term, ctx, spent=frozenset()) -> WireType:
                     term.loc,
                 )
             bindings = bind_pattern(out_p, w_out, term.loc)
-        case Lift(x, p, rest) | QLift(x, p, rest):
+        case Lift(x, p, rest):
             v, names, remaining = take(omega, p, term.loc, spent)
-            sugar = isinstance(term, QLift)
-            if sugar:
-                ctx.record(term, Split(names, (), v))
-                v = classicalize(v)
-            elif not is_classical(v):
+            if not is_classical(v):
                 raise TypeCheckError(
                     NOT_CLASSICAL, f"cannot lift wire of type {v}", term.loc
                 )
             gamma2 = dict(gamma)
             gamma2[x] = lift_type(v)
             w_out = _circuit(gamma2, remaining, rest, ctx, spent | set(names))
-            if not sugar:
-                ctx.record(term, Split(names, (), (v, w_out)))
+            ctx.record(term, Split(names, (), (v, w_out)))
+            return w_out
+        case QLift(x, p, rest):
+            # measure p into a wire fresh for the whole context, then lift it
+            v, _, _ = take(omega, p, term.loc, spent)
+            y = _fresh_name("y", free_wires(rest) | {w for w, _ in omega})
+            expansion = Compose(WireP(y), Unbox(generate_meas_circuit(v), p),
+                                Lift(x, WireP(y), rest), loc=term.loc)
+            w_out = _circuit(gamma, omega, expansion, ctx, spent)
+            ctx.record(term, expansion)
             return w_out
         case _:
             raise TypeCheckError(MISMATCH, f"not a circuit term: {term!r}")
@@ -430,9 +435,13 @@ def _infer_host(gamma, term, ctx, expected):
             ctx.record(term, w)
             return MonadT(lift_type(w))
         case QRun(c):
-            w = _circuit(gamma, (), c, ctx)
-            ctx.record(term, w)
-            return MonadT(lift_type(classicalize(w)))
+            # c is typed for its wire type, then again in the expansion
+            meas = generate_meas_circuit(_circuit(gamma, (), c, ctx))
+            x = _fresh_name("x", free_wires(c))
+            run = Run(Compose(WireP(x), c, Unbox(meas, WireP(x))), loc=term.loc)
+            ty = _infer_host(gamma, run, ctx, expected)
+            ctx.record(term, run)
+            return ty
         case IntLit(n):
             if isinstance(expected, ClassicalT) and expected.name != "int":
                 if not (0 <= n < expected.cardinality):
@@ -581,41 +590,19 @@ def generate_new_circuit(w: WireType) -> Box:
     return _structural_circuit(w, "new")
 
 
-def elaborate_sugar(prog: Program) -> Program:
-    """Expand qrun/qlift into core syntax using generated measurement
-    circuits; the result contains no sugar constructors and typechecks
-    at the same declaration types."""
-    checked = check_program(prog)
+def elaborate_sugar(checked: CheckedProgram) -> Program:
+    """The checked program with every ``qrun`` and ``qlift`` replaced by
+    the expansion the typechecker recorded for it: core syntax that
+    typechecks at the same declaration types."""
     ctx = checked.ctx
 
     def elab(n):
-        match n:
-            case QRun(c):
-                w = ctx.lookup(n)
-                assert w is not None, "sugar node escaped the checking pass"
-                meas = generate_meas_circuit(w)
-                x = _fresh_name("x", free_wires(c))
-                return Run(
-                    Compose(WireP(x), elab(c), Unbox(meas, WireP(x))), loc=n.loc
-                )
-            case QLift(x, p, rest):
-                split = ctx.lookup(n)
-                assert split is not None, "sugar node escaped the checking pass"
-                meas = generate_meas_circuit(split.own)
-                y = _fresh_name("y", free_wires(rest) | set(pattern_wires(p)))
-                return Compose(
-                    WireP(y),
-                    Unbox(meas, p),
-                    Lift(x, WireP(y), elab(rest)),
-                    loc=n.loc,
-                )
+        if isinstance(n, (QRun, QLift)):
+            n = ctx.lookup(n)
         return map_children(n, elab)
 
-    decls = []
-    for d in prog.decls:
-        match d:
-            case DefDecl(name, ann, term):
-                decls.append(DefDecl(name, ann, elab(term), loc=d.loc))
-            case _:
-                decls.append(d)
-    return Program(tuple(decls))
+    return Program(tuple(
+        DefDecl(d.name, d.ann, elab(d.term), loc=d.loc)
+        if isinstance(d, DefDecl) else d
+        for d in checked.program.decls
+    ))

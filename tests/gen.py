@@ -3,13 +3,16 @@
 Builds circuits over at most four qubits and a bounded statement count,
 covering gates, measurement, initialisation, nested sequencing, literal
 boxes, eliminators and dynamic lifting.  Every generated circuit is
-checked before being returned.
+checked before being returned.  ``token_mutants`` makes seeded
+single-token mutations of source files.
 """
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
+from ewire.parser import tokenize
 from ewire.syntax import (
     BIT, Box, ClassicalLit, ClassicalW, Compose, Gate, GateRef, Init, Lift,
     Output, PairElim, PairP, QUBIT, QuantumW, TensorW, UnitP, Unbox, Var,
@@ -236,3 +239,29 @@ class _Gen:
 def random_circuit(seed: int, max_qubits=4, max_stmts=12):
     """A random well-typed circuit; returns (omega, term)."""
     return _Gen(random.Random(seed), max_qubits, max_stmts).build()
+
+
+PROGRAM_FILES = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.ew"))
+
+
+def token_mutants(paths, count, seed, same_kind=False):
+    """``count`` single-token mutations of the source files ``paths``: a
+    token replaced by one of the files' tokens (of its own lexical kind if
+    ``same_kind``, so that more mutants parse), or deleted."""
+    rng = random.Random(seed)
+    sources = [p.read_text() for p in paths]
+    tokens = []
+    for text in sources:
+        starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+        tokens.append([(starts[t.line - 1] + t.col, t.text, t.kind)
+                       for t in tokenize(text)[:-1]])
+    vocabulary = {}
+    for _, text, kind in sorted({t for ts in tokens for t in ts}):
+        vocabulary.setdefault(kind if same_kind else None, set()).add(text)
+    vocabulary = {k: sorted(v) for k, v in vocabulary.items()}
+    for _ in range(count):
+        i = rng.randrange(len(sources))
+        start, text, kind = rng.choice(tokens[i])
+        words = vocabulary[kind if same_kind else None]
+        new = "" if rng.random() < 0.2 else rng.choice(words)
+        yield sources[i][:start] + new + sources[i][start + len(text):]

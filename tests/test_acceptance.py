@@ -27,7 +27,7 @@ from ewire.syntax import (
 )
 from ewire.typecheck import (
     TypeCheckError, bind_pattern, check_circuit, check_host, check_program,
-    elaborate_sugar, generate_meas_circuit, generate_new_circuit,
+    generate_meas_circuit, generate_new_circuit,
     _default_ctx,
 )
 
@@ -48,7 +48,7 @@ def report(label, ok, detail=""):
 
 def test_criterion_1_coin_flip():
     t0 = time.time()
-    prog = elaborate_sugar(parse_program((PROGRAMS / "flip.ew").read_text()))
+    prog = parse_program((PROGRAMS / "flip.ew").read_text())
     cp = check_program(prog)
     _, _, env = evaluate_program(cp)
     dist = dict(env["main"].weights)
@@ -203,7 +203,7 @@ def test_criterion_4_qft():
 
 def test_criterion_5_recursion_divergence():
     prog = parse_program((PROGRAMS / "hs.ew").read_text())
-    cp = check_program(elaborate_sugar(prog))
+    cp = check_program(prog)
 
     def hs_at(fuel, n):
         def go():
@@ -405,14 +405,14 @@ def test_criterion_9_typechecker_discrimination():
     wrong = []
     for src, kind in ILL_TYPED:
         try:
-            check_program(elaborate_sugar(parse_program(src + "\n")))
+            check_program(parse_program(src + "\n"))
             wrong.append((src, "accepted"))
         except TypeCheckError as e:
             if e.kind != kind:
                 wrong.append((src, f"kind {e.kind} != {kind}"))
     for src in WELL_TYPED:
         try:
-            check_program(elaborate_sugar(parse_program(src + "\n")))
+            check_program(parse_program(src + "\n"))
         except TypeCheckError as e:
             wrong.append((src, f"rejected: {e}"))
     report(

@@ -45,6 +45,39 @@ def test_probes_record_denotation_and_uninstall_cleanly():
     assert counts["algebra.compose_tensored.macs"] > 0
 
 
+def test_probes_run_on_the_command_line_and_uninstall_cleanly(monkeypatch):
+    # the ewire.cli probes are run, not only looked up: one command that
+    # elaborates the sugar for the rewriter and one that does not; the
+    # mix names its files from the repository root
+    monkeypatch.chdir(workloads.ROOT)
+    normalize = importlib.import_module("ewire.normalize")
+    owners = [workloads, ewire.cli, ewire.denote, normalize, Evaluator]
+    before = [dict(vars(o)) for o in owners]
+    old_cap = algebra.max_dim()
+    cli = workloads.Cli(0, {})
+    ops = [i for i, (argv, _) in cli.mix.items()
+           if argv in (["normalize", "programs/teleport.ew", "--entry", "teleport", "--trace"],
+                       ["run", "programs/flip.ew", "--json"])]
+    assert len(ops) == 2
+    tr = Tracer()
+    workloads.install_probes(tr)
+    try:
+        results = [cli.run_inprocess(i) for i in ops]
+    finally:
+        tr.uninstall()
+        algebra.set_max_dim(old_cap)
+    for owner, attrs in zip(owners, before):
+        after = vars(owner)
+        assert after.keys() == attrs.keys(), owner
+        assert all(after[k] is v for k, v in attrs.items()), owner
+    for i, result in zip(ops, results):
+        assert cli.check(i, cli.summarize(i, result)[1]) is None, cli.mix[i][0]
+    spans = [s[NAME] for s in tr.spans]
+    assert spans.count("typecheck.check_program") == 2
+    assert spans.count("typecheck.elaborate_sugar") == 1
+    assert {"cli.main", "normalize.normalize", "denote.evaluate_program"} <= set(spans)
+
+
 def test_traced_denotation_equals_untraced():
     # the probes read out.matrix after every step, so the traced run
     # builds every map densely while the untraced run keeps row views

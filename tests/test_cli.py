@@ -7,12 +7,16 @@ from pathlib import Path
 
 import pytest
 
+import ewire.cli
+import ewire.typecheck
 from ewire import algebra
 from ewire.cli import main
+from tests.gen import PROGRAM_FILES, token_mutants
 from tests.test_qlist import LIFTS_A_QUBIT, SIZED_BY_OUTPUT
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS = ROOT / "programs"
+SUGAR = ROOT / "tests" / "sugar.ew"
 
 
 def run_cli(capsys, *argv):
@@ -470,12 +474,12 @@ def _denote_cases():
     list sizes 1 to 3 in cpsu mode."""
     from ewire.parser import parse_program
     from ewire.syntax import CircT
-    from ewire.typecheck import check_program, elaborate_sugar
+    from ewire.typecheck import check_program
 
     for path in sorted(PROGRAMS.glob("*.ew")):
         if path.name == "qft.ew":
             continue
-        checked = check_program(elaborate_sugar(parse_program(path.read_text())))
+        checked = check_program(parse_program(path.read_text()))
         for name, ty in checked.def_types.items():
             if isinstance(ty, CircT):
                 for extra in ([], ["--tol", "0"], ["--mode", "cpsu", "--fuel", "50"]):
@@ -703,3 +707,59 @@ def test_run_prints_unit_pair_nested_and_merged_outcomes(capsys, tmp_path, entry
                         (shots, shots_text), (shots + ["--json"], head + shots_json + "}\n")):
         argv = ["run", str(src), "--entry", entry, *flags]
         assert run_cli(capsys, *argv) == (0, want, ""), flags
+
+
+# each command typechecks its program once; only normalize, whose rewrite
+# rules read core syntax, asks for the expanded sugar
+ONE_CHECK_CASES = [
+    (["check", str(PROGRAMS / "hs.ew")], 0),
+    (["run", str(PROGRAMS / "hs.ew"), "--mode", "cpsu"], 0),
+    (["run", str(SUGAR)], 0),
+    (["denote", str(SUGAR), "--entry", "lift_branch"], 0),
+    (["denote", str(PROGRAMS / "qft.ew"), "--entry", "fourier", "--qlist-size", "3",
+      "--mode", "cpsu"], 0),
+    (["normalize", str(SUGAR), "--entry", "lift_pair", "--trace"], 1),
+    (["equiv", str(SUGAR), "lift_qubit", "lift_qubit"], 0),
+]
+
+
+@pytest.mark.parametrize("argv,elaborations", ONE_CHECK_CASES,
+                         ids=[" ".join(a[:1] + [Path(a[1]).name] + a[2:])
+                              for a, _ in ONE_CHECK_CASES])
+def test_every_command_checks_its_program_once(capsys, monkeypatch, argv, elaborations):
+    # counted where the command looks them up, and where the typechecker does
+    calls = []
+    for owner, name in ((ewire.cli, "check_program"), (ewire.cli, "elaborate_sugar"),
+                        (ewire.typecheck, "check_program")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert calls.count("check_program") == 1
+    assert calls.count("elaborate_sugar") == elaborations
+
+
+DIAGNOSTICS = ("error[", "usage error:", "resource limit:", "step limit")
+
+
+def test_mutated_programs_exit_with_a_code_and_a_diagnostic(capsys, tmp_path):
+    # 500 seeded single-token mutations, each token replaced by one of its
+    # own lexical kind (or deleted), so that many parse and some evaluate
+    path = tmp_path / "mutant.ew"
+    codes = {}
+    for text in token_mutants(PROGRAM_FILES + [SUGAR], 500, seed=0, same_kind=True):
+        path.write_text(text)
+        for argv in (["check", str(path)],
+                     ["run", str(path), "--mode", "cpsu", "--fuel", "20"]):
+            try:
+                code, _, err = run_cli(capsys, *argv)
+            except Exception as e:
+                pytest.fail(f"{argv[0]} raised {e!r} on:\n{text}")
+            assert code in (0, 1, 2, 3), (argv[0], code, text)
+            if code:
+                assert any(d in err for d in DIAGNOSTICS), (argv[0], err, text)
+            codes[code] = codes.get(code, 0) + 1
+    # the sweep reaches success, errors and usage errors
+    assert codes.get(0, 0) > 100 and codes.get(1, 0) > 100 and codes.get(3, 0) > 10
+

@@ -22,7 +22,7 @@ from ewire.syntax import (
     Output, QUBIT, TensorW, UnitW, Var, WireP, children,
 )
 from ewire.typecheck import (
-    check_circuit, check_host, check_program, elaborate_sugar, _default_ctx,
+    check_circuit, check_host, check_program, _default_ctx,
 )
 
 from tests.gen import random_circuit
@@ -398,21 +398,21 @@ def test_run_circuit_mass_checked():
 
 
 def test_qrun_measures_implicitly():
-    from ewire.typecheck import elaborate_sugar, check_program
+    from ewire.typecheck import check_program
     from ewire.parser import parse_program
 
     prog = parse_program(
         "def main : T(bit) = "
         "qrun (a <- gate init0 (); a2 <- gate H a; output a2)\n"
     )
-    cp = check_program(elaborate_sugar(prog))
+    cp = check_program(prog)
     _, _, env = evaluate_program(cp)
     w = dict(env["main"].weights)
     assert abs(w[0] - 0.5) < 1e-12 and abs(w[1] - 0.5) < 1e-12
 
 
 def test_qlift_measures_then_lifts():
-    from ewire.typecheck import elaborate_sugar, check_program
+    from ewire.typecheck import check_program
     from ewire.parser import parse_program
 
     # prepare |1>, qlift it: the lifted value is always 1
@@ -421,7 +421,7 @@ def test_qlift_measures_then_lifts():
         "run (q <- gate init1 (); x <= qlift q; b <- init (x : bit); "
         "output b)\n"
     )
-    cp = check_program(elaborate_sugar(prog))
+    cp = check_program(prog)
     _, _, env = evaluate_program(cp)
     w = dict(env["main"].weights)
     assert abs(w[1] - 1.0) < 1e-12
@@ -548,9 +548,9 @@ def test_evaluator_never_rechecks(monkeypatch):
         if path.name == "qft.ew":
             for n in range(1, 5):
                 mono, _ = monomorphize(prog, n, "fourier")
-                checked.append((check_program(elaborate_sugar(mono)), [Mode.cpsu()]))
+                checked.append((check_program(mono), [Mode.cpsu()]))
         else:
-            cp = check_program(elaborate_sugar(prog))
+            cp = check_program(prog)
             modes = [Mode.cpsu(20)] + ([] if path.name == "hs.ew" else [Mode.cpu()])
             checked.append((cp, modes))
     corpus = []
@@ -681,7 +681,7 @@ def test_cpsu_lift_with_only_partial_branches_is_zero():
 
 def _hs_and(extra: str):
     prog = parse_program((PROGRAMS / "hs.ew").read_text() + extra)
-    cp = check_program(elaborate_sugar(prog))
+    cp = check_program(prog)
     ev = Evaluator(ctx=cp.ctx, mode=Mode.cpsu(100))
     env: dict = {}
     for d in cp.program.decls:
@@ -925,7 +925,7 @@ def _pruning_jobs():
         prog = parse_program(path.read_text())
         if path.name == "qft.ew":
             prog = monomorphize(prog, 3, None)[0]
-        cp = check_program(elaborate_sugar(prog))
+        cp = check_program(prog)
         jobs.append((cp.ctx, evaluate(cp)))
     return jobs
 

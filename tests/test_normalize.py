@@ -14,7 +14,7 @@ from ewire.qlist import monomorphize
 from ewire.syntax import (
     Box, CircT, Compose, DefDecl, Gate, Lift, QUBIT, UnitElim, alpha_equiv,
 )
-from ewire.typecheck import check_circuit, check_program, _default_ctx, elaborate_sugar
+from ewire.typecheck import check_circuit, check_program, _default_ctx
 
 from tests.gen import random_circuit
 
@@ -202,7 +202,7 @@ def test_def_value_matches_its_unfolded_box(monkeypatch, name, size):
     prog = parse_program((PROGRAMS / name).read_text())
     if size is not None:
         prog, _ = monomorphize(prog, size, None)
-    checked = check_program(elaborate_sugar(prog))
+    checked = check_program(prog)
     # fuel 100: main's Hs (-1) in hs.ew bottoms out within the default
     # recursion limit
     mode = Mode.cpsu(100)

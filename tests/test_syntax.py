@@ -144,6 +144,19 @@ def test_unsplittable_whole_annotation_rejected_if_a_part_is_annotated():
     assert (e.value.line, e.value.col) == (1, text.index("=>"))
 
 
+# the parser keeps such an annotation whole, and the printer writes it back
+# whole: ``pattern : W``, with no inner annotation
+@pytest.mark.parametrize("text", [
+    "box ((a, b), t) : qubit * qubit => output a",
+    "box (a, (b, c)) : qubit * bit => output (a, (b, c))",
+])
+def test_unsplittable_whole_annotation_prints_whole(text):
+    box = parse_host_term(text)
+    printed = pretty_print(box)
+    assert printed.startswith(text[:text.index("=>")])
+    assert alpha_equiv(parse_host_term(printed), box)
+
+
 def _pattern_tree(wires, rng):
     """A random binder over ``wires`` (in order), with its type; a part
     with no wire is ``()``."""

@@ -1,13 +1,15 @@
 """Typechecker tests, including a brute-force derivation search that
 validates the deterministic context splitting."""
 
+from pathlib import Path
+
 import pytest
 
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.syntax import (
     BIT, Box, CircT, ClassicalLit, ClassicalT, ClassicalW, Compose,
     DEFAULT_BASES, DefDecl, Gate, Init, IntLit, Lift, MonadT, Output, PairElim, PairP, Prim,
-    QLift, QListW, QRun, QUBIT, TensorW, UnitElim, UnitP, UnitW, Unbox, Var, WireP,
+    QLift, QListW, QRun, QUBIT, Run, TensorW, UnitElim, UnitP, UnitW, Unbox, Var, WireP,
     children, classicalize, pretty_print,
 )
 from ewire.typecheck import (
@@ -17,7 +19,10 @@ from ewire.typecheck import (
 )
 from ewire import algebra
 
-from tests.gen import random_circuit
+from tests.gen import PROGRAM_FILES, random_circuit, token_mutants
+
+ROOT = Path(__file__).resolve().parent.parent
+SUGAR = ROOT / "tests" / "sugar.ew"
 
 
 # -- the pattern relation -------------------------------------------------------
@@ -512,7 +517,7 @@ def test_elaboration_freshens_colliding_wire():
     prog = parse_program(
         "def f : Circ(qubit, bit) = box y : qubit => (x <= qlift y; b <- init x; output b)\n"
     )
-    el = elaborate_sugar(prog)
+    el = elaborate_sugar(check_program(prog))
     assert "y_1 <- unbox" in pretty_print(el)
     assert check_program(el).def_types == check_program(prog).def_types
 
@@ -531,7 +536,7 @@ def f : Circ(qubit, bit * qubit) =
 """
     )
     before = check_program(prog)
-    el = elaborate_sugar(prog)
+    el = elaborate_sugar(before)
 
     def sugar_free(n):
         return not isinstance(n, (QRun, QLift)) and all(map(sugar_free, children(n)))
@@ -539,6 +544,61 @@ def f : Circ(qubit, bit * qubit) =
     assert all(sugar_free(d.term) for d in el.decls if isinstance(d, DefDecl))
     after = check_program(el)
     assert before.def_types == after.def_types
+
+
+def test_sugar_is_recorded_as_its_checked_expansion():
+    # the checker types qrun and qlift only as their expansions, and
+    # records each at the sugar's span
+    prog = parse_program(SUGAR.read_text())
+    checked = check_program(prog)
+    sugar = [n for d in prog.decls if isinstance(d, DefDecl) for n in _nodes(d.term)
+             if isinstance(n, (QRun, QLift))]
+    assert {type(n) for n in sugar} == {QRun, QLift}
+    for n in sugar:
+        expansion = checked.ctx.lookup(n)
+        assert isinstance(expansion, Run if isinstance(n, QRun) else Compose)
+        assert expansion.loc == n.loc
+
+
+def _nodes(n):
+    yield n
+    for c in children(n):
+        yield from _nodes(c)
+
+
+def _values(checked, mode):
+    """Each ``def``'s value, as bytes where it is a distribution or a
+    circuit, or the error evaluation raises."""
+    from ewire.denote import CircV, call_with_stack, evaluate_program
+
+    try:
+        _, _, env = call_with_stack(lambda: evaluate_program(checked, mode=mode))
+    except Exception as e:
+        return repr(e)
+    out = {}
+    for name, v in env.items():
+        if isinstance(v, algebra.Distribution):
+            out[name] = [(k, repr(w)) for k, w in v.items()]
+        elif isinstance(v, CircV):
+            out[name] = (v.w_in, v.w_out, v.op.matrix.tobytes())
+        else:
+            out[name] = type(v).__name__
+    return out
+
+
+@pytest.mark.parametrize("path", ["tests/sugar.ew", "programs/hs.ew"])
+@pytest.mark.parametrize("mode", ["cpu", "cpsu"])
+def test_recorded_expansion_evaluates_as_the_elaborated_program(path, mode):
+    from ewire.denote import Mode
+
+    prog = parse_program((ROOT / path).read_text())
+    checked = check_program(prog)
+    elaborated = check_program(elaborate_sugar(checked))
+    m = Mode.cpsu() if mode == "cpsu" else Mode.cpu()
+    direct = _values(checked, m)
+    assert direct == _values(elaborated, m)
+    # hs.ew's fixed point needs cpsu mode; every other value is computed
+    assert isinstance(direct, str) == (path == "programs/hs.ew" and mode == "cpu")
 
 
 # -- whole programs -------------------------------------------------------------------
@@ -612,30 +672,6 @@ def test_a_step_binding_a_list_wire_is_reported_at_the_step(case):
     assert (e.value.kind, e.value.message, e.value.loc) == ("Mismatch", QLIST, None)
 
 
-def _token_mutants(count, seed):
-    """Single-token mutations of ``programs/*.ew``: a token replaced by
-    one of the programs' tokens, or deleted."""
-    import random
-    from pathlib import Path
-
-    from ewire.parser import tokenize
-
-    rng = random.Random(seed)
-    sources = [p.read_text() for p in sorted(
-        (Path(__file__).resolve().parent.parent / "programs").glob("*.ew"))]
-    tokens = []
-    for text in sources:
-        starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
-        tokens.append([(starts[t.line - 1] + t.col, t.text)
-                       for t in tokenize(text)[:-1]])
-    vocabulary = sorted({t for ts in tokens for _, t in ts})
-    for _ in range(count):
-        i = rng.randrange(len(sources))
-        start, text = rng.choice(tokens[i])
-        new = "" if rng.random() < 0.2 else rng.choice(vocabulary)
-        yield sources[i][:start] + new + sources[i][start + len(text):]
-
-
 def test_every_type_error_in_a_mutated_program_has_a_span():
     # monomorphizing (at sizes 0..2 where a list is mentioned) and
     # checking a program reports every error at a source span
@@ -643,7 +679,7 @@ def test_every_type_error_in_a_mutated_program_has_a_span():
     from ewire.qlist import QListError, monomorphize
 
     raised = 0
-    for text in _token_mutants(2000, seed=0):
+    for text in token_mutants(PROGRAM_FILES, 2000, seed=0):
         try:
             prog = parse_program(text)
         except ParseError:
