@@ -35,9 +35,12 @@ branch.
 
 Each circuit step reads how it splits its context, its continuation's
 context, the placement of its rows, the context algebras and a gate's
-map from a plan that the evaluator memoises per node, context and
-dimension cap, so a recursive unfolding, which denotes the same steps in
-the same contexts, recomputes none of them.  The tail positions of host
+map from a plan memoised per node, context and dimension cap in the
+``CheckContext`` (``plans``), which every evaluator over that context
+shares.  A plan follows from the step's typing alone, not from the
+mode, so a recursive unfolding, which denotes the same steps in the
+same contexts, and a second evaluation of a checked term, in either
+mode, recompute none of them.  The tail positions of host
 evaluation (the branch an ``if`` takes, an ascribed term, and the
 closure a fixed point unfolds to) loop instead of calling, while every
 fixed-point application still goes through ``Evaluator.apply`` and every
@@ -249,8 +252,9 @@ class Evaluator:
     """Call-by-value evaluation plus compositional circuit denotation.
 
     A single evaluator holds the mode, the remaining fuel (shared by all
-    fixed points unfolded under one top-level evaluation) and the table
-    of the checked program it runs (types, and each step's ``Split``).
+    fixed points unfolded under one top-level evaluation), the closure
+    memo and the ``CheckContext`` of the checked program it runs (types,
+    each step's ``Split``, and the step plans).
 
     Closure applications to first-order values are memoised until the
     first fixed-point unfolding, so a replayed result never skips fuel.
@@ -266,14 +270,17 @@ class Evaluator:
     terms is its ``_Plan``: its split of the context, its continuation's
     context, its ``Gate`` map (an ``Output``'s identity), a ``lift``'s
     branch values, the context algebras and the placement of its rows.
-    Plans are memoised on the evaluator per node, keyed by ``id(node)``
-    with the node pinned, and hold for the context they were built for
-    (compared by identity, then by equality) and the dimension cap
-    ``max_dim()`` they were built under.  A plan is filled in the order
-    the step first needs each part, so a missing record, an unknown gate
-    or a ``ResourceLimit`` is raised where it always was, and a part
-    that raised is not stored.  A recursive unfolding denotes the same
-    nodes in the same contexts, so after the first it builds no plan.
+    Plans are memoised in ``self.ctx.plans``, keyed by node and context
+    (the table pins every node a plan is built for), and shared by every
+    evaluator over that context: both modes, a circuit and its normal
+    form, both sides of ``check_equiv``.  A plan holds for the dimension
+    cap ``max_dim()`` it was built under and is rebuilt under another.
+    It holds no evaluator, environment or host value.  A plan is filled
+    in the order the step first needs each part, so a missing record, an
+    unknown gate or a ``ResourceLimit`` is raised where it always was,
+    and a part that raised is not stored.  A recursive unfolding denotes
+    the same nodes in the same contexts, so after the first it builds
+    no plan, and neither does a second evaluation over the context.
 
     Each step also receives which rows of its result a later step reads.
     A ``Compose`` or ``Gate`` denotes its own map ``f`` before its
@@ -306,7 +313,6 @@ class Evaluator:
         self.mode = mode or Mode.cpu()
         self.fuel = self.mode.fuel
         self._app_cache: dict | None = {}
-        self._plans: dict = {}  # id(node) -> its _Plan, which pins the node
 
     def _checked(self, term):
         """What the typechecker recorded for ``term``."""
@@ -410,7 +416,7 @@ class Evaluator:
                 return CircV(w_in, w_out,
                              gate_denotation(GateRef(term.name, index=n)))
             if t is QRun:
-                term = self._checked(term)  # the checked expansion, a run
+                term = self._checked(term)[0]  # the checked expansion, a run
                 continue
             raise EvalError(f"cannot evaluate {term!r}")
 
@@ -457,12 +463,19 @@ class Evaluator:
         return self._denote(tuple(omega), term, env, None)
 
     def _plan(self, omega: tuple, term) -> "_Plan":
-        """The plan of ``term`` over ``omega``: the memoised one if it was
-        built for this node, context and cap, else a new one."""
-        p = self._plans.get(id(term))
-        if (p is None or p.term is not term or p.cap != max_dim()
-                or (p.omega is not omega and p.omega != omega)):
-            p = self._plans[id(term)] = self._build_plan(omega, term)
+        """The plan of ``term`` over ``omega`` under the current cap, from
+        the context's ``plans``.  The plan last read for a node is kept
+        under ``id(term)``; a node met in a second wire context also keeps
+        the plan for each context under ``(id(term), omega)``."""
+        plans, cap = self.ctx.plans, max_dim()
+        p = plans.get(id(term))
+        if p is None or p.cap != cap or (p.omega is not omega and p.omega != omega):
+            if p is not None and p.cap == cap:
+                plans[id(term), p.omega] = p
+                p = plans.get((id(term), omega))
+            if p is None or p.cap != cap:
+                p = self._build_plan(omega, term)
+            plans[id(term)] = p
         return p
 
     def _build_plan(self, omega: tuple, term) -> "_Plan":
@@ -471,7 +484,7 @@ class Evaluator:
         t = type(term)
         if t not in _STEPS:
             raise EvalError(f"cannot denote {term!r}")
-        p = _Plan(term, omega, max_dim())
+        p = _Plan(omega, max_dim())
         split = self._checked(term)
         if t is Init:
             p.own = split.own
@@ -596,11 +609,11 @@ class _Plan:
     recorded, and ``values`` a lift's branch values.  ``rest``, ``rows``
     and ``target`` are computed on first call and then kept."""
 
-    __slots__ = ("term", "omega", "cap", "sel", "remaining", "cont", "op",
+    __slots__ = ("omega", "cap", "sel", "remaining", "cont", "op",
                  "own", "values", "_rest", "_rows", "_target")
 
-    def __init__(self, term, omega: tuple, cap: int):
-        self.term, self.omega, self.cap = term, omega, cap
+    def __init__(self, omega: tuple, cap: int):
+        self.omega, self.cap = omega, cap
         self.sel = self.remaining = self.cont = self.op = None
         self.own = self.values = self._rest = self._target = None
         self._rows = _UNSET  # None is a placement: no row moves

@@ -18,7 +18,7 @@ the wire type; the expansion is recorded for evaluation and elaboration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import algebra
@@ -58,16 +58,21 @@ HostContext = dict  # str -> HostType
 
 @dataclass
 class CheckContext:
-    """Program-level tables consulted during checking."""
+    """Program-level tables consulted during checking, and ``plans``:
+    the step plans that ``denote`` derives from the records, shared by
+    every ``Evaluator`` over this context (see ``Evaluator._plan``) and
+    left out of ``==`` and ``repr``."""
 
     bases: dict
     gates: dict
     # id(node) -> (node, info): a circuit node -> its ``Split``; Box ->
     # (w_in, w_out, its bound wires); Run -> the wire type made;
-    # GateFam -> (w_in, w_out); QLift, QRun -> the checked expansion.
-    # An entry never depends on the context's order, so a subterm shared
-    # by two checked terms has one entry
+    # GateFam -> (w_in, w_out); QLift -> the checked expansion; QRun ->
+    # (the checked expansion, the host context it was checked in, its
+    # type).  An entry never depends on the context's order, so a subterm
+    # shared by two checked terms has one entry
     table: dict
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
     def record(self, node, info):
         self.table[id(node)] = (node, info)
@@ -435,12 +440,17 @@ def _infer_host(gamma, term, ctx, expected):
             ctx.record(term, w)
             return MonadT(lift_type(w))
         case QRun(c):
-            # c is typed for its wire type, then again in the expansion
+            # c is typed for its wire type, then again in the expansion;
+            # a qrun inside c is met in both passes under equal contexts
+            # and reuses the first, so no body is typed more than twice
+            done = ctx.lookup(term)
+            if done is not None and done[1] == gamma:
+                return done[2]
             meas = generate_meas_circuit(_circuit(gamma, (), c, ctx))
             x = _fresh_name("x", free_wires(c))
             run = Run(Compose(WireP(x), c, Unbox(meas, WireP(x))), loc=term.loc)
             ty = _infer_host(gamma, run, ctx, expected)
-            ctx.record(term, run)
+            ctx.record(term, (run, dict(gamma), ty))
             return ty
         case IntLit(n):
             if isinstance(expected, ClassicalT) and expected.name != "int":
@@ -597,7 +607,9 @@ def elaborate_sugar(checked: CheckedProgram) -> Program:
     ctx = checked.ctx
 
     def elab(n):
-        if isinstance(n, (QRun, QLift)):
+        if isinstance(n, QRun):
+            n = ctx.lookup(n)[0]
+        elif isinstance(n, QLift):
             n = ctx.lookup(n)
         return map_children(n, elab)
 

@@ -19,7 +19,7 @@ from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.qlist import monomorphize
 from ewire.syntax import (
     BIT, ClassicalW, Compose, DefDecl, Gate, GateRef, Init, Lift,
-    Output, QUBIT, TensorW, UnitW, Var, WireP, children,
+    Output, PairP, QUBIT, TensorW, UnitW, Var, WireP, children,
 )
 from ewire.typecheck import (
     check_circuit, check_host, check_program, _default_ctx,
@@ -734,9 +734,13 @@ def test_program_values_freed_without_cycle_collection():
     import gc
     import weakref
 
+    from ewire.denote import HostValue, _Plan
+
     cp = check_program(parse_program(
         "def f : int -> int = lambda x : int . x\n"
         "def c : Circ(qubit, qubit) = box q : qubit => output q\n"
+        "def d : Circ(bit * qubit, qubit) = box (b, q) : bit * qubit =>\n"
+        "  (x <= lift b; q2 <- unbox (if x then c else c) q; output q2)\n"
     ))
     gc.disable()
     try:
@@ -744,6 +748,15 @@ def test_program_values_freed_without_cycle_collection():
         ref = weakref.ref(env["c"])
         del ev, env
         assert ref() is None
+        # the plans stay with the checked program; they hold no
+        # evaluator, environment or host value, so nothing holds it back
+        assert cp.ctx.plans
+        for plan in cp.ctx.plans.values():
+            for slot in _Plan.__slots__:
+                assert not isinstance(getattr(plan, slot), (Evaluator, HostValue, dict))
+        ctx = weakref.ref(cp.ctx)
+        del cp
+        assert ctx() is None
     finally:
         gc.enable()
 
@@ -1173,15 +1186,151 @@ def test_lowered_cap_raises_as_on_a_fresh_evaluator(text):
     old = ewire.algebra.max_dim()
     try:
         ewire.algebra.set_max_dim(8)
+        fresh = _default_ctx()
+        check_circuit({}, omega, term, fresh)
+        # one made before the cap was lowered, one after it over the plans
+        # filled under the old cap, and one over a context with no plans
+        later = Evaluator(ctx=ctx)
         messages = []
-        for e in (ev, Evaluator(ctx=ctx)):
+        for e in (ev, later, Evaluator(ctx=fresh)):
             with pytest.raises(ResourceLimit) as info:
                 e.denote_circuit(None, omega, term, {})
             messages.append(str(info.value))
-        assert messages[0] == messages[1]
+        assert messages[0] == messages[1] == messages[2]
     finally:
         ewire.algebra.set_max_dim(old)
-    assert ev.denote_circuit(None, omega, term, {}).matrix.tobytes() == before
+    for e in (ev, later):
+        assert e.denote_circuit(None, omega, term, {}).matrix.tobytes() == before
+
+
+def _count_builds(monkeypatch) -> list:
+    """A list that grows by ``(ctx, term, omega)`` per plan built."""
+    build, built = Evaluator._build_plan, []
+
+    def counted(ev, omega, term):
+        built.append((ev.ctx, term, omega))
+        return build(ev, omega, term)
+
+    monkeypatch.setattr(Evaluator, "_build_plan", counted)
+    return built
+
+
+def _plan_sharing_cases():
+    """``(check, runs)`` per case: ``check()`` checks the case into a new
+    ``CheckContext`` and returns it, and ``runs`` lists ``(mode, job)``
+    in the order they run, ``job(ev)`` evaluating with ``ev``.  The
+    cases are the rewrite corpus (seeds 2000-2099), each circuit and its
+    normal form in cpu and cpsu mode, in one of the 24 orders of those
+    four runs; QFT ``fourier`` at n=1..4; and every declaration of
+    ``programs/*.ew`` (``qft.ew``'s at list size 3)."""
+    import itertools
+
+    orders = list(itertools.permutations(range(4)))
+    cases = []
+    for seed in range(2000, 2100):
+        omega, term = random_circuit(seed, max_qubits=4, max_stmts=12)
+        nf, _ = normalize(term, max_steps=600)
+
+        def check(omega=omega, term=term, nf=nf):
+            ctx = _default_ctx()
+            check_circuit({}, omega, term, ctx)
+            check_circuit({}, omega, nf, ctx)
+            return ctx
+
+        runs = [(mode, lambda ev, t=t, omega=omega: ev.denote_circuit(None, omega, t, {}))
+                for mode in (Mode.cpu(), Mode.cpsu()) for t in (term, nf)]
+        cases.append((check, [runs[i] for i in orders[seed % len(orders)]]))
+
+    def program(prog):
+        # evaluate_program resets the fuel per declaration; this does not
+        def run(ev):
+            env, values = {}, []
+            for d in prog.decls:
+                if isinstance(d, DefDecl):
+                    env[d.name] = ev.eval_host(None, d.term, dict(env))
+                    values.append(env[d.name])
+            return values
+        return (lambda: check_program(prog).ctx), run
+
+    qft = parse_program((PROGRAMS / "qft.ew").read_text())
+    progs = [monomorphize(qft, n, "fourier")[0] for n in range(1, 5)]
+    for path in sorted(PROGRAMS.glob("*.ew")):
+        prog = parse_program(path.read_text())
+        progs.append(monomorphize(prog, 3, None)[0] if path.name == "qft.ew" else prog)
+    for prog in progs:
+        check, run = program(prog)
+        # fuel 100, so Hs (-1) bottoms out within the default recursion limit
+        cases.append((check, [(Mode.cpsu(100), run), (Mode.cpu(), run), (Mode.cpsu(100), run)]))
+    return cases
+
+
+def test_shared_plans_match_a_fresh_context_per_evaluator(monkeypatch):
+    # every evaluator of a case over one context, reading and filling its
+    # plans, against each evaluator over a context of its own
+    cases = _plan_sharing_cases()
+    built = _count_builds(monkeypatch)
+    shared = []
+    for check, runs in cases:
+        ctx = check()
+        shared += _outcomes([(ctx, mode, job) for mode, job in runs])
+    shared_builds = len(built)
+    del built[:]
+    fresh = []
+    for check, runs in cases:
+        fresh += _outcomes([(check(), mode, job) for mode, job in runs])
+    assert shared_builds < len(built) // 2
+    assert any(isinstance(r, tuple) and r[0] == "EvalError" for r, _ in shared)
+    assert shared == fresh
+
+
+def test_each_plan_is_built_once_per_node_and_context(monkeypatch):
+    # one pass of the rewrite benchmark's op over its corpus: four
+    # evaluators per context, on the circuit and its normal form in cpu
+    # and cpsu mode, build each plan once; a second pass builds none
+    built = _count_builds(monkeypatch)
+    cases = []
+    for seed in range(2000, 2100):
+        omega, term = random_circuit(seed, max_qubits=4, max_stmts=12)
+        nf, _ = normalize(term, max_steps=600)
+        ctx = _default_ctx()
+        check_circuit({}, omega, term, ctx)
+        check_circuit({}, omega, nf, ctx)
+        cases.append((ctx, omega, (term, nf)))
+    rounds = []
+    for _ in range(2):
+        start = len(built)
+        for ctx, omega, terms in cases:
+            for mode in (Mode.cpu(), Mode.cpsu()):
+                for t in terms:
+                    Evaluator(ctx=ctx, mode=mode).denote_circuit(None, omega, t, {})
+        rounds.append(len(built) - start)
+    # built pins every context and node, so no id is reused
+    assert len({(id(c), id(t), omega) for c, t, omega in built}) == len(built)
+    assert rounds == [1728, 0]
+
+
+def test_a_node_shared_by_two_contexts_keeps_a_plan_for_each(monkeypatch):
+    # normalize shares unchanged subterms between a circuit and its normal
+    # form; here a reordering gives the shared output two contexts
+    h = GateRef("H")
+    rest = Output(PairP(WireP("a2"), WireP("b2")))
+    first = Gate(WireP("a2"), h, WireP("a"), Gate(WireP("b2"), h, WireP("b"), rest))
+    second = Gate(WireP("b2"), h, WireP("b"), Gate(WireP("a2"), h, WireP("a"), rest))
+    omega = (("a", QUBIT), ("b", QUBIT))
+    ctx = _default_ctx()
+    want = []
+    for t in (first, second):
+        check_circuit({}, omega, t, ctx)
+        _, op = _denote(omega, t)
+        want.append(op.matrix.tobytes())
+    built = _count_builds(monkeypatch)
+    for _ in range(3):
+        got = [Evaluator(ctx=ctx).denote_circuit(None, omega, t, {}).matrix.tobytes()
+               for t in (first, second)]
+        assert got == want
+    contexts = [o for _, t, o in built if t is rest]
+    assert contexts == [(("b2", QUBIT), ("a2", QUBIT)), (("a2", QUBIT), ("b2", QUBIT))]
+    assert len(built) == 6
 
 
 def test_an_unfolding_nests_at_most_six_frames(monkeypatch):

@@ -9,8 +9,8 @@ from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.syntax import (
     BIT, Box, CircT, ClassicalLit, ClassicalT, ClassicalW, Compose,
     DEFAULT_BASES, DefDecl, Gate, Init, IntLit, Lift, MonadT, Output, PairElim, PairP, Prim,
-    QLift, QListW, QRun, QUBIT, Run, TensorW, UnitElim, UnitP, UnitW, Unbox, Var, WireP,
-    children, classicalize, pretty_print,
+    ProductT, QLift, QListW, QRun, QUBIT, Run, TensorW, UnitElim, UnitP, UnitW, Unbox, Var,
+    WireP, children, classicalize, pretty_print,
 )
 from ewire.typecheck import (
     CheckContext, TypeCheckError, check_circuit, check_host, check_program,
@@ -556,6 +556,8 @@ def test_sugar_is_recorded_as_its_checked_expansion():
     assert {type(n) for n in sugar} == {QRun, QLift}
     for n in sugar:
         expansion = checked.ctx.lookup(n)
+        if isinstance(n, QRun):
+            expansion = expansion[0]
         assert isinstance(expansion, Run if isinstance(n, QRun) else Compose)
         assert expansion.loc == n.loc
 
@@ -564,6 +566,47 @@ def _nodes(n):
     yield n
     for c in children(n):
         yield from _nodes(c)
+
+
+def _nested_qrun(depth: int) -> str:
+    # each level passes the qrun below it to a host function under an unbox
+    t = "qrun (a <- gate init0 (); output a)"
+    for _ in range(depth):
+        t = ("qrun (u <- unbox ((lambda m : T(bit) . box () => (a <- gate init0 (); "
+             f"output a)) ({t})) (); output u)")
+    return f"def main : T(bit) = {t}\n"
+
+
+def test_nested_qrun_body_is_typed_a_constant_number_of_times(monkeypatch):
+    # a count, not a time: each level types its body twice, once for its
+    # wire type and once in its expansion, and a qrun met again in the
+    # second pass reuses its record instead of typing its body anew
+    import ewire.typecheck
+
+    prog = parse_program(_nested_qrun(12))
+    innermost = [n for n in _nodes(prog.decls[0].term) if isinstance(n, QRun)][-1].circuit
+    circuit, typed = ewire.typecheck._circuit, []
+
+    def counted(gamma, omega, term, ctx, spent=frozenset()):
+        typed.append(term is innermost)
+        return circuit(gamma, omega, term, ctx, spent)
+
+    monkeypatch.setattr(ewire.typecheck, "_circuit", counted)
+    checked = check_program(prog)
+    assert sum(typed) == 2
+    assert checked.def_types["main"] == MonadT(ClassicalT("bit", 2))
+
+
+def test_qrun_checked_again_in_another_host_context_is_typed_anew():
+    # a record is reused only under an equal host context
+    term = parse_host_term("qrun (q <- unbox f (); output q)")
+    ctx = _default_ctx()
+    pair = TensorW(QUBIT, QUBIT)
+    assert check_host({"f": CircT(UnitW(), QUBIT)}, term, ctx) == MonadT(ClassicalT("bit", 2))
+    got = check_host({"f": CircT(UnitW(), pair)}, term, ctx)
+    assert got == MonadT(ProductT(ClassicalT("bit", 2), ClassicalT("bit", 2)))
+    with pytest.raises(TypeCheckError, match="unbound host variable 'f'"):
+        check_host({}, term, ctx)
 
 
 def _values(checked, mode):
