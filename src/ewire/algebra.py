@@ -38,6 +38,9 @@ Conventions used throughout:
   product.  The dense ``SuperOp.matrix`` remains the reference
   semantics, bit for bit: a view's ``matrix`` equals what composing the
   dense matrices row by row gives, signed zeros included.
+
+This module decides no typing: a gate's wire signature is
+``typecheck.gate_signature``, and ``gate_denotation`` gives only its map.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .syntax import BIT, QUBIT, GateRef, TensorW, UnitW, pretty_print
+from .syntax import GateRef, UnknownGate, pretty_print
 
 
 class DimensionMismatch(ValueError):
@@ -65,10 +68,6 @@ class ZeroCopower(ValueError):
 
 
 class NonClassicalSource(ValueError):
-    pass
-
-
-class UnknownGate(KeyError):
     pass
 
 
@@ -883,50 +882,6 @@ def _rotation(n: int) -> np.ndarray:
 
 _UNITARIES = {"H": _H, "X": _X, "Y": _Y, "Z": _Z, "CNOT": _CNOT}
 
-_FIXED_SIGNATURES = {
-    "meas": (QUBIT, BIT),
-    "new": (BIT, QUBIT),
-    "init0": (UnitW(), QUBIT),
-    "init1": (UnitW(), QUBIT),
-    "discard": (BIT, UnitW()),
-    "H": (QUBIT, QUBIT),
-    "X": (QUBIT, QUBIT),
-    "Y": (QUBIT, QUBIT),
-    "Z": (QUBIT, QUBIT),
-    "CNOT": (TensorW(QUBIT, QUBIT), TensorW(QUBIT, QUBIT)),
-}
-
-
-def gate_signature(g: GateRef, declared: dict | None = None):
-    """Input/output wire types of a gate reference.
-
-    ``declared`` maps names of header-declared gates to signatures.
-    Raises UnknownGate if the name does not resolve.
-    """
-    declared = declared or {}
-    if g.sub is not None:
-        sub_in, sub_out = gate_signature(g.sub, declared)
-        if sub_in != sub_out:
-            raise UnknownGate(
-                f"controlled gate must have equal input and output types, "
-                f"got {pretty_print(sub_in)} -> {pretty_print(sub_out)}"
-            )
-        ctl = BIT if g.name == "bit-control" else QUBIT
-        w = TensorW(ctl, sub_in)
-        return (w, w)
-    if g.name in ("R", "CR"):
-        if g.index is None:
-            raise UnknownGate(f"{g.name} needs a rotation index")
-        if g.name == "R":
-            return (QUBIT, QUBIT)
-        return (TensorW(QUBIT, QUBIT), TensorW(QUBIT, QUBIT))
-    if g.name in _FIXED_SIGNATURES:
-        return _FIXED_SIGNATURES[g.name]
-    if g.name in declared:
-        return declared[g.name]
-    raise UnknownGate(f"unknown gate {pretty_print(g)}")
-
-
 def _unitary_of(g: GateRef) -> np.ndarray:
     if g.name in _UNITARIES:
         return _UNITARIES[g.name]
@@ -992,16 +947,6 @@ def _gate_superop(g: GateRef) -> SuperOp:
     if g.name in _UNITARIES or g.name in ("R", "CR", "control"):
         return unitary_channel(_unitary_of(g))
     raise UnknownGate(f"no denotation for gate {pretty_print(g)}")
-
-
-BUILTIN_GATES = [
-    GateRef("meas"), GateRef("new"), GateRef("init0"), GateRef("init1"),
-    GateRef("discard"), GateRef("H"), GateRef("X"), GateRef("Y"),
-    GateRef("Z"), GateRef("CNOT"), GateRef("R", index=1),
-    GateRef("R", index=2), GateRef("CR", index=1), GateRef("CR", index=2),
-    GateRef("bit-control", sub=GateRef("X")),
-    GateRef("control", sub=GateRef("H")),
-]
 
 
 # ---------------------------------------------------------------------------

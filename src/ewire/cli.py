@@ -44,8 +44,8 @@ from .parser import ParseError, parse_program
 from .qlist import QListError, monomorphize
 from .syntax import (
     Box, CircT, DefDecl, MonadT, NotClassicalError, PairP, Run, TensorW,
-    Unbox, UnitP, UnitW, Var, WireP, free_host_vars, pretty_print,
-    unlift_type,
+    Unbox, UnitP, UnitW, UnknownGate, Var, WireP, free_host_vars,
+    pretty_print, unlift_type,
 )
 from .typecheck import (
     CheckedProgram, TypeCheckError, bind_pattern, check_host, check_program,
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
     except EvalError as e:
         _diag(args, type(e).__name__, str(e), None)
         return 1
-    except algebra.UnknownGate as e:
+    except UnknownGate as e:
         # a header-declared gate types, but has no denotation
         _diag(args, "UnknownGate", e.args[0], None)
         return 1

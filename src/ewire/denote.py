@@ -21,10 +21,10 @@ true fixed point.
 An ``Evaluator`` evaluates only terms checked under its own
 ``CheckContext``: it reads every type it needs, and how each circuit
 step splits and binds its wires, from that context's table, and raises
-``EvalError`` where a record is missing.  It never types a pattern, and
-evaluates a ``qrun`` or ``qlift`` as its recorded expansion.  The
-module-level ``denote_circuit`` and ``eval_host`` check their input
-first.
+``EvalError`` where a record is missing.  It never types a pattern nor
+tests a typed fact again, and evaluates a ``qrun`` or ``qlift`` as its
+recorded expansion.  The module-level ``denote_circuit`` and
+``eval_host`` check their input first.
 
 A ``lift`` denotes one branch per classical value, but a branch whose
 rows no later step reads is not computed: it is traversed for its host
@@ -181,11 +181,9 @@ def classical_index(v: WireType, value) -> int:
     """Position of a plain classical value in the enumeration of V."""
     match v:
         case UnitW():
-            if value != ():
-                raise EvalError(f"expected (), got {value!r}")
             return 0
         case ClassicalW(name, k):
-            if not isinstance(value, int) or not (0 <= value < k):
+            if not (0 <= value < k):
                 raise PartialityError(
                     f"value {value!r} out of range for {name} (cardinality {k})"
                 )
@@ -329,10 +327,7 @@ class Evaluator:
         while True:
             t = type(term)
             if t is Var:
-                try:
-                    return env[term.name]
-                except KeyError:
-                    raise EvalError(f"unbound variable {term.name!r}")
+                return env[term.name]
             if t is App:
                 fv = self.eval_host(gamma, term.fn, env)
                 av = self.eval_host(gamma, term.arg, env)
@@ -342,21 +337,15 @@ class Evaluator:
             if t is Prim:
                 lv = self.eval_host(gamma, term.left, env)
                 rv = self.eval_host(gamma, term.right, env)
-                if not (type(lv) is int and type(rv) is int):
-                    raise EvalError(f"arithmetic on non-numbers {lv!r}, {rv!r}")
                 op = term.op
                 if op == "+":
                     return lv + rv
                 if op == "-":
                     return lv - rv
-                if op == "=":
-                    # never a bool: str(True) would print as an outcome
-                    return 1 if lv == rv else 0
-                raise EvalError(f"unknown primitive {op!r}")
+                # "=", never a bool: str(True) would print as an outcome
+                return 1 if lv == rv else 0
             if t is If:
                 cv = self.eval_host(gamma, term.cond, env)
-                if type(cv) is not int:
-                    raise EvalError(f"condition evaluated to {cv!r}")
                 term = term.then if cv != 0 else term.orelse
                 continue
             if t is Box:
@@ -372,25 +361,18 @@ class Evaluator:
                 return (self.eval_host(gamma, term.left, env),
                         self.eval_host(gamma, term.right, env))
             if t is Proj:
-                v = self.eval_host(gamma, term.arg, env)
-                if type(v) is not tuple or len(v) != 2:
-                    raise EvalError(f"projection from non-pair {v!r}")
-                return v[term.side - 1]
+                return self.eval_host(gamma, term.arg, env)[term.side - 1]
             if t is UnitVal:
                 return ()
             if t is Ret:
                 return Distribution({self.eval_host(gamma, term.arg, env): 1.0})
             if t is Bind:
                 d = self.eval_host(gamma, term.arg, env)
-                if not isinstance(d, Distribution):
-                    raise EvalError(f"let <= of a non-computation {d!r}")
                 out: dict = {}
                 for hv, w in d.items():
                     env2 = dict(env)
                     env2[term.var] = hv
                     d2 = self.eval_host(gamma, term.body, env2)
-                    if not isinstance(d2, Distribution):
-                        raise EvalError("body of let <= must be a computation")
                     for hv2, w2 in d2.items():
                         out[hv2] = out.get(hv2, 0.0) + w * w2
                 return Distribution(out)
@@ -407,8 +389,6 @@ class Evaluator:
             if t is GateFam:
                 w_in, w_out = self._checked(term)
                 n = self.eval_host(gamma, term.index, env)
-                if type(n) is not int:
-                    raise EvalError("gate family index must be a number")
                 if n < 0:
                     raise PartialityError(
                         f"gate family {term.name} rejects negative index {n}"
@@ -516,10 +496,7 @@ class Evaluator:
                               _DEAD if dead else (need, p, p.op))
             h = _compose(p.op, p.rest(), f2, p.rows(), dead)
         elif t is Unbox:
-            v = self.eval_host(None, term.term, env)
-            if not isinstance(v, CircV):
-                raise EvalError(f"unbox of non-circuit value {v!r}")
-            h, rows = v.op, p.rows()
+            h, rows = self.eval_host(None, term.term, env).op, p.rows()
         elif t is Compose:
             f1 = self._denote(p.sel, term.first, env, _DEAD if dead else None)
             f2 = self._denote(p.cont, term.rest, env,

@@ -40,7 +40,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .algebra import BUILTIN_GATES
 from .qlist import LIST_GATES
 from .syntax import (
     App, Ascribe, ArrowT, Bind, Box, CircT, ClassicalDecl,
@@ -52,7 +51,9 @@ from .syntax import (
     UnitVal, UnitW, Unbox, Var, WireP, WireType, mentions_qlist,
     pattern_linear, pattern_wires,
 )
-from .typecheck import TypeCheckError, bind_pattern, pattern_type
+from .typecheck import (
+    BUILTIN_GATES, GATE_FAMILIES, TypeCheckError, bind_pattern, pattern_type,
+)
 
 
 class ParseError(Exception):
@@ -476,7 +477,7 @@ class Parser:
         if t.kind in ("fst", "snd"):
             self.next()
             f = Proj(1 if t.kind == "fst" else 2, self.host_atom(), loc=t.span)
-        elif t.kind == "ident" and t.text in ("CR", "R") and self._atom_follows(1):
+        elif t.kind == "ident" and t.text in GATE_FAMILIES and self._atom_follows(1):
             self.next()
             f = GateFam(t.text, self.host_atom(), loc=t.span)
         else:

@@ -31,17 +31,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from . import algebra
 from .syntax import (
     App, ArrowT, Box, CircT, ClassicalDecl, Compose, DefDecl, Gate,
     GateDecl, GateRef, HostTerm, If, Init, Lam, Lift, NotClassicalError,
     Output, PairElim, PairP, Program, QListW, QUBIT, QuantumW, TensorW,
-    UnitElim, UnitP, UnitW, Unbox, Var, WireP, WireType, _subst_in_pattern,
-    free_wires, lift_type, mentions_qlist, pretty_print, unlift_type,
+    UnitElim, UnitP, UnitW, Unbox, UnknownGate, Var, WireP, WireType,
+    _subst_in_pattern, free_wires, lift_type, mentions_qlist, pretty_print,
+    unlift_type,
 )
 from .typecheck import (
     CheckContext, TypeCheckError, _select, bind_pattern, bind_step,
-    check_host, take,
+    check_host, gate_signature, take,
 )
 
 
@@ -249,8 +249,8 @@ class _Instantiator:
                 return self._circ(_core_node(c, omega), omega, gamma, spent)
             case Gate(out_p, g, in_p, _):
                 try:
-                    w_out = algebra.gate_signature(g, self.ctx.gates)[1]
-                except algebra.UnknownGate as e:
+                    w_out = gate_signature(g, self.ctx.gates)[1]
+                except UnknownGate as e:
                     raise QListError(e.args[0], c.loc) from None
                 _, consumes, rest_omega = take(omega, in_p, c.loc, spent)
                 bound = bind_pattern(out_p, w_out, c.loc)

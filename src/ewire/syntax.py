@@ -297,6 +297,10 @@ class GateRef:
         return pretty_print(self)
 
 
+class UnknownGate(KeyError):
+    """A gate reference with no signature (typing) or no map (denotation)."""
+
+
 class CircuitTerm:
     # the scope declaration of a term class (see the module docstring)
     consumes = ()

@@ -14,6 +14,10 @@ onto a binder and ``bind_step`` binds new wires that shadow no live one.
 The measurement sugar (``qrun``, ``qlift``) is typed only as its
 expansion, which appends the measuring circuit generated by induction on
 the wire type; the expansion is recorded for evaluation and elaboration.
+
+Typing, gate signatures included, is decided here alone: ``denote``
+tests no typed fact again, and the front end (``syntax``, ``parser``,
+``typecheck``, ``qlist``) imports nothing from the numpy backend.
 """
 
 from __future__ import annotations
@@ -21,16 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from . import algebra
 from .syntax import (
-    App, Ascribe, ArrowT, Bind, Box, ClassicalLit, ClassicalT, CircT,
+    App, Ascribe, ArrowT, BIT, Bind, Box, ClassicalLit, ClassicalT, CircT,
     Compose, DEFAULT_BASES, DefDecl, Fix, Gate, GateFam, GateRef, HostTerm,
     HostType, If, Init, IntLit, Lam, Lift, MonadT, NotClassicalError,
     Output, Pair, PairElim, PairP, Pattern, Prim, Program, Proj, ProductT,
     QUBIT, QuantumW, QLift, QRun, Ret, Run, Span, TensorW, UnitElim, UnitP,
-    UnitT, UnitVal, UnitW, Unbox, Var, WireP, WireType, _fresh_name,
-    classicalize, free_wires, is_classical, lift_type, map_children,
-    mentions_qlist, pattern_linear, pattern_wires, unlift_type,
+    UnitT, UnitVal, UnitW, Unbox, UnknownGate, Var, WireP, WireType,
+    _fresh_name, classicalize, free_wires, is_classical, lift_type,
+    map_children, mentions_qlist, pattern_linear, pattern_wires,
+    pretty_print, unlift_type,
 )
 
 # error kinds
@@ -107,6 +111,64 @@ def _no_qlist(w: WireType, loc=None):
         raise TypeCheckError(
             MISMATCH, "qlist must be instantiated with --qlist-size", loc
         )
+
+
+# ---------------------------------------------------------------------------
+# Gate signatures
+# ---------------------------------------------------------------------------
+
+# the rotation families: every member acts on its family's wire type
+GATE_FAMILIES = {"R": QUBIT, "CR": TensorW(QUBIT, QUBIT)}
+
+_FIXED_SIGNATURES = {
+    "meas": (QUBIT, BIT),
+    "new": (BIT, QUBIT),
+    "init0": (UnitW(), QUBIT),
+    "init1": (UnitW(), QUBIT),
+    "discard": (BIT, UnitW()),
+    "H": (QUBIT, QUBIT),
+    "X": (QUBIT, QUBIT),
+    "Y": (QUBIT, QUBIT),
+    "Z": (QUBIT, QUBIT),
+    "CNOT": (TensorW(QUBIT, QUBIT), TensorW(QUBIT, QUBIT)),
+}
+
+BUILTIN_GATES = [
+    GateRef("meas"), GateRef("new"), GateRef("init0"), GateRef("init1"),
+    GateRef("discard"), GateRef("H"), GateRef("X"), GateRef("Y"),
+    GateRef("Z"), GateRef("CNOT"), GateRef("R", index=1),
+    GateRef("R", index=2), GateRef("CR", index=1), GateRef("CR", index=2),
+    GateRef("bit-control", sub=GateRef("X")),
+    GateRef("control", sub=GateRef("H")),
+]
+
+
+def gate_signature(g: GateRef, declared: dict | None = None):
+    """Input/output wire types of a gate reference.
+
+    ``declared`` maps names of header-declared gates to signatures.
+    Raises UnknownGate if the name does not resolve.
+    """
+    if g.sub is not None:
+        sub_in, sub_out = gate_signature(g.sub, declared)
+        if sub_in != sub_out:
+            raise UnknownGate(
+                f"controlled gate must have equal input and output types, "
+                f"got {pretty_print(sub_in)} -> {pretty_print(sub_out)}"
+            )
+        ctl = BIT if g.name == "bit-control" else QUBIT
+        w = TensorW(ctl, sub_in)
+        return (w, w)
+    if g.name in GATE_FAMILIES:
+        if g.index is None:
+            raise UnknownGate(f"{g.name} needs a rotation index")
+        w = GATE_FAMILIES[g.name]
+        return (w, w)
+    if g.name in _FIXED_SIGNATURES:
+        return _FIXED_SIGNATURES[g.name]
+    if declared and g.name in declared:
+        return declared[g.name]
+    raise UnknownGate(f"unknown gate {pretty_print(g)}")
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +362,8 @@ def _circuit(gamma, omega, term, ctx, spent=frozenset()) -> WireType:
             bindings = ((w1, got.left), (w2, got.right))
         case Gate(out_p, g, in_p, _):
             try:
-                w_in, w_out = algebra.gate_signature(g, ctx.gates)
-            except algebra.UnknownGate as e:
+                w_in, w_out = gate_signature(g, ctx.gates)
+            except UnknownGate as e:
                 raise TypeCheckError(GATE_SIGNATURE, str(e.args[0]), term.loc)
             got, consumes, remaining = take(omega, in_p, term.loc, spent)
             if got != w_in:
@@ -398,6 +460,11 @@ def _infer_host(gamma, term, ctx, expected):
                 check_host(gamma, l, ctx, le), check_host(gamma, r, ctx, re_)
             )
         case Proj(side, t):
+            if side not in (1, 2):
+                raise TypeCheckError(
+                    MISMATCH, f"projection side must be 1 or 2, got {side!r}",
+                    term.loc,
+                )
             ty = check_host(gamma, t, ctx)
             if not isinstance(ty, ProductT):
                 raise TypeCheckError(
@@ -486,11 +553,13 @@ def _infer_host(gamma, term, ctx, expected):
                 )
             check_host(gamma, r, ctx, lty)
             return ClassicalT("bit", 2)
-        case Prim(op, l, r):
+        case Prim("+" | "-", l, r):
             it = _int_type(ctx)
             check_host(gamma, l, ctx, it)
             check_host(gamma, r, ctx, it)
             return it
+        case Prim(op):
+            raise TypeCheckError(MISMATCH, f"unknown primitive {op!r}", term.loc)
         case Fix(a, w1, w2):
             _check_host_type(a, term.loc)
             _no_qlist(w1, term.loc)
@@ -499,7 +568,7 @@ def _infer_host(gamma, term, ctx, expected):
             return ArrowT(ArrowT(rec, rec), rec)
         case GateFam(name, ix):
             check_host(gamma, ix, ctx, _int_type(ctx))
-            w = {"CR": TensorW(QUBIT, QUBIT), "R": QUBIT}.get(name)
+            w = GATE_FAMILIES.get(name)
             if w is None:
                 raise TypeCheckError(
                     GATE_SIGNATURE, f"unknown gate family {name!r}", term.loc

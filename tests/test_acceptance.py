@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from ewire.algebra import (
-    BUILTIN_GATES, Distribution, alg, alg_copower, alg_direct_sum,
+    Distribution, alg, alg_copower, alg_direct_sum,
     alg_tensor, copower_stack, copower_sum_iso, frobenius_distance,
     gate_denotation, is_cp, is_unital, loewner_leq, max_dim, op_compose,
     op_identity, op_tensor, set_max_dim, state_to_distribution,
@@ -26,7 +26,7 @@ from ewire.syntax import (
     BIT, Box, GateRef, Output, PairP, QUBIT, TensorW, UnitP, WireP,
 )
 from ewire.typecheck import (
-    TypeCheckError, bind_pattern, check_circuit, check_host, check_program,
+    BUILTIN_GATES, TypeCheckError, bind_pattern, check_circuit, check_host, check_program,
     generate_meas_circuit, generate_new_circuit,
     _default_ctx,
 )

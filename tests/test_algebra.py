@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ewire.algebra import (
-    BUILTIN_GATES, DimensionMismatch, FdAlgebra, ResourceLimit, SCALARS,
-    SuperOp, UnknownGate, ZeroCopower, alg, alg_copower, alg_direct_sum,
+    DimensionMismatch, FdAlgebra, ResourceLimit, SCALARS,
+    SuperOp, ZeroCopower, alg, alg_copower, alg_direct_sum,
     alg_tensor, choi_matrix, compose_tensored, copower_stack,
     copower_sum_iso, element_from_blocks, factor_index_map,
     factor_permutation, frobenius_distance, gate_denotation,
-    gate_signature, is_cp, is_subunital, is_unital, loewner_leq, max_dim,
+    is_cp, is_subunital, is_unital, loewner_leq, max_dim,
     op_compose, op_identity, op_relabel, op_scale, op_tensor, op_zero,
     permutation_superop, psd_within, _psd_margin,
     set_max_dim, state_to_distribution, superop_to_json,
     tensor_copower_iso, tensor_many, unit_element,
 )
-from ewire.syntax import BIT, GateRef, QUBIT, TensorW
+from ewire.syntax import BIT, GateRef, QUBIT, TensorW, UnknownGate
+from ewire.typecheck import BUILTIN_GATES, gate_signature
 
 from tests.oracle import (
     is_cp_by_eigvalsh, is_subunital_by_eigvalsh, json_by_pairs, psd_by_eigvalsh,

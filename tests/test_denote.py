@@ -105,6 +105,22 @@ def test_deterministic_init_run():
     assert dist[1] == 1.0 and dist[0] == 0.0
 
 
+@pytest.mark.parametrize("mode", [Mode.cpu(), Mode.cpsu(50)], ids=lambda m: m.kind)
+def test_init_of_pairs_and_units_runs_to_its_value(mode):
+    # classical_index and classical_size on tensors, with a unit factor
+    # on either side of one
+    src = """
+def pair : T(bit * bit) = run (c <- init ((1 : bit), (0 : bit)); output c)
+def unit_left : T(1 * bit) = run (c <- init ((), (1 : bit)); output c)
+def nested : T(bit * (1 * bit)) = run (c <- init ((1 : bit), ((), (0 : bit))); output c)
+"""
+    _, _, env = evaluate_program(check_program(parse_program(src)), mode=mode)
+    assert dict(env["pair"].items()) == {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 1.0, (1, 1): 0.0}
+    assert dict(env["unit_left"].items()) == {((), 0): 0.0, ((), 1): 1.0}
+    assert dict(env["nested"].items()) == {
+        (0, ((), 0)): 0.0, (0, ((), 1)): 0.0, (1, ((), 0)): 1.0, (1, ((), 1)): 0.0}
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_heisenberg_is_adjoint_of_schrodinger_oracle(seed):
     omega, term = random_circuit(seed, max_qubits=3, max_stmts=8)
@@ -326,6 +342,19 @@ def test_fix_eval_entrypoint():
     # Hs is the fixed point value itself; applying it unfolds it
     out = ev.apply(env["Hs"], 2)
     assert np.allclose(out.op.matrix, np.eye(4))
+
+
+def test_fixed_point_unfolding_to_itself_spends_all_fuel_on_bottom():
+    # the functional returns the fixed point itself, so each unfolding
+    # applies the fixed point again: 50 unfoldings, then the zero map
+    t = parse_host_term("(Y[1, qubit, qubit] (lambda f : 1 -> Circ(qubit, qubit) . f)) ()")
+    ctx = _default_ctx()
+    check_host({}, t, ctx)
+    ev = Evaluator(ctx=ctx, mode=Mode.cpsu(50))
+    out = ev.eval_host(None, t, {})
+    assert isinstance(out, CircV) and out.op.matrix.shape == (4, 4)
+    assert not out.op.matrix.any()
+    assert ev.fuel == 0
 
 
 def test_partiality_out_of_range_init():

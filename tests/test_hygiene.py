@@ -249,3 +249,44 @@ def test_undeclared_pattern_field_detected():
     assert scope_faults(Stray) == ["pat is neither consumed nor bound"]
     with pytest.raises(TypeError, match="Stray.pat is neither consumed nor bound"):
         syntax._scope(Stray)
+
+
+FRONT_END = ("syntax", "parser", "typecheck", "qlist")
+BACKEND = {"algebra", "denote", "normalize", "cli", "numpy"}
+
+
+def imported_modules(source: str) -> set:
+    """The modules ``source`` imports anywhere in it, each by its first
+    name below the package: ``numpy`` for ``import numpy.linalg``, and
+    ``algebra`` for ``from . import algebra``, ``from .algebra import alg``,
+    ``from ewire import algebra`` or ``import ewire.algebra``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "ewire"):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module)
+    parts = [n.split(".") for n in names]
+    return {p[1] if p[0] == "ewire" and len(p) > 1 else p[0] for p in parts}
+
+
+@pytest.mark.parametrize("module", FRONT_END)
+def test_front_end_imports_no_backend(module):
+    # the front end decides typing, gate signatures included; the numpy
+    # backend only evaluates what it has checked
+    assert imported_modules((SRC / f"{module}.py").read_text()) & BACKEND == set()
+
+
+def test_backend_import_detected():
+    src = (
+        "from __future__ import annotations\n"
+        "import numpy.linalg\nfrom . import algebra, syntax\n"
+        "from .denote import Evaluator\nfrom ewire.cli import main\n"
+        "def f():\n    from .normalize import normalize\n"
+    )
+    assert imported_modules(src) == {
+        "__future__", "numpy", "algebra", "syntax", "denote", "cli", "normalize"}
+    assert imported_modules("import ewire.algebra\nfrom ewire import denote\n") == {
+        "algebra", "denote"}

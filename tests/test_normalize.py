@@ -12,7 +12,8 @@ from ewire.normalize import (
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.qlist import monomorphize
 from ewire.syntax import (
-    Box, CircT, Compose, DefDecl, Gate, Lift, QUBIT, UnitElim, alpha_equiv,
+    BIT, Box, CircT, ClassicalT, Compose, DefDecl, Gate, Lift, QUBIT, UnitElim,
+    alpha_equiv,
 )
 from ewire.typecheck import check_circuit, check_program, _default_ctx
 
@@ -233,6 +234,36 @@ def test_equiv_distinguishes_h_from_x():
     h = parse_circuit("q1 <- gate H q; output q1")
     x = parse_circuit("q1 <- gate X q; output q1")
     assert not check_equiv(h, x, omega=(("q", QUBIT),))
+
+
+def test_equiv_is_false_for_different_output_types():
+    c1 = parse_circuit("output q")
+    c2 = parse_circuit("b <- gate meas q; output b")
+    assert check_equiv(c1, c2, omega=(("q", QUBIT),)) is False
+
+
+def test_lift_commute_renames_a_lifted_variable_free_in_the_tail():
+    # the tail's x is the host variable of gamma, not the lifted bit
+    c = parse_circuit("u <- (x <= lift b; output ()); () <- u; n <- init x; output n")
+    gamma, omega = {"x": ClassicalT("bit", 2)}, (("b", BIT),)
+    out = apply_rule(RULES_BY_NAME["LiftCommute"], c)
+    assert isinstance(out, Lift) and out.var != "x"
+    captured = parse_circuit("x <= lift b; u <- output (); () <- u; n <- init x; output n")
+    for x in (0, 1):
+        assert check_equiv(c, out, gamma=gamma, omega=omega, env={"x": x})
+        assert not check_equiv(c, captured, gamma=gamma, omega=omega, env={"x": x})
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("if (1 : bit) then 2 else 3", "2"),
+    ("if 0 then 2 else 3", "3"),
+    ("5 - 3", "2"),
+    ("2 = 2", "(1 : bit)"),
+    ("3 = 2", "(0 : bit)"),
+    ("((lambda x : int . x) : int -> int) 4", "4"),
+])
+def test_purify_host_reduces_literal_redexes(text, expected):
+    assert alpha_equiv(purify_host(parse_host_term(text)), parse_host_term(expected))
 
 
 def test_meas_new_meas_collapses():

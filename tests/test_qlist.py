@@ -3,8 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ewire.algebra import frobenius_distance, gate_denotation
-from ewire.denote import Mode, evaluate_program
+from ewire.algebra import frobenius_distance, gate_denotation, op_identity
+from ewire.denote import Mode, denote_wire, evaluate_program
 from ewire.parser import parse_program
 from ewire.qlist import (
     QListError, list_size, monomorphize, qlist_type, subst_qlist,
@@ -156,6 +156,17 @@ def close : Circ(qlist, qlist) =
     cp = check_program(mono)
     _, _, env = evaluate_program(cp)
     assert env[entry].op.matrix.shape == (1, 1)
+
+
+def test_template_with_a_unit_elimination():
+    src = """
+def f : Circ(I * qlist, qlist) =
+  box (u, qs) : I * qlist => (() <- u; output qs)
+"""
+    mono, entry = monomorphize(parse_program(src), 2, "f")
+    _, _, env = evaluate_program(check_program(mono))
+    expected = op_identity(denote_wire(qlist_type(2)))
+    assert np.array_equal(env[entry].op.matrix, expected.matrix)
 
 
 # a template whose list size only its output fixes

@@ -431,6 +431,22 @@ def test_every_program_roundtrips_through_the_printer(path):
     assert check_program(p).def_types == check_program(p2).def_types
 
 
+def test_qlift_declarations_roundtrip_through_the_printer():
+    sugar = Path(__file__).resolve().parent / "sugar.ew"
+    decls = [d for d in parse_program(sugar.read_text()).decls
+             if any(isinstance(n, QLift) for n in _nodes(d.term))]
+    assert [d.name for d in decls] == ["lift_qubit", "lift_pair", "lift_unit", "lift_branch"]
+    for d in decls:
+        (d2,) = parse_program(pretty_print(d)).decls
+        assert d2.name == d.name and alpha_equiv(d.term, d2.term)
+
+
+def _nodes(t):
+    yield t
+    for c in children(t):
+        yield from _nodes(c)
+
+
 def test_comments_and_directives():
     p = parse_program("classical digit 10 -- a decimal base\n")
     assert p.classical_bases()["digit"] == 10

@@ -8,14 +8,15 @@ import pytest
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.syntax import (
     BIT, Box, CircT, ClassicalLit, ClassicalT, ClassicalW, Compose,
-    DEFAULT_BASES, DefDecl, Gate, Init, IntLit, Lift, MonadT, Output, PairElim, PairP, Prim,
-    ProductT, QLift, QListW, QRun, QUBIT, Run, TensorW, UnitElim, UnitP, UnitW, Unbox, Var,
-    WireP, children, classicalize, pretty_print,
+    DEFAULT_BASES, DefDecl, Gate, GateRef, Init, IntLit, Lift, MonadT, Output,
+    Pair, PairElim, PairP, Prim, ProductT, Proj, QLift, QListW, QRun, QUBIT, Run,
+    Span, TensorW, UnitElim, UnitP, UnitW, Unbox, UnknownGate, Var, WireP,
+    children, classicalize, pretty_print,
 )
 from ewire.typecheck import (
-    CheckContext, TypeCheckError, check_circuit, check_host, check_program,
-    elaborate_sugar, generate_meas_circuit, generate_new_circuit,
-    match_pattern, _default_ctx,
+    GATE_FAMILIES, CheckContext, TypeCheckError, check_circuit, check_host,
+    check_program, elaborate_sugar, gate_signature, generate_meas_circuit,
+    generate_new_circuit, match_pattern, _default_ctx,
 )
 from ewire import algebra
 
@@ -168,8 +169,8 @@ def brute_types(gamma, omega, c, henv=None):
                         out |= brute_types(gamma, ext, rest, henv)
         case Gate(out_p, g, in_p, rest):
             try:
-                w_in, w_out = algebra.gate_signature(g, {})
-            except algebra.UnknownGate:
+                w_in, w_out = gate_signature(g, {})
+            except UnknownGate:
                 return out
             items = list(omega)
             for mask in range(2 ** len(items)):
@@ -300,6 +301,27 @@ def test_gate_signature_mismatch():
     with pytest.raises(TypeCheckError) as e:
         check_circuit({}, (("a", BIT),), c)
     assert e.value.kind == "GateSignature"
+
+
+# the parser builds neither term; a checked term is one the evaluator
+# can run, so both are rejected at their span
+@pytest.mark.parametrize("term, message", [
+    (Prim("*", IntLit(2), IntLit(3), loc=Span(1, 2)), "unknown primitive '*'"),
+    (Proj(3, Pair(IntLit(1), IntLit(2)), loc=Span(1, 2)),
+     "projection side must be 1 or 2, got 3"),
+])
+def test_host_terms_the_evaluator_cannot_run_are_rejected(term, message):
+    with pytest.raises(TypeCheckError) as e:
+        check_host({}, term)
+    assert (e.value.kind, e.value.message, e.value.loc) == ("Mismatch", message, Span(1, 2))
+
+
+def test_gate_families_are_one_table():
+    # the parser reads a family application, and both gate typing rules
+    # give its members one type, from the same table
+    for name, w in GATE_FAMILIES.items():
+        assert gate_signature(GateRef(name, index=3)) == (w, w)
+        assert check_host({}, parse_host_term(f"{name} 3")) == CircT(w, w)
 
 
 @pytest.mark.parametrize("text", [
