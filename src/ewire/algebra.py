@@ -74,6 +74,8 @@ class NonClassicalSource(ValueError):
 _DEFAULT_MAX_DIM = 4096
 _max_dim = _DEFAULT_MAX_DIM
 
+DEFAULT_TOL = 1e-9  # of the positivity, unitality and order tests, and of equivalence
+
 
 def set_max_dim(n: int) -> None:
     """Set the element-space dimension cap (see also EWIREC_MAX_DIM);
@@ -144,7 +146,7 @@ def alg_tensor(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
     return out
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _tensor_blocks(a: tuple, b: tuple) -> FdAlgebra:
     return FdAlgebra(tuple(n * m for n in a for m in b))
 
@@ -204,7 +206,7 @@ class AlgElement:
             np.allclose(b, b.conj().T, atol=tol) for b in self.blocks_list()
         )
 
-    def is_positive(self, tol: float = 1e-9) -> bool:
+    def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
         if not self.is_selfadjoint(math.sqrt(tol)):
             return False
         return all(psd_within((b + b.conj().T) / 2, tol) for b in self.blocks_list())
@@ -413,7 +415,7 @@ def _check_tensor_dims(algs: Sequence[FdAlgebra]) -> None:
         _check_dim(dim, "tensor product")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _index_map(factor_blocks: tuple) -> np.ndarray:
     # a basis element of the product picks one (block, row, column) per
     # factor; blocks are ordered lexicographically, and rows and columns
@@ -461,7 +463,7 @@ def tensored_layout(f: SuperOp, rest: FdAlgebra):
     return _layout(f.source, f.target, rest, _max_dim)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _layout(source: FdAlgebra, target: FdAlgebra, rest: FdAlgebra, cap: int):
     src = alg_tensor(source, rest)
     pin = factor_index_map((source, rest))
@@ -590,7 +592,7 @@ def factor_permutation(algs: Sequence[FdAlgebra], new_order: Sequence[int]) -> n
     return _factor_permutation(tuple(a.blocks for a in algs), tuple(new_order))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _factor_permutation(factor_blocks: tuple, new_order: tuple) -> np.ndarray:
     src_map = _index_map(factor_blocks)
     tgt_map = _index_map(tuple(factor_blocks[i] for i in new_order))
@@ -772,7 +774,7 @@ def _factors(h: np.ndarray, shift: float) -> bool:
     return True
 
 
-def is_cp(f: SuperOp, tol: float = 1e-9) -> bool:
+def is_cp(f: SuperOp, tol: float = DEFAULT_TOL) -> bool:
     """Complete positivity within ``tol``: each Choi block ``c`` is Hermitian
     to within ``max(tol, 1e-9)`` relative to ``max(1, ||c||_F)``, and its
     Hermitian part has no eigenvalue below ``-tol`` (``psd_within``, which
@@ -790,18 +792,18 @@ def apply_to_unit(f: SuperOp) -> AlgElement:
     return f(unit_element(f.source))
 
 
-def is_unital(f: SuperOp, tol: float = 1e-9) -> bool:
+def is_unital(f: SuperOp, tol: float = DEFAULT_TOL) -> bool:
     u = apply_to_unit(f)
     return bool(np.linalg.norm(u.vec - unit_element(f.target).vec) <= tol)
 
 
-def is_subunital(f: SuperOp, tol: float = 1e-9) -> bool:
+def is_subunital(f: SuperOp, tol: float = DEFAULT_TOL) -> bool:
     """f(1) <= 1, i.e. 1 - f(1) is positive semidefinite blockwise."""
     gap = unit_element(f.target).vec - apply_to_unit(f).vec
     return AlgElement(f.target, gap).is_positive(tol)
 
 
-def loewner_leq(f: SuperOp, g: SuperOp, tol: float = 1e-9) -> bool:
+def loewner_leq(f: SuperOp, g: SuperOp, tol: float = DEFAULT_TOL) -> bool:
     """Order on maps: f <= g iff g - f is completely positive, tested on
     the Choi blocks of the difference."""
     if f.source != g.source or f.target != g.target:
@@ -841,8 +843,7 @@ class Distribution:
         return self.weights.get(k, 0.0)
 
 
-def state_to_distribution(f: SuperOp, values: Sequence | None = None,
-                          tol: float = 1e-9) -> Distribution:
+def state_to_distribution(f: SuperOp, values: Sequence | None = None) -> Distribution:
     """Read off the subprobability vector of a state on a classical
     algebra: the i-th weight is f applied to the i-th coordinate basis
     element.  ``values`` names the outcomes (defaults to 0..n-1)."""
@@ -851,10 +852,10 @@ def state_to_distribution(f: SuperOp, values: Sequence | None = None,
     if f.target.blocks != (1,):
         raise NonClassicalSource("target must be the scalars")
     row = f.matrix[0]
-    if np.abs(row.imag).max(initial=0.0) > tol:
+    if np.abs(row.imag).max(initial=0.0) > DEFAULT_TOL:
         raise ValueError("state has complex weights")
     w = row.real.copy()
-    if w.min(initial=0.0) < -tol:
+    if w.min(initial=0.0) < -DEFAULT_TOL:
         raise ValueError(f"state has negative weight {w.min()}")
     w = np.clip(w, 0.0, None)
     if values is None:
@@ -915,7 +916,7 @@ def gate_denotation(g: GateRef) -> SuperOp:
     return SuperOp(op.source, op.target, op.matrix)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def _gate_superop(g: GateRef) -> SuperOp:
     if g.name == "meas":
         m = np.zeros((4, 2), dtype=complex)

@@ -31,14 +31,14 @@ from dataclasses import replace
 
 from . import algebra
 from .algebra import (
-    Distribution, ResourceLimit, _fmt, is_cp, is_subunital, is_unital,
+    DEFAULT_TOL, Distribution, ResourceLimit, _fmt, is_cp, is_subunital, is_unital,
     superop_to_json,
 )
 from .denote import (
-    BOTTOM, EvalError, Mode, call_with_stack, evaluate_program, sample,
+    BOTTOM, DEFAULT_FUEL, EvalError, Mode, call_with_stack, evaluate_program, sample,
 )
 from .normalize import (
-    StepLimit, check_equiv, normalize, purify_host, unfold_definitions,
+    DEFAULT_MAX_STEPS, StepLimit, check_equiv, normalize, purify_host, unfold_definitions,
 )
 from .parser import ParseError, parse_program
 from .qlist import QListError, monomorphize
@@ -299,16 +299,16 @@ def _tolerance(text: str) -> float:
     return x
 
 
-def _common(sub, shots=False):
+def _common(sub, mode=False, tol=False):
+    """The file and shared flags; --mode and --fuel if ``mode``, --tol if ``tol``."""
     sub.add_argument("file", help="an .ew source file")
-    sub.add_argument("--mode", choices=["cpu", "cpsu"], default="cpu")
-    sub.add_argument("--fuel", type=_count, default=10_000)
+    if mode:
+        sub.add_argument("--mode", choices=["cpu", "cpsu"], default="cpu")
+        sub.add_argument("--fuel", type=_count, default=DEFAULT_FUEL)
     sub.add_argument("--qlist-size", type=_count, default=None, dest="qlist_size")
-    sub.add_argument("--tol", type=_tolerance, default=1e-9)
+    if tol:
+        sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     sub.add_argument("--json", action="store_true")
-    if shots:
-        sub.add_argument("--shots", type=_count, default=0)
-        sub.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,11 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     _common(c)
 
     r = subs.add_parser("run", help="evaluate an entry of type T(...)")
-    _common(r, shots=True)
+    _common(r, mode=True)
+    r.add_argument("--shots", type=_count, default=0)
+    r.add_argument("--seed", type=int, default=0)
     r.add_argument("--entry", default="main")
 
     d = subs.add_parser("denote", help="print the superoperator of a Circ entry")
-    _common(d)
+    _common(d, mode=True, tol=True)
     d.add_argument("--entry", default="main")
 
     n = subs.add_parser("normalize", help="rewrite a circuit to normal form")
@@ -331,10 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--entry", default="main")
     n.add_argument("--trace", action="store_true")
     n.add_argument("--copower-rules", action="store_true", dest="copower_rules")
-    n.add_argument("--max-steps", type=_count, default=1000, dest="max_steps")
+    n.add_argument("--max-steps", type=_count, default=DEFAULT_MAX_STEPS, dest="max_steps")
 
     e = subs.add_parser("equiv", help="numeric equivalence of two circuits")
-    _common(e)
+    _common(e, mode=True, tol=True)
     e.add_argument("left")
     e.add_argument("right")
     return p

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import (
-    Distribution, FdAlgebra, NonClassicalSource, ResourceLimit, SCALARS,
+    DEFAULT_TOL, Distribution, FdAlgebra, NonClassicalSource, ResourceLimit, SCALARS,
     SuperOp, alg_copower, alg_tensor, compose_tensored, copower_stack,
     factor_permutation, gate_denotation, max_dim, op_identity, op_relabel,
     op_zero, state_to_distribution, tensor_many, tensored_layout,
@@ -126,17 +126,20 @@ class FixV(HostValue):
     w_out: WireType
 
 
+DEFAULT_FUEL = 10_000  # fixed-point unfoldings one cpsu evaluation may perform
+
+
 @dataclass(frozen=True)
 class Mode:
     kind: str  # 'cpu' | 'cpsu'
-    fuel: int = 10_000
+    fuel: int
 
     @staticmethod
     def cpu() -> "Mode":
         return Mode("cpu", 0)
 
     @staticmethod
-    def cpsu(fuel: int = 10_000) -> "Mode":
+    def cpsu(fuel: int = DEFAULT_FUEL) -> "Mode":
         return Mode("cpsu", fuel)
 
     @property
@@ -215,7 +218,7 @@ def denote_context(omega) -> FdAlgebra:
 # the same step with the same message.
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _denote_wire(w: WireType, cap: int) -> FdAlgebra:
     match w:
         case UnitW():
@@ -229,7 +232,7 @@ def _denote_wire(w: WireType, cap: int) -> FdAlgebra:
     raise EvalError(f"no denotation for wire type {w!r}")
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _denote_context(types: tuple, cap: int) -> FdAlgebra:
     return tensor_many([_denote_wire(ty, cap) for ty in types])
 
@@ -560,14 +563,10 @@ class Evaluator:
         values = enumerate_classical(v)
         dist = state_to_distribution(op, values=values)
         mass = dist.mass()
-        if self.mode.is_cpsu:
-            if mass > 1 + 1e-9:
-                raise EvalError(f"distribution mass {mass} exceeds 1")
-        else:
-            if abs(mass - 1) > 1e-9:
-                raise EvalError(
-                    f"cpu-mode circuit produced total mass {mass}, expected 1"
-                )
+        if self.mode.is_cpsu and mass > 1 + DEFAULT_TOL:
+            raise EvalError(f"distribution mass {mass} exceeds 1")
+        if not self.mode.is_cpsu and abs(mass - 1) > DEFAULT_TOL:
+            raise EvalError(f"cpu-mode circuit produced total mass {mass}, expected 1")
         return dist
 
 
@@ -713,10 +712,9 @@ def _split_context(omega, names):
 # ---------------------------------------------------------------------------
 
 
-def denote_circuit(gamma, omega, term, env=None, mode: Mode | None = None,
-                   ctx: CheckContext | None = None) -> SuperOp:
-    """Check ``gamma; omega |- term`` into ``ctx`` and denote it."""
-    ev = Evaluator(ctx=ctx, mode=mode or Mode.cpu())
+def denote_circuit(gamma, omega, term, env=None, mode: Mode | None = None) -> SuperOp:
+    """Check ``gamma; omega |- term`` into a fresh context and denote it."""
+    ev = Evaluator(mode=mode or Mode.cpu())
     check_circuit(dict(gamma), tuple(omega), term, ev.ctx)
     return ev.denote_circuit(gamma, tuple(omega), term, dict(env or {}))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .algebra import frobenius_distance
+from .algebra import DEFAULT_TOL, frobenius_distance
 from .denote import Evaluator, Mode
 from .syntax import (
     App, Ascribe, Box, ClassicalLit, Compose, Gate, HostTerm,
@@ -25,6 +25,10 @@ from .syntax import (
     pattern_wires, subst_host, subst_pattern,
 )
 from .typecheck import CheckContext, _default_ctx, check_circuit
+
+
+DEFAULT_MAX_STEPS = 1000  # rewrite steps of normalize
+_PURIFY_STEPS = 10_000  # pure reductions of purify_host
 
 
 class NoMatch(Exception):
@@ -185,7 +189,7 @@ def _rewrite_first(term, rules, trace: Trace):
     return None
 
 
-def normalize(term, max_steps: int = 1000, copower_rules: bool = False):
+def normalize(term, max_steps: int = DEFAULT_MAX_STEPS, copower_rules: bool = False):
     """Rewrite to a normal form; returns ``(term, trace)``.
 
     Raises StepLimit (carrying the partial result and trace) when
@@ -209,7 +213,7 @@ def normalize(term, max_steps: int = 1000, copower_rules: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def check_equiv(c1, c2, gamma=None, omega=(), env=None, tol: float = 1e-9,
+def check_equiv(c1, c2, gamma=None, omega=(), env=None, tol: float = DEFAULT_TOL,
                 mode: Mode | None = None, ctx: CheckContext | None = None) -> bool:
     """Do the two circuits denote the same map at the same judgment?"""
     gamma = dict(gamma or {})
@@ -232,13 +236,13 @@ def check_equiv(c1, c2, gamma=None, omega=(), env=None, tol: float = 1e-9,
 # ---------------------------------------------------------------------------
 
 
-def purify_host(term: HostTerm, max_steps: int = 10_000) -> HostTerm:
+def purify_host(term: HostTerm) -> HostTerm:
     """Reduce the pure, effect-free redexes of a host term: beta steps,
     projections of literal pairs, conditionals on literal bits,
     arithmetic on literals and ascription erasure.  Used to expose a
     literal box before circuit normalization; does not evaluate run,
     return, bind or the fixed-point combinator."""
-    budget = [max_steps]
+    budget = [_PURIFY_STEPS]
 
     def go(t):
         if budget[0] <= 0:

@@ -57,12 +57,11 @@ from .typecheck import (
 
 
 class ParseError(Exception):
-    def __init__(self, message, line=0, col=0, expected=()):
+    def __init__(self, message, line=0, col=0):
         super().__init__(f"{line}:{col}: {message}")
         self.message = message
         self.line = line
         self.col = col
-        self.expected = tuple(expected)
 
 
 KEYWORDS = {
@@ -126,10 +125,10 @@ def tokenize(text: str) -> list[Token]:
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], bases: dict[str, int]):
+    def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
-        self.bases = dict(bases)
+        self.bases = dict(DEFAULT_BASES)
 
     # -- token plumbing ---------------------------------------------------
 
@@ -152,14 +151,12 @@ class Parser:
     def expect(self, kind) -> Token:
         t = self.peek()
         if t.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {t.text!r}", t.line, t.col, [kind]
-            )
+            raise ParseError(f"expected {kind!r}, found {t.text!r}", t.line, t.col)
         return self.next()
 
-    def fail(self, message, expected=()):
+    def fail(self, message):
         t = self.peek()
-        raise ParseError(message, t.line, t.col, expected)
+        raise ParseError(message, t.line, t.col)
 
     # -- wire types -------------------------------------------------------
 
@@ -190,7 +187,7 @@ class Parser:
                 f"unknown wire type {t.text!r} (declare it with 'classical')",
                 t.line, t.col,
             )
-        self.fail("expected a wire type", ["I", "qubit", "bit", "("])
+        self.fail("expected a wire type")
 
     # -- host types --------------------------------------------------------
 
@@ -235,7 +232,7 @@ class Parser:
             if t.text in self.bases:
                 return ClassicalT(t.text, self.bases[t.text])
             raise ParseError(f"unknown host type {t.text!r}", t.line, t.col)
-        self.fail("expected a host type", ["1", "T", "Circ", "("])
+        self.fail("expected a host type")
 
     # -- patterns -----------------------------------------------------------
 
@@ -246,7 +243,7 @@ class Parser:
             self.next()
             return WireP(t.text)
         if t.kind != "(":
-            self.fail("expected a pattern", ["(", "identifier"])
+            self.fail("expected a pattern")
         self.next()
         if self.accept(")"):
             return UnitP()
@@ -534,7 +531,7 @@ class Parser:
                 return Ascribe(inner, ann, loc=t.span)
             self.expect(")")
             return inner
-        self.fail("expected a host term", ["identifier", "literal", "("])
+        self.fail("expected a host term")
 
     # -- declarations -----------------------------------------------------------
 
@@ -615,7 +612,7 @@ class Parser:
             self.expect("=")
             box = Box(pat, dom, self.circuit(), loc=t.span)
             return DefDecl(name.text, ann, box, loc=t.span)
-        self.fail("expected a declaration", ["def", "circ", "classical", "gate"])
+        self.fail("expected a declaration")
 
     def _rec_def(self, t):
         """def rec f : A -> Circ(W1, W2) = t  desugars to the fixed-point
@@ -637,21 +634,21 @@ class Parser:
 
 def parse_program(text: str) -> Program:
     """Parse a complete ``.ew`` source file."""
-    p = Parser(tokenize(text), DEFAULT_BASES)
+    p = Parser(tokenize(text))
     return p.program()
 
 
-def parse_circuit(text: str, bases: dict[str, int] | None = None):
+def parse_circuit(text: str):
     """Parse a bare circuit term (mainly for tests and tooling)."""
-    p = Parser(tokenize(text), bases or DEFAULT_BASES)
+    p = Parser(tokenize(text))
     c = p.circuit()
     p.expect("eof")
     return c
 
 
-def parse_host_term(text: str, bases: dict[str, int] | None = None) -> HostTerm:
+def parse_host_term(text: str) -> HostTerm:
     """Parse a bare host term."""
-    p = Parser(tokenize(text), bases or DEFAULT_BASES)
+    p = Parser(tokenize(text))
     t = p.host_term()
     p.expect("eof")
     return t

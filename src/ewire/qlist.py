@@ -34,10 +34,10 @@ from dataclasses import dataclass, field, replace
 from .syntax import (
     App, ArrowT, Box, CircT, ClassicalDecl, Compose, DefDecl, Gate,
     GateDecl, GateRef, HostTerm, If, Init, Lam, Lift, NotClassicalError,
-    Output, PairElim, PairP, Program, QListW, QUBIT, QuantumW, TensorW,
-    UnitElim, UnitP, UnitW, Unbox, UnknownGate, Var, WireP, WireType,
-    _subst_in_pattern, free_wires, lift_type, mentions_qlist, pretty_print,
-    unlift_type,
+    Output, PairElim, PairP, Program, QLift, QListW, QUBIT, QuantumW,
+    TensorW, UnitElim, UnitP, UnitW, Unbox, UnknownGate, Var, WireP,
+    WireType, _subst_in_pattern, classicalize, free_wires, lift_type,
+    mentions_qlist, pretty_print, unlift_type,
 )
 from .typecheck import (
     CheckContext, TypeCheckError, _select, bind_pattern, bind_step,
@@ -265,9 +265,11 @@ class _Instantiator:
             case PairElim(binder, p, _):
                 v, consumes, rest_omega = take(omega, p, c.loc, spent)
                 bound = bind_pattern(binder, v, c.loc)
-            case Lift(x, p, _):
+            case Lift(x, p, _) | QLift(x, p, _):
                 v, consumes, rest_omega = take(omega, p, c.loc, spent)
                 try:
+                    # qlift measures p first, as its expansion does
+                    v = classicalize(v) if isinstance(c, QLift) else v
                     gamma = {**gamma, x: lift_type(v)}
                 except NotClassicalError as e:
                     raise QListError(e.args[0], c.loc) from None

@@ -269,7 +269,6 @@ def check_circuit(
     omega: WireContext,
     term,
     ctx: CheckContext | None = None,
-    spent: frozenset = frozenset(),
 ) -> WireType:
     """Check ``gamma; omega |- term : W`` and return W.
 
@@ -279,7 +278,7 @@ def check_circuit(
     omega = tuple(omega)
     for _, ty in omega:
         _no_qlist(ty)
-    return _circuit(gamma, omega, term, ctx or _default_ctx(), spent)
+    return _circuit(gamma, omega, term, ctx or _default_ctx())
 
 
 def _circuit(gamma, omega, term, ctx, spent=frozenset()) -> WireType:
@@ -537,13 +536,10 @@ def _infer_host(gamma, term, ctx, expected):
                 )
             return ClassicalT(base, card)
         case If(c, t, e):
-            cty = check_host(gamma, c, ctx, ClassicalT("bit", 2))
+            check_host(gamma, c, ctx, ClassicalT("bit", 2))
             tty = check_host(gamma, t, ctx, expected)
-            ety = check_host(gamma, e, ctx, expected or tty)
-            if tty != ety:
-                raise TypeCheckError(
-                    MISMATCH, f"if branches disagree: {tty} vs {ety}", term.loc
-                )
+            # the else branch is checked against the then branch's type
+            check_host(gamma, e, ctx, expected or tty)
             return tty
         case Prim("=", l, r):
             lty = check_host(gamma, l, ctx)
@@ -581,7 +577,7 @@ def _infer_host(gamma, term, ctx, expected):
     raise TypeCheckError(MISMATCH, f"not a host term: {term!r}")
 
 
-def _check_host_type(a: HostType, loc=None):
+def _check_host_type(a: HostType, loc):
     match a:
         case UnitT() | ClassicalT():
             pass

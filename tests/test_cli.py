@@ -159,6 +159,8 @@ NO_TRACEBACK_CASES = [
      3, "usage error:"),
     (["denote", "tests/abstract_gate.ew", "--entry", "c"], 1, "error[UnknownGate]"),
     (["equiv", "tests/abstract_gate.ew", "c", "c"], 1, "error[UnknownGate]"),
+    (["check", "programs/flip.ew", "--tol", "1"], 3,
+     "usage error: unrecognized arguments: --tol 1"),
 ]
 
 
@@ -189,9 +191,25 @@ def test_evaluation_error_exits_without_traceback(argv, code, prefix):
     # cpu mode rejects the fixed point of hs.ew, and an out-of-range int
     # of qft.ew at size 3; both are diagnostics, not tracebacks, and so
     # are negative counts of shots, fuel or rewrite steps and a negative
-    # or non-finite tolerance, and a header-declared gate, which has no
-    # denotation
+    # or non-finite tolerance, a header-declared gate, which has no
+    # denotation, and a flag the command does not take
     _assert_no_traceback(argv, code, prefix)
+
+
+# a command takes --mode and --fuel only if it evaluates, and --tol only
+# if it tests a map; any other is an unknown flag
+FLAGS_A_COMMAND_DOES_NOT_TAKE = [
+    (command, flag) for command in ("check", "normalize", "run")
+    for flag in (["--mode", "cpsu"], ["--fuel", "50"], ["--tol", "1"])
+    if command != "run" or flag[0] == "--tol"
+]
+
+
+@pytest.mark.parametrize("command,flag", FLAGS_A_COMMAND_DOES_NOT_TAKE,
+                         ids=[f"{c}{f[0]}" for c, f in FLAGS_A_COMMAND_DOES_NOT_TAKE])
+def test_a_flag_a_command_does_not_take_is_a_usage_error(capsys, command, flag):
+    assert run_cli(capsys, command, str(PROGRAMS / "flip.ew"), *flag) == (
+        3, "", f"usage error: unrecognized arguments: {' '.join(flag)}\n")
 
 
 def test_run_of_a_closed_circ_with_a_quantum_output_is_a_type_error(tmp_path):
@@ -460,12 +478,13 @@ def test_every_entry_exits_with_a_code_and_mode_free_usage_errors(capsys, path, 
     # an entry is typed before it is evaluated, so whether it fits the
     # command cannot depend on the mode
     for argv in (["run", path, "--entry", entry], ["denote", path, "--entry", entry],
-                 ["normalize", path, "--entry", entry], ["equiv", path, entry, entry]):
+                 ["equiv", path, entry, entry]):
         cpu = run_cli(capsys, *argv)
         cpsu = run_cli(capsys, *argv, "--mode", "cpsu", "--fuel", "50")
         assert cpu[0] in (0, 1, 2, 3) and cpsu[0] in (0, 1, 2, 3), argv
         if 3 in (cpu[0], cpsu[0]):
             assert cpu == cpsu, argv
+    assert run_cli(capsys, "normalize", path, "--entry", entry)[0] in (0, 1, 2, 3)
 
 
 def _denote_cases():

@@ -9,9 +9,13 @@ imports only the standard library, its own package and the dependencies
 ``pyproject.toml`` declares, so a heavy optional import (``scipy.sparse``
 alone takes about a quarter of a second) cannot slip into start-up.
 Every term class of ``ewire.syntax`` declares its scope, so the generic
-walks over binders cannot meet a constructor they do not know.
+walks over binders cannot meet a constructor they do not know.  Every
+setting is one somebody sets and something reads: each parameter with a
+default is passed at some call site, and each flag of an ``ewirec``
+command is read by that command.
 """
 
+import argparse
 import ast
 import dataclasses
 import re
@@ -20,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import ewire.cli
 from ewire import syntax
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -290,3 +295,151 @@ def test_backend_import_detected():
         "__future__", "numpy", "algebra", "syntax", "denote", "cli", "normalize"}
     assert imported_modules("import ewire.algebra\nfrom ewire import denote\n") == {
         "algebra", "denote"}
+
+
+def defaulted_parameters(sources: dict) -> list:
+    """``(module, callee, parameter, index)`` of every parameter with a
+    default of a module-level function or a method of ``sources``.  The
+    callee is the name a call site uses: the class's for ``__init__``.
+    ``index`` is the parameter's position among a call's positional
+    arguments (``self`` or ``cls`` not counted), or None if it is
+    keyword-only."""
+    out = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        for scope in scopes:
+            for fn in scope.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                method = isinstance(scope, ast.ClassDef) and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in fn.decorator_list)
+                callee = scope.name if method and fn.name == "__init__" else fn.name
+                positional = fn.args.posonlyargs + fn.args.args
+                first = len(positional) - len(fn.args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    out.append((module, callee, arg.arg, i - method))
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                    if default is not None:
+                        out.append((module, callee, arg.arg, None))
+    return out
+
+
+def unpassed_defaults(sources: dict, readers: list) -> list:
+    """``(module, callee, parameter)`` of every defaulted parameter of
+    ``sources`` that no call in the source texts ``readers`` passes.  A
+    call passes it when it names the callee (as a name or an attribute)
+    and gives the parameter by keyword or position, or unpacks ``*`` or
+    ``**`` arguments that may hold it."""
+    calls = [n for text in readers for n in ast.walk(ast.parse(text))
+             if isinstance(n, ast.Call)]
+
+    def passed(callee, param, index):
+        for call in calls:
+            f = call.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) != callee:
+                continue
+            if any(k.arg in (param, None) for k in call.keywords):
+                return True
+            if index is not None and (
+                    len(call.args) > index
+                    or any(isinstance(a, ast.Starred) for a in call.args)):
+                return True
+        return False
+
+    return [(module, callee, param)
+            for module, callee, param, index in defaulted_parameters(sources)
+            if not passed(callee, param, index)]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text() for folder in ("src", "tests", "bench")
+               for p in sorted((ROOT / folder).rglob("*.py"))]
+    assert unpassed_defaults(sources, readers) == []
+
+
+def test_unpassed_default_detected():
+    sources = {"a": (
+        "def f(x, y=1, *, z=2):\n    pass\n"
+        "def g(x=0):\n    pass\n"
+        "class C:\n"
+        "    def __init__(self, n=0, m=1):\n        pass\n"
+        "    def meth(self, k=3):\n        pass\n"
+        "    @staticmethod\n    def make(s=4):\n        pass\n"
+    )}
+    readers = ["from a import C, f, g\n"
+               "f(1, 2); g(**{}); C(5).meth(); C.make(s=1); f(0, *[])\n"]
+    assert unpassed_defaults(sources, readers) == [
+        ("a", "f", "z"), ("a", "C", "m"), ("a", "meth", "k")]
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of each public attribute read
+    from it in ``_reads``."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _command_dests() -> dict:
+    """The dests each ``ewirec`` subcommand's parser defines, by
+    subcommand."""
+    (subs,) = [a for a in ewire.cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return {name: {a.dest for a in sub._actions if a.dest != "help"}
+            for name, sub in subs.choices.items()}
+
+
+PROGRAMS = ROOT / "programs"
+
+# per command, arguments on which it succeeds, with the flags set so that
+# every branch reading one is taken, and the arguments after the file on
+# which it fails with a diagnostic
+FLAG_RUNS = {
+    "check": ([PROGRAMS / "flip.ew"], []),
+    "run": ([PROGRAMS / "flip.ew", "--mode", "cpsu", "--shots", "2"], []),
+    "denote": ([PROGRAMS / "teleport.ew", "--entry", "teleport", "--mode", "cpsu"], []),
+    "normalize": ([PROGRAMS / "teleport.ew", "--entry", "teleport"], []),
+    "equiv": ([PROGRAMS / "classical_control.ew", "cc_boxed", "cc_host",
+               "--mode", "cpsu"], ["a", "b"]),
+}
+
+
+def test_every_cli_flag_is_read(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.ew"
+    bad.write_text("def x = fst (0 : bit)\n")
+    build_parser, namespaces = ewire.cli.build_parser, []
+
+    def recording_parser():
+        parser = build_parser()
+        parse = parser.parse_args
+
+        def parse_args(argv):
+            ns = parse(argv, ReadRecorder())
+            ns._reads.clear()  # argparse's own reads are no command's
+            namespaces.append(ns)
+            return ns
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(ewire.cli, "build_parser", recording_parser)
+    unread = {}
+    for command, dests in _command_dests().items():
+        good, bad_rest = FLAG_RUNS[command]
+        reads = set()
+        for argv, code in (([command, *map(str, good)], 0),
+                           ([command, str(bad), *bad_rest], 1)):
+            assert ewire.cli.main(argv) == code, (argv, capsys.readouterr())
+            reads |= namespaces.pop()._reads
+        if dests - reads:
+            unread[command] = sorted(dests - reads)
+    assert unread == {}

@@ -43,6 +43,16 @@ def test_unbox_box_composite_pattern():
     assert alpha_equiv(out, parse_circuit("output (y, x)"))
 
 
+def test_unbox_box_unit_pattern():
+    out, rules = _norm("unbox (box () : I => (q <- gate init0 (); output q)) ()")
+    assert alpha_equiv(out, parse_circuit("q <- gate init0 (); output q"))
+    assert rules == ["UnboxBox"]
+    # () binds only ()
+    with pytest.raises(NoMatch):
+        apply_rule(RULES_BY_NAME["UnboxBox"],
+                   parse_circuit("unbox (box () : I => output ()) w"))
+
+
 def test_output_subst():
     out, rules = _norm("w <- output v; w' <- gate H w; output w'")
     assert alpha_equiv(out, parse_circuit("w' <- gate H v; output w'"))

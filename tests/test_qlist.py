@@ -169,6 +169,36 @@ def f : Circ(I * qlist, qlist) =
     assert np.array_equal(env[entry].op.matrix, expected.matrix)
 
 
+# a qlift in a template measures the head, as the same step does in g
+QLIFT_IN_A_TEMPLATE = """
+def f : Circ(qlist, qlist) =
+  box qs : qlist =>
+    ( (b, qs) <- gate isempty qs;
+      b <= lift b;
+      unbox (if b
+             then box qs2 : qlist => output qs2
+             else box qs2 : qlist =>
+               ( (h, t) <- gate headtail qs2;
+                 x <= qlift h;
+                 c <- init x;
+                 n <- gate new c;
+                 qs3 <- gate cons (n, t);
+                 output qs3 ))
+            qs )
+circ g (h : qubit, t : I) = (x <= qlift h; c <- init x; n <- gate new c; output (n, t))
+"""
+
+
+def test_qlift_in_a_template():
+    prog = parse_program(QLIFT_IN_A_TEMPLATE)
+    mono, entry = monomorphize(prog, 2, "f")
+    assert str(check_program(mono).def_types[entry]) == (
+        "Circ(qubit * qubit * I, qubit * qubit * I)")
+    mono, entry = monomorphize(prog, 1, "f")
+    _, _, env = evaluate_program(check_program(mono))
+    assert frobenius_distance(env[entry].op, env["g"].op) < 1e-12
+
+
 # a template whose list size only its output fixes
 SIZED_BY_OUTPUT = """
 def mk : Circ(qubit, qlist) =

@@ -376,6 +376,14 @@ ROUNDTRIP_HOSTS = [
     "CR (m - n)",
     "(3 : int)",
     "return (1, ())",
+    # parenthesised types: a product on a product's left, an arrow on
+    # either side of a product and as an arrow's argument
+    "lambda p : (int * int) * int . p",
+    "lambda p : (int -> int) * int . p",
+    "lambda p : int * (int -> int) . p",
+    "lambda f : (int -> int) -> int . f",
+    # an ascription of a term that is no literal stays an ascription
+    "lambda x : int . (x : int)",
 ]
 
 

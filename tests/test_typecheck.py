@@ -1,10 +1,12 @@
 """Typechecker tests, including a brute-force derivation search that
 validates the deterministic context splitting."""
 
+import json
 from pathlib import Path
 
 import pytest
 
+from ewire.cli import main
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.syntax import (
     BIT, Box, CircT, ClassicalLit, ClassicalT, ClassicalW, Compose,
@@ -391,6 +393,47 @@ def test_consuming_step_diagnostics(case):
     with pytest.raises(TypeCheckError) as e:
         check_circuit({}, omega, parse_circuit(f"() <- u; {text}"))
     assert (e.value.kind, e.value.message, str(e.value.loc)) == (kind, message, "1:9")
+
+
+# one program per diagnostic, each reported with its kind and span by
+# ewirec check --json
+CHECK_DIAGNOSTICS = {
+    "rotation_index": ("circ c (q : qubit) = (q2 <- gate R q; output q2)",
+                       "GateSignature", [1, 22], "R needs a rotation index"),
+    "unbox_argument": (
+        "circ c (q : qubit) = unbox (box (a : qubit, b : qubit) => output (a, b)) q",
+        "Mismatch", [1, 21],
+        "unbox argument wires have type qubit, circuit expects qubit * qubit"),
+    "init_unused": ("circ c (q : qubit) : bit = init (0 : bit)",
+                    "UnusedWire", [1, 27], "wire 'q' left unused by init"),
+    "init_higher_order": ("def x = run (init (lambda y : int . y))", "NotClassical",
+                          [1, 13], "init needs a first-order value, got int -> int"),
+    "pair_binder": ("circ c (q : qubit * qubit) = ((w, w) <- q; output w)",
+                    "PatternShape", [1, 30], "duplicate wire 'w' in pair binder"),
+    "projection": ("def x = fst (0 : bit)", "Mismatch", [1, 8],
+                   "projection from non-product bit"),
+    "bind_value": ("def x = let y <= (0 : bit) in return y", "Mismatch", [1, 8],
+                   "let <= needs a computation, got bit"),
+    "bind_body": ("def x = let y <= return (0 : bit) in y", "Mismatch", [1, 8],
+                  "body of let <= must be a computation, got bit"),
+    "literal_range": ("def x : bit = 2", "Mismatch", [1, 14],
+                      "literal 2 out of range for bit (cardinality 2)"),
+    "equality": ("def x = () = ()", "Mismatch", [1, 11],
+                 "= compares classical values, got 1"),
+    # the else branch is checked against the then branch's type
+    "if_branches": ("def x = if (1 : bit) then (0 : bit) else ()", "Mismatch", [1, 41],
+                    "expected bit, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECK_DIAGNOSTICS))
+def test_check_diagnostic_kind_message_and_span(case, tmp_path, capsys):
+    text, kind, span, message = CHECK_DIAGNOSTICS[case]
+    src = tmp_path / "bad.ew"
+    src.write_text(text + "\n")
+    assert main(["check", str(src), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "kind": kind, "span": span, "message": message}
 
 
 def test_unbox_of_an_open_circuit_without_wires_says_it_is_not_closed():
