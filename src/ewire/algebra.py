@@ -37,7 +37,16 @@ Conventions used throughout:
   each result entry is rounded once and stays within 1e-12 of the dense
   product.  The dense ``SuperOp.matrix`` remains the reference
   semantics, bit for bit: a view's ``matrix`` equals what composing the
-  dense matrices row by row gives, signed zeros included.
+  dense matrices row by row gives, signed zeros included.  On the other
+  side it reads the continuation one rest group at a time: a group
+  whose contracted columns each hold at most one nonzero ``v`` is
+  ``f``'s columns gathered and times ``v``, each entry rounded as BLAS
+  rounds a one-term dot product (each real product, then the sum, with a
+  zero sum ``+0``), so its bits are what the zgemm gives outside its edge
+  columns.  A group is decided from its own entries alone, whatever kind
+  of map holds them; the others keep one zgemm over the whole
+  contraction, as does every contraction below ``_SPARSE_FLOOR``
+  entries.
 
 This module decides no typing: a gate's wire signature is
 ``typecheck.gate_signature``, and ``gate_denotation`` gives only its map.
@@ -486,7 +495,16 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
     scaled densely.  Either way each entry is ``g``'s entry times ``f``'s,
     rounded once: exact for 0/1 entries, within 1e-12 of the dense
     product otherwise.  Any other ``f`` is multiplied densely between a
-    gather and a scatter.
+    gather and a scatter, except where the continuation is sparse: from
+    ``_SPARSE_FLOOR`` contracted entries up, rest group ``k`` whose
+    columns ``g[pin[:, k], c]`` each hold at most one nonzero ``v``, at
+    row ``j``, gives rows ``pout[:, k]`` as ``f[:, j] * v``, rounded as
+    BLAS rounds a one-term dot product (``_gathered``), and ``+0`` where
+    the column is zero.  The nonzeros come from an identity-based ``g``'s
+    index, or from one pass over the rows any other ``g`` stores; no row
+    of the contraction is built unless some group does not qualify.  Those
+    groups take one zgemm over the whole contraction, at the shape it has
+    with no group gathered, so their bits do not change.
     """
     src_mid, tgt, pin, pout = tensored_layout(f, rest)
     if g.target != src_mid:
@@ -512,11 +530,18 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
             )
         if scale is None:
             return SuperOp.row_view(g.source, tgt, index, base)
+        # every row times its entry of f, in place; a zero row stays +0
+        row_scale = np.ones(tgt.dim, dtype=complex)
+        row_scale[live] = scale
         out = _materialise(g.source.dim, index, base, None, None)
-        out[live] *= scale[..., None]
+        np.multiply(out, row_scale[:, None], out=out)
         return SuperOp(g.source, tgt, out)
     r = rest.dim
     ncols = g.source.dim
+    if f.source.dim * r * ncols >= _SPARSE_FLOOR:
+        out = _gather_compose(f, g, pin, pout, tgt.dim)
+        if out is not None:
+            return SuperOp(g.source, tgt, out)
     # with rest the scalars, pin and pout are the identity
     gk = _dense_rows(g, None if r == 1 else pin.reshape(-1))
     hk = (f.matrix @ gk.reshape(f.source.dim, r * ncols)).reshape(f.target.dim * r, ncols)
@@ -525,6 +550,124 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
     out = np.empty((f.target.dim * r, ncols), dtype=complex)
     out[pout.reshape(-1), :] = hk
     return SuperOp(g.source, tgt, out)
+
+
+# The continuation side of compose_tensored.  Rest group k of the
+# contraction is gk[:, k, :], with gk[j, k, c] = g[pin[j, k], c].  When
+# each of its columns holds at most one nonzero, v at row j, the result
+# rows pout[:, k] are f's columns gathered and scaled: out[pout[i, k], c]
+# = f[i, j] * v, and +0 where the column is zero.  Each group is decided
+# from its own entries alone, so zeroing or changing other groups, or
+# holding the same entries in another kind of map, never changes its
+# rows; the other groups take one zgemm over the whole contraction, as
+# with no group gathered.  Contractions of fewer entries than the floor
+# keep the zgemm: below it the numpy calls of the reading cost more than
+# the product they save.
+_SPARSE_FLOOR = 1 << 15
+_GATHER_BLOCK = 1 << 14  # result entries gathered per block of f's rows
+
+
+def _gather_compose(f: SuperOp, g: SuperOp, pin: np.ndarray, pout: np.ndarray,
+                    n: int) -> np.ndarray | None:
+    """The rows of ``compose_tensored(f, rest, g)``, ``n`` of them, with
+    every qualifying rest group gathered; None when no group qualifies."""
+    found = _group_nonzeros(g, pin)
+    if found is None:
+        return None
+    single, j, k, c, v = found
+    ncols = g.source.dim
+    if single.all():
+        out = np.zeros((n, ncols), dtype=complex)
+    else:
+        gk = _dense_rows(g, pin.reshape(-1)).reshape(f.source.dim, -1)
+        out = np.empty((n, ncols), dtype=complex)
+        out[pout.reshape(-1)] = (f.matrix @ gk).reshape(-1, ncols)
+        out[pout[:, single].reshape(-1)] = 0
+    a, groups = f.matrix, np.flatnonzero(single)
+    if 2 * j.size < groups.size * ncols:
+        # few nonzeros: each lands where it goes
+        step = max(1, _GATHER_BLOCK // max(1, j.size))
+        for i in range(0, a.shape[0], step):
+            out[pout[i:i + step, k], c] = _gathered(a[i:i + step], j, v)
+        return out
+    # most columns hold one: whole rows, a column that holds none reading
+    # f's column 0 times 0, which is +0 for a finite f
+    at = np.searchsorted(groups, k) * ncols + c
+    j_all = np.zeros(groups.size * ncols, dtype=np.intp)
+    v_all = np.zeros(groups.size * ncols, dtype=complex)
+    j_all[at], v_all[at] = j, v
+    step = max(1, _GATHER_BLOCK // j_all.size)
+    for i in range(0, a.shape[0], step):
+        rows = pout[i:i + step][:, groups]
+        out[rows] = _gathered(a[i:i + step], j_all, v_all).reshape(rows.shape + (ncols,))
+    return out
+
+
+def _group_nonzeros(g: SuperOp, pin: np.ndarray):
+    """``(single, j, k, c, v)``: whether each rest group ``k`` of the
+    contraction ``g[pin[j, k], c]`` holds at most one nonzero per column,
+    and each nonzero ``v`` of those groups at ``(j, k, c)``; None when no
+    group does.  An identity-based view answers from its index; other
+    maps from one pass over the rows they store, so the contraction's
+    rows are never built."""
+    index, stored, vals, _ = _view(g)
+    if stored is None:
+        cols = index[pin]
+        live = cols >= 0
+        v = None if vals is None else vals[pin]
+        if v is not None:
+            live &= v != 0
+        # a group qualifies when its live columns are distinct; a zero
+        # row j stands for -1 - j, apart from every column and other row
+        key = np.where(live, cols, -1 - np.arange(cols.shape[0])[:, None])
+        key.sort(axis=0)
+        single = ~(key[1:] == key[:-1]).any(axis=0)
+        if not single.any():
+            return None
+        j, k = np.nonzero(live & single)
+        v = np.ones(j.size, dtype=complex) if v is None else v[j, k]
+        return single, j, k, cols[j, k], v
+    # the stored row of each contracted row; -1, a zero row, reads the
+    # row of zeros appended to each mask
+    rows = pin if index is None else index[pin]
+    # column 0 first: it rules out most dense groups unread
+    first = np.append(stored[:, 0] != 0, False)[rows]
+    single = np.count_nonzero(first, axis=0) <= 1
+    if not single.any():
+        return None
+    # stored != 0, each part compared as a float and a pair read as a uint16
+    nonzero = np.zeros((stored.shape[0] + 1, stored.shape[1]), dtype=bool)
+    parts = np.ascontiguousarray(stored).view(np.float64) != 0
+    np.not_equal(parts.view(np.uint16), 0, out=nonzero[:-1])
+    nonzero = nonzero[rows]
+    single &= (nonzero.sum(axis=0, dtype=np.uint32) <= 1).all(axis=1)
+    groups = np.flatnonzero(single)
+    if groups.size == 0:
+        return None
+    if groups.size < single.size:
+        nonzero = nonzero[:, groups]
+    ncols = stored.shape[1]
+    j, kc = np.divmod(np.flatnonzero(nonzero), groups.size * ncols)
+    k, c = groups[kc // ncols], kc % ncols
+    return single, j, k, c, stored[rows[j, k], c]
+
+
+def _gathered(a: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a[:, j] * v`` for 1-d ``j`` and ``v``, each entry rounded as BLAS
+    rounds a one-term dot product: ``re = ar vr - ai vi`` and ``im = ar vi
+    + ai vr``, each product and each sum rounded on its own, and a zero
+    sum ``+0``.  Numpy's complex ``*`` may fuse a product into the sum,
+    which rounds differently."""
+    vr, vi = np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag)
+    xr, xi = a.real.take(j, axis=1), a.imag.take(j, axis=1)
+    re = xr * vr
+    re -= xi * vi
+    im = xr * vi
+    im += xi * vr
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    out += 0.0
+    return out
 
 
 def _scaled_rows(a, default, src, live, scale, n):

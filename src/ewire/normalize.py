@@ -213,9 +213,10 @@ def normalize(term, max_steps: int = DEFAULT_MAX_STEPS, copower_rules: bool = Fa
 # ---------------------------------------------------------------------------
 
 
-def check_equiv(c1, c2, gamma=None, omega=(), env=None, tol: float = DEFAULT_TOL,
+def check_equiv(c1, c2, gamma=None, *, omega, env=None, tol: float = DEFAULT_TOL,
                 mode: Mode | None = None, ctx: CheckContext | None = None) -> bool:
-    """Do the two circuits denote the same map at the same judgment?"""
+    """Do the two circuits denote the same map at the same judgment, in
+    the wire context ``omega``?"""
     gamma = dict(gamma or {})
     omega = tuple(omega)
     ctx = ctx or _default_ctx()

@@ -14,7 +14,7 @@ from ewire.algebra import (
     factor_permutation, frobenius_distance, gate_denotation,
     is_cp, is_subunital, is_unital, loewner_leq, max_dim,
     op_compose, op_identity, op_relabel, op_scale, op_tensor, op_zero,
-    permutation_superop, psd_within, _psd_margin,
+    permutation_superop, psd_within, _psd_margin, tensored_layout,
     set_max_dim, state_to_distribution, superop_to_json,
     tensor_copower_iso, tensor_many, unit_element,
 )
@@ -450,6 +450,167 @@ def test_structural_views_bitwise_equal_dense_definitions():
     m = np.zeros((iso.target.dim, iso.source.dim), dtype=complex)
     m[np.arange(iso.target.dim), cols] = 1.0
     assert iso.matrix.tobytes() == m.tobytes()
+
+
+# -- the continuation's sparse groups ------------------------------------------------
+
+
+def _entries(rng, n, values):
+    """``n`` entries: from {1, -1} for ``"unit"``, else complex normals
+    with about a third of them 1, -1 or 1j."""
+    if values == "unit":
+        return rng.choice([1.0, -1.0], size=n).astype(complex)
+    out = rng.normal(size=n) + 1j * rng.normal(size=n)
+    pick = rng.random(n)
+    out[pick < 0.1], out[(pick >= 0.1) & (pick < 0.2)], out[(pick >= 0.2) & (pick < 0.3)] = 1, -1, 1j
+    return out
+
+
+def _group_rows(f, rest, k):
+    """The rows of ``f (x) id_rest``'s source that rest group ``k`` of a
+    continuation reads, and the result rows it writes."""
+    _, _, pin, pout = tensored_layout(f, rest)
+    return pin[:, k], pout[:, k]
+
+
+def _continuation_matrix(f, rest, src, rng, single, values="complex", per_group=None):
+    """A dense continuation ``src -> f.source (x) rest`` whose rest group
+    ``k`` holds at most one nonzero per column where ``single[k]``, and
+    two in one column otherwise: the second is the only other entry of
+    its row, so every row holds at most one nonzero and any kind of view
+    can hold the matrix.  A group holds ``per_group`` nonzeros (at least
+    two), or as many as it has rows and columns."""
+    mid = alg_tensor(f.source, rest)
+    m = np.zeros((mid.dim, src.dim), dtype=complex)
+    for k, one in enumerate(single):
+        rows, _ = _group_rows(f, rest, k)
+        live = rng.permutation(rows)[:per_group or min(rows.size, src.dim)]
+        cols = rng.permutation(src.dim)[:live.size]
+        if not one:
+            cols[-1] = cols[0]
+        m[live, cols] = _entries(rng, live.size, values)
+    return m
+
+
+def _as_kind(m, src, mid, kind, rng):
+    """``m`` as a dense map, a row view over a shuffled base, or an
+    identity-based view with ``vals`` (``m`` must then have at most one
+    nonzero per row)."""
+    if kind == "dense":
+        return SuperOp(src, mid, m)
+    live = np.flatnonzero(m.any(axis=1))
+    if kind == "base":
+        order = rng.permutation(live)
+        index = np.full(mid.dim, -1, dtype=np.intp)
+        index[order] = np.arange(order.size)
+        return SuperOp.row_view(src, mid, index, m[order])
+    index = np.full(mid.dim, -1, dtype=np.intp)
+    vals = np.zeros(mid.dim, dtype=complex)
+    index[live] = np.abs(m[live]).argmax(axis=1)
+    vals[live] = m[live, index[live]]
+    return SuperOp.row_view(src, mid, index, None, vals)
+
+
+# every group of the continuation qualifies, all but one group do, or none
+_GROUP_MIXES = [(True,) * 5, (True, True, False, True, True), (False,) * 5]
+
+
+@pytest.mark.parametrize("kind", ["identity", "base", "dense"])
+@pytest.mark.parametrize("ncols", [3, 6])
+@pytest.mark.parametrize("single", _GROUP_MIXES)
+@pytest.mark.parametrize("per_group", [None, 2], ids=["full", "two"])
+@pytest.mark.parametrize("floor", [0, None], ids=["read", "floor"])
+def test_sparse_groups_are_decided_one_by_one(monkeypatch, kind, ncols, single, per_group,
+                                              floor):
+    # r * ncols is not a multiple of 4, so the last group holds the edge
+    # columns of the zgemm, which BLAS may round as a fused product; each
+    # group's rows must not change whatever the other groups hold, and
+    # whatever kind of map holds them, both with the sparse read on and
+    # below the module's floor, and both where most columns hold their
+    # nonzero and where few do
+    import ewire.algebra
+
+    if floor is not None:
+        monkeypatch.setattr(ewire.algebra, "_SPARSE_FLOOR", floor)
+    rng = np.random.default_rng(31 + ncols)
+    f = SuperOp(M2, alg(1, 2), rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4)))
+    rest, src = alg(1, 2), alg(*([1] * ncols)) if ncols == 3 else alg(1, 1, 2)
+    mid = alg_tensor(f.source, rest)
+    m = _continuation_matrix(f, rest, src, rng, single, per_group=per_group)
+    whole = compose_tensored(f, rest, _as_kind(m, src, mid, kind, rng)).matrix
+    for k in range(rest.dim):
+        rows, out_rows = _group_rows(f, rest, k)
+        zeroed = np.zeros_like(m)
+        zeroed[rows] = m[rows]
+        dense = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+        dense[rows] = m[rows]
+        for g in (_as_kind(zeroed, src, mid, kind, rng), SuperOp(src, mid, dense)):
+            alone = compose_tensored(f, rest, g).matrix
+            assert alone[out_rows].tobytes() == whole[out_rows].tobytes(), (k, single)
+
+
+def test_sparse_groups_above_the_default_floor(monkeypatch):
+    # the same decision at the module's floor: a contraction of 4 * 2731
+    # * 3 entries, with r * ncols odd
+    import ewire.algebra
+
+    monkeypatch.setattr(ewire.algebra, "_max_dim", 1 << 14)
+    rng = np.random.default_rng(35)
+    f = SuperOp(M2, M2, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rest, src = alg(*([1] * 2731)), alg(1, 1, 1)
+    assert f.source.dim * rest.dim * src.dim >= ewire.algebra._SPARSE_FLOOR
+    mid = alg_tensor(f.source, rest)
+    single = [k != 7 for k in range(rest.dim)]
+    m = _continuation_matrix(f, rest, src, rng, single)
+    last, out_rows = _group_rows(f, rest, rest.dim - 1)
+    zeroed = np.zeros_like(m)
+    zeroed[last] = m[last]
+    for kind in ("identity", "base", "dense"):
+        whole = compose_tensored(f, rest, _as_kind(m, src, mid, kind, rng)).matrix
+        alone = compose_tensored(f, rest, _as_kind(zeroed, src, mid, kind, rng)).matrix
+        assert alone[out_rows].tobytes() == whole[out_rows].tobytes(), kind
+        assert np.abs(whole[out_rows] - f.matrix @ m[last]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("values", ["unit", "complex"])
+def test_sparse_read_matches_dense(monkeypatch, values):
+    import ewire.algebra
+
+    monkeypatch.setattr(ewire.algebra, "_SPARSE_FLOOR", 0)
+    rng = np.random.default_rng({"unit": 41, "complex": 42}[values])
+    for _ in range(40):
+        src, tgt, rest, g_src = (_MIXED[i] for i in rng.integers(len(_MIXED), size=4))
+        if values == "unit":
+            f = SuperOp(src, tgt, rng.choice([0, 1, -1], size=(tgt.dim, src.dim)))
+        else:
+            f = SuperOp(src, tgt, _entries(rng, tgt.dim * src.dim, values).reshape(tgt.dim, -1))
+        mid = alg_tensor(src, rest)
+        single = rng.random(rest.dim) < 0.7
+        m = _continuation_matrix(f, rest, g_src, rng, single, values)
+        dense = op_compose(SuperOp(g_src, mid, m), op_tensor(f, op_identity(rest))).matrix
+        for kind in ("identity", "base", "dense"):
+            fast = compose_tensored(f, rest, _as_kind(m, g_src, mid, kind, rng)).matrix
+            if values == "unit":
+                assert np.array_equal(fast, dense)
+            else:
+                assert np.abs(fast - dense).max() <= 1e-12
+
+
+def test_gathered_rounds_as_a_one_term_dot_product():
+    from ewire.algebra import _gathered
+
+    rng = np.random.default_rng(43)
+    a = _entries(rng, 24, "complex").reshape(2, 12)
+    a[0, :3] = [-0.0 + 0.5j, 0.5 - 0.0j, 0]
+    v = _entries(rng, 12, "complex")
+    v[3] = 0
+    out = _gathered(a, np.arange(12), v)
+    for (i, j), x in np.ndenumerate(a):
+        # each product rounded on its own, then the sum; a zero sum is +0
+        re = x.real * v[j].real - x.imag * v[j].imag + 0.0
+        im = x.real * v[j].imag + x.imag * v[j].real + 0.0
+        assert out[i, j].real.tobytes() == np.float64(re).tobytes(), (i, j)
+        assert out[i, j].imag.tobytes() == np.float64(im).tobytes(), (i, j)
 
 
 # -- gates ---------------------------------------------------------------------------

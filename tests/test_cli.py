@@ -311,6 +311,17 @@ def test_denote_qft_size_one(capsys):
     assert payload["report"]["is_cp"] and payload["report"]["is_unital"]
 
 
+@pytest.mark.parametrize("size", ["3", "4"])
+def test_sparse_read_keeps_denote_stdout(capsys, monkeypatch, size):
+    argv = ("denote", str(PROGRAMS / "qft.ew"), "--entry", "fourier",
+            "--qlist-size", size, "--mode", "cpsu")
+    outs = []
+    for floor in (0, 1 << 62):
+        monkeypatch.setattr(algebra, "_SPARSE_FLOOR", floor)
+        outs.append(run_cli(capsys, *argv))
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
 def test_check_json_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "check", str(PROGRAMS / "hs.ew"), "--json")
     code2, out2, _ = run_cli(capsys, "check", str(PROGRAMS / "hs.ew"), "--json")

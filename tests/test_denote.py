@@ -934,6 +934,19 @@ def test_row_views_match_materialised_path(monkeypatch):
     assert _denote_jobs(jobs) == views
 
 
+def test_sparse_read_keeps_every_bit(monkeypatch):
+    # the continuation's sparse groups gathered in every contraction
+    # (floor 0), above the module's floor, and in none: the same bytes,
+    # as a product rounded like BLAS's one-term dot product gives
+    import ewire.algebra
+
+    jobs = _corpus_jobs()
+    gathered = _denote_jobs(jobs)
+    for floor in (0, 1 << 62):
+        monkeypatch.setattr(ewire.algebra, "_SPARSE_FLOOR", floor)
+        assert _denote_jobs(jobs) == gathered
+
+
 # -- lift branches that no later step reads ------------------------------------------
 
 
