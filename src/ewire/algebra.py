@@ -42,8 +42,9 @@ Conventions used throughout:
   whose contracted columns each hold at most one nonzero ``v`` is
   ``f``'s columns gathered and times ``v``, each entry rounded as BLAS
   rounds a one-term dot product (each real product, then the sum, with a
-  zero sum ``+0``), so its bits are what the zgemm gives outside its edge
-  columns.  A group is decided from its own entries alone, whatever kind
+  zero sum ``+0``), so its bits are what the zgemm gives outside the edge
+  columns a BLAS kernel may round as a fused product, and within 1 ulp
+  there.  A group is decided from its own entries alone, whatever kind
   of map holds them; the others keep one zgemm over the whole
   contraction, as does every contraction below ``_SPARSE_FLOOR``
   entries.
@@ -504,7 +505,11 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
     index, or from one pass over the rows any other ``g`` stores; no row
     of the contraction is built unless some group does not qualify.  Those
     groups take one zgemm over the whole contraction, at the shape it has
-    with no group gathered, so their bits do not change.
+    with no group gathered, so their bits do not change.  A gathered group
+    has the zgemm's bits where the zgemm rounds a one-term dot product so;
+    in columns that the BLAS kernel rounds as a fused product (for
+    OpenBLAS on x86-64, the last ``(r * ncols) mod 4``) an inexact entry
+    may differ by 1 ulp.
     """
     src_mid, tgt, pin, pout = tensored_layout(f, rest)
     if g.target != src_mid:
@@ -538,17 +543,24 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
         return SuperOp(g.source, tgt, out)
     r = rest.dim
     ncols = g.source.dim
+    found = None
     if f.source.dim * r * ncols >= _SPARSE_FLOOR:
-        out = _gather_compose(f, g, pin, pout, tgt.dim)
-        if out is not None:
-            return SuperOp(g.source, tgt, out)
-    # with rest the scalars, pin and pout are the identity
-    gk = _dense_rows(g, None if r == 1 else pin.reshape(-1))
-    hk = (f.matrix @ gk.reshape(f.source.dim, r * ncols)).reshape(f.target.dim * r, ncols)
-    if r == 1 and rows is None:
-        return SuperOp(g.source, tgt, hk)
-    out = np.empty((f.target.dim * r, ncols), dtype=complex)
-    out[pout.reshape(-1), :] = hk
+        found = _group_nonzeros(g, pin)
+    if found is not None and found[0].all():
+        out = np.zeros((tgt.dim, ncols), dtype=complex)
+    else:
+        # with rest the scalars, pin and pout are the identity
+        gk = _dense_rows(g, None if r == 1 else pin.reshape(-1))
+        hk = (f.matrix @ gk.reshape(f.source.dim, r * ncols)).reshape(f.target.dim * r, ncols)
+        if r == 1 and rows is None:
+            return SuperOp(g.source, tgt, hk)
+        out = np.empty((f.target.dim * r, ncols), dtype=complex)
+        out[pout.reshape(-1), :] = hk
+        if found is not None:
+            # the gathered groups start from +0, as when every group is
+            out[pout[:, found[0]].reshape(-1)] = 0
+    if found is not None:
+        _write_gathered(out, f.matrix, pout, *found)
     return SuperOp(g.source, tgt, out)
 
 
@@ -567,40 +579,31 @@ _SPARSE_FLOOR = 1 << 15
 _GATHER_BLOCK = 1 << 14  # result entries gathered per block of f's rows
 
 
-def _gather_compose(f: SuperOp, g: SuperOp, pin: np.ndarray, pout: np.ndarray,
-                    n: int) -> np.ndarray | None:
-    """The rows of ``compose_tensored(f, rest, g)``, ``n`` of them, with
-    every qualifying rest group gathered; None when no group qualifies."""
-    found = _group_nonzeros(g, pin)
-    if found is None:
-        return None
-    single, j, k, c, v = found
-    ncols = g.source.dim
-    if single.all():
-        out = np.zeros((n, ncols), dtype=complex)
-    else:
-        gk = _dense_rows(g, pin.reshape(-1)).reshape(f.source.dim, -1)
-        out = np.empty((n, ncols), dtype=complex)
-        out[pout.reshape(-1)] = (f.matrix @ gk).reshape(-1, ncols)
-        out[pout[:, single].reshape(-1)] = 0
-    a, groups = f.matrix, np.flatnonzero(single)
-    if 2 * j.size < groups.size * ncols:
-        # few nonzeros: each lands where it goes
-        step = max(1, _GATHER_BLOCK // max(1, j.size))
-        for i in range(0, a.shape[0], step):
-            out[pout[i:i + step, k], c] = _gathered(a[i:i + step], j, v)
-        return out
-    # most columns hold one: whole rows, a column that holds none reading
-    # f's column 0 times 0, which is +0 for a finite f
-    at = np.searchsorted(groups, k) * ncols + c
-    j_all = np.zeros(groups.size * ncols, dtype=np.intp)
-    v_all = np.zeros(groups.size * ncols, dtype=complex)
-    j_all[at], v_all[at] = j, v
-    step = max(1, _GATHER_BLOCK // j_all.size)
+def _write_gathered(out: np.ndarray, a: np.ndarray, pout: np.ndarray,
+                    single, j, k, c, v) -> None:
+    """Write the rows ``pout[:, k]`` of every qualifying rest group ``k``
+    (``single``) into ``out``, which holds +0 there: ``a``'s column ``j``
+    times ``v`` for each nonzero ``v`` at ``(j, k, c)``."""
+    groups = np.flatnonzero(single)
+    ncols = out.shape[1]
+    # Entries cost a scattered write each, whole rows every column: from
+    # half the columns holding a nonzero up, whole rows are written, a
+    # column that holds none reading a's column 0 times 0, which is +0
+    # for a finite a.
+    whole = 2 * j.size >= groups.size * ncols
+    if whole:
+        at = np.searchsorted(groups, k) * ncols + c
+        j_all = np.zeros(groups.size * ncols, dtype=np.intp)
+        v_all = np.zeros(groups.size * ncols, dtype=complex)
+        j_all[at], v_all[at] = j, v
+        j, v = j_all, v_all
+    step = max(1, _GATHER_BLOCK // max(1, j.size))
     for i in range(0, a.shape[0], step):
-        rows = pout[i:i + step][:, groups]
-        out[rows] = _gathered(a[i:i + step], j_all, v_all).reshape(rows.shape + (ncols,))
-    return out
+        x = _gathered(a[i:i + step], j, v)
+        if whole:
+            out[pout[i:i + step][:, groups]] = x.reshape(-1, groups.size, ncols)
+        else:
+            out[pout[i:i + step, k], c] = x
 
 
 def _group_nonzeros(g: SuperOp, pin: np.ndarray):
@@ -635,10 +638,8 @@ def _group_nonzeros(g: SuperOp, pin: np.ndarray):
     single = np.count_nonzero(first, axis=0) <= 1
     if not single.any():
         return None
-    # stored != 0, each part compared as a float and a pair read as a uint16
     nonzero = np.zeros((stored.shape[0] + 1, stored.shape[1]), dtype=bool)
-    parts = np.ascontiguousarray(stored).view(np.float64) != 0
-    np.not_equal(parts.view(np.uint16), 0, out=nonzero[:-1])
+    np.not_equal(stored, 0, out=nonzero[:-1])
     nonzero = nonzero[rows]
     single &= (nonzero.sum(axis=0, dtype=np.uint32) <= 1).all(axis=1)
     groups = np.flatnonzero(single)
