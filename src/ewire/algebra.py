@@ -10,8 +10,8 @@ direction: a circuit from W to W' denotes a completely positive
 (sub)unital linear map from the algebra of W' to the algebra of W.  A
 ``SuperOp`` is that linear map as a matrix acting on vectorised
 elements, of shape ``target.dim x source.dim``: held densely, or as a
-row view (each row a row of a dense base or of the identity, or zero)
-whose dense ``matrix`` is built on first read.
+row view (each row a row of a dense base, or a few entries over a
+signed zero, or zero) whose dense ``matrix`` is built on first read.
 
 Conventions used throughout:
 
@@ -47,7 +47,10 @@ Conventions used throughout:
   there.  A group is decided from its own entries alone, whatever kind
   of map holds them; the others keep one zgemm over the whole
   contraction, as does every contraction below ``_SPARSE_FLOOR``
-  entries.
+  entries.  When every group is gathered and the result's rows are
+  sparse, it stays a view of those entries, which the next steps move,
+  scale and read again without a matrix; ``_materialise`` is the one
+  place where a view's entries are written into a matrix.
 
 This module decides no typing: a gate's wire signature is
 ``typecheck.gate_signature``, and ``gate_denotation`` gives only its map.
@@ -244,10 +247,11 @@ class SuperOp:
     Heisenberg direction.
 
     ``SuperOp(source, target, matrix)`` holds a dense matrix.  A map
-    that only moves, scales or clears rows is a row view instead (see
-    ``row_view``), and its dense ``matrix`` is built on first read, once,
-    as a read-only array.  Which rows hold at most one nonzero is
-    likewise found once per object (see ``_monomial_rows``).
+    that only moves, scales or clears rows, or whose rows hold few
+    nonzeros, is a row view instead (see ``row_view``), and its dense
+    ``matrix`` is built on first read, once, as a read-only array.  Which
+    rows hold at most one nonzero is likewise found once per object (see
+    ``_monomial_rows``).
     """
 
     __slots__ = ("source", "target", "_matrix", "_index", "_base", "_vals", "_fill",
@@ -272,13 +276,19 @@ class SuperOp:
         """The map whose row ``i`` is row ``index[i]`` of ``base``, or zero
         where ``index[i]`` is -1.
 
-        With ``base`` None the rows are read from the identity on
-        ``source``: row ``i`` holds ``vals[i]`` at column ``index[i]`` and
-        the signed zero ``fill[i]`` everywhere else (every entry, for a
-        zero row).  ``vals`` None stands for all ones and ``fill`` None
-        for all ``+0``.  The arrays are shared, not copied.
+        With ``base`` None the rows hold up to ``m`` entries each, read
+        from the identity on ``source``: ``index`` and ``vals`` are
+        ``(n, m)``, and row ``i`` holds ``vals[i, t]`` at column
+        ``index[i, t]`` for each ``t`` where that is not the padding -1 (the
+        columns of a row are distinct), and the signed zero ``fill[i]``
+        everywhere else (every entry, for a row of padding).  A view of
+        width 1 is held with 1-d ``index`` and ``vals``, as
+        ``index[i]`` and ``vals[i]``.  ``vals`` None stands for all ones
+        and ``fill`` None for all ``+0``.  The arrays are shared, not
+        copied.
         """
-        if index.shape != (target.dim,):
+        if index.shape != (target.dim,) and (
+                base is not None or index.shape != (target.dim, index.shape[-1])):
             raise DimensionMismatch(
                 f"row index of shape {index.shape} for target dim {target.dim}"
             )
@@ -314,7 +324,8 @@ _UNSET = object()  # a memo slot not filled yet
 
 
 def _materialise(ncols: int, index, base, vals, fill) -> np.ndarray:
-    """The dense rows of a row view (see ``SuperOp.row_view``)."""
+    """The dense rows of a row view (see ``SuperOp.row_view``): the one
+    place where a view's entries are scattered into a matrix."""
     live = index >= 0
     if base is not None:
         out = base.take(index, axis=0)
@@ -322,12 +333,12 @@ def _materialise(ncols: int, index, base, vals, fill) -> np.ndarray:
             out[~live] = 0
         return out
     if fill is None:
-        out = np.zeros((index.size, ncols), dtype=complex)
+        out = np.zeros((index.shape[0], ncols), dtype=complex)
     else:
-        out = np.empty((index.size, ncols), dtype=complex)
+        out = np.empty((index.shape[0], ncols), dtype=complex)
         out[:] = fill[:, None]
-    rows = np.flatnonzero(live)
-    out[rows, index[rows]] = 1.0 if vals is None else vals[rows]
+    at = live.nonzero()  # (rows,) of a width-1 view, else (rows, slots)
+    out[at[0], index[at]] = 1.0 if vals is None else vals[at]
     return out
 
 
@@ -370,13 +381,14 @@ def op_relabel(f: SuperOp, target: FdAlgebra, *,
     if rows is None:
         return f
     index, base, vals, fill = _view(f)
-    moved = np.empty(target.dim, dtype=np.intp)
-    moved[rows] = np.arange(target.dim) if index is None else index
-    return SuperOp.row_view(f.source, target, moved, base,
+    if index is None:
+        index = np.arange(target.dim, dtype=np.intp)
+    return SuperOp.row_view(f.source, target, _moved(index, rows), base,
                             _moved(vals, rows), _moved(fill, rows))
 
 
 def _moved(a: np.ndarray | None, rows: np.ndarray) -> np.ndarray | None:
+    """``a`` with its row ``i`` at ``rows[i]``."""
     if a is None:
         return None
     out = np.empty_like(a)
@@ -503,13 +515,18 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
     BLAS rounds a one-term dot product (``_gathered``), and ``+0`` where
     the column is zero.  The nonzeros come from an identity-based ``g``'s
     index, or from one pass over the rows any other ``g`` stores; no row
-    of the contraction is built unless some group does not qualify.  Those
-    groups take one zgemm over the whole contraction, at the shape it has
-    with no group gathered, so their bits do not change.  A gathered group
-    has the zgemm's bits where the zgemm rounds a one-term dot product so;
-    in columns that the BLAS kernel rounds as a fused product (for
-    OpenBLAS on x86-64, the last ``(r * ncols) mod 4``) an inexact entry
-    may differ by 1 ulp.
+    of the contraction is built unless some group does not qualify.  When
+    every group qualifies and no result row holds a nonzero in half the
+    columns or more, the result is an identity-based view of those
+    entries, as wide as the fullest group, and no matrix is built (it
+    takes at most 3/4 of the dense matrix's bytes).  Otherwise the groups
+    that do not qualify take one zgemm over the whole contraction, at the
+    shape it has with no group gathered, so their bits do not change, and
+    the gathered rows are written over it.  A gathered group has the
+    zgemm's bits where the zgemm rounds a one-term dot product so; in
+    columns that the BLAS kernel rounds as a fused product (for OpenBLAS
+    on x86-64, the last ``(r * ncols) mod 4``) an inexact entry may differ
+    by 1 ulp.
     """
     src_mid, tgt, pin, pout = tensored_layout(f, rest)
     if g.target != src_mid:
@@ -524,15 +541,18 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
         live = pout[nz_rows]
         src = pin[nz_cols]
         g_index, base, g_vals, g_fill = _view(g)
-        index = np.full(tgt.dim, -1, dtype=np.intp)
-        index[live] = src if g_index is None else g_index[src]
         scale = None if vals is None or (vals == 1).all() else vals[:, None]
         if base is None:
+            index = np.full(tgt.dim if g_index.ndim == 1 else (tgt.dim, g_index.shape[1]),
+                            -1, dtype=np.intp)
+            index[live] = g_index[src]
             return SuperOp.row_view(
                 g.source, tgt, index, None,
-                _scaled_rows(g_vals, 1.0, src, live, scale, tgt.dim),
-                _scaled_rows(g_fill, 0.0, src, live, scale, tgt.dim),
+                _scaled_rows(g_vals, 1.0, src, live, scale, index.shape),
+                _scaled_rows(g_fill, 0.0, src, live, scale, (tgt.dim,)),
             )
+        index = np.full(tgt.dim, -1, dtype=np.intp)
+        index[live] = src if g_index is None else g_index[src]
         if scale is None:
             return SuperOp.row_view(g.source, tgt, index, base)
         # every row times its entry of f, in place; a zero row stays +0
@@ -547,7 +567,11 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
     if f.source.dim * r * ncols >= _SPARSE_FLOOR:
         found = _group_nonzeros(g, pin)
     if found is not None and found[0].all():
-        out = np.zeros((tgt.dim, ncols), dtype=complex)
+        # each row of group k holds the group's counts[k] nonzeros
+        counts = np.bincount(found[2], minlength=r)
+        if 2 * counts.max() < ncols:
+            return _gathered_view(f.matrix, g.source, tgt, pout, counts, *found[1:])
+        out = np.empty((tgt.dim, ncols), dtype=complex)
     else:
         # with rest the scalars, pin and pout are the identity
         gk = _dense_rows(g, None if r == 1 else pin.reshape(-1))
@@ -556,9 +580,6 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
             return SuperOp(g.source, tgt, hk)
         out = np.empty((f.target.dim * r, ncols), dtype=complex)
         out[pout.reshape(-1), :] = hk
-        if found is not None:
-            # the gathered groups start from +0, as when every group is
-            out[pout[:, found[0]].reshape(-1)] = 0
     if found is not None:
         _write_gathered(out, f.matrix, pout, *found)
     return SuperOp(g.source, tgt, out)
@@ -579,57 +600,79 @@ _SPARSE_FLOOR = 1 << 15
 _GATHER_BLOCK = 1 << 14  # result entries gathered per block of f's rows
 
 
+def _gathered_view(a: np.ndarray, source: FdAlgebra, target: FdAlgebra, pout: np.ndarray,
+                   counts, j, k, c, v) -> SuperOp:
+    """The result when every rest group qualifies, as an identity-based
+    view: row ``pout[i, k]`` holds ``a[i, j] * v`` (``_gathered``) at
+    column ``c`` for each nonzero ``v`` at ``(j, k, c)``, and ``+0``
+    elsewhere.  Every row of group ``k`` holds the same ``counts[k]``
+    columns, so the view is as wide as the fullest group."""
+    r = pout.shape[1]
+    order = np.argsort(k)
+    k = k[order]
+    width = max(1, int(counts.max()))
+    # a group's nonzeros are consecutive, and at most width of them
+    slot = np.arange(k.size) % width
+    cols = np.full((r, width), -1, dtype=np.intp)
+    js = np.zeros((r, width), dtype=np.intp)
+    vs = np.zeros((r, width), dtype=complex)
+    cols[k, slot], js[k, slot], vs[k, slot] = c[order], j[order], v[order]
+    index = np.empty((target.dim, width), dtype=np.intp)
+    index[pout] = cols
+    vals = np.empty((target.dim, width), dtype=complex)
+    vals[pout] = _gathered(a, js.reshape(-1), vs.reshape(-1)).reshape(pout.shape + (width,))
+    if width == 1:
+        index, vals = index[:, 0], vals[:, 0]
+    return SuperOp.row_view(source, target, index, None, vals)
+
+
 def _write_gathered(out: np.ndarray, a: np.ndarray, pout: np.ndarray,
                     single, j, k, c, v) -> None:
     """Write the rows ``pout[:, k]`` of every qualifying rest group ``k``
-    (``single``) into ``out``, which holds +0 there: ``a``'s column ``j``
-    times ``v`` for each nonzero ``v`` at ``(j, k, c)``."""
+    (``single``) into ``out``, whole: ``a``'s column ``j`` times ``v`` for
+    each nonzero ``v`` at ``(j, k, c)``, and a column with no nonzero
+    ``a``'s column 0 times 0, which is ``+0`` for a finite ``a``."""
     groups = np.flatnonzero(single)
     ncols = out.shape[1]
-    # Entries cost a scattered write each, whole rows every column: from
-    # half the columns holding a nonzero up, whole rows are written, a
-    # column that holds none reading a's column 0 times 0, which is +0
-    # for a finite a.
-    whole = 2 * j.size >= groups.size * ncols
-    if whole:
-        at = np.searchsorted(groups, k) * ncols + c
-        j_all = np.zeros(groups.size * ncols, dtype=np.intp)
-        v_all = np.zeros(groups.size * ncols, dtype=complex)
-        j_all[at], v_all[at] = j, v
-        j, v = j_all, v_all
-    step = max(1, _GATHER_BLOCK // max(1, j.size))
+    at = np.searchsorted(groups, k) * ncols + c
+    j_all = np.zeros(groups.size * ncols, dtype=np.intp)
+    v_all = np.zeros(groups.size * ncols, dtype=complex)
+    j_all[at], v_all[at] = j, v
+    step = max(1, _GATHER_BLOCK // j_all.size)
     for i in range(0, a.shape[0], step):
-        x = _gathered(a[i:i + step], j, v)
-        if whole:
-            out[pout[i:i + step][:, groups]] = x.reshape(-1, groups.size, ncols)
-        else:
-            out[pout[i:i + step, k], c] = x
+        x = _gathered(a[i:i + step], j_all, v_all)
+        out[pout[i:i + step][:, groups]] = x.reshape(-1, groups.size, ncols)
 
 
 def _group_nonzeros(g: SuperOp, pin: np.ndarray):
     """``(single, j, k, c, v)``: whether each rest group ``k`` of the
     contraction ``g[pin[j, k], c]`` holds at most one nonzero per column,
     and each nonzero ``v`` of those groups at ``(j, k, c)``; None when no
-    group does.  An identity-based view answers from its index; other
+    group does.  An identity-based view answers from ``index[pin]``; other
     maps from one pass over the rows they store, so the contraction's
     rows are never built."""
     index, stored, vals, _ = _view(g)
     if stored is None:
-        cols = index[pin]
+        cols = index[pin]  # (j, k), or (j, k, slot) for a view of width m
         live = cols >= 0
         v = None if vals is None else vals[pin]
         if v is not None:
             live &= v != 0
-        # a group qualifies when its live columns are distinct; a zero
-        # row j stands for -1 - j, apart from every column and other row
-        key = np.where(live, cols, -1 - np.arange(cols.shape[0])[:, None])
+        # a group qualifies when its live columns are distinct; padding or
+        # a zero in slot t of row j stands for -1 - (j m + t), apart from
+        # every column and every other slot
+        nj, r = pin.shape
+        key = np.where(live, cols, -1 - np.arange(cols.size // r).reshape(
+            (nj, 1) + cols.shape[2:]))
+        if key.ndim == 3:
+            key = key.transpose(0, 2, 1).reshape(-1, r)
         key.sort(axis=0)
         single = ~(key[1:] == key[:-1]).any(axis=0)
         if not single.any():
             return None
-        j, k = np.nonzero(live & single)
-        v = np.ones(j.size, dtype=complex) if v is None else v[j, k]
-        return single, j, k, cols[j, k], v
+        at = (live & (single if live.ndim == 2 else single[:, None])).nonzero()
+        v = np.ones(at[0].size, dtype=complex) if v is None else v[at]
+        return single, at[0], at[1], cols[at], v
     # the stored row of each contracted row; -1, a zero row, reads the
     # row of zeros appended to each mask
     rows = pin if index is None else index[pin]
@@ -671,16 +714,17 @@ def _gathered(a: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scaled_rows(a, default, src, live, scale, n):
-    """Per-row ``vals`` or ``fill`` of an identity-based view read through
-    ``src`` into rows ``live`` and times ``scale``; None when ``a`` is
+def _scaled_rows(a, default, src, live, scale, shape):
+    """Per-row ``vals`` (of ``shape`` ``(n, m)`` or ``(n,)``) or ``fill``
+    (``(n,)``) of an identity-based view read through ``src`` into rows
+    ``live`` and times ``scale``, one entry per row; None when ``a`` is
     None (all ``default``) and nothing scales.  Other rows hold ``+0``."""
     if a is None and scale is None:
         return None
-    x = np.full(src.shape, default, dtype=complex) if a is None else a[src]
+    x = np.full(src.shape + shape[1:], default, dtype=complex) if a is None else a[src]
     if scale is not None:
-        x = x * scale
-    out = np.zeros(n, dtype=complex)
+        x = x * (scale if x.ndim == 2 else scale[..., None])
+    out = np.zeros(shape, dtype=complex)
     out[live] = x
     return out
 
@@ -702,8 +746,11 @@ def _find_monomial(f: SuperOp):
         live = f._index >= 0
         if f._vals is not None:
             live &= f._vals != 0
-        rows = np.flatnonzero(live)
-        return rows, f._index[rows], None if f._vals is None else f._vals[rows]
+        at = live.nonzero()
+        rows = at[0]
+        if live.ndim == 2 and (rows[1:] == rows[:-1]).any():
+            return None
+        return rows, f._index[at], None if f._vals is None else f._vals[at]
     nonzero = _row_monomial(f.matrix)
     if nonzero is None:
         return None
@@ -781,9 +828,10 @@ def tensor_copower_iso(a: FdAlgebra, n: int, b: FdAlgebra) -> SuperOp:
 def copower_stack(fs: Sequence[SuperOp], *, rows: np.ndarray | None = None) -> SuperOp:
     """Assemble maps f_v : X -> Y into the single map X -> (n . Y) whose
     v-th summand is f_v, placed by ``rows`` if set (a zero f_v writes
-    nothing, so its rows are ``+0``).  When every f_v is a row view of
-    the identity, so is the result; otherwise it is a row view over the
-    dense rows of the nonzero f_v, and no zero row is allocated."""
+    nothing, so its rows are ``+0``).  When every f_v is an identity-based
+    view, so is the result, as wide as the widest f_v, and only indices
+    move; otherwise it is a row view over the dense rows of the nonzero
+    f_v, and no zero row is allocated."""
     if not fs:
         raise ZeroCopower("cannot stack zero maps")
     src = fs[0].source
@@ -797,11 +845,25 @@ def copower_stack(fs: Sequence[SuperOp], *, rows: np.ndarray | None = None) -> S
         blocks = [(f, rows[block]) for f, block in blocks]
     blocks = [(f, block) for f, block in blocks if not _is_zero_view(f)]
     if all(f._index is not None and f._base is None for f, _ in blocks):
-        index = np.full(stacked.dim, -1, dtype=np.intp)
-        vals = _stacked_rows(blocks, "_vals", 1.0, stacked.dim)
-        fill = _stacked_rows(blocks, "_fill", 0.0, stacked.dim)
+        # rows of no branch hold -1 and +0, as does the padding of a
+        # branch narrower than the widest
+        width = max([f._index.size for f, _ in blocks], default=tgt.dim) // tgt.dim
+        index = np.full(stacked.dim if width == 1 else (stacked.dim, width), -1, dtype=np.intp)
+        vals = fill = None
+        if any(f._vals is not None for f, _ in blocks):
+            vals = np.zeros(index.shape, dtype=complex)
+        if any(f._fill is not None for f, _ in blocks):
+            fill = np.zeros(stacked.dim, dtype=complex)
         for f, block in blocks:
-            index[block] = f._index
+            part, at = f._index, block
+            if index.ndim == 2:
+                part = part.reshape(tgt.dim, -1)
+                at = (block, slice(part.shape[1]))
+            index[at] = part
+            if vals is not None:
+                vals[at] = 1.0 if f._vals is None else f._vals.reshape(part.shape)
+            if fill is not None:
+                fill[block] = 0.0 if f._fill is None else f._fill
         return SuperOp.row_view(src, stacked, index, None, vals, fill)
     parts = [(f.matrix, block) for f, block in blocks]
     parts = [(m, block) for m, block in parts if m.any()]
@@ -820,18 +882,6 @@ def _is_zero_view(f: SuperOp) -> bool:
         return False
     live = f._index >= 0
     return not (live.any() if f._vals is None else f._vals[live].any())
-
-
-def _stacked_rows(blocks, attr: str, default: float, n: int):
-    """The ``vals`` or ``fill`` of stacked identity-based views, None if
-    no branch has one; rows of no branch hold ``+0``."""
-    if all(getattr(f, attr) is None for f, _ in blocks):
-        return None
-    out = np.zeros(n, dtype=complex)
-    for f, block in blocks:
-        a = getattr(f, attr)
-        out[block] = default if a is None else a
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from tests.oracle import (
 
 M2 = alg(2)
 C2 = alg(1, 1)
+_NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
 
 
 # -- algebra constructions ---------------------------------------------------
@@ -613,6 +614,138 @@ def test_gathered_rounds_as_a_one_term_dot_product():
         assert out[i, j].imag.tobytes() == np.float64(im).tobytes(), (i, j)
 
 
+# -- identity-based views of several entries a row ------------------------------------
+
+
+# the shapes of f's source, the rest and the continuation's source; the
+# last crosses the module's floor of contracted entries
+_VIEW_SHAPES = [(alg(1, 1), alg(2), alg(2, 1)), (M2, C2, alg(1, 3)),
+                (alg(2, 1), alg(1, 2), alg(2, 2)), (M2, alg(8), alg(8, 8))]
+_VIEW_VALS = [1, -1, 0, 1j, complex(_NAN_PAYLOAD, 0.5)]
+
+
+def _complex_parts(re, im):
+    out = np.empty(np.shape(re), dtype=complex)
+    # assigned part by part, so that signed zeros and NaN payloads stay
+    out.real, out.imag = re, im
+    return out
+
+
+def _random_view(rng, source, target, width, zero=False, groups=None, lone=False):
+    """An identity-based view of up to ``width`` entries a row, and the
+    dense matrix of the same map built entry by entry.  About a fifth of
+    the rows hold only padding and a fifth of the other slots are padding;
+    each row's fill is a signed zero; ``vals`` are drawn from
+    ``_VIEW_VALS`` (a NaN payload among them) and complex normals, or left
+    None (all ones), as is ``fill`` (all ``+0``).  With ``zero`` every
+    entry is a zero.  With ``groups`` (``pin`` of a tensored layout) the
+    rows of each rest group share out distinct columns, so every group of
+    the contraction qualifies, and with ``lone`` only the first row of
+    each group holds entries."""
+    n, ncols = target.dim, source.dim
+    index = np.full((n, width), -1, dtype=np.intp)
+    for i in range(n):
+        cols = rng.permutation(ncols)[:width]
+        index[i, :cols.size] = cols
+    for rows in [] if groups is None else groups.T:
+        cols = rng.permutation(ncols)
+        for t, i in enumerate(rows):
+            part = cols[t * width:(t + 1) * width]
+            index[i] = -1
+            index[i, :part.size] = part
+        if lone:
+            index[rows[1:]] = -1
+    index[rng.random(n) < 0.2] = -1
+    index[rng.random(index.shape) < 0.2] = -1
+    vals = fill = None
+    if zero:
+        vals = np.zeros(index.shape, dtype=complex)
+    elif rng.random() < 0.8:
+        vals = _complex_parts(rng.normal(size=index.shape), rng.normal(size=index.shape))
+        pick = rng.integers(-len(_VIEW_VALS), len(_VIEW_VALS), size=index.shape)
+        vals[pick >= 0] = np.array(_VIEW_VALS)[pick[pick >= 0]]
+    if rng.random() < 0.8:
+        fill = _complex_parts(rng.choice([0.0, -0.0], size=n), rng.choice([0.0, -0.0], size=n))
+    dense = np.empty((n, ncols), dtype=complex)
+    dense[:] = 0.0 if fill is None else fill[:, None]
+    for (i, t), c in np.ndenumerate(index):
+        if c >= 0:
+            dense[i, c] = 1.0 if vals is None else vals[i, t]
+    if width == 1:
+        index, vals = index[:, 0], None if vals is None else vals[:, 0]
+    return SuperOp.row_view(source, target, index, None, vals, fill), dense
+
+
+def _random_f(rng, source, target, kind):
+    """A map ``source -> target`` with entries from ``_VIEW_VALS`` and
+    complex normals, about a third of them zero: monomial, or dense; held
+    densely, or as a view of width 2 or 3 where its rows fit."""
+    m = _complex_parts(rng.normal(size=(target.dim, source.dim)),
+                       rng.normal(size=(target.dim, source.dim)))
+    pick = rng.integers(-2, len(_VIEW_VALS), size=m.shape)
+    m[pick >= 0] = np.array(_VIEW_VALS)[pick[pick >= 0]]
+    m[rng.random(m.shape) < 0.3] = 0
+    if kind == "monomial":
+        keep = np.zeros(m.shape, dtype=bool)
+        keep[np.arange(target.dim), rng.integers(source.dim, size=target.dim)] = True
+        m[~keep] = 0
+    if rng.random() < 0.5:
+        return SuperOp(source, target, m)
+    width = int(min(source.dim, rng.integers(2, 4)))
+    index = np.full((target.dim, width), -1, dtype=np.intp)
+    vals = np.zeros(index.shape, dtype=complex)
+    for i in range(target.dim):
+        cols = np.flatnonzero(m[i])
+        if cols.size > width:
+            return SuperOp(source, target, m)
+        index[i, :cols.size], vals[i, :cols.size] = cols, m[i, cols]
+    return SuperOp.row_view(source, target, index, None, vals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from(_VIEW_SHAPES),
+       st.sampled_from(["monomial", "dense"]), st.sampled_from([0, None]),
+       st.sampled_from(["random", "groups", "lone"]))
+def test_views_read_as_their_dense_maps(seed, width, shapes, f_kind, floor, layout):
+    # every reading of a view of width 1 to 4 gives the bytes that the
+    # same map held densely gives, signed zeros and NaN payloads included
+    import unittest.mock
+    import ewire.algebra
+    from ewire.algebra import _dense_rows
+
+    rng = np.random.default_rng(seed)
+    f_src, rest, src = shapes
+    f = _random_f(rng, f_src, _MIXED[rng.integers(len(_MIXED))], f_kind)
+    mid = alg_tensor(f.source, rest)
+    pin = None if layout == "random" else tensored_layout(f, rest)[2]
+    view, m = _random_view(rng, src, mid, width, groups=pin, lone=layout == "lone")
+    dense = SuperOp(src, mid, m)
+    assert view.matrix.tobytes() == m.tobytes()
+    sel = rng.permutation(mid.dim)[:rng.integers(1, mid.dim + 1)]
+    assert _dense_rows(view, sel).tobytes() == m[sel].tobytes()
+    rows = rng.permutation(mid.dim)
+    assert op_relabel(view, mid, rows=rows).matrix.tobytes() == _scatter(m, rows).tobytes()
+    f_dense = SuperOp(f.source, f.target, f.matrix)
+    with unittest.mock.patch.object(ewire.algebra, "_SPARSE_FLOOR",
+                                    ewire.algebra._SPARSE_FLOOR if floor is None else floor):
+        got = compose_tensored(f, rest, view).matrix
+        for placement in (None, rng.permutation(f.target.dim * rest.dim)):
+            want = compose_tensored(f_dense, rest, dense, rows=placement).matrix
+            assert compose_tensored(f, rest, view, rows=placement).matrix.tobytes() == want.tobytes()
+    # and near the dense definition wherever that is finite (a NaN spreads
+    # over the rows and columns of its zero products there)
+    ref = op_compose(dense, op_tensor(f_dense, op_identity(rest))).matrix
+    assert not (np.abs(got - ref)[np.isfinite(ref)] > 1e-12).any()
+    # with a branch of another width and a zero branch, and with a dense
+    # branch among views
+    other, m2 = _random_view(rng, src, mid, int(rng.integers(1, 5)))
+    zero, m3 = _random_view(rng, src, mid, 2, zero=True)
+    for fs in ([view, other, zero], [view, SuperOp(src, mid, m2), zero]):
+        for placement in (None, rng.permutation(3 * mid.dim)):
+            want = copower_stack([SuperOp(src, mid, x) for x in (m, m2, m3)], rows=placement)
+            assert copower_stack(fs, rows=placement).matrix.tobytes() == want.matrix.tobytes()
+
+
 # -- gates ---------------------------------------------------------------------------
 
 
@@ -905,7 +1038,6 @@ def test_superop_json_shape():
 
 # each part of an entry is drawn from these or from any float, so that
 # entries repeat and the edge cases of the 12-digit format meet
-_NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
     0.9999999999995, -0.99999999999949, 9.9999999999995e-5, 123456789012.5,

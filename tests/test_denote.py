@@ -947,6 +947,61 @@ def test_sparse_read_keeps_every_bit(monkeypatch):
         assert _denote_jobs(jobs) == gathered
 
 
+
+def test_qft_keeps_sparse_rows_until_fourier_4(monkeypatch):
+    # at n=5, the H step (f of 4 x 4 over a rest of 256, with a
+    # continuation of 1024 columns) hands on rows of 4 entries, and the
+    # rotation step and the lift n stack keep them; no 1024 x 1024 matrix
+    # is materialised before the fourier 4 step (f of 256 x 256, dense),
+    # whose result is the one dense 1024 x 1024 map
+    import ewire.denote
+
+    monkeypatch.setattr(ewire.algebra, "_max_dim", 1 << 17)
+    events = []
+    compose, stack = ewire.denote.compose_tensored, ewire.denote.copower_stack
+    materialise = ewire.algebra._materialise
+
+    def composed(f, rest, g, **kwargs):
+        events.append(("compose", f, rest, g))
+        h = compose(f, rest, g, **kwargs)
+        events[-1] += (h,)
+        return h
+
+    def stacked(fs, **kwargs):
+        h = stack(fs, **kwargs)
+        events.append(("stack", h))
+        return h
+
+    def materialised(*args):
+        m = materialise(*args)
+        events.append(("materialise", m.shape))
+        return m
+
+    monkeypatch.setattr(ewire.denote, "compose_tensored", composed)
+    monkeypatch.setattr(ewire.denote, "copower_stack", stacked)
+    monkeypatch.setattr(ewire.algebra, "_materialise", materialised)
+    prog = parse_program((PROGRAMS / "qft.ew").read_text())
+    mono, entry = monomorphize(prog, 5, "fourier")
+    evaluate_program(check_program(mono), mode=Mode.cpsu())
+
+    def dense_f(e, n):
+        return (e[0] == "compose" and e[1].source.dim == n and e[3].source.dim == 1024
+                and ewire.algebra._monomial_rows(e[1]) is None)
+
+    def sparse_rows(h):
+        return h._index is not None and h._base is None
+
+    four = next(i for i, e in enumerate(events) if dense_f(e, 256))
+    h_step = next(e for e in events[:four] if dense_f(e, 4) and e[2].dim == 256)
+    rotation = next(e for e in events[:four] if e[0] == "compose" and e[3] is h_step[4])
+    lift_n = [e for e in events[:four] if e[0] == "stack"][-1]
+    assert sparse_rows(h_step[4]) and h_step[4]._index.shape == (1024, 4)
+    assert sparse_rows(rotation[4]) and sparse_rows(lift_n[1])
+    assert not any(e[0] == "materialise" and e[1][0] * e[1][1] >= 1024 * 1024
+                   for e in events[:four])
+    assert events[four][4]._index is None and events[four][4].matrix.shape == (1024, 1024)
+
+
 # -- lift branches that no later step reads ------------------------------------------
 
 
