@@ -10,8 +10,8 @@ direction: a circuit from W to W' denotes a completely positive
 (sub)unital linear map from the algebra of W' to the algebra of W.  A
 ``SuperOp`` is that linear map as a matrix acting on vectorised
 elements, of shape ``target.dim x source.dim``: held densely, or as a
-row view (each row a row of a dense base, or a few entries over a
-signed zero, or zero) whose dense ``matrix`` is built on first read.
+row view of the identity (each row a few entries over a signed zero, or
+zero) whose dense ``matrix`` is built on first read.
 
 Conventions used throughout:
 
@@ -31,9 +31,9 @@ Conventions used throughout:
   canonical row ``i`` to ``rows[i]``, under the canonical target label.
 * ``compose_tensored`` composes through a map with at most one nonzero
   entry per row (the structural maps above, classical readouts, diagonal
-  gates, zero maps) by reading the continuation's rows through a new
-  index, with no matrix product and, unless rows are scaled over a dense
-  base, no copy.  That is exact when the entries are 0 or 1; otherwise
+  gates, zero maps) with no matrix product: a view continuation's rows
+  are read through a new index, and a dense one's rows are gathered (and
+  scaled).  That is exact when the entries are 0 or 1; otherwise
   each result entry is rounded once and stays within 1e-12 of the dense
   product.  The dense ``SuperOp.matrix`` remains the reference
   semantics, bit for bit: a view's ``matrix`` equals what composing the
@@ -247,15 +247,15 @@ class SuperOp:
     Heisenberg direction.
 
     ``SuperOp(source, target, matrix)`` holds a dense matrix.  A map
-    that only moves, scales or clears rows, or whose rows hold few
-    nonzeros, is a row view instead (see ``row_view``), and its dense
-    ``matrix`` is built on first read, once, as a read-only array.  Which
+    whose rows hold few nonzeros each (structural maps, and what moving,
+    scaling or clearing their rows gives) is a row view of the identity
+    instead (see ``row_view``), and its dense ``matrix`` is built on first
+    read, once, as a read-only array.  There is no other kind.  Which
     rows hold at most one nonzero is likewise found once per object (see
     ``_monomial_rows``).
     """
 
-    __slots__ = ("source", "target", "_matrix", "_index", "_base", "_vals", "_fill",
-                 "_mono")
+    __slots__ = ("source", "target", "_matrix", "_index", "_vals", "_fill", "_mono")
 
     def __init__(self, source: FdAlgebra, target: FdAlgebra, matrix: np.ndarray):
         m = np.ascontiguousarray(matrix, dtype=complex)
@@ -266,47 +266,36 @@ class SuperOp:
             )
         m.flags.writeable = False
         self.source, self.target, self._matrix = source, target, m
-        self._index = self._base = self._vals = self._fill = None
+        self._index = self._vals = self._fill = None
         self._mono = _UNSET
 
     @classmethod
     def row_view(cls, source: FdAlgebra, target: FdAlgebra, index: np.ndarray,
-                 base: np.ndarray | None = None, vals: np.ndarray | None = None,
-                 fill: np.ndarray | None = None) -> "SuperOp":
-        """The map whose row ``i`` is row ``index[i]`` of ``base``, or zero
-        where ``index[i]`` is -1.
-
-        With ``base`` None the rows hold up to ``m`` entries each, read
-        from the identity on ``source``: ``index`` and ``vals`` are
-        ``(n, m)``, and row ``i`` holds ``vals[i, t]`` at column
-        ``index[i, t]`` for each ``t`` where that is not the padding -1 (the
-        columns of a row are distinct), and the signed zero ``fill[i]``
-        everywhere else (every entry, for a row of padding).  A view of
-        width 1 is held with 1-d ``index`` and ``vals``, as
-        ``index[i]`` and ``vals[i]``.  ``vals`` None stands for all ones
-        and ``fill`` None for all ``+0``.  The arrays are shared, not
-        copied.
+                 vals: np.ndarray | None = None, fill: np.ndarray | None = None) -> "SuperOp":
+        """The map whose rows hold up to ``m`` entries each, read from the
+        identity on ``source``: ``index`` and ``vals`` are ``(n, m)``, and
+        row ``i`` holds ``vals[i, t]`` at column ``index[i, t]`` for each
+        ``t`` where that is not the padding -1 (the columns of a row are
+        distinct), and the signed zero ``fill[i]`` everywhere else (every
+        entry, for a row of padding).  A view of width 1 is held with 1-d
+        ``index`` and ``vals``, as ``index[i]`` and ``vals[i]``.  ``vals``
+        None stands for all ones and ``fill`` None for all ``+0``.  The
+        arrays are shared, not copied.
         """
-        if index.shape != (target.dim,) and (
-                base is not None or index.shape != (target.dim, index.shape[-1])):
+        if index.shape[:1] != (target.dim,) or index.ndim > 2:
             raise DimensionMismatch(
                 f"row index of shape {index.shape} for target dim {target.dim}"
             )
-        if base is not None and (base.ndim != 2 or base.shape[1] != source.dim):
-            raise DimensionMismatch(
-                f"base {base.shape} does not have {source.dim} columns"
-            )
         op = cls.__new__(cls)
         op.source, op.target, op._matrix = source, target, None
-        op._index, op._base, op._vals, op._fill = index, base, vals, fill
+        op._index, op._vals, op._fill = index, vals, fill
         op._mono = _UNSET
         return op
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            m = _materialise(self.source.dim, self._index, self._base,
-                             self._vals, self._fill)
+            m = _materialise(self.source.dim, self._index, self._vals, self._fill)
             m.flags.writeable = False
             self._matrix = m
         return self._matrix
@@ -323,15 +312,10 @@ class SuperOp:
 _UNSET = object()  # a memo slot not filled yet
 
 
-def _materialise(ncols: int, index, base, vals, fill) -> np.ndarray:
+def _materialise(ncols: int, index, vals, fill) -> np.ndarray:
     """The dense rows of a row view (see ``SuperOp.row_view``): the one
     place where a view's entries are scattered into a matrix."""
     live = index >= 0
-    if base is not None:
-        out = base.take(index, axis=0)
-        if not live.all():
-            out[~live] = 0
-        return out
     if fill is None:
         out = np.zeros((index.shape[0], ncols), dtype=complex)
     else:
@@ -342,24 +326,16 @@ def _materialise(ncols: int, index, base, vals, fill) -> np.ndarray:
     return out
 
 
-def _view(f: SuperOp):
-    """``f`` as ``(index, base, vals, fill)``; a dense map reads its own
-    rows in order, with ``index`` None for ``arange``."""
-    if f._index is not None:
-        return f._index, f._base, f._vals, f._fill
-    return None, f._matrix, None, None
-
-
 def _dense_rows(f: SuperOp, sel: np.ndarray | None) -> np.ndarray:
     """Rows ``sel`` of ``f.matrix`` (all of it, read-only, for None),
     without building the rest of it or keeping what it builds."""
     if f._matrix is not None:
         return f._matrix if sel is None else f._matrix.take(sel, axis=0)
     if sel is None:
-        return _materialise(f.source.dim, f._index, f._base, f._vals, f._fill)
+        return _materialise(f.source.dim, f._index, f._vals, f._fill)
     vals = None if f._vals is None else f._vals[sel]
     fill = None if f._fill is None else f._fill[sel]
-    return _materialise(f.source.dim, f._index[sel], f._base, vals, fill)
+    return _materialise(f.source.dim, f._index[sel], vals, fill)
 
 
 def op_identity(a: FdAlgebra) -> SuperOp:
@@ -373,18 +349,17 @@ def op_zero(source: FdAlgebra, target: FdAlgebra) -> SuperOp:
 def op_relabel(f: SuperOp, target: FdAlgebra, *,
                rows: np.ndarray | None = None) -> SuperOp:
     """``f`` with ``target`` (of the same dimension) as its target label,
-    and its row ``i`` moved to row ``rows[i]``.  Only the row view moves;
-    no matrix is copied.  Without ``rows`` the target must be ``f``'s own,
-    and ``f`` itself is returned."""
+    and its row ``i`` moved to row ``rows[i]``: a view's index moves, a
+    dense map's rows are copied into their new places.  Without ``rows``
+    the target must be ``f``'s own, and ``f`` itself is returned."""
     if target.dim != f.target.dim or (rows is None and target != f.target):
         raise DimensionMismatch(f"cannot relabel {f!r} as {target}")
     if rows is None:
         return f
-    index, base, vals, fill = _view(f)
-    if index is None:
-        index = np.arange(target.dim, dtype=np.intp)
-    return SuperOp.row_view(f.source, target, _moved(index, rows), base,
-                            _moved(vals, rows), _moved(fill, rows))
+    if f._index is None:
+        return SuperOp(f.source, target, _moved(f._matrix, rows))
+    return SuperOp.row_view(f.source, target, _moved(f._index, rows),
+                            _moved(f._vals, rows), _moved(f._fill, rows))
 
 
 def _moved(a: np.ndarray | None, rows: np.ndarray) -> np.ndarray | None:
@@ -501,23 +476,23 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
     Rows are placed through ``factor_index_map``.  When every row of
     ``f`` has at most one nonzero entry (symmetries, repatternings,
     classical readouts, diagonal gates, zero maps) each result row is one
-    row of ``g`` times that entry, so the result is ``g``'s row view read
-    through a new index, and no matrix is touched.  Entries other than 1
-    scale the rows: an identity-based ``g`` scales its ``vals`` and
-    ``fill`` (see ``SuperOp.row_view``), any other ``g`` is gathered and
-    scaled densely.  Either way each entry is ``g``'s entry times ``f``'s,
-    rounded once: exact for 0/1 entries, within 1e-12 of the dense
-    product otherwise.  Any other ``f`` is multiplied densely between a
-    gather and a scatter, except where the continuation is sparse: from
-    ``_SPARSE_FLOOR`` contracted entries up, rest group ``k`` whose
-    columns ``g[pin[:, k], c]`` each hold at most one nonzero ``v``, at
-    row ``j``, gives rows ``pout[:, k]`` as ``f[:, j] * v``, rounded as
-    BLAS rounds a one-term dot product (``_gathered``), and ``+0`` where
-    the column is zero.  The nonzeros come from an identity-based ``g``'s
-    index, or from one pass over the rows any other ``g`` stores; no row
-    of the contraction is built unless some group does not qualify.  When
-    every group qualifies and no result row holds a nonzero in half the
-    columns or more, the result is an identity-based view of those
+    row of ``g`` times that entry, with no matrix product: a view ``g`` is
+    read through a new index, and no matrix is touched; a dense ``g``'s
+    rows are gathered into a dense result.  Entries other than 1 scale the
+    rows: a view scales its ``vals`` and ``fill`` (see
+    ``SuperOp.row_view``), a dense result its rows, in place.  Either way
+    each entry is ``g``'s entry times ``f``'s, rounded once: exact for 0/1
+    entries, within 1e-12 of the dense product otherwise.  Any other
+    ``f`` is multiplied densely between a gather and a scatter, except
+    where the continuation is sparse: from ``_SPARSE_FLOOR`` contracted
+    entries up, rest group ``k`` whose columns ``g[pin[:, k], c]`` each
+    hold at most one nonzero ``v``, at row ``j``, gives rows ``pout[:,
+    k]`` as ``f[:, j] * v``, rounded as BLAS rounds a one-term dot
+    product (``_gathered``), and ``+0`` where the column is zero.  The
+    nonzeros come from a view ``g``'s index, or from one pass over a dense
+    ``g``'s matrix; no row of the contraction is built unless some group
+    does not qualify.  When every group qualifies and no result row holds
+    a nonzero in half the columns or more, the result is a view of those
     entries, as wide as the fullest group, and no matrix is built (it
     takes at most 3/4 of the dense matrix's bytes).  Otherwise the groups
     that do not qualify take one zgemm over the whole contraction, at the
@@ -540,26 +515,26 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
         # row i's nonzero; a zero row of f stays a zero row (-1)
         live = pout[nz_rows]
         src = pin[nz_cols]
-        g_index, base, g_vals, g_fill = _view(g)
         scale = None if vals is None or (vals == 1).all() else vals[:, None]
-        if base is None:
-            index = np.full(tgt.dim if g_index.ndim == 1 else (tgt.dim, g_index.shape[1]),
+        if g._index is not None:
+            index = np.full(tgt.dim if g._index.ndim == 1 else (tgt.dim, g._index.shape[1]),
                             -1, dtype=np.intp)
-            index[live] = g_index[src]
+            index[live] = g._index[src]
             return SuperOp.row_view(
-                g.source, tgt, index, None,
-                _scaled_rows(g_vals, 1.0, src, live, scale, index.shape),
-                _scaled_rows(g_fill, 0.0, src, live, scale, (tgt.dim,)),
+                g.source, tgt, index,
+                _scaled_rows(g._vals, 1.0, src, live, scale, index.shape),
+                _scaled_rows(g._fill, 0.0, src, live, scale, (tgt.dim,)),
             )
+        # g's rows gathered; a zero row of f reads row -1 and is cleared
         index = np.full(tgt.dim, -1, dtype=np.intp)
-        index[live] = src if g_index is None else g_index[src]
-        if scale is None:
-            return SuperOp.row_view(g.source, tgt, index, base)
-        # every row times its entry of f, in place; a zero row stays +0
-        row_scale = np.ones(tgt.dim, dtype=complex)
-        row_scale[live] = scale
-        out = _materialise(g.source.dim, index, base, None, None)
-        np.multiply(out, row_scale[:, None], out=out)
+        index[live] = src
+        out = g._matrix.take(index, axis=0)
+        out[index < 0] = 0
+        if scale is not None:
+            # every row times its entry of f, in place; a zero row stays +0
+            row_scale = np.ones(tgt.dim, dtype=complex)
+            row_scale[live] = scale
+            np.multiply(out, row_scale[:, None], out=out)
         return SuperOp(g.source, tgt, out)
     r = rest.dim
     ncols = g.source.dim
@@ -623,7 +598,7 @@ def _gathered_view(a: np.ndarray, source: FdAlgebra, target: FdAlgebra, pout: np
     vals[pout] = _gathered(a, js.reshape(-1), vs.reshape(-1)).reshape(pout.shape + (width,))
     if width == 1:
         index, vals = index[:, 0], vals[:, 0]
-    return SuperOp.row_view(source, target, index, None, vals)
+    return SuperOp.row_view(source, target, index, vals)
 
 
 def _write_gathered(out: np.ndarray, a: np.ndarray, pout: np.ndarray,
@@ -648,14 +623,13 @@ def _group_nonzeros(g: SuperOp, pin: np.ndarray):
     """``(single, j, k, c, v)``: whether each rest group ``k`` of the
     contraction ``g[pin[j, k], c]`` holds at most one nonzero per column,
     and each nonzero ``v`` of those groups at ``(j, k, c)``; None when no
-    group does.  An identity-based view answers from ``index[pin]``; other
-    maps from one pass over the rows they store, so the contraction's
-    rows are never built."""
-    index, stored, vals, _ = _view(g)
-    if stored is None:
-        cols = index[pin]  # (j, k), or (j, k, slot) for a view of width m
+    group does.  A view answers from ``index[pin]``, a dense map from the
+    nonzero pattern of ``matrix[pin]``, so the contraction's rows are
+    never built."""
+    if g._index is not None:
+        cols = g._index[pin]  # (j, k), or (j, k, slot) for a view of width m
         live = cols >= 0
-        v = None if vals is None else vals[pin]
+        v = None if g._vals is None else g._vals[pin]
         if v is not None:
             live &= v != 0
         # a group qualifies when its live columns are distinct; padding or
@@ -673,27 +647,22 @@ def _group_nonzeros(g: SuperOp, pin: np.ndarray):
         at = (live & (single if live.ndim == 2 else single[:, None])).nonzero()
         v = np.ones(at[0].size, dtype=complex) if v is None else v[at]
         return single, at[0], at[1], cols[at], v
-    # the stored row of each contracted row; -1, a zero row, reads the
-    # row of zeros appended to each mask
-    rows = pin if index is None else index[pin]
+    m = g._matrix
     # column 0 first: it rules out most dense groups unread
-    first = np.append(stored[:, 0] != 0, False)[rows]
-    single = np.count_nonzero(first, axis=0) <= 1
+    single = np.count_nonzero((m[:, 0] != 0)[pin], axis=0) <= 1
     if not single.any():
         return None
-    nonzero = np.zeros((stored.shape[0] + 1, stored.shape[1]), dtype=bool)
-    np.not_equal(stored, 0, out=nonzero[:-1])
-    nonzero = nonzero[rows]
+    nonzero = (m != 0)[pin]
     single &= (nonzero.sum(axis=0, dtype=np.uint32) <= 1).all(axis=1)
     groups = np.flatnonzero(single)
     if groups.size == 0:
         return None
     if groups.size < single.size:
         nonzero = nonzero[:, groups]
-    ncols = stored.shape[1]
+    ncols = m.shape[1]
     j, kc = np.divmod(np.flatnonzero(nonzero), groups.size * ncols)
     k, c = groups[kc // ncols], kc % ncols
-    return single, j, k, c, stored[rows[j, k], c]
+    return single, j, k, c, m[pin[j, k], c]
 
 
 def _gathered(a: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -740,9 +709,10 @@ def _monomial_rows(f: SuperOp):
 
 
 def _find_monomial(f: SuperOp):
-    """``_monomial_rows`` of ``f``, not memoised.  An identity-based view
-    answers from its index."""
-    if f._index is not None and f._base is None:
+    """``_monomial_rows`` of ``f``, not memoised.  A view answers from its
+    index; for a dense map the count comes first, so a dense ``f`` costs
+    one pass."""
+    if f._index is not None:
         live = f._index >= 0
         if f._vals is not None:
             live &= f._vals != 0
@@ -751,23 +721,13 @@ def _find_monomial(f: SuperOp):
         if live.ndim == 2 and (rows[1:] == rows[:-1]).any():
             return None
         return rows, f._index[at], None if f._vals is None else f._vals[at]
-    nonzero = _row_monomial(f.matrix)
-    if nonzero is None:
-        return None
-    rows, cols = nonzero
-    return rows, cols, f.matrix[rows, cols]
-
-
-def _row_monomial(m: np.ndarray):
-    """The ``(rows, cols)`` of the nonzero entries of ``m`` when no row
-    holds more than one of them, else None.  The count comes first, so a
-    dense ``m`` costs one pass."""
+    m = f._matrix
     if np.count_nonzero(m) > m.shape[0]:
         return None
     rows, cols = np.nonzero(m)
     if (rows[1:] == rows[:-1]).any():
         return None
-    return rows, cols
+    return rows, cols, m[rows, cols]
 
 
 def factor_permutation(algs: Sequence[FdAlgebra], new_order: Sequence[int]) -> np.ndarray:
@@ -828,10 +788,9 @@ def tensor_copower_iso(a: FdAlgebra, n: int, b: FdAlgebra) -> SuperOp:
 def copower_stack(fs: Sequence[SuperOp], *, rows: np.ndarray | None = None) -> SuperOp:
     """Assemble maps f_v : X -> Y into the single map X -> (n . Y) whose
     v-th summand is f_v, placed by ``rows`` if set (a zero f_v writes
-    nothing, so its rows are ``+0``).  When every f_v is an identity-based
-    view, so is the result, as wide as the widest f_v, and only indices
-    move; otherwise it is a row view over the dense rows of the nonzero
-    f_v, and no zero row is allocated."""
+    nothing, so its rows are ``+0``).  When every nonzero f_v is a view,
+    so is the result, as wide as the widest f_v, and only indices move;
+    otherwise the nonzero f_v are written into one dense stack."""
     if not fs:
         raise ZeroCopower("cannot stack zero maps")
     src = fs[0].source
@@ -843,8 +802,8 @@ def copower_stack(fs: Sequence[SuperOp], *, rows: np.ndarray | None = None) -> S
     blocks = [(f, slice(v * tgt.dim, (v + 1) * tgt.dim)) for v, f in enumerate(fs)]
     if rows is not None:
         blocks = [(f, rows[block]) for f, block in blocks]
-    blocks = [(f, block) for f, block in blocks if not _is_zero_view(f)]
-    if all(f._index is not None and f._base is None for f, _ in blocks):
+    blocks = [(f, block) for f, block in blocks if not _is_zero(f)]
+    if all(f._index is not None for f, _ in blocks):
         # rows of no branch hold -1 and +0, as does the padding of a
         # branch narrower than the widest
         width = max([f._index.size for f, _ in blocks], default=tgt.dim) // tgt.dim
@@ -864,22 +823,17 @@ def copower_stack(fs: Sequence[SuperOp], *, rows: np.ndarray | None = None) -> S
                 vals[at] = 1.0 if f._vals is None else f._vals.reshape(part.shape)
             if fill is not None:
                 fill[block] = 0.0 if f._fill is None else f._fill
-        return SuperOp.row_view(src, stacked, index, None, vals, fill)
-    parts = [(f.matrix, block) for f, block in blocks]
-    parts = [(m, block) for m, block in parts if m.any()]
-    index = np.full(stacked.dim, -1, dtype=np.intp)
-    if not parts:
-        return SuperOp.row_view(src, stacked, index)
-    for v, (_, block) in enumerate(parts):
-        index[block] = np.arange(v * tgt.dim, (v + 1) * tgt.dim)
-    base = parts[0][0] if len(parts) == 1 else np.concatenate([m for m, _ in parts])
-    return SuperOp.row_view(src, stacked, index, base)
+        return SuperOp.row_view(src, stacked, index, vals, fill)
+    out = np.zeros((stacked.dim, src.dim), dtype=complex)
+    for f, block in blocks:
+        out[block] = f.matrix
+    return SuperOp(src, stacked, out)
 
 
-def _is_zero_view(f: SuperOp) -> bool:
-    """Whether ``f`` is an identity-based view with every entry zero."""
-    if f._index is None or f._base is not None:
-        return False
+def _is_zero(f: SuperOp) -> bool:
+    """Whether every entry of ``f`` is zero (signed zeros included)."""
+    if f._index is None:
+        return not f._matrix.any()
     live = f._index >= 0
     return not (live.any() if f._vals is None else f._vals[live].any())
 

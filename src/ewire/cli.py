@@ -377,13 +377,13 @@ def main(argv=None) -> int:
         _diag(args, "ParseError", e.message, [e.line, e.col])
         return 1
     except TypeCheckError as e:
-        _diag(args, e.kind, e.message, [e.loc.line, e.loc.col] if e.loc else None)
+        _diag(args, e.kind, e.message, _span(e.loc))
         return 1
     except QListError as e:
-        _diag(args, "QListError", str(e), [e.loc.line, e.loc.col] if e.loc else None)
+        _diag(args, "QListError", str(e), _span(e.loc))
         return 1
     except EvalError as e:
-        _diag(args, type(e).__name__, str(e), None)
+        _diag(args, type(e).__name__, str(e), _span(e.loc))
         return 1
     except UnknownGate as e:
         # a header-declared gate types, but has no denotation
@@ -399,6 +399,10 @@ def main(argv=None) -> int:
     except (RecursionError, MemoryError) as e:
         _diag(args, type(e).__name__, str(e) or "out of memory", None)
         return 2
+
+
+def _span(loc):
+    return [loc.line, loc.col] if loc else None
 
 
 def _diag(args, kind, message, span):

@@ -65,7 +65,7 @@ from .algebra import (
 from .syntax import (
     App, Ascribe, Bind, Box, ClassicalLit, ClassicalW, Compose, DefDecl,
     Fix, Gate, GateFam, GateRef, If, Init, IntLit, Lam, Lift, Output, Pair,
-    PairElim, Prim, Proj, QuantumW, QLift, QRun, Ret, Run, TensorW,
+    PairElim, Prim, Proj, QuantumW, QLift, QRun, Ret, Run, Span, TensorW,
     UnitElim, UnitVal, UnitW, Unbox, Var, WireType, pretty_print,
 )
 from .typecheck import (
@@ -74,13 +74,18 @@ from .typecheck import (
 
 
 class EvalError(RuntimeError):
-    pass
+    loc = None  # the source span of the term that raised it, where known
 
 
 class PartialityError(EvalError):
     """A boundary crossing left the declared classical range (an
-    out-of-range init or rotation index).  In cpsu mode such a branch
-    denotes the zero map; in cpu mode it is an error."""
+    out-of-range init or rotation index) at the term spanning ``loc``.
+    In cpsu mode such a branch denotes the zero map; in cpu mode it is an
+    error."""
+
+    def __init__(self, message: str, loc: Span | None):
+        super().__init__(message)
+        self.loc = loc
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +185,22 @@ def classical_size(v: WireType) -> int:
     raise NonClassicalSource(f"{pretty_print(v)} is not classical")
 
 
-def classical_index(v: WireType, value) -> int:
-    """Position of a plain classical value in the enumeration of V."""
+def classical_index(v: WireType, value, loc: Span | None) -> int:
+    """Position of a plain classical value in the enumeration of V; a
+    value out of range raises ``PartialityError`` at ``loc``."""
     match v:
         case UnitW():
             return 0
         case ClassicalW(name, k):
             if not (0 <= value < k):
                 raise PartialityError(
-                    f"value {value!r} out of range for {name} (cardinality {k})"
+                    f"value {value!r} out of range for {name} (cardinality {k})", loc
                 )
             return value
         case TensorW(l, r):
             a, b = value
-            return classical_index(l, a) * classical_size(r) + classical_index(r, b)
+            return (classical_index(l, a, loc) * classical_size(r)
+                    + classical_index(r, b, loc))
     raise NonClassicalSource(f"{pretty_print(v)} is not classical")
 
 
@@ -263,9 +270,10 @@ class Evaluator:
     never read.  Each circuit step places its rows where ``_placement`` says.  A step
     that only moves, scales or clears rows (``Output``, ``Unbox``,
     ``PairElim``, and ``Compose`` or ``Gate`` through a map with one
-    nonzero per row) computes a new row index for a ``SuperOp.row_view``
-    (scaling rows of a dense base still gathers them); no step copies a
-    matrix to reorder it.
+    nonzero per row) computes a new row index when it reads a
+    ``SuperOp.row_view``; when it reads a dense map (an ``Unbox`` of a
+    box holding one, say) it copies the rows, scaled if need be, into a
+    new matrix, with no product.
 
     Everything a step reads besides its continuation's map and its host
     terms is its ``_Plan``: its split of the context, its continuation's
@@ -394,7 +402,7 @@ class Evaluator:
                 n = self.eval_host(gamma, term.index, env)
                 if n < 0:
                     raise PartialityError(
-                        f"gate family {term.name} rejects negative index {n}"
+                        f"gate family {term.name} rejects negative index {n}", term.loc
                     )
                 return CircV(w_in, w_out,
                              gate_denotation(GateRef(term.name, index=n)))
@@ -523,7 +531,7 @@ class Evaluator:
             return self._denote(omega, p.own, env, need)
         else:
             v = p.own
-            idx = classical_index(v, self.eval_host(None, term.term, env))
+            idx = classical_index(v, self.eval_host(None, term.term, env), term.loc)
             index = np.array([idx], dtype=np.intp)
             return SuperOp.row_view(denote_wire(v), SCALARS, index)
         # h's rows are in context order, or placed there by rows

@@ -349,14 +349,14 @@ def test_compose_tensored_structural_maps_exact():
 
 
 def test_row_monomial_detection():
-    from ewire.algebra import _row_monomial
+    from ewire.algebra import _find_monomial
 
-    rows, cols = _row_monomial(np.array([[0, 2j], [0, 0], [1, 0]]))
-    assert rows.tolist() == [0, 2] and cols.tolist() == [1, 0]
+    rows, cols, vals = _find_monomial(SuperOp(C2, alg(1, 1, 1), np.array([[0, 2j], [0, 0], [1, 0]])))
+    assert rows.tolist() == [0, 2] and cols.tolist() == [1, 0] and vals.tolist() == [2j, 1]
     # as few nonzeros as rows, but two of them in one row
-    assert _row_monomial(np.array([[1, 1], [0, 0]])) is None
-    assert _row_monomial(gate_denotation(GateRef("H")).matrix) is None
-    assert _row_monomial(gate_denotation(GateRef("R", index=3)).matrix) is not None
+    assert _find_monomial(SuperOp(C2, C2, np.array([[1, 1], [0, 0]]))) is None
+    assert _find_monomial(gate_denotation(GateRef("H"))) is None
+    assert _find_monomial(gate_denotation(GateRef("R", index=3))) is not None
 
 
 # -- row views -----------------------------------------------------------------------
@@ -389,14 +389,14 @@ def _phase_map(as_view):
     index = np.array([1, 2, -1, 0], dtype=np.intp)
     vals = np.array([-1, 1j, 0, -1j])
     if as_view:
-        return SuperOp.row_view(a, a, index, None, vals)
+        return SuperOp.row_view(a, a, index, vals)
     m = np.zeros((4, 4), dtype=complex)
     m[[0, 1, 3], index[[0, 1, 3]]] = vals[[0, 1, 3]]
     return SuperOp(a, a, m)
 
 
 @pytest.mark.parametrize("f_view", [False, True], ids=["dense_f", "view_f"])
-@pytest.mark.parametrize("g_kind", ["identity", "base", "dense"])
+@pytest.mark.parametrize("g_kind", ["identity", "dense"])
 def test_monomial_compose_is_bitwise_the_dense_gather(f_view, g_kind):
     # zero rows scaled by -1 or -1j hold signed zeros; each pass scales
     # the previous pass's zeros again
@@ -408,7 +408,6 @@ def test_monomial_compose_is_bitwise_the_dense_gather(f_view, g_kind):
     base = np.random.default_rng(26).normal(size=(6, src.dim)) * (1 + 1j)
     g = {
         "identity": SuperOp.row_view(src, mid, index),
-        "base": SuperOp.row_view(src, mid, index, base),
         "dense": SuperOp(src, mid, base[np.maximum(index, 0)] * (index >= 0)[:, None]),
     }[g_kind]
     h, ref = g, g
@@ -417,6 +416,24 @@ def test_monomial_compose_is_bitwise_the_dense_gather(f_view, g_kind):
         ref = SuperOp(src, mid, _gather_reference(f, rest, ref))
         assert h.matrix.tobytes() == ref.matrix.tobytes()
     assert np.signbit(ref.matrix[ref.matrix == 0].real).any()
+
+
+def test_monomial_compose_keeps_no_dense_continuation_alive():
+    # a readout of one classical value reads two rows of a dense g; the
+    # result copies them, so g's matrix goes with g
+    import weakref
+
+    f = SuperOp.row_view(alg(1, 1, 1, 1), SCALARS, np.array([2], dtype=np.intp))
+    rest = M2
+    mid = alg_tensor(f.source, rest)
+    rng = np.random.default_rng(29)
+    g = SuperOp(alg(8), mid, rng.normal(size=(mid.dim, 64)) + 1j * rng.normal(size=(mid.dim, 64)))
+    expected = op_compose(g, op_tensor(f, op_identity(rest))).matrix
+    held = weakref.ref(g.matrix)
+    h = compose_tensored(f, rest, g)
+    del g
+    assert held() is None
+    assert np.array_equal(h.matrix, expected)
 
 
 def test_view_matrix_is_built_once_read_only():
@@ -431,7 +448,7 @@ def test_view_index_of_wrong_length_rejected():
     with pytest.raises(DimensionMismatch):
         SuperOp.row_view(M2, C2, np.zeros(3, dtype=np.intp))
     with pytest.raises(DimensionMismatch):
-        SuperOp.row_view(M2, C2, np.zeros(2, dtype=np.intp), np.zeros((2, 3)))
+        SuperOp.row_view(M2, C2, np.zeros((2, 1, 1), dtype=np.intp))
 
 
 def test_structural_views_bitwise_equal_dense_definitions():
@@ -493,30 +510,24 @@ def _continuation_matrix(f, rest, src, rng, single, values="complex", per_group=
     return m
 
 
-def _as_kind(m, src, mid, kind, rng):
-    """``m`` as a dense map, a row view over a shuffled base, or an
-    identity-based view with ``vals`` (``m`` must then have at most one
-    nonzero per row)."""
+def _as_kind(m, src, mid, kind):
+    """``m`` as a dense map, or as a view with ``vals`` (``m`` must then
+    have at most one nonzero per row)."""
     if kind == "dense":
         return SuperOp(src, mid, m)
     live = np.flatnonzero(m.any(axis=1))
-    if kind == "base":
-        order = rng.permutation(live)
-        index = np.full(mid.dim, -1, dtype=np.intp)
-        index[order] = np.arange(order.size)
-        return SuperOp.row_view(src, mid, index, m[order])
     index = np.full(mid.dim, -1, dtype=np.intp)
     vals = np.zeros(mid.dim, dtype=complex)
     index[live] = np.abs(m[live]).argmax(axis=1)
     vals[live] = m[live, index[live]]
-    return SuperOp.row_view(src, mid, index, None, vals)
+    return SuperOp.row_view(src, mid, index, vals)
 
 
 # every group of the continuation qualifies, all but one group do, or none
 _GROUP_MIXES = [(True,) * 5, (True, True, False, True, True), (False,) * 5]
 
 
-@pytest.mark.parametrize("kind", ["identity", "base", "dense"])
+@pytest.mark.parametrize("kind", ["identity", "dense"])
 @pytest.mark.parametrize("ncols", [3, 6])
 @pytest.mark.parametrize("single", _GROUP_MIXES)
 @pytest.mark.parametrize("per_group", [None, 2], ids=["full", "two"])
@@ -538,14 +549,14 @@ def test_sparse_groups_are_decided_one_by_one(monkeypatch, kind, ncols, single, 
     rest, src = alg(1, 2), alg(*([1] * ncols)) if ncols == 3 else alg(1, 1, 2)
     mid = alg_tensor(f.source, rest)
     m = _continuation_matrix(f, rest, src, rng, single, per_group=per_group)
-    whole = compose_tensored(f, rest, _as_kind(m, src, mid, kind, rng)).matrix
+    whole = compose_tensored(f, rest, _as_kind(m, src, mid, kind)).matrix
     for k in range(rest.dim):
         rows, out_rows = _group_rows(f, rest, k)
         zeroed = np.zeros_like(m)
         zeroed[rows] = m[rows]
         dense = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
         dense[rows] = m[rows]
-        for g in (_as_kind(zeroed, src, mid, kind, rng), SuperOp(src, mid, dense)):
+        for g in (_as_kind(zeroed, src, mid, kind), SuperOp(src, mid, dense)):
             alone = compose_tensored(f, rest, g).matrix
             assert alone[out_rows].tobytes() == whole[out_rows].tobytes(), (k, single)
 
@@ -566,9 +577,9 @@ def test_sparse_groups_above_the_default_floor(monkeypatch):
     last, out_rows = _group_rows(f, rest, rest.dim - 1)
     zeroed = np.zeros_like(m)
     zeroed[last] = m[last]
-    for kind in ("identity", "base", "dense"):
-        whole = compose_tensored(f, rest, _as_kind(m, src, mid, kind, rng)).matrix
-        alone = compose_tensored(f, rest, _as_kind(zeroed, src, mid, kind, rng)).matrix
+    for kind in ("identity", "dense"):
+        whole = compose_tensored(f, rest, _as_kind(m, src, mid, kind)).matrix
+        alone = compose_tensored(f, rest, _as_kind(zeroed, src, mid, kind)).matrix
         assert alone[out_rows].tobytes() == whole[out_rows].tobytes(), kind
         assert np.abs(whole[out_rows] - f.matrix @ m[last]).max() <= 1e-12
 
@@ -589,8 +600,8 @@ def test_sparse_read_matches_dense(monkeypatch, values):
         single = rng.random(rest.dim) < 0.7
         m = _continuation_matrix(f, rest, g_src, rng, single, values)
         dense = op_compose(SuperOp(g_src, mid, m), op_tensor(f, op_identity(rest))).matrix
-        for kind in ("identity", "base", "dense"):
-            fast = compose_tensored(f, rest, _as_kind(m, g_src, mid, kind, rng)).matrix
+        for kind in ("identity", "dense"):
+            fast = compose_tensored(f, rest, _as_kind(m, g_src, mid, kind)).matrix
             if values == "unit":
                 assert np.array_equal(fast, dense)
             else:
@@ -673,7 +684,7 @@ def _random_view(rng, source, target, width, zero=False, groups=None, lone=False
             dense[i, c] = 1.0 if vals is None else vals[i, t]
     if width == 1:
         index, vals = index[:, 0], None if vals is None else vals[:, 0]
-    return SuperOp.row_view(source, target, index, None, vals, fill), dense
+    return SuperOp.row_view(source, target, index, vals, fill), dense
 
 
 def _random_f(rng, source, target, kind):
@@ -699,7 +710,7 @@ def _random_f(rng, source, target, kind):
         if cols.size > width:
             return SuperOp(source, target, m)
         index[i, :cols.size], vals[i, :cols.size] = cols, m[i, cols]
-    return SuperOp.row_view(source, target, index, None, vals)
+    return SuperOp.row_view(source, target, index, vals)
 
 
 @settings(max_examples=100, deadline=None)
@@ -998,7 +1009,7 @@ def test_copower_stack_of_views_bitwise_equal_dense_stack():
             if h.matrix.any():
                 stacked[block if placement is None else placement[block]] = h.matrix
         out = copower_stack(fs, rows=placement)
-        assert out._base is None and out._index is not None
+        assert out._index is not None
         assert out.matrix.tobytes() == stacked.tobytes()
 
 

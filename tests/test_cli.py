@@ -678,6 +678,22 @@ def test_parse_error_prints_its_position_once(capsys, tmp_path, json_flag):
         assert err == "error[ParseError] at 2:0: expected a host term\n"
 
 
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+def test_partiality_error_names_the_init_that_left_the_range(capsys, tmp_path, json_flag):
+    # a run-time range error prints the span of its term, as a type error does
+    src = tmp_path / "partial.ew"
+    src.write_text("classical int 2\n\ncirc two : int =\n  c <- init (1 + 1);\n  output c\n\n"
+                   "def main : T(int) = run two\n")
+    code, out, err = run_cli(capsys, "run", str(src), "--mode", "cpu",
+                             *(["--json"] if json_flag else []))
+    assert code == 1
+    message = "value 2 out of range for int (cardinality 2)"
+    if json_flag:
+        assert json.loads(out) == {"kind": "PartialityError", "span": [4, 7], "message": message}
+    else:
+        assert err == f"error[PartialityError] at 4:7: {message}\n"
+
+
 VALUES = """\
 circ coin : bit =
   a <- gate init0 (); a' <- gate H a; b <- gate meas a'; output b

@@ -19,7 +19,7 @@ from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.qlist import monomorphize
 from ewire.syntax import (
     BIT, ClassicalW, Compose, DefDecl, Gate, GateRef, Init, Lift,
-    Output, PairP, QUBIT, TensorW, UnitW, Var, WireP, children,
+    Output, PairP, QUBIT, Span, TensorW, UnitW, Var, WireP, children,
 )
 from ewire.typecheck import (
     check_circuit, check_host, check_program, _default_ctx,
@@ -369,8 +369,9 @@ def f : Circ(int, int) =
 """
     )
     cp = check_program(prog)
-    with pytest.raises(PartialityError):
+    with pytest.raises(PartialityError) as e:
         evaluate_program(cp, mode=Mode.cpu())
+    assert e.value.loc == Span(6, 10)  # the init
     _, _, env = evaluate_program(cp, mode=Mode.cpsu())
     op = env["f"].op
     assert is_cp(op) and is_subunital(op) and not is_unital(op)
@@ -697,8 +698,9 @@ def test_cpsu_lift_with_only_partial_branches_is_zero():
     # both branches ask for a rotation with a negative index
     omega = (("b", BIT), ("q", QUBIT))
     text = "x <= lift b; q2 <- unbox (R (if x then 0 - 1 else 0 - 2)) q; output q2"
-    with pytest.raises(PartialityError):
+    with pytest.raises(PartialityError) as e:
         _denote(omega, text)
+    assert e.value.loc == Span(1, text.index("R ("))  # the gate family
     _, op = _denote(omega, text, mode=Mode.cpsu())
     assert op.source == denote_wire(QUBIT)
     assert op.target == denote_context(omega)
@@ -989,7 +991,7 @@ def test_qft_keeps_sparse_rows_until_fourier_4(monkeypatch):
                 and ewire.algebra._monomial_rows(e[1]) is None)
 
     def sparse_rows(h):
-        return h._index is not None and h._base is None
+        return h._index is not None
 
     four = next(i for i, e in enumerate(events) if dense_f(e, 256))
     h_step = next(e for e in events[:four] if dense_f(e, 4) and e[2].dim == 256)

@@ -9,8 +9,10 @@ imports only the standard library, its own package and the dependencies
 ``pyproject.toml`` declares, so a heavy optional import (``scipy.sparse``
 alone takes about a quarter of a second) cannot slip into start-up.
 Every term class of ``ewire.syntax`` declares its scope, so the generic
-walks over binders cannot meet a constructor they do not know.  Every
-setting is one somebody sets and something reads: each parameter with a
+walks over binders cannot meet a constructor they do not know.  Only
+``algebra`` reads the private slots of a ``SuperOp``, so the kinds a map
+may be are decided in one module.  Every setting is one somebody sets
+and something reads: each parameter with a
 default is passed at some call site, and each flag of an ``ewirec``
 command is read by that command.
 """
@@ -26,6 +28,7 @@ import pytest
 
 import ewire.cli
 from ewire import syntax
+from ewire.algebra import SuperOp
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ewire"
@@ -295,6 +298,34 @@ def test_backend_import_detected():
         "__future__", "numpy", "algebra", "syntax", "denote", "cli", "normalize"}
     assert imported_modules("import ewire.algebra\nfrom ewire import denote\n") == {
         "algebra", "denote"}
+
+
+SUPEROP_SLOTS = {name for name in SuperOp.__slots__ if name.startswith("_")}
+
+
+def slot_reads(source: str) -> list:
+    """The private ``SuperOp`` slots that ``source`` names as an attribute
+    anywhere, sorted."""
+    return sorted({n.attr for n in ast.walk(ast.parse(source))
+                   if isinstance(n, ast.Attribute) and n.attr in SUPEROP_SLOTS})
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "algebra"],
+                         ids=lambda p: p.name)
+def test_only_algebra_reads_superop_slots(path):
+    # the kinds a SuperOp may be (dense, or a row view of the identity)
+    # are decided in algebra alone; other modules read .matrix
+    assert slot_reads(path.read_text()) == []
+
+
+def test_slot_read_detected():
+    assert SUPEROP_SLOTS == {"_matrix", "_index", "_vals", "_fill", "_mono"}
+    src = (
+        "def f(op, m):\n"
+        "    op._mono = None\n"
+        "    return op._index[0], op._matrix.any(), m.shape, op.matrix, op.source\n"
+    )
+    assert slot_reads(src) == ["_index", "_matrix", "_mono"]
 
 
 def defaulted_parameters(sources: dict) -> list:
