@@ -74,7 +74,11 @@ from .typecheck import (
 
 
 class EvalError(RuntimeError):
-    loc = None  # the source span of the term that raised it, where known
+    """Evaluation failed at the term spanning ``loc``, where known."""
+
+    def __init__(self, message: str, loc: Span | None = None):
+        super().__init__(message)
+        self.loc = loc
 
 
 class PartialityError(EvalError):
@@ -82,10 +86,6 @@ class PartialityError(EvalError):
     out-of-range init or rotation index) at the term spanning ``loc``.
     In cpsu mode such a branch denotes the zero map; in cpu mode it is an
     error."""
-
-    def __init__(self, message: str, loc: Span | None):
-        super().__init__(message)
-        self.loc = loc
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +390,11 @@ class Evaluator:
             if t is Run:
                 v = self._checked(term)
                 op = self.denote_circuit(gamma, (), term.circuit, env)
-                return self.run_circuit(op, v)
+                return self.run_circuit(op, v, term.loc)
             if t is Fix:
                 if not self.mode.is_cpsu:
                     raise EvalError(
-                        "the fixed-point combinator requires cpsu mode"
+                        "the fixed-point combinator requires cpsu mode", term.loc
                     )
                 return FixCombV(term.w_in, term.w_out)
             if t is GateFam:
@@ -565,16 +565,17 @@ class Evaluator:
 
     # -- running -------------------------------------------------------------
 
-    def run_circuit(self, op: SuperOp, v: WireType) -> Distribution:
+    def run_circuit(self, op: SuperOp, v: WireType, loc: Span | None = None) -> Distribution:
         """Read the output distribution of a closed circuit of classical
-        type; total mass 1 in cpu mode, at most 1 in cpsu mode."""
+        type; total mass 1 in cpu mode, at most 1 in cpsu mode, else an
+        ``EvalError`` at ``loc``, the span of the ``run``."""
         values = enumerate_classical(v)
         dist = state_to_distribution(op, values=values)
         mass = dist.mass()
         if self.mode.is_cpsu and mass > 1 + DEFAULT_TOL:
-            raise EvalError(f"distribution mass {mass} exceeds 1")
+            raise EvalError(f"distribution mass {mass} exceeds 1", loc)
         if not self.mode.is_cpsu and abs(mass - 1) > DEFAULT_TOL:
-            raise EvalError(f"cpu-mode circuit produced total mass {mass}, expected 1")
+            raise EvalError(f"cpu-mode circuit produced total mass {mass}, expected 1", loc)
         return dist
 
 

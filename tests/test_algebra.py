@@ -491,31 +491,51 @@ def _group_rows(f, rest, k):
     return pin[:, k], pout[:, k]
 
 
-def _continuation_matrix(f, rest, src, rng, single, values="complex", per_group=None):
+def _continuation_matrix(f, rest, src, rng, single, values="complex", per_group=None,
+                         per_row=1):
     """A dense continuation ``src -> f.source (x) rest`` whose rest group
-    ``k`` holds at most one nonzero per column where ``single[k]``, and
-    two in one column otherwise: the second is the only other entry of
-    its row, so every row holds at most one nonzero and any kind of view
-    can hold the matrix.  A group holds ``per_group`` nonzeros (at least
-    two), or as many as it has rows and columns."""
+    ``k`` holds, where ``single[k]`` is True, at most one nonzero per
+    column; where it is False, two in one column, the second the only
+    other entry of its row; and where it is a count t from 2 to 4, columns
+    of t nonzeros each, as many as fit in the group's columns with each
+    row holding at most ``per_row`` (one column, when t exceeds the
+    columns).  So every row holds at most ``per_row`` nonzeros, and a view
+    that wide can hold the matrix.  A group holds ``per_group`` nonzeros
+    (at least two, or t), or as many as it has rows and columns."""
     mid = alg_tensor(f.source, rest)
     m = np.zeros((mid.dim, src.dim), dtype=complex)
     for k, one in enumerate(single):
         rows, _ = _group_rows(f, rest, k)
-        live = rng.permutation(rows)[:per_group or min(rows.size, src.dim)]
-        cols = rng.permutation(src.dim)[:live.size]
-        if not one:
-            cols[-1] = cols[0]
+        if isinstance(one, (bool, np.bool_)):
+            live = rng.permutation(rows)[:per_group or min(rows.size, src.dim)]
+            cols = rng.permutation(src.dim)[:live.size]
+            if not one:
+                cols[-1] = cols[0]
+        else:
+            t = min(one, rows.size)
+            n = max(1, min(src.dim, rows.size * per_row, per_group or src.dim) // t)
+            # column i takes rows i t .. i t + t - 1, round the group
+            live = rng.permutation(rows)[np.arange(n * t) % rows.size]
+            cols = np.repeat(rng.permutation(src.dim)[:n], t)
         m[live, cols] = _entries(rng, live.size, values)
     return m
 
 
 def _as_kind(m, src, mid, kind):
-    """``m`` as a dense map, or as a view with ``vals`` (``m`` must then
-    have at most one nonzero per row)."""
+    """``m`` as a dense map, as a view of width 1 with ``vals`` (``m``
+    must then have at most one nonzero per row), or as a ``"wide"`` view,
+    as wide as the fullest row of ``m`` and at least 2."""
     if kind == "dense":
         return SuperOp(src, mid, m)
-    live = np.flatnonzero(m.any(axis=1))
+    nonzero = m != 0
+    if kind == "wide":
+        index = np.full((mid.dim, max(2, int(nonzero.sum(axis=1).max()))), -1, dtype=np.intp)
+        vals = np.zeros(index.shape, dtype=complex)
+        for i, row in enumerate(nonzero):
+            cols = np.flatnonzero(row)
+            index[i, :cols.size], vals[i, :cols.size] = cols, m[i, cols]
+        return SuperOp.row_view(src, mid, index, vals)
+    live = np.flatnonzero(nonzero.any(axis=1))
     index = np.full(mid.dim, -1, dtype=np.intp)
     vals = np.zeros(mid.dim, dtype=complex)
     index[live] = np.abs(m[live]).argmax(axis=1)
@@ -523,11 +543,14 @@ def _as_kind(m, src, mid, kind):
     return SuperOp.row_view(src, mid, index, vals)
 
 
-# every group of the continuation qualifies, all but one group do, or none
-_GROUP_MIXES = [(True,) * 5, (True, True, False, True, True), (False,) * 5]
+# every group of the continuation holds one nonzero a column, all but one
+# group do, or none; and groups whose columns hold 2, 4 and 3 nonzeros (4
+# is more than 3 columns hold, so at 3 columns that group takes the zgemm)
+_GROUP_MIXES = [(True,) * 5, (True, True, False, True, True), (False,) * 5,
+                (2, True, 4, False, 3)]
 
 
-@pytest.mark.parametrize("kind", ["identity", "dense"])
+@pytest.mark.parametrize("kind", ["identity", "dense", "wide"])
 @pytest.mark.parametrize("ncols", [3, 6])
 @pytest.mark.parametrize("single", _GROUP_MIXES)
 @pytest.mark.parametrize("per_group", [None, 2], ids=["full", "two"])
@@ -537,9 +560,10 @@ def test_sparse_groups_are_decided_one_by_one(monkeypatch, kind, ncols, single, 
     # r * ncols is not a multiple of 4, so the last group holds the edge
     # columns of the zgemm, which BLAS may round as a fused product; each
     # group's rows must not change whatever the other groups hold, and
-    # whatever kind of map holds them, both with the sparse read on and
-    # below the module's floor, and both where most columns hold their
-    # nonzero and where few do
+    # whatever kind of map holds them (a view of width 1 or 3, or a dense
+    # map), both with the sparse read on and below the module's floor,
+    # both where most columns hold their nonzero and where few do, and
+    # where a column sums several
     import ewire.algebra
 
     if floor is not None:
@@ -548,7 +572,8 @@ def test_sparse_groups_are_decided_one_by_one(monkeypatch, kind, ncols, single, 
     f = SuperOp(M2, alg(1, 2), rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4)))
     rest, src = alg(1, 2), alg(*([1] * ncols)) if ncols == 3 else alg(1, 1, 2)
     mid = alg_tensor(f.source, rest)
-    m = _continuation_matrix(f, rest, src, rng, single, per_group=per_group)
+    m = _continuation_matrix(f, rest, src, rng, single, per_group=per_group,
+                             per_row=3 if kind == "wide" else 1)
     whole = compose_tensored(f, rest, _as_kind(m, src, mid, kind)).matrix
     for k in range(rest.dim):
         rows, out_rows = _group_rows(f, rest, k)
@@ -556,7 +581,8 @@ def test_sparse_groups_are_decided_one_by_one(monkeypatch, kind, ncols, single, 
         zeroed[rows] = m[rows]
         dense = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
         dense[rows] = m[rows]
-        for g in (_as_kind(zeroed, src, mid, kind), SuperOp(src, mid, dense)):
+        for g in (_as_kind(zeroed, src, mid, kind), SuperOp(src, mid, zeroed),
+                  SuperOp(src, mid, dense)):
             alone = compose_tensored(f, rest, g).matrix
             assert alone[out_rows].tobytes() == whole[out_rows].tobytes(), (k, single)
 
@@ -625,6 +651,48 @@ def test_gathered_rounds_as_a_one_term_dot_product():
         assert out[i, j].imag.tobytes() == np.float64(im).tobytes(), (i, j)
 
 
+def _rounded_sum(terms):
+    """The sum of ``x * y`` over ``terms``, each product rounded as a
+    one-term dot product, summed in order, then ``+ 0.0``."""
+    re = im = None
+    for x, y in terms:
+        p_re = x.real * y.real - x.imag * y.imag
+        p_im = x.real * y.imag + x.imag * y.real
+        re, im = (p_re, p_im) if re is None else (re + p_re, im + p_im)
+    return np.float64(re + 0.0).tobytes(), np.float64(im + 0.0).tobytes()
+
+
+def test_summed_adds_rounded_products_in_ascending_rows(monkeypatch):
+    # result columns 0-3 sum 1, 2, 3 and no nonzeros: each product rounded
+    # as a one-term dot product, summed in ascending j, then + 0.0; a
+    # column with none is a's column 0 times 0
+    import ewire.algebra
+    from ewire.algebra import _layers, _summed
+
+    rng = np.random.default_rng(44)
+    a = _entries(rng, 24, "complex").reshape(4, 6)
+    a[0, :3] = [-0.0 + 0.5j, 0.5 - 0.0j, -0.0 - 0.0j]
+    at, j = np.array([0, 1, 1, 2, 2, 2]), np.array([3, 0, 4, 1, 2, 5])
+    v = _entries(rng, 6, "complex")
+    v[1], v[3] = -1, -0.0
+    first = np.array([True, True, False, True, False, False])
+    out = _summed(a, *_layers(at, j, v, first, 4))
+    for i, col in itertools.product(range(4), range(4)):
+        terms = [(a[i, jj], vv) for c, jj, vv in zip(at, j, v) if c == col]
+        got = out[i, col].real.tobytes(), out[i, col].imag.tobytes()
+        assert got == _rounded_sum(terms or [(a[i, 0], 0j)]), (i, col)
+    # and through compose_tensored, whose continuation's column 0 holds
+    # nonzeros at rows 3, 0 and 2 of a 4 x 4 f's source
+    monkeypatch.setattr(ewire.algebra, "_SPARSE_FLOOR", 0)
+    f = SuperOp(M2, M2, a[:, :4])
+    g = np.zeros((4, 3), dtype=complex)
+    g[[3, 0, 2], 0] = v[:3]
+    h = compose_tensored(f, SCALARS, SuperOp(alg(1, 1, 1), M2, g)).matrix
+    for i in range(4):
+        want = _rounded_sum([(a[i, jj], g[jj, 0]) for jj in (0, 2, 3)])
+        assert (h[i, 0].real.tobytes(), h[i, 0].imag.tobytes()) == want, i
+
+
 # -- identity-based views of several entries a row ------------------------------------
 
 
@@ -642,7 +710,7 @@ def _complex_parts(re, im):
     return out
 
 
-def _random_view(rng, source, target, width, zero=False, groups=None, lone=False):
+def _random_view(rng, source, target, width, zero=False, groups=None, lone=False, depth=1):
     """An identity-based view of up to ``width`` entries a row, and the
     dense matrix of the same map built entry by entry.  About a fifth of
     the rows hold only padding and a fifth of the other slots are padding;
@@ -652,7 +720,9 @@ def _random_view(rng, source, target, width, zero=False, groups=None, lone=False
     entry is a zero.  With ``groups`` (``pin`` of a tensored layout) the
     rows of each rest group share out distinct columns, so every group of
     the contraction qualifies, and with ``lone`` only the first row of
-    each group holds entries."""
+    each group holds entries; with a ``depth`` of 2 to 4 each column a
+    group reads is held by that many of its rows instead, and the group
+    holds no more entries than columns."""
     n, ncols = target.dim, source.dim
     index = np.full((n, width), -1, dtype=np.intp)
     for i in range(n):
@@ -660,9 +730,17 @@ def _random_view(rng, source, target, width, zero=False, groups=None, lone=False
         index[i, :cols.size] = cols
     for rows in [] if groups is None else groups.T:
         cols = rng.permutation(ncols)
+        index[rows] = -1
+        if depth > 1:
+            t = min(depth, rows.size)
+            k = max(1, min(ncols, rows.size * width) // t)
+            # column c takes rows c t .. c t + t - 1, round the group
+            for i, c in zip(rng.permutation(rows)[np.arange(k * t) % rows.size],
+                            np.repeat(cols[:k], t)):
+                index[i, np.flatnonzero(index[i] < 0)[0]] = c
+            continue
         for t, i in enumerate(rows):
             part = cols[t * width:(t + 1) * width]
-            index[i] = -1
             index[i, :part.size] = part
         if lone:
             index[rows[1:]] = -1
@@ -756,6 +834,61 @@ def test_views_read_as_their_dense_maps(seed, width, shapes, f_kind, floor, layo
             want = copower_stack([SuperOp(src, mid, x) for x in (m, m2, m3)], rows=placement)
             assert copower_stack(fs, rows=placement).matrix.tobytes() == want.matrix.tobytes()
 
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from(_VIEW_SHAPES),
+       st.integers(2, 4), st.sampled_from([0, None]))
+def test_summed_groups_read_as_their_dense_maps(seed, width, shapes, depth, floor):
+    # a continuation whose columns hold 2 to 4 nonzeros each, few to a
+    # group: the view and its dense map give the same bytes, placed or
+    # not, and lie within 1e-12 of the dense definition wherever that is
+    # finite, with explicit zero vals, signed-zero fills, padding and NaN
+    # payloads among the entries
+    import unittest.mock
+    import ewire.algebra
+
+    rng = np.random.default_rng(seed)
+    f_src, rest, src = shapes
+    f = _random_f(rng, f_src, _MIXED[rng.integers(len(_MIXED))], "dense")
+    mid = alg_tensor(f.source, rest)
+    view, m = _random_view(rng, src, mid, width, groups=tensored_layout(f, rest)[2],
+                           depth=depth)
+    dense = SuperOp(src, mid, m)
+    f_dense = SuperOp(f.source, f.target, f.matrix)
+    with unittest.mock.patch.object(ewire.algebra, "_SPARSE_FLOOR",
+                                    ewire.algebra._SPARSE_FLOOR if floor is None else floor):
+        got = compose_tensored(f, rest, view).matrix
+        assert compose_tensored(f_dense, rest, dense).matrix.tobytes() == got.tobytes()
+        placement = rng.permutation(f.target.dim * rest.dim)
+        want = compose_tensored(f_dense, rest, dense, rows=placement).matrix
+        assert compose_tensored(f, rest, view, rows=placement).matrix.tobytes() == want.tobytes()
+    ref = op_compose(dense, op_tensor(f_dense, op_identity(rest))).matrix
+    assert not (np.abs(got - ref)[np.isfinite(ref)] > 1e-12).any()
+
+
+@pytest.mark.parametrize("dims", [(3, 5), (64, 64), (300, 70)], ids=["one-block", "256", "tail"])
+def test_frobenius_distance_reads_rows_in_blocks(dims):
+    # the norm of the difference, within 1e-12 of numpy's over the dense
+    # matrices, across blocks of rows; a view's matrix is never built, and
+    # a NaN entry gives NaN
+    rng = np.random.default_rng(45)
+    src, tgt = alg(*([1] * dims[1])), alg(*([1] * dims[0]))
+    index = rng.integers(-1, src.dim, size=(tgt.dim, 1)).repeat(2, axis=1)
+    index[:, 1] = np.where(index[:, 0] == 0, -1, 0)
+    vals = _entries(rng, index.size, "complex").reshape(-1, 2)
+    view, m = (SuperOp.row_view(src, tgt, index, vals),
+               SuperOp.row_view(src, tgt, index, vals).matrix)
+    dense = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+    near = dense + 1e-9
+    for f, g, want in [(view, SuperOp(src, tgt, dense), np.linalg.norm(m - dense)),
+                       (SuperOp(src, tgt, dense), SuperOp(src, tgt, near),
+                        np.linalg.norm(dense - near))]:
+        assert abs(frobenius_distance(f, g) - want) <= 1e-12 * want
+    assert view._matrix is None
+    assert frobenius_distance(view, view) == 0.0
+    nan = dense.copy()
+    nan[-1, -1] = np.nan
+    assert math.isnan(frobenius_distance(view, SuperOp(src, tgt, nan)))
 
 # -- gates ---------------------------------------------------------------------------
 

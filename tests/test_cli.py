@@ -694,6 +694,20 @@ def test_partiality_error_names_the_init_that_left_the_range(capsys, tmp_path, j
         assert err == f"error[PartialityError] at 4:7: {message}\n"
 
 
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+def test_fixed_point_in_cpu_mode_names_its_declaration(capsys, json_flag):
+    # the fixed point of hs.ew is the `def rec Hs` at 4:0; stdout stays
+    # empty in plain mode
+    code, out, err = run_cli(capsys, "run", str(PROGRAMS / "hs.ew"),
+                             *(["--json"] if json_flag else []))
+    assert code == 1
+    message = "the fixed-point combinator requires cpsu mode"
+    if json_flag:
+        assert json.loads(out) == {"kind": "EvalError", "span": [4, 0], "message": message}
+    else:
+        assert (out, err) == ("", f"error[EvalError] at 4:0: {message}\n")
+
+
 VALUES = """\
 circ coin : bit =
   a <- gate init0 (); a' <- gate H a; b <- gate meas a'; output b

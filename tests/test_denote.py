@@ -420,8 +420,13 @@ def test_run_circuit_mass_checked():
     # a subunital state in cpu mode is rejected
     st = op_zero(alg(1, 1), alg(1))
     ev = Evaluator(mode=Mode.cpu())
-    with pytest.raises(EvalError):
+    with pytest.raises(EvalError) as e:
         ev.run_circuit(st, BIT)
+    assert e.value.loc is None
+    # at the span of the run that read it
+    with pytest.raises(EvalError, match="total mass 0") as e:
+        ev.run_circuit(st, BIT, Span(3, 7))
+    assert e.value.loc == Span(3, 7)
     ev2 = Evaluator(mode=Mode.cpsu())
     d = ev2.run_circuit(st, BIT)
     assert d.diverge_mass() == 1.0
@@ -937,16 +942,44 @@ def test_row_views_match_materialised_path(monkeypatch):
 
 
 def test_sparse_read_keeps_every_bit(monkeypatch):
-    # the continuation's sparse groups gathered in every contraction
-    # (floor 0), above the module's floor, and in none: the same bytes,
-    # as a product rounded like BLAS's one-term dot product gives
+    # the continuation's sparse groups read in every contraction (floor
+    # 0), above the module's floor, and in none: the same bytes where
+    # each column of a group holds one nonzero, as a product rounded like
+    # BLAS's one-term dot product gives, and within 1e-12 in the jobs
+    # where a column sums several; the same errors and fuel everywhere
     import ewire.algebra
 
     jobs = _corpus_jobs()
-    gathered = _denote_jobs(jobs)
-    for floor in (0, 1 << 62):
+    read, summed = ewire.algebra._group_nonzeros, []
+
+    def spy(g, pin):
+        found = read(g, pin)
+        summed.append(found is not None and found[5] is not None)
+        return found
+
+    monkeypatch.setattr(ewire.algebra, "_group_nonzeros", spy)
+
+    def denoted(floor):
         monkeypatch.setattr(ewire.algebra, "_SPARSE_FLOOR", floor)
-        assert _denote_jobs(jobs) == gathered
+        out = []
+        for job in jobs:
+            summed.clear()
+            out.append((_denote_jobs([job]), any(summed)))
+        return out
+
+    floors = (0, ewire.algebra._SPARSE_FLOOR)
+    unread = denoted(1 << 62)
+    for floor in floors:
+        got = denoted(floor)
+        assert 0 < sum(s for _, s in got) <= 4
+        for (want, _), (results, sums) in zip(unread, got):
+            if not sums:
+                assert results == want
+                continue
+            for (a, fuel_a), (b, fuel_b) in zip(results, want):
+                assert fuel_a == fuel_b
+                a, b = np.frombuffer(a, dtype=complex), np.frombuffer(b, dtype=complex)
+                assert np.abs(a - b).max() <= 1e-12
 
 
 
@@ -1209,6 +1242,46 @@ def test_qft_compositions_skip_unread_branches(monkeypatch):
     mono, _ = monomorphize(parse_program((PROGRAMS / "qft.ew").read_text()), 5, "fourier")
     evaluate_program(check_program(mono), mode=Mode.cpsu())
     assert sum(calls) <= 9 and len(calls) <= 120
+
+
+def test_generated_seed_2074_builds_no_whole_contraction(monkeypatch):
+    # a count, not a time: one rewrite op on generated seed 2074 denotes
+    # the circuit and its normal form in cpu and cpsu mode; eight of its
+    # compositions through a dense f contract 2^19 entries (f of 4 x 4,
+    # a rest of 256 and 512 columns), four of them with a view of width 4
+    # whose columns hold up to 4 nonzeros each.  None builds its contraction for
+    # the zgemm, and each result lies within 1e-12 of the zgemm's
+    import ewire.denote
+
+    compose, wide = ewire.denote.compose_tensored, []
+    dense_rows, built = ewire.algebra._dense_rows, []
+
+    def counted(f, rest, g, *, rows=None):
+        h = compose(f, rest, g, rows=rows)
+        if (ewire.algebra._monomial_rows(f) is None
+                and f.source.dim * rest.dim * g.source.dim >= 1 << 19):
+            wide.append((f, rest, g, rows, h))
+        return h
+
+    def gathered(f, sel):
+        out = dense_rows(f, sel)
+        built.append(out.size)
+        return out
+
+    monkeypatch.setattr(ewire.denote, "compose_tensored", counted)
+    monkeypatch.setattr(ewire.algebra, "_dense_rows", gathered)
+    omega, term = random_circuit(2074, max_qubits=4, max_stmts=12)
+    out, _ = normalize(term, max_steps=600)
+    ctx = _default_ctx()
+    for t in (term, out):
+        check_circuit({}, omega, t, ctx)
+    for mode in (Mode.cpu(), Mode.cpsu()):
+        for t in (term, out):
+            Evaluator(ctx=ctx, mode=mode).denote_circuit({}, omega, t, {})
+    assert len(wide) == 8 and max(built, default=0) < 1 << 19
+    monkeypatch.setattr(ewire.algebra, "_SPARSE_FLOOR", 1 << 62)
+    for f, rest, g, rows, h in wide:
+        assert np.abs(h.matrix - compose(f, rest, g, rows=rows).matrix).max() <= 1e-12
 
 
 # -- per-step plans and the frames of an unfolding ---------------------------------
