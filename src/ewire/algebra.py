@@ -63,11 +63,11 @@ This module decides no typing: a gate's wire signature is
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .syntax import GateRef, UnknownGate, pretty_print
 
@@ -80,12 +80,73 @@ class ResourceLimit(RuntimeError):
     """The requested algebra exceeds the configured element-space cap."""
 
 
+class BackendUnavailable(ResourceLimit):
+    """numpy, which this module loads on first use, failed to load."""
+
+
 class ZeroCopower(ValueError):
     """Copowers by zero are rejected: the zero algebra is not allowed."""
 
 
 class NonClassicalSource(ValueError):
     pass
+
+
+class _Loading:
+    """numpy's own loader, run by ``LazyLoader`` at the first read of a
+    numpy attribute.  It puts that loader back in numpy's ``__spec__`` and
+    ``__loader__``, and a load that fails raises ``BackendUnavailable``,
+    whose message is one line.  A failed load is not retried."""
+
+    def __init__(self, loader):
+        self.loader = loader
+
+    def create_module(self, spec):
+        return self.loader.create_module(spec)
+
+    def exec_module(self, module):
+        module.__spec__.loader = module.__loader__ = self.loader
+        try:
+            self.loader.exec_module(module)
+        except (ImportError, MemoryError, OSError) as e:
+            # numpy wraps the error of a shared library that cannot be
+            # mapped in a page of advice: name the first error instead
+            root = e
+            while root.__cause__ or root.__context__:
+                root = root.__cause__ or root.__context__
+            text = " ".join(str(root).split())
+            cause = f"{type(root).__name__}: {text}" if text else type(root).__name__
+            raise BackendUnavailable(f"numpy failed to load: {cause}") from e
+
+
+def _lazy(spec):
+    """The module of ``spec``, whose body runs at the first read of one of
+    its attributes (see ``_Loading``)."""
+    spec.loader = importlib.util.LazyLoader(_Loading(spec.loader))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _numpy():
+    """numpy as ``sys.modules`` holds it, or else a module whose body runs
+    at the first read of one of its attributes, put there in its place."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    module = sys.modules["numpy"] = _lazy(spec)
+    return module
+
+
+# numpy is loaded here and nowhere else in the package, and importing
+# ewire reads no numpy attribute, so a command that builds no map never
+# runs numpy's body.  Python 3.11's LazyLoader takes no lock: the first
+# read must come from one thread while no other touches numpy.  In
+# ``ewirec`` it does, as the main thread waits in ``join`` while the
+# evaluation thread (``denote.call_with_stack``) runs.
+np = _numpy()
 
 
 _DEFAULT_MAX_DIM = 4096
@@ -380,10 +441,6 @@ def op_compose(f: SuperOp, g: SuperOp) -> SuperOp:
     if f.target != g.source:
         raise DimensionMismatch(f"cannot compose {f!r} with {g!r}")
     return SuperOp(f.source, g.target, g.matrix @ f.matrix)
-
-
-def op_scale(c: float, f: SuperOp) -> SuperOp:
-    return SuperOp(f.source, f.target, c * f.matrix)
 
 
 def frobenius_distance(f: SuperOp, g: SuperOp) -> float:
@@ -842,37 +899,6 @@ def _factor_permutation(factor_blocks: tuple, new_order: tuple) -> np.ndarray:
     return p
 
 
-def permutation_superop(algs: Sequence[FdAlgebra], new_order: Sequence[int]) -> SuperOp:
-    """The *-isomorphism reordering tensor factors, as a SuperOp from
-    ``tensor_many(algs)`` to the reordered tensor: the 0/1 matrix of
-    ``factor_permutation``, kept as a row view of the identity."""
-    p = factor_permutation(algs, new_order)
-    src = tensor_many(algs)
-    tgt = tensor_many([algs[i] for i in new_order])
-    index = np.empty(src.dim, dtype=np.intp)
-    index[p] = np.arange(src.dim)
-    return SuperOp.row_view(src, tgt, index)
-
-
-def copower_sum_iso(n: int, a: FdAlgebra, b: FdAlgebra) -> SuperOp:
-    """Permutation witnessing n.(A (+) B) = (n.A) (+) (n.B): the A part
-    of every summand comes first, then the B part of every summand."""
-    src = alg_copower(n, alg_direct_sum(a, b))
-    tgt = FdAlgebra(a.blocks * n + b.blocks * n)
-    summands = np.arange(src.dim).reshape(n, a.dim + b.dim)
-    cols = np.concatenate(
-        [summands[:, : a.dim].reshape(-1), summands[:, a.dim :].reshape(-1)]
-    )
-    return SuperOp.row_view(src, tgt, cols.astype(np.intp))
-
-
-def tensor_copower_iso(a: FdAlgebra, n: int, b: FdAlgebra) -> SuperOp:
-    """Permutation witnessing A (x) (n.B) = n.(A (x) B).  The copower
-    ``n.B`` is literally ``(n.C) (x) B``, so this is the exchange of the
-    first two factors of ``A (x) (n.C) (x) B``."""
-    return permutation_superop([a, alg_copower(n, SCALARS), b], [1, 0, 2])
-
-
 def copower_stack(fs: Sequence[SuperOp], *, rows: np.ndarray | None = None) -> SuperOp:
     """Assemble maps f_v : X -> Y into the single map X -> (n . Y) whose
     v-th summand is f_v, placed by ``rows`` if set (a zero f_v writes
@@ -1103,13 +1129,32 @@ def state_to_distribution(f: SuperOp, values: Sequence | None = None) -> Distrib
 # Gate library
 # ---------------------------------------------------------------------------
 
-_H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]])
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+@functools.cache
+def _unitaries() -> dict:
+    """The fixed unitary gates by name, built on first use, not at import.
+    They read as ``_H``, ``_X``, ``_Y``, ``_Z`` and ``_CNOT`` too, and the
+    table as ``_UNITARIES`` (see ``__getattr__``)."""
+    return {
+        "H": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, -1j], [1j, 0]]),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+        "CNOT": np.array(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+        ),
+    }
+
+
+def __getattr__(name: str):
+    # PEP 562: the gate table's names are built at their first read; any
+    # other missing name (``__path__``, which every ``from .algebra
+    # import`` asks for) loads nothing
+    if name == "_UNITARIES":
+        return _unitaries()
+    if name in ("_H", "_X", "_Y", "_Z", "_CNOT"):
+        return _unitaries()[name[1:]]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _rotation(n: int) -> np.ndarray:
     if n < 0:
@@ -1117,11 +1162,9 @@ def _rotation(n: int) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(2j * np.pi / 2**n)]])
 
 
-_UNITARIES = {"H": _H, "X": _X, "Y": _Y, "Z": _Z, "CNOT": _CNOT}
-
 def _unitary_of(g: GateRef) -> np.ndarray:
-    if g.name in _UNITARIES:
-        return _UNITARIES[g.name]
+    if g.name in _unitaries():
+        return _unitaries()[g.name]
     if g.name == "R":
         return _rotation(g.index)
     if g.name == "CR":
@@ -1181,7 +1224,7 @@ def _gate_superop(g: GateRef) -> SuperOp:
         m[d:, d:] = sub.matrix
         a = alg_tensor(alg(1, 1), sub.source)
         return SuperOp(a, a, m)
-    if g.name in _UNITARIES or g.name in ("R", "CR", "control"):
+    if g.name in _unitaries() or g.name in ("R", "CR", "control"):
         return unitary_channel(_unitary_of(g))
     raise UnknownGate(f"no denotation for gate {pretty_print(g)}")
 

@@ -53,13 +53,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import algebra
 from .algebra import (
     DEFAULT_TOL, Distribution, FdAlgebra, NonClassicalSource, ResourceLimit, SCALARS,
     SuperOp, alg_copower, alg_tensor, compose_tensored, copower_stack,
-    factor_permutation, gate_denotation, max_dim, op_identity, op_relabel,
+    factor_permutation, gate_denotation, max_dim, np, op_identity, op_relabel,
     op_zero, state_to_distribution, tensor_many, tensored_layout,
 )
 from .syntax import (
@@ -758,7 +756,7 @@ def evaluate_program(checked: CheckedProgram, mode: Mode | None = None):
 def call_with_stack(fn):
     """Run ``fn`` on a thread with a 256 MiB stack and a recursion limit
     of 4,000,000; deeply fueled fixed points recurse far beyond the
-    defaults."""
+    defaults.  A thread that cannot start raises ``ResourceLimit``."""
     import sys as sys_mod
     import threading
 
@@ -780,7 +778,10 @@ def call_with_stack(fn):
         old_size = None
     try:
         t = threading.Thread(target=target)
-        t.start()
+        try:
+            t.start()
+        except RuntimeError as e:  # under a memory limit, most often
+            raise ResourceLimit(f"cannot start the evaluation thread: {e}") from e
         t.join()
     finally:
         if old_size is not None:

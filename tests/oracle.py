@@ -11,17 +11,23 @@ corpus is supported (unbox of literal boxes, literal-ish init).
 
 It also keeps the direct forms of what the package computes faster: the
 ``denote`` JSON as ``json.dumps`` of a list of [re, im] pairs, and the
-positivity tests by the least eigenvalue from ``eigvalsh``.
+positivity tests by the least eigenvalue from ``eigvalsh``; and the maps
+that only the tests build (scaling, factor permutations and the copower
+isomorphisms), so that no ``ewirec`` process compiles them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from typing import Sequence
 
 import numpy as np
 
-from ewire.algebra import AlgElement, _choi_blocks, _fmt, apply_to_unit, unit_element
+from ewire.algebra import (
+    SCALARS, AlgElement, FdAlgebra, SuperOp, _choi_blocks, _fmt, alg_copower,
+    alg_direct_sum, apply_to_unit, factor_permutation, tensor_many, unit_element,
+)
 from ewire.syntax import (
     Box, ClassicalLit, ClassicalW, Compose, Gate, Init, IntLit, Lift,
     Output, PairElim, PairP, Pattern, Prim, QuantumW, TensorW, UnitElim,
@@ -513,8 +519,6 @@ def transpose_vec(d):
 def random_cpu_map(src, tgt, rng, env_dim=2):
     """A random completely positive unital map between block algebras,
     built blockwise from normalised Stinespring-style factors."""
-    from ewire.algebra import SuperOp
-
     m = np.zeros((tgt.dim, src.dim), dtype=complex)
     soff = src.offsets()
     toff = tgt.offsets()
@@ -582,3 +586,43 @@ def is_subunital_by_eigvalsh(f, tol) -> bool:
     if not gap.is_selfadjoint(math.sqrt(tol)):
         return False
     return all(psd_by_eigvalsh((b + b.conj().T) / 2, tol) for b in gap.blocks_list())
+
+
+# ---------------------------------------------------------------------------
+# Maps that only the tests build
+# ---------------------------------------------------------------------------
+
+
+def op_scale(c: float, f: SuperOp) -> SuperOp:
+    return SuperOp(f.source, f.target, c * f.matrix)
+
+
+def permutation_superop(algs: Sequence[FdAlgebra], new_order: Sequence[int]) -> SuperOp:
+    """The *-isomorphism reordering tensor factors, as a SuperOp from
+    ``tensor_many(algs)`` to the reordered tensor: the 0/1 matrix of
+    ``factor_permutation``, kept as a row view of the identity."""
+    p = factor_permutation(algs, new_order)
+    src = tensor_many(algs)
+    tgt = tensor_many([algs[i] for i in new_order])
+    index = np.empty(src.dim, dtype=np.intp)
+    index[p] = np.arange(src.dim)
+    return SuperOp.row_view(src, tgt, index)
+
+
+def copower_sum_iso(n: int, a: FdAlgebra, b: FdAlgebra) -> SuperOp:
+    """Permutation witnessing n.(A (+) B) = (n.A) (+) (n.B): the A part
+    of every summand comes first, then the B part of every summand."""
+    src = alg_copower(n, alg_direct_sum(a, b))
+    tgt = FdAlgebra(a.blocks * n + b.blocks * n)
+    summands = np.arange(src.dim).reshape(n, a.dim + b.dim)
+    cols = np.concatenate(
+        [summands[:, : a.dim].reshape(-1), summands[:, a.dim :].reshape(-1)]
+    )
+    return SuperOp.row_view(src, tgt, cols.astype(np.intp))
+
+
+def tensor_copower_iso(a: FdAlgebra, n: int, b: FdAlgebra) -> SuperOp:
+    """Permutation witnessing A (x) (n.B) = n.(A (x) B).  The copower
+    ``n.B`` is literally ``(n.C) (x) B``, so this is the exchange of the
+    first two factors of ``A (x) (n.C) (x) B``."""
+    return permutation_superop([a, alg_copower(n, SCALARS), b], [1, 0, 2])

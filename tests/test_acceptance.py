@@ -11,10 +11,9 @@ import numpy as np
 
 from ewire.algebra import (
     Distribution, alg, alg_copower, alg_direct_sum,
-    alg_tensor, copower_stack, copower_sum_iso, frobenius_distance,
+    alg_tensor, copower_stack, frobenius_distance,
     gate_denotation, is_cp, is_unital, loewner_leq, max_dim, op_compose,
     op_identity, op_tensor, set_max_dim, state_to_distribution,
-    tensor_copower_iso,
 )
 from ewire.denote import (
     CircV, Evaluator, Mode, call_with_stack, evaluate_program, sample,
@@ -32,7 +31,7 @@ from ewire.typecheck import (
 )
 
 from tests.gen import random_circuit
-from tests.oracle import random_cpu_map
+from tests.oracle import copower_sum_iso, random_cpu_map, tensor_copower_iso
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 

@@ -10,20 +10,19 @@ from ewire.algebra import (
     DimensionMismatch, FdAlgebra, ResourceLimit, SCALARS,
     SuperOp, ZeroCopower, alg, alg_copower, alg_direct_sum,
     alg_tensor, choi_matrix, compose_tensored, copower_stack,
-    copower_sum_iso, element_from_blocks, factor_index_map,
-    factor_permutation, frobenius_distance, gate_denotation,
-    is_cp, is_subunital, is_unital, loewner_leq, max_dim,
-    op_compose, op_identity, op_relabel, op_scale, op_tensor, op_zero,
-    permutation_superop, psd_within, _psd_margin, tensored_layout,
-    set_max_dim, state_to_distribution, superop_to_json,
-    tensor_copower_iso, tensor_many, unit_element,
+    element_from_blocks, factor_index_map, factor_permutation,
+    frobenius_distance, gate_denotation, is_cp, is_subunital, is_unital,
+    loewner_leq, max_dim, op_compose, op_identity, op_relabel, op_tensor,
+    op_zero, psd_within, _psd_margin, tensored_layout, set_max_dim,
+    state_to_distribution, superop_to_json, tensor_many, unit_element,
 )
 from ewire.syntax import BIT, GateRef, QUBIT, TensorW, UnknownGate
 from ewire.typecheck import BUILTIN_GATES, gate_signature
 
 from tests.oracle import (
-    is_cp_by_eigvalsh, is_subunital_by_eigvalsh, json_by_pairs, psd_by_eigvalsh,
-    random_cpu_map,
+    copower_sum_iso, is_cp_by_eigvalsh, is_subunital_by_eigvalsh, json_by_pairs,
+    op_scale, permutation_superop, psd_by_eigvalsh, random_cpu_map,
+    tensor_copower_iso,
 )
 
 M2 = alg(2)
@@ -918,6 +917,18 @@ def test_all_builtin_gates_cp_unital():
         op = gate_denotation(g)
         assert is_cp(op, 1e-9), g
         assert is_unital(op, 1e-9), g
+
+
+def test_gate_table_reads_by_its_module_names():
+    # built at its first read, not at import
+    import ewire.algebra as algebra
+
+    assert list(algebra._UNITARIES) == ["H", "X", "Y", "Z", "CNOT"]
+    for name, u in algebra._UNITARIES.items():
+        assert getattr(algebra, "_" + name) is u
+    np.testing.assert_array_equal(algebra._H * math.sqrt(2), [[1, 1], [1, -1]])
+    with pytest.raises(AttributeError, match="no attribute '_S'"):
+        algebra._S
 
 
 def test_gate_signatures():

@@ -1,13 +1,16 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import ewire.cli
+import ewire.denote
 import ewire.typecheck
 from ewire import algebra
 from ewire.cli import main
@@ -233,6 +236,83 @@ def test_reader_closing_stdout_exits_without_traceback():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err == b""
+
+
+def test_a_thread_that_cannot_start_is_a_resource_limit(capsys, monkeypatch):
+    # under a memory limit the 256 MiB stack of the evaluation thread
+    # cannot be mapped
+    def start(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert run_cli(capsys, "run", str(PROGRAMS / "flip.ew"), "--json") == (
+        2, "", "resource limit: cannot start the evaluation thread: can't start new thread\n")
+
+
+class _UnmappableLoader:
+    """A loader that fails as numpy's body does when its BLAS library
+    cannot be mapped: a page of advice over the error that caused it."""
+
+    def create_module(self, spec):
+        return None
+
+    def exec_module(self, module):
+        try:
+            raise ImportError("libopenblas.so: failed to map segment\nfrom shared object")
+        except ImportError as e:
+            raise ImportError("\nIMPORTANT: PLEASE READ THIS\n\nOriginal error was: ...") from e
+
+
+def test_a_numpy_that_fails_to_load_is_a_resource_limit(capsys, monkeypatch):
+    # the load runs at the first read of a numpy attribute, here on the
+    # evaluation thread
+    stub = algebra._lazy(importlib.util.spec_from_loader("numpy", _UnmappableLoader()))
+    # setattr would read an attribute of the stub, and so load it
+    monkeypatch.setitem(vars(algebra), "np", stub)
+    monkeypatch.setitem(vars(ewire.denote), "np", stub)
+    assert run_cli(capsys, "run", str(PROGRAMS / "flip.ew"), "--json") == (
+        2, "", "resource limit: numpy failed to load: "
+        "ImportError: libopenblas.so: failed to map segment from shared object\n")
+
+
+# prints, after the command, the numpy submodules loaded: none unless
+# numpy's body ran
+NUMPY_PROBE = (
+    "import sys\n"
+    "from ewire.cli import main\n"
+    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "sys.stdout.flush()\n"
+    "print(sum(m.startswith('numpy.') for m in sys.modules), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _numpy_probe(*argv):
+    """Exit code, stdout and the count of numpy submodules loaded of one
+    ``ewirec`` command (of a bare ``import ewire``, with no ``argv``) in a
+    child process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        cwd=ROOT, env=_cli_env(), capture_output=True, text=True,
+    )
+    return proc.returncode, proc.stdout, int(proc.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv,code", [
+    ([], 0),
+    (["check", "programs/flip.ew"], 0),
+    (["normalize", "programs/teleport.ew", "--entry", "teleport", "--trace"], 0),
+    (["run", "programs/hs.ew"], 1),  # cpu mode stops at the fixed point
+], ids=["import", "check", "normalize", "run_hs"])
+def test_a_command_that_builds_no_map_runs_no_numpy(argv, code):
+    returncode, _, submodules = _numpy_probe(*argv)
+    assert (returncode, submodules) == (code, 0)
+
+
+def test_a_command_that_builds_a_map_loads_numpy():
+    returncode, out, submodules = _numpy_probe("run", "programs/flip.ew", "--json")
+    assert (returncode, out) == (0, '{"outcomes": {"0": 0.5, "1": 0.5}, "diverge_mass": 0.0}\n')
+    assert submodules > 0
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from ewire.typecheck import (
 from tests.gen import random_circuit
 from tests.oracle import (
     channel_matrix, context_leaves, embedding_matrix, is_cp_by_eigvalsh,
-    is_subunital_by_eigvalsh, leaves, transpose_vec,
+    is_subunital_by_eigvalsh, leaves, permutation_superop, transpose_vec,
 )
 
 FLIP = "a <- gate init0 (); a' <- gate H a; b <- gate meas a'; output b"
@@ -160,8 +160,6 @@ def test_positivity_answers_as_eigvalsh_on_the_oracle_suite(seed):
 
 
 def test_exchange_coherence():
-    from ewire.algebra import permutation_superop
-
     omega = (("a", QUBIT), ("b", BIT), ("c", QUBIT))
     term = parse_circuit("q <- gate H a; output (q, (b, c))")
     perm = [2, 0, 1]

@@ -7,7 +7,8 @@ or a public ``def`` or ``class`` that nothing in the package, ``tests/``
 or ``bench/`` reads (a re-export in ``__init__`` is no read).  Every module
 imports only the standard library, its own package and the dependencies
 ``pyproject.toml`` declares, so a heavy optional import (``scipy.sparse``
-alone takes about a quarter of a second) cannot slip into start-up.
+alone takes about a quarter of a second) cannot slip into start-up, and
+only ``algebra`` loads numpy, on first use, at one site.
 Every term class of ``ewire.syntax`` declares its scope, so the generic
 walks over binders cannot meet a constructor they do not know.  Only
 ``algebra`` reads the private slots of a ``SuperOp``, so the kinds a map
@@ -109,6 +110,62 @@ def test_foreign_import_detected():
         "def f():\n    import pandas as pd\n    return pd\n"
     )
     assert foreign_imports(src, {"numpy", "ewire"}) == ["scipy.sparse", "pandas"]
+
+
+LOADERS = ("find_spec", "import_module", "__import__", "LazyLoader")
+
+
+def numpy_loads(source: str) -> list:
+    """Where ``source`` imports numpy or loads a module by name, in source
+    order: ``("import", "numpy")`` for an ``import numpy`` or ``from
+    numpy`` statement, and for a call of one of ``LOADERS``, that
+    function's name and its first argument if it is a string constant,
+    else None.  ``foreign_imports`` sees no load by string."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in LOADERS:
+                arg = node.args[0] if node.args else None
+                loaded = arg.value if isinstance(arg, ast.Constant) else None
+                out.append((node.lineno, (name, loaded)))
+        out.extend((node.lineno, ("import", "numpy")) for n in names
+                   if n.split(".")[0] == "numpy")
+    return [entry for _, entry in sorted(out, key=lambda e: e[0])]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_algebra_loads_numpy(path):
+    # algebra loads numpy on first use, at one site; no other module
+    # imports it, or loads any module by name
+    expected = [("LazyLoader", None), ("find_spec", "numpy")] if path.stem == "algebra" else []
+    assert numpy_loads(path.read_text()) == expected
+
+
+def test_algebra_loads_a_declared_dependency():
+    loads = numpy_loads((SRC / "algebra.py").read_text())
+    assert {name for how, name in loads if how != "LazyLoader"} <= declared_dependencies()
+
+
+def test_numpy_load_detected():
+    src = (
+        "import json, numpy.linalg as la\nfrom numpy import zeros\n"
+        "import importlib.util\nfrom importlib.util import find_spec\n"
+        "def f(name):\n"
+        "    importlib.import_module('scipy')\n"
+        "    spec = find_spec(name)\n"
+        "    return importlib.util.LazyLoader(spec.loader), __import__('json')\n"
+    )
+    assert numpy_loads(src) == [
+        ("import", "numpy"), ("import", "numpy"), ("import_module", "scipy"),
+        ("find_spec", None), ("LazyLoader", None), ("__import__", "json"),
+    ]
 
 
 def _top_level(sources: dict) -> list:
