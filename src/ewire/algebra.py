@@ -40,21 +40,23 @@ Conventions used throughout:
   dense matrices row by row gives, signed zeros included.  On the other
   side it reads the continuation one rest group at a time: a group that
   holds few nonzeros, no more than it has columns, is ``f``'s columns
-  scaled by its nonzeros and summed.  A contracted column holding one
-  nonzero ``v`` gives ``f``'s column times ``v``, each entry rounded as
-  BLAS rounds a one-term dot product (each real product, then the sum,
-  with a zero sum ``+0``), so its bits are what the zgemm gives outside
-  the edge columns a BLAS kernel may round as a fused product, and
-  within 1 ulp there.  A column holding several sums those separately
-  rounded products in ascending row order, then adds ``+0.0``: within
-  1e-12 of the zgemm, not bit for bit.  A group is decided from its own
-  entries alone, whatever kind of map holds them and whatever the other
-  groups hold; the others keep one zgemm over the whole contraction, as
-  does every contraction below ``_SPARSE_FLOOR`` entries.  When every
-  group qualifies and the result's rows are sparse, it stays a view of
-  those entries, which the next steps move, scale and read again without
-  a matrix; ``_materialise`` is the one place where a view's entries are
-  written into a matrix.
+  scaled by its nonzeros and summed.  The nonzeros are found one way for
+  each kind of map (a view's live slots, a dense map's ``matrix != 0``)
+  and read in one order, by rest group, then column, then row.  A
+  contracted column holding one nonzero ``v`` gives ``f``'s column times
+  ``v``, each entry rounded as BLAS rounds a one-term dot product (each
+  real product, then the sum, with a zero sum ``+0``), so its bits are
+  what the zgemm gives outside the edge columns a BLAS kernel may round
+  as a fused product, and within 1 ulp there.  A column holding several
+  sums those separately rounded products in ascending row order, then
+  adds ``+0.0``: within 1e-12 of the zgemm, not bit for bit.  A group is
+  decided from its own entries alone, whatever kind of map holds them
+  and whatever the other groups hold; the others keep one zgemm over the
+  whole contraction, as does every contraction below ``_SPARSE_FLOOR``
+  entries.  When every group qualifies and the result's rows are
+  sparse, it stays a view of those entries, which the next steps move,
+  scale and read again without a matrix; ``_materialise`` is the one
+  place where a view's entries are written into a matrix.
 
 This module decides no typing: a gate's wire signature is
 ``typecheck.gate_signature``, and ``gate_denotation`` gives only its map.
@@ -236,12 +238,12 @@ def alg_direct_sum(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
 
 
 def alg_copower(n: int, a: FdAlgebra) -> FdAlgebra:
-    """The n-fold direct sum of ``a`` with itself."""
+    """The n-fold direct sum of ``a`` with itself; the dimension cap is
+    checked before any block is listed."""
     if n < 1:
         raise ZeroCopower(f"copower index must be >= 1, got {n}")
-    out = FdAlgebra(a.blocks * n)
-    _check_dim(out.dim, "copower")
-    return out
+    _check_dim(n * a.dim, "copower")
+    return FdAlgebra(a.blocks * n)
 
 
 def tensor_many(algs: Sequence[FdAlgebra]) -> FdAlgebra:
@@ -555,10 +557,10 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
     row of ``g`` times that entry, with no matrix product: a view ``g`` is
     read through a new index, and no matrix is touched; a dense ``g``'s
     rows are gathered into a dense result.  Entries other than 1 scale the
-    rows: a view scales its ``vals`` and ``fill`` (see
-    ``SuperOp.row_view``), a dense result its rows, in place.  Either way
-    each entry is ``g``'s entry times ``f``'s, rounded once: exact for 0/1
-    entries, within 1e-12 of the dense product otherwise.  Any other
+    rows: a view's ``vals`` and ``fill`` (see ``SuperOp.row_view``), or
+    the gathered rows, both by ``_scaled_rows``.  Either way each entry is
+    ``g``'s entry times ``f``'s, rounded once: exact for 0/1 entries,
+    within 1e-12 of the dense product otherwise.  Any other
     ``f`` is multiplied densely between a gather and a scatter, except
     where the continuation is sparse: from ``_SPARSE_FLOOR`` contracted
     entries up, rest group ``k`` of ``g[pin[:, k], c]`` that holds no more
@@ -568,8 +570,9 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
     nonzero is that product rounded as BLAS rounds a one-term dot product
     (``_gathered``); a column of several sums the separately rounded
     products in ascending ``j``, then adds ``+0.0``, within 1e-12 of the
-    zgemm but not its bits.  The nonzeros come from a view ``g``'s index,
-    or from one pass over a dense ``g``'s matrix; no row of the
+    zgemm but not its bits.  The nonzeros come from a view ``g``'s live
+    slots, or from ``matrix != 0`` of a dense ``g``, and are read in one
+    order, sorted by ``(k, c, j)`` (``_group_nonzeros``); no row of the
     contraction is built unless some group does not qualify.  Each group
     is decided from its own entries alone, so a view and its dense twin,
     or a continuation with other groups pruned, give the group the same
@@ -598,26 +601,17 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
         live = pout[nz_rows]
         src = pin[nz_cols]
         scale = None if vals is None or (vals == 1).all() else vals[:, None]
-        if g._index is not None:
-            index = np.full(tgt.dim if g._index.ndim == 1 else (tgt.dim, g._index.shape[1]),
-                            -1, dtype=np.intp)
-            index[live] = g._index[src]
-            return SuperOp.row_view(
-                g.source, tgt, index,
-                _scaled_rows(g._vals, 1.0, src, live, scale, index.shape),
-                _scaled_rows(g._fill, 0.0, src, live, scale, (tgt.dim,)),
-            )
-        # g's rows gathered; a zero row of f reads row -1 and is cleared
-        index = np.full(tgt.dim, -1, dtype=np.intp)
-        index[live] = src
-        out = g._matrix.take(index, axis=0)
-        out[index < 0] = 0
-        if scale is not None:
-            # every row times its entry of f, in place; a zero row stays +0
-            row_scale = np.ones(tgt.dim, dtype=complex)
-            row_scale[live] = scale
-            np.multiply(out, row_scale[:, None], out=out)
-        return SuperOp(g.source, tgt, out)
+        if g._index is None:
+            return SuperOp(g.source, tgt, _scaled_rows(g._matrix, None, src, live, scale,
+                                                       (tgt.dim, g.source.dim)))
+        index = np.full(tgt.dim if g._index.ndim == 1 else (tgt.dim, g._index.shape[1]),
+                        -1, dtype=np.intp)
+        index[live] = g._index[src]
+        return SuperOp.row_view(
+            g.source, tgt, index,
+            _scaled_rows(g._vals, 1.0, src, live, scale, index.shape),
+            _scaled_rows(g._fill, 0.0, src, live, scale, (tgt.dim,)),
+        )
     r = rest.dim
     ncols = g.source.dim
     found = None
@@ -626,7 +620,7 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
     if found is not None and found[0].all():
         # each row of group k holds one entry per column the group reads
         k, first = found[2], found[5]
-        counts = np.bincount(k if first is None else k[first], minlength=r)
+        counts = np.bincount(k[first], minlength=r)
         if 2 * counts.max() < ncols:
             return _summed_view(f.matrix, g.source, tgt, pout, counts, *found[1:])
         out = np.empty((tgt.dim, ncols), dtype=complex)
@@ -665,17 +659,12 @@ def _summed_view(a: np.ndarray, source: FdAlgebra, target: FdAlgebra, pout: np.n
     (``_summed``) at column ``c`` over the nonzeros ``v`` at ``(j, k,
     c)``, and ``+0`` elsewhere.  Every row of group ``k`` holds the same
     ``counts[k]`` columns, so the view is as wide as the group that reads
-    the most columns."""
+    the most columns.  The nonzeros come sorted by ``(k, c, j)``, so a
+    group's columns are consecutive and ``first`` numbers them."""
     r = pout.shape[1]
-    if first is None:
-        order = np.argsort(k)
-        j, k, c, v = j[order], k[order], c[order], v[order]
-        column = np.arange(k.size)
-    else:
-        column = np.cumsum(first) - 1
     # a group's columns are consecutive, and at most width of them
     width = max(1, int(counts.max()))
-    at = k * width + column % width
+    at = k * width + (np.cumsum(first) - 1) % width
     cols = np.full(r * width, -1, dtype=np.intp)
     cols[at] = c
     index = np.empty((target.dim, width), dtype=np.intp)
@@ -708,72 +697,38 @@ def _write_summed(out: np.ndarray, a: np.ndarray, pout: np.ndarray,
 def _group_nonzeros(g: SuperOp, pin: np.ndarray):
     """``(few, j, k, c, v, first)``: whether each rest group ``k`` of the
     contraction ``g[pin[j, k], c]`` holds few nonzeros, no more than it
-    has columns, and each nonzero ``v`` of those groups at ``(j, k, c)``;
-    None when no group does.  When some column of those groups holds two
-    nonzeros or more, they are sorted by ``(k, c, j)`` and ``first`` marks
-    the first of each column; else ``first`` is None, and they come in
-    any order.  A view answers from ``index[pin]``, a dense map from one
-    pass over the nonzero pattern of ``matrix[pin]``, so the
-    contraction's rows are never built."""
+    has columns, and each nonzero ``v`` of those groups at ``(j, k, c)``,
+    sorted by ``(k, c, j)``, with ``first`` marking the first of each
+    column; None when no group qualifies.  A view reads its nonzeros from
+    ``index[pin]`` and ``vals[pin]``, a dense map from ``(matrix !=
+    0)[pin]``, so the contraction's rows are never built."""
     nj, r = pin.shape
     ncols = g.source.dim
-    if g._index is not None:
+    if g._index is None:
+        live = (g._matrix != 0)[pin]  # (j, k, c)
+    else:
         cols = g._index[pin]  # (j, k), or (j, k, slot) for a view of width m
         live = cols >= 0
-        v = None if g._vals is None else g._vals[pin]
-        if v is not None:
-            live &= v != 0
-        at = live.nonzero()
-        few = np.bincount(at[1], minlength=r) <= ncols
-        if not few.all():
-            if not few.any():
-                return None
-            at = tuple(x[few[at[1]]] for x in at)
-        # a column of a group holds two nonzeros when two live slots hold
-        # it; padding or a zero in slot t of row j stands for -1 - (j m +
-        # t), apart from every column and every other slot
-        key = np.where(live, cols, -1 - np.arange(cols.size // r).reshape(
-            (nj, 1) + cols.shape[2:]))
-        if key.ndim == 3:
-            key = key.transpose(0, 2, 1).reshape(-1, r)
-        key.sort(axis=0)
-        summed = (few & (key[1:] == key[:-1]).any(axis=0)).any()
-        j, k, c = at[0], at[1], cols[at]
-        v = np.ones(j.size, dtype=complex) if v is None else v[at]
+        vals = None if g._vals is None else g._vals[pin]
+        if vals is not None:
+            live &= vals != 0
+    few = live.reshape(nj, r, -1).sum(axis=(0, 2)) <= ncols
+    if not few.any():
+        return None
+    live[:, ~few] = False
+    at = live.nonzero()
+    j, k = at[0], at[1]
+    if g._index is None:
+        c = at[2]
+        v = g._matrix[pin[j, k], c]
     else:
-        m = g._matrix
-        # a group holds at least its nonzeros in the first q columns, so
-        # q = ncols // nj + 1 of them rule out a dense group, unread past
-        q = ncols // nj + 1
-        if q < ncols and (_nonzero(m[:, :q]).sum(axis=1, dtype=np.uint32)[pin].sum(axis=0)
-                          > ncols).all():
-            return None
-        nonzero = _nonzero(m)[pin]
-        per_column = nonzero.sum(axis=0, dtype=np.uint32)
-        few = per_column.sum(axis=1) <= ncols
-        groups = np.flatnonzero(few)
-        if groups.size == 0:
-            return None
-        summed = (per_column[groups] > 1).any()
-        if groups.size < r:
-            nonzero = nonzero[:, groups]
-        j, kc = np.divmod(np.flatnonzero(nonzero), groups.size * ncols)
-        k, c = groups[kc // ncols], kc % ncols
-        v = m[pin[j, k], c]
-    if not summed:
-        return few, j, k, c, v, None
+        c = cols[at]
+        v = np.ones(j.size, dtype=complex) if vals is None else vals[at]
     order = np.argsort((k * ncols + c) * nj + j)
     j, k, c, v = j[order], k[order], c[order], v[order]
     first = np.ones(k.size, dtype=bool)
     first[1:] = (k[1:] != k[:-1]) | (c[1:] != c[:-1])
     return few, j, k, c, v, first
-
-
-def _nonzero(a: np.ndarray) -> np.ndarray:
-    """``a != 0`` for a complex ``a`` with contiguous rows: each part
-    compared as a float, and a pair of part flags read as one ``uint16``,
-    at about half the cost of numpy's complex compare."""
-    return (a.view(np.float64) != 0).view(np.uint16) != 0
 
 
 def _layers(at, j, v, first, size):
@@ -782,16 +737,13 @@ def _layers(at, j, v, first, size):
     ``size`` entries of ``j`` and ``v`` (0 and 0 where none), then one
     ``(at, j, v)`` per later rank.  The nonzeros of a column are
     consecutive and in ascending ``j``, and ``first`` marks where each
-    starts; None when each holds one."""
+    starts."""
     js = np.zeros(size, dtype=np.intp)
     vs = np.zeros(size, dtype=complex)
-    if first is None:
-        js[at], vs[at] = j, v
-        return js, vs, ()
     js[at[first]], vs[at[first]] = j[first], v[first]
     rank = np.arange(at.size) - np.flatnonzero(first)[np.cumsum(first) - 1]
     more = []
-    for t in range(1, int(rank.max()) + 1):
+    for t in range(1, int(rank.max(initial=0)) + 1):
         on = rank == t
         more.append((at[on], j[on], v[on]))
     return js, vs, more
@@ -829,10 +781,11 @@ def _gathered(a: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _scaled_rows(a, default, src, live, scale, shape):
-    """Per-row ``vals`` (of ``shape`` ``(n, m)`` or ``(n,)``) or ``fill``
-    (``(n,)``) of an identity-based view read through ``src`` into rows
-    ``live`` and times ``scale``, one entry per row; None when ``a`` is
-    None (all ``default``) and nothing scales.  Other rows hold ``+0``."""
+    """The rows of ``a`` read through ``src`` into rows ``live`` and times
+    ``scale``, one entry per row: per-row ``vals`` (of ``shape`` ``(n,
+    m)`` or ``(n,)``) or ``fill`` (``(n,)``) of an identity-based view, or
+    a dense matrix's rows (``(n, ncols)``); None when ``a`` is None (all
+    ``default``) and nothing scales.  Other rows hold ``+0``."""
     if a is None and scale is None:
         return None
     x = np.full(src.shape + shape[1:], default, dtype=complex) if a is None else a[src]

@@ -71,6 +71,8 @@ def _load(path: str, qlist_size, entry):
             text = fh.read()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise UsageError(f"cannot read {path}: not UTF-8 at byte {e.start}: {e.reason}")
     prog = parse_program(text)
     if qlist_size is not None:
         prog, entry = monomorphize(prog, qlist_size, entry)

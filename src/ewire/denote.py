@@ -208,8 +208,9 @@ def classical_index(v: WireType, value, loc: Span | None) -> int:
 
 
 def denote_wire(w: WireType) -> FdAlgebra:
-    """The algebra of a wire type: scalars for I, the k-fold sum of
-    scalars for a classical base of size k, a full matrix block for a
+    """The algebra of a wire type: scalars for I, the copower ``k . C`` of
+    the scalars for a classical base of size k (its dimension checked
+    against the cap before it is built), a full matrix block for a
     quantum base, tensors structurally."""
     return _denote_wire(w, max_dim())
 
@@ -229,7 +230,7 @@ def _denote_wire(w: WireType, cap: int) -> FdAlgebra:
         case UnitW():
             return SCALARS
         case ClassicalW(_, k):
-            return FdAlgebra((1,) * k)
+            return alg_copower(k, SCALARS)
         case QuantumW(_, d):
             return FdAlgebra((d,))
         case TensorW(l, r):
@@ -488,6 +489,7 @@ class Evaluator:
         if t is Lift:
             p.own = split.own
             v = p.own[0]
+            denote_wire(v)  # the cap, checked before the values are listed
             p.values = enumerate_classical(v)
         return p
 

@@ -609,6 +609,74 @@ def test_sparse_groups_above_the_default_floor(monkeypatch):
         assert np.abs(whole[out_rows] - f.matrix @ m[last]).max() <= 1e-12
 
 
+def _scrambled_view(m, src, mid, width, rng):
+    """``m`` as a view of ``width`` slots a row: each row's nonzeros in
+    random slots, in descending column order, with padding between them,
+    and a zero in ``vals`` at a column the row does not hold, where one
+    fits; every other row's fill is ``-0``."""
+    index = np.full((mid.dim, width), -1, dtype=np.intp)
+    vals = np.zeros(index.shape, dtype=complex)
+    fill = np.zeros(mid.dim, dtype=complex)
+    for i, row in enumerate(m != 0):
+        cols = np.flatnonzero(row)[::-1]
+        slots = rng.permutation(width)
+        index[i, slots[:cols.size]], vals[i, slots[:cols.size]] = cols, m[i, cols]
+        spare = np.flatnonzero(~row)
+        if cols.size < width and spare.size and rng.random() < 0.5:
+            index[i, slots[cols.size]] = rng.choice(spare)
+        if i % 2:
+            fill[i] = -0.0
+    if width == 1:
+        index, vals = index[:, 0], vals[:, 0]
+    return SuperOp.row_view(src, mid, index, vals, fill)
+
+
+_READ_MIXES = {"one-a-column": (True,) * 5, "sums": (2, True, 4, False, 3), "none": None}
+
+
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("mix", list(_READ_MIXES))
+def test_group_nonzeros_reads_one_order(monkeypatch, width, mix):
+    # a view (of width 1, or of width 4 with its slots out of column
+    # order, padding between them, zeros in vals and -0 fills) and its
+    # dense twin give the same nonzeros, sorted by (k, c, j), with first
+    # marking the first of each column, whether a column holds one
+    # nonzero or several; group 2 of "sums" holds 4, more than its 3
+    # columns, and is not read; "none" holds no nonzero at all
+    import ewire.algebra
+    from ewire.algebra import _group_nonzeros
+
+    rng = np.random.default_rng(48 + width)
+    f = SuperOp(M2, alg(1, 2), np.ones((5, 4)))
+    rest, src = alg(1, 2), alg(1, 1, 1)
+    mid = alg_tensor(f.source, rest)
+    _, _, pin, _ = tensored_layout(f, rest)
+    m = np.zeros((mid.dim, src.dim), dtype=complex)
+    if _READ_MIXES[mix] is not None:
+        m = _continuation_matrix(f, rest, src, rng, _READ_MIXES[mix], per_row=width)
+    view = _scrambled_view(m, src, mid, width, rng)
+    assert np.array_equal(view.matrix, m)
+    twin = SuperOp(src, mid, view.matrix)
+    found = _group_nonzeros(view, pin)
+    for x, y in zip(found, _group_nonzeros(twin, pin)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    few, j, k, c, v, first = found
+    # the same nonzeros as the contraction's, where its group is few
+    nonzero = (m != 0)[pin]
+    want_few = nonzero.sum(axis=(0, 2)) <= src.dim
+    assert np.array_equal(few, want_few)
+    assert np.array_equal(v, m[pin[j, k], c]) and (v != 0).all()
+    assert j.size == nonzero[:, want_few].sum()
+    key = (k * src.dim + c) * pin.shape[0] + j
+    assert (np.diff(key) > 0).all()
+    assert np.array_equal(first, np.r_[True, (np.diff(k) != 0) | (np.diff(c) != 0)][:k.size])
+    assert (mix == "sums") == (not few.all() and not first.all())
+    # and through compose_tensored, with the sparse read on
+    monkeypatch.setattr(ewire.algebra, "_SPARSE_FLOOR", 0)
+    out = compose_tensored(f, rest, view).matrix
+    assert out.tobytes() == compose_tensored(f, rest, twin).matrix.tobytes()
+
+
 @pytest.mark.parametrize("values", ["unit", "complex"])
 def test_sparse_read_matches_dense(monkeypatch, values):
     import ewire.algebra

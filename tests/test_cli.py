@@ -223,6 +223,34 @@ def test_run_of_a_closed_circ_with_a_quantum_output_is_a_type_error(tmp_path):
     _assert_no_traceback(["run", str(src), "--entry", "c"], 1, "error[NotClassical]")
 
 
+@pytest.mark.parametrize("data,offset", [(b"\xff\xfe", 0), (b"-- caf\xe9\n", 6)],
+                         ids=["bom", "latin1"])
+def test_a_source_that_is_not_utf8_is_a_usage_error(tmp_path, data, offset):
+    src = tmp_path / "bad.ew"
+    src.write_bytes(data)
+    _assert_no_traceback(["check", str(src)], 3,
+                         f"usage error: cannot read {src}: not UTF-8 at byte {offset}:")
+
+
+# a classical type's algebra is the copower k . C, checked against the cap
+# before a block or a value is listed, through an init and through a lift
+CLASSICAL_OVER_THE_CAP = [
+    (5000, "def main = run (init (3 : int))\n", ["run"]),
+    (10**30, "def main = run (init (3 : int))\n", ["run"]),
+    (10**30, "def c : Circ(int, I) = box x : int => (y <= lift x; output ())\n",
+     ["denote", "--entry", "c"]),
+]
+
+
+@pytest.mark.parametrize("k,body,command", CLASSICAL_OVER_THE_CAP,
+                         ids=["init-5000", "init-1e30", "lift-1e30"])
+def test_a_classical_type_over_the_cap_is_a_resource_limit(tmp_path, k, body, command):
+    src = tmp_path / "big.ew"
+    src.write_text(f"classical int {k}\n\n{body}")
+    _assert_no_traceback([command[0], str(src), *command[1:]], 2,
+                         f"resource limit: copower needs element-space dimension {k},")
+
+
 def test_reader_closing_stdout_exits_without_traceback():
     # the denotation's JSON (110 kB) outgrows a pipe's buffer (64 kB on
     # Linux), so the write fails once the reader has gone
