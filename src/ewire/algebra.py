@@ -146,8 +146,8 @@ def _numpy():
 # ewire reads no numpy attribute, so a command that builds no map never
 # runs numpy's body.  Python 3.11's LazyLoader takes no lock: the first
 # read must come from one thread while no other touches numpy.  In
-# ``ewirec`` it does, as the main thread waits in ``join`` while the
-# evaluation thread (``denote.call_with_stack``) runs.
+# ``ewirec`` it does: the package starts no thread, and ``ewirec``
+# evaluates on its main thread.
 np = _numpy()
 
 
@@ -220,10 +220,9 @@ SCALARS = FdAlgebra((1,))
 def alg_tensor(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
     """Tensor product: blocks ``n_i * m_j`` ordered lexicographically.
     The product is memoised on the block tuples; the dimension cap is
-    checked on every call."""
-    out = _tensor_blocks(a.blocks, b.blocks)
-    _check_dim(out.dim, "tensor product")
-    return out
+    checked on every call, before any block is listed."""
+    _check_dim(a.dim * b.dim, "tensor product")
+    return _tensor_blocks(a.blocks, b.blocks)
 
 
 @functools.cache

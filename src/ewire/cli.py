@@ -9,10 +9,10 @@ pairs, is a usage error in every mode.  ``run`` and ``denote`` print the
 value of an entry.  ``equiv`` compares the values of two circuit
 entries, unboxed onto one context of fresh wires: one per factor of
 their input types that is not I.  Each of the three evaluates only the
-``def``s its entries depend on, directly or through other ``def``s, on a
-thread with a deep stack.  ``normalize`` rewrites the body of an entry
-once its measurement sugar is expanded, the other ``def``s are inlined
-and it reduces to a box.
+``def``s its entries depend on, directly or through other ``def``s, on
+the calling thread under a deep recursion limit.  ``normalize``
+rewrites the body of an entry once its measurement sugar is expanded,
+the other ``def``s are inlined and it reduces to a box.
 
 Exit codes: 0 success, 1 type, evaluation or equivalence failure, 2
 resource, step, recursion or memory limits, 3 usage errors; each
@@ -398,8 +398,13 @@ def main(argv=None) -> int:
     except ResourceLimit as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 2
-    except (RecursionError, MemoryError) as e:
-        _diag(args, type(e).__name__, str(e) or "out of memory", None)
+    except RecursionError:
+        # CPython's message names the kind of call that met the limit,
+        # which moves with the depth of the caller; the diagnostic does not
+        _diag(args, "RecursionError", "maximum recursion depth exceeded", None)
+        return 2
+    except MemoryError as e:
+        _diag(args, "MemoryError", str(e) or "out of memory", None)
         return 2
 
 

@@ -51,6 +51,7 @@ wraps (see ``Evaluator``).
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 from . import algebra
@@ -756,41 +757,18 @@ def evaluate_program(checked: CheckedProgram, mode: Mode | None = None):
 
 
 def call_with_stack(fn):
-    """Run ``fn`` on a thread with a 256 MiB stack and a recursion limit
-    of 4,000,000; deeply fueled fixed points recurse far beyond the
-    defaults.  A thread that cannot start raises ``ResourceLimit``."""
-    import sys as sys_mod
-    import threading
-
-    box = {}
-
-    def target():
-        old = sys_mod.getrecursionlimit()
-        try:
-            sys_mod.setrecursionlimit(4_000_000)
-            box["value"] = fn()
-        except BaseException as exc:
-            box["error"] = exc
-        finally:
-            sys_mod.setrecursionlimit(old)
-
+    """Run ``fn`` on the calling thread under a recursion limit of
+    4,000,000, and restore the limit it found; deeply fueled fixed points
+    recurse far beyond the default.  This needs Python 3.11: from there a
+    call from Python code to Python code takes no C stack, so the depth
+    is bounded by this limit and by memory, not by the thread's stack
+    (3.10 needed a thread with a large stack)."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(4_000_000)
     try:
-        old_size = threading.stack_size(256 * 1024 * 1024)
-    except (ValueError, RuntimeError):
-        old_size = None
-    try:
-        t = threading.Thread(target=target)
-        try:
-            t.start()
-        except RuntimeError as e:  # under a memory limit, most often
-            raise ResourceLimit(f"cannot start the evaluation thread: {e}") from e
-        t.join()
+        return fn()
     finally:
-        if old_size is not None:
-            threading.stack_size(old_size)
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
+        sys.setrecursionlimit(old)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -266,15 +267,48 @@ def test_reader_closing_stdout_exits_without_traceback():
     assert err == b""
 
 
-def test_a_thread_that_cannot_start_is_a_resource_limit(capsys, monkeypatch):
-    # under a memory limit the 256 MiB stack of the evaluation thread
-    # cannot be mapped
+def test_evaluation_starts_no_thread(capsys, monkeypatch):
+    # evaluation runs on the calling thread, so a process that cannot
+    # start one (under a memory limit, most often) still evaluates
     def start(self):
         raise RuntimeError("can't start new thread")
 
     monkeypatch.setattr(threading.Thread, "start", start)
     assert run_cli(capsys, "run", str(PROGRAMS / "flip.ew"), "--json") == (
-        2, "", "resource limit: cannot start the evaluation thread: can't start new thread\n")
+        0, '{"outcomes": {"0": 0.5, "1": 0.5}, "diverge_mass": 0.0}\n', "")
+
+
+def test_a_deep_fixed_point_needs_no_deep_stack():
+    # 20000 unfoldings nest 120000 Python frames; from Python 3.11 they
+    # take no C stack, so a 1 MiB stack limit (on the child only) is enough
+    def small_stack():
+        _, hard = resource.getrlimit(resource.RLIMIT_STACK)
+        resource.setrlimit(resource.RLIMIT_STACK, (1 << 20, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "ewire.cli", "run", "programs/hs.ew", "--mode", "cpsu",
+         "--fuel", "20000", "--json"],
+        cwd=ROOT, env=_cli_env(), capture_output=True, preexec_fn=small_stack,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, b'{"outcomes": {"0": 0.0, "1": 0.0}, "diverge_mass": 1.0}\n', b"")
+
+
+def test_a_recursion_limit_reads_the_same_at_any_caller_depth(capsys, monkeypatch):
+    # the evaluation starts at the caller's depth, so the call that meets
+    # the limit (and CPython's message for it) moves with that depth
+    limit = sys.setrecursionlimit
+    monkeypatch.setattr(sys, "setrecursionlimit", lambda n: limit(min(n, 20_000)))
+
+    def nested(k):
+        if k:
+            return nested(k - 1)
+        return run_cli(capsys, "run", str(PROGRAMS / "hs.ew"), "--mode", "cpsu",
+                       "--fuel", "100000", "--json")
+
+    expected = (2, '{"kind": "RecursionError", "span": null, '
+                   '"message": "maximum recursion depth exceeded"}\n', "")
+    assert [nested(k) for k in range(6)] == [expected] * 6
 
 
 class _UnmappableLoader:
@@ -292,8 +326,8 @@ class _UnmappableLoader:
 
 
 def test_a_numpy_that_fails_to_load_is_a_resource_limit(capsys, monkeypatch):
-    # the load runs at the first read of a numpy attribute, here on the
-    # evaluation thread
+    # the load runs at the first read of a numpy attribute, here inside
+    # the evaluation, on the calling thread
     stub = algebra._lazy(importlib.util.spec_from_loader("numpy", _UnmappableLoader()))
     # setattr would read an attribute of the stub, and so load it
     monkeypatch.setitem(vars(algebra), "np", stub)

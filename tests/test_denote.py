@@ -61,6 +61,23 @@ def test_denote_wire_classical_base():
     assert denote_wire(ClassicalW("digit", 10)).blocks == (1,) * 10
 
 
+def test_a_tensor_product_over_the_cap_lists_no_block():
+    # two factors under the cap: their product's 1.6e7 blocks (about
+    # 150 MB as a tuple) are not listed before the cap is checked
+    import tracemalloc
+
+    wire = TensorW(ClassicalW("int", 4000), ClassicalW("int", 4000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match=(
+                "^tensor product needs element-space dimension 16000000, over the cap ")):
+            denote_wire(wire)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
 # -- circuit denotations -----------------------------------------------------------
 
 

@@ -8,7 +8,9 @@ or ``bench/`` reads (a re-export in ``__init__`` is no read).  Every module
 imports only the standard library, its own package and the dependencies
 ``pyproject.toml`` declares, so a heavy optional import (``scipy.sparse``
 alone takes about a quarter of a second) cannot slip into start-up, and
-only ``algebra`` loads numpy, on first use, at one site.
+only ``algebra`` loads numpy, on first use, at one site.  No module
+imports ``threading``, and only ``denote.call_with_stack`` sets the
+recursion limit, so evaluation runs on the caller's thread.
 Every term class of ``ewire.syntax`` declares its scope, so the generic
 walks over binders cannot meet a constructor they do not know.  Only
 ``algebra`` reads the private slots of a ``SuperOp``, so the kinds a map
@@ -314,6 +316,59 @@ def test_undeclared_pattern_field_detected():
     assert scope_faults(Stray) == ["pat is neither consumed nor bound"]
     with pytest.raises(TypeError, match="Stray.pat is neither consumed nor bound"):
         syntax._scope(Stray)
+
+
+def thread_uses(source: str) -> list:
+    """Where ``source`` imports ``threading`` or ``_thread``, or calls
+    ``setrecursionlimit``, in source order: ``(what, function)``, where
+    ``function`` names the innermost enclosing ``def``, or is None at
+    module level."""
+    out = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        names = []
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        out.extend((node.lineno, "import " + n, function) for n in names
+                   if n.split(".")[0] in ("threading", "_thread"))
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "setrecursionlimit":
+                out.append((node.lineno, "setrecursionlimit", function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return [(what, function) for _, what, function in sorted(out, key=lambda e: e[0])]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_thread_and_one_recursion_limit(path):
+    # evaluation runs on the caller's thread; only call_with_stack raises
+    # the recursion limit (and restores it)
+    expected = ([("setrecursionlimit", "call_with_stack")] * 2
+                if path.stem == "denote" else [])
+    assert thread_uses(path.read_text()) == expected
+
+
+def test_thread_use_detected():
+    src = (
+        "import sys, threading\nfrom _thread import start_new_thread\n"
+        "from sys import setrecursionlimit\n"
+        "setrecursionlimit(10)\n"
+        "def call_with_stack(fn):\n"
+        "    def inner():\n        sys.setrecursionlimit(20)\n"
+        "    sys.setrecursionlimit(30)\n    import threading as t\n"
+    )
+    assert thread_uses(src) == [
+        ("import threading", None), ("import _thread", None),
+        ("setrecursionlimit", None), ("setrecursionlimit", "inner"),
+        ("setrecursionlimit", "call_with_stack"), ("import threading", "call_with_stack"),
+    ]
 
 
 FRONT_END = ("syntax", "parser", "typecheck", "qlist")
