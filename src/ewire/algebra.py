@@ -29,15 +29,17 @@ Conventions used throughout:
   tensored composition and factor permutations all derive from it.
   Given ``rows``, ``compose_tensored`` and ``copower_stack`` write
   canonical row ``i`` to ``rows[i]``, under the canonical target label.
-* ``compose_tensored`` composes through a map with at most one nonzero
-  entry per row (the structural maps above, classical readouts, diagonal
-  gates, zero maps) with no matrix product: a view continuation's rows
-  are read through a new index, and a dense one's rows are gathered (and
-  scaled).  That is exact when the entries are 0 or 1; otherwise
-  each result entry is rounded once and stays within 1e-12 of the dense
-  product.  The dense ``SuperOp.matrix`` remains the reference
-  semantics, bit for bit: a view's ``matrix`` equals what composing the
-  dense matrices row by row gives, signed zeros included.  On the other
+* one helper, ``_moved_rows``, moves and scales a map's rows: for
+  ``op_relabel``, and where ``compose_tensored`` composes through a map
+  with at most one nonzero entry per row (the structural maps above,
+  classical readouts, diagonal gates, zero maps) with no matrix
+  product, by moving the continuation's rows and scaling them: a view's
+  through a new index, a dense one's into a new matrix.  That is exact
+  when the entries are 0 or 1; otherwise each result entry is rounded
+  once and stays within 1e-12 of the dense product.  The dense
+  ``SuperOp.matrix`` remains the reference semantics, bit for bit: a
+  view's ``matrix`` equals what composing the dense matrices row by row
+  gives, signed zeros included.  On the other
   side it reads the continuation one rest group at a time: a group that
   holds few nonzeros, no more than it has columns, is ``f``'s columns
   scaled by its nonzeros and summed.  The nonzeros are found one way for
@@ -412,29 +414,33 @@ def op_zero(source: FdAlgebra, target: FdAlgebra) -> SuperOp:
     return SuperOp.row_view(source, target, np.full(target.dim, -1, dtype=np.intp))
 
 
-def op_relabel(f: SuperOp, target: FdAlgebra, *,
-               rows: np.ndarray | None = None) -> SuperOp:
+def op_relabel(f: SuperOp, target: FdAlgebra, *, rows: np.ndarray) -> SuperOp:
     """``f`` with ``target`` (of the same dimension) as its target label,
-    and its row ``i`` moved to row ``rows[i]``: a view's index moves, a
-    dense map's rows are copied into their new places.  Without ``rows``
-    the target must be ``f``'s own, and ``f`` itself is returned."""
-    if target.dim != f.target.dim or (rows is None and target != f.target):
+    and its row ``i`` moved to row ``rows[i]`` (``_moved_rows``)."""
+    if target.dim != f.target.dim:
         raise DimensionMismatch(f"cannot relabel {f!r} as {target}")
-    if rows is None:
-        return f
-    if f._index is None:
-        return SuperOp(f.source, target, _moved(f._matrix, rows))
-    return SuperOp.row_view(f.source, target, _moved(f._index, rows),
-                            _moved(f._vals, rows), _moved(f._fill, rows))
+    return _moved_rows(f, target, rows)
 
 
-def _moved(a: np.ndarray | None, rows: np.ndarray) -> np.ndarray | None:
-    """``a`` with its row ``i`` at ``rows[i]``."""
-    if a is None:
-        return None
-    out = np.empty_like(a)
-    out[rows] = a
-    return out
+def _moved_rows(g: SuperOp, target: FdAlgebra, live: np.ndarray,
+                src: np.ndarray | None = None, scale: np.ndarray | None = None) -> SuperOp:
+    """The map to ``target`` whose row ``live[t]`` is row ``src[t]`` of
+    ``g`` (row ``t`` when ``src`` is None), times ``scale[t]`` when set;
+    every other row is zero: ``-1`` and ``+0`` in a view, ``+0`` in a
+    dense map.  A view's index moves, and only its ``vals`` and ``fill``
+    are scaled; a dense map's rows are copied into their new places.
+    ``op_relabel`` and ``compose_tensored``'s monomial step both build
+    their results here."""
+    if g._index is None:
+        return SuperOp(g.source, target, _scaled_rows(g._matrix, None, src, live, scale,
+                                                      (target.dim, g.source.dim)))
+    index = np.full((target.dim,) + g._index.shape[1:], -1, dtype=np.intp)
+    index[live] = g._index if src is None else g._index[src]
+    return SuperOp.row_view(
+        g.source, target, index,
+        _scaled_rows(g._vals, 1.0, src, live, scale, index.shape),
+        _scaled_rows(g._fill, 0.0, src, live, scale, (target.dim,)),
+    )
 
 
 def op_compose(f: SuperOp, g: SuperOp) -> SuperOp:
@@ -553,15 +559,15 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
     Rows are placed through ``factor_index_map``.  When every row of
     ``f`` has at most one nonzero entry (symmetries, repatternings,
     classical readouts, diagonal gates, zero maps) each result row is one
-    row of ``g`` times that entry, with no matrix product: a view ``g`` is
-    read through a new index, and no matrix is touched; a dense ``g``'s
-    rows are gathered into a dense result.  Entries other than 1 scale the
-    rows: a view's ``vals`` and ``fill`` (see ``SuperOp.row_view``), or
-    the gathered rows, both by ``_scaled_rows``.  Either way each entry is
-    ``g``'s entry times ``f``'s, rounded once: exact for 0/1 entries,
-    within 1e-12 of the dense product otherwise.  Any other
-    ``f`` is multiplied densely between a gather and a scatter, except
-    where the continuation is sparse: from ``_SPARSE_FLOOR`` contracted
+    row of ``g`` times that entry, moved by ``_moved_rows`` with no matrix
+    product: a view ``g`` is read through a new index, and no matrix is
+    touched; a dense ``g``'s rows are copied into a dense result.  Entries
+    other than 1 scale the rows: a view's ``vals`` and ``fill`` (see
+    ``SuperOp.row_view``), or the copied rows, both by ``_scaled_rows``.
+    Either way each entry is ``g``'s entry times ``f``'s, rounded once:
+    exact for 0/1 entries, within 1e-12 of the dense product otherwise.
+    Any other ``f`` is multiplied densely between a gather and a scatter,
+    except where the continuation is sparse: from ``_SPARSE_FLOOR`` contracted
     entries up, rest group ``k`` of ``g[pin[:, k], c]`` that holds no more
     nonzeros than it has columns gives rows ``pout[:, k]`` as sums, over
     the nonzeros ``v`` of column ``c`` at rows ``j``, of ``f[:, j] * v``,
@@ -596,21 +602,9 @@ def compose_tensored(f: SuperOp, rest: FdAlgebra, g: SuperOp, *,
     if nonzero is not None:
         nz_rows, nz_cols, vals = nonzero
         # result row pout[i, k] reads row pin[j, k] of g when f[i, j] is
-        # row i's nonzero; a zero row of f stays a zero row (-1)
-        live = pout[nz_rows]
-        src = pin[nz_cols]
+        # row i's nonzero; a zero row of f stays a zero row
         scale = None if vals is None or (vals == 1).all() else vals[:, None]
-        if g._index is None:
-            return SuperOp(g.source, tgt, _scaled_rows(g._matrix, None, src, live, scale,
-                                                       (tgt.dim, g.source.dim)))
-        index = np.full(tgt.dim if g._index.ndim == 1 else (tgt.dim, g._index.shape[1]),
-                        -1, dtype=np.intp)
-        index[live] = g._index[src]
-        return SuperOp.row_view(
-            g.source, tgt, index,
-            _scaled_rows(g._vals, 1.0, src, live, scale, index.shape),
-            _scaled_rows(g._fill, 0.0, src, live, scale, (tgt.dim,)),
-        )
+        return _moved_rows(g, tgt, pout[nz_rows], pin[nz_cols], scale)
     r = rest.dim
     ncols = g.source.dim
     found = None
@@ -780,14 +774,18 @@ def _gathered(a: np.ndarray, j: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _scaled_rows(a, default, src, live, scale, shape):
-    """The rows of ``a`` read through ``src`` into rows ``live`` and times
-    ``scale``, one entry per row: per-row ``vals`` (of ``shape`` ``(n,
-    m)`` or ``(n,)``) or ``fill`` (``(n,)``) of an identity-based view, or
-    a dense matrix's rows (``(n, ncols)``); None when ``a`` is None (all
-    ``default``) and nothing scales.  Other rows hold ``+0``."""
+    """The rows of ``a`` read through ``src`` (in order, for None) into
+    rows ``live`` and times ``scale``, one entry per row: per-row ``vals``
+    (of ``shape`` ``(n, m)`` or ``(n,)``) or ``fill`` (``(n,)``) of an
+    identity-based view, or a dense matrix's rows (``(n, ncols)``); None
+    when ``a`` is None (all ``default``) and nothing scales.  Other rows
+    hold ``+0``."""
     if a is None and scale is None:
         return None
-    x = np.full(src.shape + shape[1:], default, dtype=complex) if a is None else a[src]
+    if a is None:
+        x = np.full(live.shape + shape[1:], default, dtype=complex)
+    else:
+        x = a if src is None else a[src]
     if scale is not None:
         x = x * (scale if x.ndim == 2 else scale[..., None])
     out = np.zeros(shape, dtype=complex)
@@ -892,7 +890,9 @@ def copower_stack(fs: Sequence[SuperOp], *, rows: np.ndarray | None = None) -> S
         return SuperOp.row_view(src, stacked, index, vals, fill)
     out = np.zeros((stacked.dim, src.dim), dtype=complex)
     for f, block in blocks:
-        out[block] = f.matrix
+        # a view's rows are written, not kept on it: a branch may be held
+        # by a plan, and its matrix would live as long as the plan
+        out[block] = _dense_rows(f, None)
     return SuperOp(src, stacked, out)
 
 
@@ -1083,9 +1083,8 @@ def state_to_distribution(f: SuperOp, values: Sequence | None = None) -> Distrib
 
 @functools.cache
 def _unitaries() -> dict:
-    """The fixed unitary gates by name, built on first use, not at import.
-    They read as ``_H``, ``_X``, ``_Y``, ``_Z`` and ``_CNOT`` too, and the
-    table as ``_UNITARIES`` (see ``__getattr__``)."""
+    """The fixed unitary gates by name, built on first use, not at import,
+    and shared by every later call."""
     return {
         "H": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
         "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -1095,17 +1094,6 @@ def _unitaries() -> dict:
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
         ),
     }
-
-
-def __getattr__(name: str):
-    # PEP 562: the gate table's names are built at their first read; any
-    # other missing name (``__path__``, which every ``from .algebra
-    # import`` asks for) loads nothing
-    if name == "_UNITARIES":
-        return _unitaries()
-    if name in ("_H", "_X", "_Y", "_Z", "_CNOT"):
-        return _unitaries()[name[1:]]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _rotation(n: int) -> np.ndarray:

@@ -267,17 +267,19 @@ class Evaluator:
     Closure applications to first-order values are memoised until the
     first fixed-point unfolding, so a replayed result never skips fuel.
     The ``gamma`` argument of ``eval_host`` and ``denote_circuit`` is
-    never read.  Each circuit step places its rows where ``_placement`` says.  A step
-    that only moves, scales or clears rows (``Output``, ``Unbox``,
+    never read.  Each circuit step places its rows where ``_placement``
+    says.  A step that only moves, scales or clears rows (``Unbox``,
     ``PairElim``, and ``Compose`` or ``Gate`` through a map with one
-    nonzero per row) computes a new row index when it reads a
-    ``SuperOp.row_view``; when it reads a dense map (an ``Unbox`` of a
-    box holding one, say) it copies the rows, scaled if need be, into a
-    new matrix, with no product.
+    nonzero per row) moves them through ``algebra``'s one row mover: it
+    computes a new row index when it reads a ``SuperOp.row_view``, and
+    when it reads a dense map (an ``Unbox`` of a box holding one, say) it
+    copies the rows, scaled if need be, into a new matrix, with no
+    product.  An ``Output`` moves no row on evaluation: its plan holds its
+    identity already placed, and the step returns that map.
 
     Everything a step reads besides its continuation's map and its host
     terms is its ``_Plan``: its split of the context, its continuation's
-    context, its ``Gate`` map (an ``Output``'s identity), a ``lift``'s
+    context, its ``Gate`` map (an ``Output``'s placed identity), a ``lift``'s
     branch values, the context algebras and the placement of its rows.
     Plans are memoised in ``self.ctx.plans``, keyed by node and context
     (the table pins every node a plan is built for), and shared by every
@@ -516,10 +518,11 @@ class Evaluator:
             h = _compose(f1, p.rest(), f2, p.rows(), dead)
         elif t is Output:
             # the identity on the pattern's wires, placed in context order
-            h = p.op
-            if h is None:
-                h = p.op = op_identity(denote_context(p.sel))
-            rows = p.rows()
+            # once per plan
+            if p.op is None:
+                h, rows = op_identity(denote_context(p.sel)), p.rows()
+                p.op = h if rows is None else op_relabel(h, p.target(), rows=rows)
+            return p.op
         elif t is PairElim:
             h = self._denote(p.cont, term.rest, env,
                              _DEAD if dead else (need, p, None))
@@ -535,7 +538,8 @@ class Evaluator:
             idx = classical_index(v, self.eval_host(None, term.term, env), term.loc)
             index = np.array([idx], dtype=np.intp)
             return SuperOp.row_view(denote_wire(v), SCALARS, index)
-        # h's rows are in context order, or placed there by rows
+        # h's rows are in context order, or placed there by rows (an
+        # Unbox's or a PairElim's)
         return h if rows is None else op_relabel(h, p.target(), rows=rows)
 
     def _lift(self, p: "_Plan", term: Lift, env: dict, need) -> SuperOp:
@@ -591,7 +595,8 @@ class _Plan:
 
     ``sel`` and ``remaining`` are the consumed and the other typed wires,
     ``cont`` the continuation's context, ``op`` a ``Gate``'s map or an
-    ``Output``'s identity, ``own`` what an ``init``, ``lift`` or ``qlift``
+    ``Output``'s identity placed in context order (the step's whole
+    result), ``own`` what an ``init``, ``lift`` or ``qlift``
     recorded, and ``values`` a lift's branch values.  ``rest``, ``rows``
     and ``target`` are computed on first call and then kept."""
 

@@ -507,6 +507,21 @@ def test_bit_controlled_rotation():
     assert np.allclose(op.matrix, expected)
 
 
+@pytest.mark.parametrize("family,dim", [("R", 4), ("CR", 16)])
+def test_a_gate_family_at_index_zero_is_the_identity(family, dim):
+    # R 0 rotates by exp(2 pi i) = 1; only a negative index is partial
+    def evaluate(text):
+        term = parse_host_term(text)
+        ctx = _default_ctx()
+        check_host({}, term, ctx)
+        return Evaluator(ctx=ctx).eval_host(None, term, {})
+
+    op = evaluate(f"{family} 0").op
+    np.testing.assert_allclose(op.matrix, np.eye(dim), rtol=0, atol=1e-12)
+    with pytest.raises(PartialityError, match=f"{family} rejects negative index -1"):
+        evaluate(f"{family} (-1)")
+
+
 def test_unbox_with_permuted_composite_arguments():
     # the box swaps its two inputs; the unbox pattern also permutes the
     # ambient wires, so both reorderings must compound correctly
@@ -1194,6 +1209,34 @@ def test_dead_branch_keeps_host_effects_and_checks(monkeypatch, entry, mode, cap
     assert outcome() == pruned
 
 
+ONE_BRANCH_DEAD_LIFT = """
+classical one 1
+circ c (u : one) =
+  b <- init (0 : bit);
+  x <= lift b;
+  y <= lift u;
+  output ()
+"""
+
+
+@pytest.mark.parametrize("mode", [Mode.cpu(), Mode.cpsu()])
+def test_a_dead_lift_of_one_branch_is_zero(monkeypatch, mode):
+    # init (0 : bit) leaves branch 1 of the lift over b unread, so the
+    # lift over u inside it is dead, and has one branch
+    cp = check_program(parse_program(ONE_BRANCH_DEAD_LIFT))
+
+    def outcome():
+        _, _, env = evaluate_program(cp, mode=mode)
+        return env["c"].op.matrix.tobytes()
+
+    dead = _count_dead_branches(monkeypatch)
+    pruned = outcome()
+    assert len(dead) == 2
+    assert pruned == np.ones((1, 1), dtype=complex).tobytes()
+    _all_branches_live(monkeypatch)
+    assert outcome() == pruned
+
+
 def test_unresolvable_demand_leaves_every_branch_live(monkeypatch):
     # the lift's demand reads through pick (x) id_bit, of dimension 32, so
     # under a cap of 16 it cannot be resolved; every branch is then live,
@@ -1518,6 +1561,42 @@ def test_a_node_shared_by_two_contexts_keeps_a_plan_for_each(monkeypatch):
     contexts = [o for _, t, o in built if t is rest]
     assert contexts == [(("b2", QUBIT), ("a2", QUBIT)), (("a2", QUBIT), ("b2", QUBIT))]
     assert len(built) == 6
+
+
+def test_a_second_evaluation_relabels_no_output(monkeypatch):
+    # an output's identity is placed once, when its plan is filled; over
+    # filled plans only unbox and pair steps still move rows
+    import sys
+
+    import ewire.denote
+
+    relabel, moved = ewire.denote.op_relabel, []
+
+    def spy(f, target, *, rows):
+        moved.append(sys._getframe(1).f_locals["t"])  # the step's kind
+        return relabel(f, target, rows=rows)
+
+    monkeypatch.setattr(ewire.denote, "op_relabel", spy)
+    mono, entry = monomorphize(parse_program((PROGRAMS / "qft.ew").read_text()), 3, "fourier")
+    checked = check_program(mono)
+    runs = [lambda: evaluate_program(checked, mode=Mode.cpsu())[2][entry].op]
+    for seed in range(2000, 2010):
+        omega, term = random_circuit(seed, max_qubits=4, max_stmts=12)
+        nf, _ = normalize(term, max_steps=600)
+        ctx = _default_ctx()
+        for t in (term, nf):
+            check_circuit({}, omega, t, ctx)
+            for mode in (Mode.cpu(), Mode.cpsu()):
+                runs.append(lambda ctx=ctx, mode=mode, omega=omega, t=t:
+                            Evaluator(ctx=ctx, mode=mode).denote_circuit(None, omega, t, {}))
+    rounds = []
+    for _ in range(2):
+        del moved[:]
+        rounds.append(([run().matrix.tobytes() for run in runs], set(moved)))
+    (first, first_moved), (second, second_moved) = rounds
+    assert Output in first_moved
+    assert second_moved == first_moved - {Output} != set()
+    assert second == first
 
 
 def test_an_unfolding_nests_at_most_six_frames(monkeypatch):

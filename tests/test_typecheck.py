@@ -52,6 +52,16 @@ def test_match_unused_wire():
     assert e.value.kind == "UnusedWire"
 
 
+def test_unused_wire_diagnostics_name_the_first_leftover_in_context_order():
+    omega = (("c", QUBIT), ("a", QUBIT), ("b", BIT))
+    with pytest.raises(TypeCheckError) as e:
+        match_pattern(omega, WireP("a"))
+    assert e.value.message == "wire 'c' left unused"
+    with pytest.raises(TypeCheckError) as e:
+        check_circuit({}, omega[1:], parse_circuit("init (0 : bit)"))
+    assert e.value.message == "wire 'a' left unused by init"
+
+
 def test_match_unbound_wire():
     with pytest.raises(TypeCheckError) as e:
         match_pattern((("a", QUBIT),), PairP(WireP("a"), WireP("c")))
@@ -534,6 +544,15 @@ def test_fix_type():
 def test_literal_out_of_range():
     with pytest.raises(TypeCheckError):
         check_host({}, parse_host_term("(7 : bit)"))
+
+
+def test_a_bare_zero_is_in_range_of_every_classical_base():
+    cp = check_program(parse_program("classical color 3\ndef x : bit = 0\ndef y : color = 0\n"))
+    assert cp.def_types == {"x": ClassicalT("bit", 2), "y": ClassicalT("color", 3)}
+    for base, card in (("bit", 2), ("color", 3)):
+        with pytest.raises(TypeCheckError) as e:
+            check_program(parse_program(f"classical color 3\ndef x : {base} = (-1)\n"))
+        assert e.value.message == f"literal -1 out of range for {base} (cardinality {card})"
 
 
 # -- sugar elaboration --------------------------------------------------------------
