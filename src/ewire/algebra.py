@@ -60,6 +60,35 @@ Conventions used throughout:
   scale and read again without a matrix; ``_materialise`` is the one
   place where a view's entries are written into a matrix.
 
+The knobs below choose a path or a block size.  No test constrains
+them, and each stays for the measured number given (one core, one BLAS
+thread; CHANGES.md has each with its benchmark file).  Only
+``_SPARSE_FLOOR`` may change a map's bits, by the summed read's
+rounding above; ``_NORM_BLOCK`` orders the sum of a distance that is
+only compared with a tolerance.
+
+* ``_SPARSE_FLOOR = 2**15`` contracted entries: below it the
+  continuation read loses 1.06-4.3x to the zgemm on every replayed
+  shape of the ``rewrite`` corpus and QFT n=1..5 (``f`` 4x16 at 2**14:
+  110 against 41 us); from it up every sampled shape gains (``fourier
+  4``: 0.30x).
+* ``_GATHER_BLOCK = 2**14`` result entries: the fastest block of
+  2**10-2**20 (``fourier 4``: 11.9 ms, against 13.4 at 2**16 and 29.4
+  at 2**20); with no loop a ``qft`` op took 45 against 31 ms, and its
+  peak RSS rose from 56 to 104 MB.
+* ``2 * counts.max() < ncols``, a summed result as a view rather than
+  dense: such a view takes at most 3/4 of the dense bytes, and the
+  ``qft`` view calls fell from 2.25 to 0.45 ms.
+* ``r == 1 and rows is None``, the zgemm's result returned with no
+  scatter copy: ``ewirec run programs/hs.ew --mode cpsu``, where 10,000
+  of 10,006 compositions take it, runs in 191-213 ms with it against
+  226-278 ms without (``cli.main`` in process, best of 10, five
+  alternating runs each).
+* ``_NORM_BLOCK = 2**12`` entries (64 KiB, under glibc's 128 KiB mmap
+  threshold) read at a time by ``frobenius_distance``: a ``rewrite``
+  pass took 4.0K minor faults against 6.1-6.8K when both dense maps
+  were built.
+
 This module decides no typing: a gate's wire signature is
 ``typecheck.gate_signature``, and ``gate_denotation`` gives only its map.
 """

@@ -6,6 +6,9 @@ two eliminator eta rules) plus two optional rules relating lift and
 init, which come from the copower structure and are disabled by default
 because the init/lift direction duplicates the initialising host term.
 
+A rule is a function from a term to its rewrite at the root, or to
+None where it does not apply there; no rule raises to say so, and
+``NoMatch`` is only ``apply_rule``'s answer when a rule applies nowhere.
 The strategy is leftmost-outermost with the rules tried in a fixed
 priority order at each position; every run is audited by a trace that
 replays to the same result.
@@ -20,8 +23,8 @@ from .denote import Evaluator, Mode
 from .syntax import (
     App, Ascribe, Box, ClassicalLit, Compose, Gate, HostTerm,
     If, Init, IntLit, Lam, Lift, Output, Pair, PairElim, PairP, Prim, Proj,
-    ShapeMismatch, UnitElim, UnitP, Unbox, Var, WireP, _fresh_name,
-    _scope, free_host_vars, free_wires, freshen_binder, map_children,
+    ShapeMismatch, UnitElim, UnitP, Unbox, Var, WireP, _scope,
+    free_host_vars, free_wires, freshen_binder, freshen_var, map_children,
     pattern_wires, subst_host, subst_pattern,
 )
 from .typecheck import CheckContext, _default_ctx, check_circuit
@@ -32,7 +35,7 @@ _PURIFY_STEPS = 10_000  # pure reductions of purify_host
 
 
 class NoMatch(Exception):
-    """The rewrite rule does not apply at this position."""
+    """Raised by ``apply_rule`` when its rule applies nowhere in the term."""
 
 
 class StepLimit(Exception):
@@ -60,35 +63,37 @@ class Trace:
 # ---------------------------------------------------------------------------
 
 
+def _subst_or_none(c, src, dst):
+    """``subst_pattern(c, src, dst)``, or None where ``dst`` does not have
+    the shape of ``src``."""
+    try:
+        return subst_pattern(c, src, dst)
+    except ShapeMismatch:
+        return None
+
+
 def _rule_unbox_box(c):
     match c:
         case Unbox(Box(w_pat, _, body), p):
-            try:
-                return subst_pattern(body, w_pat, p)
-            except ShapeMismatch:
-                raise NoMatch
-    raise NoMatch
+            return _subst_or_none(body, w_pat, p)
 
 
 def _rule_output_subst(c):
     match c:
         case Compose(p, Output(p2), rest):
-            try:
-                return subst_pattern(rest, p, p2)
-            except ShapeMismatch:
-                raise NoMatch
-    raise NoMatch
+            return _subst_or_none(rest, p, p2)
 
 
 def _commute(cls):
     """The commuting conversion of step class ``cls``:
     ``p <- (S; C); C'  ==  S; (p <- C; C')``, where ``S`` binds in ``C``,
-    its binder first renamed away from what ``p <- _; C'`` would capture."""
+    its binder first renamed away from what ``p <- _; C'`` would capture
+    (``freshen_binder`` for wires, ``freshen_var`` for a host variable)."""
     s = _scope(cls)
 
     def rule(c):
         if type(c) is not Compose or type(c.first) is not cls:
-            raise NoMatch
+            return None
         step, rest, new = c.first, c.rest, {}
         body = getattr(step, s.scope)
         if s.wires is not None:
@@ -96,10 +101,7 @@ def _commute(cls):
                 getattr(step, s.wires), body, free_wires(rest) | set(pattern_wires(c.pat))
             )
         elif s.var is not None:
-            x = getattr(step, s.var)
-            if x in free_host_vars(rest):
-                y = _fresh_name(x, free_host_vars(rest) | free_host_vars(body) | {x})
-                new[s.var], body = y, subst_host(body, x, Var(y))
+            new[s.var], body = freshen_var(getattr(step, s.var), body, free_host_vars(rest))
         new[s.scope] = Compose(c.pat, body, rest, loc=c.loc)
         return replace(step, loc=c.loc, **new)
 
@@ -110,17 +112,12 @@ def _rule_unit_eta(c):
     match c:
         case UnitElim(UnitP(), rest):
             return rest
-    raise NoMatch
 
 
 def _rule_pair_eta(c):
     match c:
         case PairElim(binder, PairP() as p, rest):
-            try:
-                return subst_pattern(rest, binder, p)
-            except ShapeMismatch:
-                raise NoMatch
-    raise NoMatch
+            return _subst_or_none(rest, binder, p)
 
 
 def _rule_lift_init(c):
@@ -128,7 +125,6 @@ def _rule_lift_init(c):
     match c:
         case Lift(x, p, Init(Var(y))) if x == y:
             return Output(p, loc=c.loc)
-    raise NoMatch
 
 
 def _rule_init_lift(c):
@@ -136,13 +132,12 @@ def _rule_init_lift(c):
     match c:
         case Compose(WireP(w), Init(t), Lift(x, WireP(w2), rest)) if w == w2:
             return subst_host(rest, x, t)
-    raise NoMatch
 
 
 @dataclass(frozen=True)
 class RewriteRule:
     name: str
-    apply_at: object  # CircuitTerm -> CircuitTerm, raising NoMatch
+    apply_at: object  # CircuitTerm -> CircuitTerm, or None where it does not apply
 
 
 STRUCTURAL_RULES = (
@@ -166,7 +161,8 @@ RULES_BY_NAME = {r.name: r for r in STRUCTURAL_RULES + COPOWER_RULES}
 
 def apply_rule(rule: RewriteRule, term):
     """One leftmost-outermost application of a single rule; raises
-    NoMatch if the rule applies nowhere in the term."""
+    NoMatch if the rule applies nowhere in the term (the rule itself
+    answers None at each position where it does not apply)."""
     done = _rewrite_first(term, (rule,), Trace())
     if done is None:
         raise NoMatch(rule.name)
@@ -175,12 +171,10 @@ def apply_rule(rule: RewriteRule, term):
 
 def _rewrite_first(term, rules, trace: Trace):
     for rule in rules:
-        try:
-            out = rule.apply_at(term)
-        except NoMatch:
-            continue
-        trace.record(rule.name, getattr(term, "loc", None))
-        return out
+        out = rule.apply_at(term)
+        if out is not None:
+            trace.record(rule.name, getattr(term, "loc", None))
+            return out
     # descend, leftmost child first, through the circuit subterms only
     for name in _scope(type(term)).circuits:
         out = _rewrite_first(getattr(term, name), rules, trace)

@@ -846,8 +846,9 @@ def freshen_binder(pat: Pattern, scope: CircuitTerm, avoid: set[str]):
 
 def subst_host(node, var: str, repl: HostTerm):
     """Substitute host term ``repl`` for ``var``, avoiding capture of
-    the free host variables of ``repl`` by host binders."""
-    fv = free_host_vars(repl)
+    the free host variables of ``repl``: a host binder that would capture
+    one is renamed first, by ``freshen_var``."""
+    avoid = free_host_vars(repl) | {var}
 
     def go(n):
         if type(n) is Var:
@@ -858,15 +859,22 @@ def subst_host(node, var: str, repl: HostTerm):
         new = {name: go(getattr(n, name)) for name in s.outside}
         x = getattr(n, s.var)
         if x != var:
-            body = getattr(n, s.scope)
-            if x in fv:
-                # rename binder x of body away from the free variables of repl
-                y = _fresh_name(x, fv | free_host_vars(body) | {var})
-                x, body = y, subst_host(body, x, Var(y))
+            x, body = freshen_var(x, getattr(n, s.scope), avoid)
             new[s.var], new[s.scope] = x, go(body)
         return replace(n, **new) if new else n
 
     return go(node)
+
+
+def freshen_var(x: str, scope, avoid: set[str]):
+    """Rename host binder ``x`` if it occurs in ``avoid``, substituting
+    consistently in its ``scope``; returns both.  The host analogue of
+    ``freshen_binder``: the fresh name avoids ``avoid`` and the free host
+    variables of the scope."""
+    if x not in avoid:
+        return x, scope
+    y = _fresh_name(x, avoid | free_host_vars(scope))
+    return y, subst_host(scope, x, Var(y))
 
 
 # ---------------------------------------------------------------------------

@@ -607,6 +607,33 @@ def test_sparse_groups_above_the_default_floor(monkeypatch):
         assert np.abs(whole[out_rows] - f.matrix @ m[last]).max() <= 1e-12
 
 
+def test_a_zero_continuation_above_the_floor_stays_a_width_one_view():
+    # H over a zero continuation of 4 * 64 * 256 contracted entries: every
+    # group qualifies with no nonzero, so the result is a summed view of
+    # no column, held as a width-1 view (no view of width 0); its stack
+    # and a second composition over that stack read it as any other view
+    import ewire.algebra
+
+    h = gate_denotation(GateRef("H"))
+    rest = alg(8)
+    g = op_zero(alg(16), alg_tensor(M2, rest))
+    assert h.source.dim * rest.dim * g.source.dim >= ewire.algebra._SPARSE_FLOOR
+    z = compose_tensored(h, rest, g)
+    dense = op_compose(SuperOp(g.source, g.target, g.matrix), op_tensor(h, op_identity(rest)))
+    assert z._index is not None and z._index.shape == (z.target.dim,)
+    assert z.matrix.tobytes() == dense.matrix.tobytes()
+    stacked = copower_stack([z, z])
+    rng = np.random.default_rng(57)
+    f = SuperOp(C2, M2, rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+    rest2 = alg(16)
+    assert f.source.dim * rest2.dim * stacked.source.dim >= ewire.algebra._SPARSE_FLOOR
+    out = compose_tensored(f, rest2, stacked)
+    want = op_compose(SuperOp(stacked.source, stacked.target, stacked.matrix),
+                      op_tensor(f, op_identity(rest2)))
+    assert out._index is not None and out._index.shape == (out.target.dim,)
+    assert out.matrix.tobytes() == want.matrix.tobytes()
+
+
 def _scrambled_view(m, src, mid, width, rng):
     """``m`` as a view of ``width`` slots a row: each row's nonzeros in
     random slots, in descending column order, with padding between them,

@@ -11,6 +11,8 @@ alone takes about a quarter of a second) cannot slip into start-up, and
 only ``algebra`` loads numpy, on first use, at one site.  No module
 imports ``threading``, and only ``denote.call_with_stack`` sets the
 recursion limit, so evaluation runs on the caller's thread.
+A rewrite rule of ``ewire.normalize`` answers None where it does not
+apply: ``NoMatch`` is raised only by ``apply_rule``, and never caught.
 Every term class of ``ewire.syntax`` declares its scope, so the generic
 walks over binders cannot meet a constructor they do not know.  Only
 ``algebra`` reads the private slots of a ``SuperOp``, so the kinds a map
@@ -368,6 +370,53 @@ def test_thread_use_detected():
         ("import threading", None), ("import _thread", None),
         ("setrecursionlimit", None), ("setrecursionlimit", "inner"),
         ("setrecursionlimit", "call_with_stack"), ("import threading", "call_with_stack"),
+    ]
+
+
+def no_match_uses(source: str) -> list:
+    """Where ``source`` raises ``NoMatch`` or names it in an ``except``
+    clause, in source order: ``(what, function)``, where ``what`` is
+    ``"raise"`` or ``"except"`` and ``function`` names the innermost
+    enclosing ``def``, or is None at module level."""
+    out = []
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} if node else set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise) and "NoMatch" in names(node.exc):
+            out.append((node.lineno, "raise", function))
+        elif isinstance(node, ast.ExceptHandler) and "NoMatch" in names(node.type):
+            out.append((node.lineno, "except", function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return [(what, function) for _, what, function in sorted(out, key=lambda e: e[0])]
+
+
+def test_no_match_is_only_apply_rules_answer():
+    # a rule returns None where it does not apply; only apply_rule raises
+    # NoMatch, for a rule that applies nowhere, and no code catches it
+    assert no_match_uses((SRC / "normalize.py").read_text()) == [("raise", "apply_rule")]
+
+
+def test_no_match_use_detected():
+    src = (
+        "def rule(c):\n"
+        "    if c is None:\n        raise NoMatch\n"
+        "def first(rules, c):\n"
+        "    for r in rules:\n"
+        "        try:\n            return r(c)\n"
+        "        except (KeyError, NoMatch):\n            continue\n"
+        "def apply_rule(rule, c):\n"
+        "    raise NoMatch(rule.name)\n"
+        "try:\n    pass\nexcept NoMatch as e:\n    raise ValueError from e\n"
+    )
+    assert no_match_uses(src) == [
+        ("raise", "rule"), ("except", "first"), ("raise", "apply_rule"), ("except", None),
     ]
 
 

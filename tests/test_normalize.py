@@ -6,8 +6,9 @@ import pytest
 from ewire import algebra
 from ewire.denote import Mode, eval_host, evaluate_program
 from ewire.normalize import (
-    NoMatch, RULES_BY_NAME, StepLimit, Trace, apply_rule, check_equiv,
-    normalize, purify_host, unfold_definitions,
+    COPOWER_RULES, NoMatch, RULES_BY_NAME, STRUCTURAL_RULES, StepLimit, Trace,
+    _rewrite_first, apply_rule, check_equiv, normalize, purify_host,
+    unfold_definitions,
 )
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.qlist import monomorphize
@@ -158,6 +159,30 @@ def test_step_limit():
         normalize(c, max_steps=1)
     assert e.value.partial is not None
     assert len(e.value.trace.steps) == 1
+
+
+def test_the_step_limit_is_exact():
+    # a circuit whose normal form takes n steps returns at max_steps=n,
+    # through the check after the last step, and stops at n - 1
+    c = parse_circuit(
+        "w <- (p2 <- gate H p1; q <- gate X p2; output q); "
+        "v <- (r <- gate Z w; output r); output v"
+    )
+    out, trace = normalize(c)
+    n = len(trace.steps)
+    assert n >= 2
+    at_n, trace_n = normalize(c, max_steps=n)
+    assert at_n == out and trace_n.steps == trace.steps
+    with pytest.raises(StepLimit) as e:
+        normalize(c, max_steps=n - 1)
+    assert e.value.trace.steps == trace.steps[:n - 1]
+    # at zero steps a normal circuit returns as it is, and any other
+    # stops before its first step
+    normal, empty = normalize(out, max_steps=0)
+    assert normal is out and empty.steps == []
+    with pytest.raises(StepLimit) as e:
+        normalize(c, max_steps=0)
+    assert e.value.partial is c and e.value.trace.steps == []
 
 
 # -- comp flattening --------------------------------------------------------------
@@ -347,3 +372,23 @@ def test_every_step_preserves_typing_and_decreases_measure(seed):
         current = nxt
     else:
         pytest.fail("did not terminate within the step bound")
+
+
+@pytest.mark.parametrize("copower", [False, True], ids=["structural", "copower"])
+def test_a_trace_replays_to_the_same_normal_form(copower):
+    # the rewrite corpus: each recorded step, replayed with its rule alone,
+    # fires at the same place and records the same step; the end is the
+    # normal form, where no rule of the run applies
+    rules = STRUCTURAL_RULES + (COPOWER_RULES if copower else ())
+    for seed in range(2000, 2100):
+        _, term = random_circuit(seed, max_qubits=4, max_stmts=12)
+        out, trace = normalize(term, max_steps=600, copower_rules=copower)
+        replay, current = Trace(), term
+        for _, rule, _ in trace.steps:
+            current = _rewrite_first(current, (RULES_BY_NAME[rule],), replay)
+            assert current is not None, (seed, rule)
+        assert replay.steps == trace.steps, seed
+        assert current == out, seed
+        for rule in rules:
+            with pytest.raises(NoMatch):
+                apply_rule(rule, out)

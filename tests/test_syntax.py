@@ -506,6 +506,20 @@ def test_subst_under_lift_keeps_host_binder():
     )
 
 
+def test_freshen_var_renames_a_clashing_host_binder():
+    scope = parse_circuit("a <- init x; b <- init x_1; output (a, b)")
+    assert syntax.freshen_var("x", scope, {"y"}) == ("x", scope)
+    # the fresh name avoids avoid and the scope's free host variables
+    name, out = syntax.freshen_var("x", scope, {"x"})
+    assert name == "x_2"
+    assert alpha_equiv(out, parse_circuit("a <- init x_2; b <- init x_1; output (a, b)"))
+    # subst_host renames a binder that would capture the substituted term
+    c = parse_circuit("y <= lift b; n <- init x; output n")
+    out = syntax.subst_host(c, "x", Var("y"))
+    assert out.var != "y" and syntax.free_host_vars(out) == {"y"}
+    assert alpha_equiv(out, parse_circuit("z <= lift b; n <- init y; output n"))
+
+
 def test_free_wires():
     c = parse_circuit("q <- gate H q; output (q, r)")
     assert free_wires(c) == {"q", "r"}
