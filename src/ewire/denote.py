@@ -26,33 +26,26 @@ tests a typed fact again, and evaluates a ``qrun`` or ``qlift`` as its
 recorded expansion.  The module-level ``denote_circuit`` and
 ``eval_host`` check their input first.
 
-A ``lift`` denotes one branch per classical value, but a branch whose
-rows no later step reads is not computed: it is traversed for its host
-terms, fuel, errors and dimension checks, and stacked as zero (see
-``Evaluator``).  Which rows are read follows from the exact nonzeros of
-maps already denoted, so every result is bit-identical to denoting every
-branch.
+A ``lift`` branch whose rows no later step reads is traversed but not
+computed (see ``Evaluator``); which rows are read follows from the exact
+nonzeros of maps already denoted, so every result is bit-identical.
 
-Each circuit step reads how it splits its context, its continuation's
-context, the placement of its rows, the context algebras and a gate's
-map from a plan memoised per node, context and dimension cap in the
-``CheckContext`` (``plans``), which every evaluator over that context
-shares.  A plan follows from the step's typing alone, not from the
-mode, so a recursive unfolding, which denotes the same steps in the
-same contexts, and a second evaluation of a checked term, in either
-mode, recompute none of them.  The tail positions of host
-evaluation (the branch an ``if`` takes, an ascribed term, and the
-closure a fixed point unfolds to) loop instead of calling, while every
-fixed-point application still goes through ``Evaluator.apply`` and every
-``box`` through ``Evaluator.denote_circuit``, the two methods a tracer
-wraps (see ``Evaluator``).
+Each checked term is compiled, on its first run, into a closure that
+evaluates it, which holds its children's closures and its checked
+record (see ``Evaluator``); a step's closure is kept per wire context
+and dimension cap in the ``CheckContext``'s ``code`` table, which every
+evaluator over that context shares.  Every fixed-point application goes
+through ``Evaluator.apply`` and every ``box`` through
+``Evaluator.denote_circuit``, the two methods a tracer wraps.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from . import algebra
 from .algebra import (
@@ -95,17 +88,22 @@ class PartialityError(EvalError):
 class HostValue:
     """A higher-order host value.  A first-order value is a plain Python
     value (``()``, an ``int`` or a 2-tuple) and a computation is an
-    ``algebra.Distribution``."""
+    ``algebra.Distribution``.  Host values are never mutated."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True, weakref_slot=True)
 class ClosureV(HostValue):
+    """A closure: its variable, body and environment, and its body's code."""
+
     var: str
     body: object
     env: dict
+    code: object = field(repr=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True, weakref_slot=True)
 class CircV(HostValue):
     """A boxed circuit: its wire signature and Heisenberg map."""
 
@@ -114,13 +112,13 @@ class CircV(HostValue):
     op: SuperOp
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True, weakref_slot=True)
 class FixCombV(HostValue):
     w_in: WireType
     w_out: WireType
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True, weakref_slot=True)
 class FixV(HostValue):
     """A recursive function value: unfolds on application, one unit of
     fuel per unfolding."""
@@ -257,66 +255,46 @@ def _first_order(v) -> bool:
 
 
 class Evaluator:
-    """Call-by-value evaluation plus compositional circuit denotation.
+    """Call-by-value evaluation plus compositional circuit denotation, by
+    the closures each checked term compiles to.
 
-    A single evaluator holds the mode, the remaining fuel (shared by all
-    fixed points unfolded under one top-level evaluation), the closure
-    memo and the ``CheckContext`` of the checked program it runs (types,
-    each step's ``Split``, and the step plans).
+    An evaluator holds the mode, the remaining fuel (shared by all fixed
+    points unfolded under one top-level evaluation), the closure memo
+    and the ``CheckContext`` it runs.  Only ``eval_host`` and
+    ``denote_circuit`` receive a term and read the context's ``code``
+    table; from there closures call closures and dispatch on no syntax.
+    A host term is compiled whole on its first run (``_host``), a circuit
+    step on its first run over a wire context under a cap (``_step``):
+    it holds its split, its continuation's context and closure, a gate's
+    map, an ``output``'s placed identity, a ``lift``'s values, and its
+    row placement and algebras, computed where it first needs them.  A
+    step compiles its continuation through the table, so a shared node
+    compiles once per context; an unfolding or a second evaluation
+    compiles nothing.  A missing record or a ``ResourceLimit`` raises
+    where the node runs, never where its parent compiles.  Code holds no
+    evaluator, environment or host value.  Closure applications to
+    first-order values are memoised until the first fixed-point
+    unfolding.  The ``gamma`` argument is never read.
 
-    Closure applications to first-order values are memoised until the
-    first fixed-point unfolding, so a replayed result never skips fuel.
-    The ``gamma`` argument of ``eval_host`` and ``denote_circuit`` is
-    never read.  Each circuit step places its rows where ``_placement``
-    says.  A step that only moves, scales or clears rows (``Unbox``,
-    ``PairElim``, and ``Compose`` or ``Gate`` through a map with one
-    nonzero per row) moves them through ``algebra``'s one row mover: it
-    computes a new row index when it reads a ``SuperOp.row_view``, and
-    when it reads a dense map (an ``Unbox`` of a box holding one, say) it
-    copies the rows, scaled if need be, into a new matrix, with no
-    product.  An ``Output`` moves no row on evaluation: its plan holds its
-    identity already placed, and the step returns that map.
+    Each step receives which rows of its result a later step reads.  A
+    ``Compose`` or ``Gate`` denotes its own map ``f`` before its
+    continuation, and ``f (x) id`` reads the rows of ``f``'s exact
+    nonzeros if ``f`` is monomial and every row if it is dense.  This
+    demand travels down as a lazy tuple, and only a ``lift`` resolves it
+    to a row mask.  A branch with no row in the mask is traversed dead:
+    host evaluation, ``init``, fuel, ``PartialityError`` and every
+    dimension check are as in a live branch, but ``compose_tensored``
+    and ``copower_stack`` are not called and the branch stacks as zero.
 
-    Everything a step reads besides its continuation's map and its host
-    terms is its ``_Plan``: its split of the context, its continuation's
-    context, its ``Gate`` map (an ``Output``'s placed identity), a ``lift``'s
-    branch values, the context algebras and the placement of its rows.
-    Plans are memoised in ``self.ctx.plans``, keyed by node and context
-    (the table pins every node a plan is built for), and shared by every
-    evaluator over that context: both modes, a circuit and its normal
-    form, both sides of ``check_equiv``.  A plan holds for the dimension
-    cap ``max_dim()`` it was built under and is rebuilt under another.
-    It holds no evaluator, environment or host value.  A plan is filled
-    in the order the step first needs each part, so a missing record, an
-    unknown gate or a ``ResourceLimit`` is raised where it always was,
-    and a part that raised is not stored.  A recursive unfolding denotes
-    the same nodes in the same contexts, so after the first it builds
-    no plan, and neither does a second evaluation over the context.
-
-    Each step also receives which rows of its result a later step reads.
-    A ``Compose`` or ``Gate`` denotes its own map ``f`` before its
-    continuation, and ``f (x) id`` reads, of each column block of the
-    continuation it needs, the rows of ``f``'s exact nonzeros if ``f`` is
-    monomial and every row if it is dense.  This demand travels down as
-    a lazy tuple per step, placed like the rows it describes, and only a
-    ``lift`` resolves it to a row mask.  A branch with no row in the
-    mask is traversed dead: host evaluation, ``init``, fuel and
-    ``PartialityError`` are as in a live branch and every dimension
-    check is made, but ``compose_tensored`` and ``copower_stack`` are
-    not called and the branch stacks as zero.  Only the rows in a
-    step's demand are exact; ``denote_circuit`` demands every row.
-
-    Tail positions loop instead of calling: ``eval_host`` continues with
-    the branch an ``if`` takes and under an ascription, and ``apply``
-    continues from a fixed-point unfolding into the closure it unfolds
-    to.  Two entry points stay calls, so that a tracer wrapping them on
-    the class sees every unfolding and every box: every application of
-    a ``FixV`` arrives through ``self.apply``, and every ``box`` is
-    denoted through ``self.denote_circuit``.  One unfolding of a
-    recursive box family like ``Hs`` in ``programs/hs.ew`` nests six
-    frames: ``apply``, ``eval_host`` (the ``if`` and the ``box``),
-    ``denote_circuit``, ``_denote`` for the gate and for the ``unbox``,
-    and ``eval_host`` for the application.
+    An ``if`` runs the branch it takes, an ascription compiles to its
+    term's closure, and a variable or literal operand is read in place.
+    Every application goes through ``ev.apply`` and every ``box`` through
+    ``ev.denote_circuit``, looked up when called, so a tracer wrapping
+    them sees every unfolding and box; closures call the ``algebra``
+    functions through this module's globals.  One unfolding of ``Hs`` in
+    ``programs/hs.ew`` nests six frames: ``apply``, the closures of the
+    ``if`` and the ``box``, ``denote_circuit``, and those of the gate and
+    the ``unbox``, which applies ``Hs (n - 1)`` itself.
     """
 
     def __init__(self, ctx: CheckContext | None = None, mode: Mode | None = None):
@@ -325,93 +303,12 @@ class Evaluator:
         self.fuel = self.mode.fuel
         self._app_cache: dict | None = {}
 
-    def _checked(self, term):
-        """What the typechecker recorded for ``term``."""
-        info = self.ctx.lookup(term)
-        if info is None:
-            where = f" at {term.loc}" if term.loc else ""
-            raise EvalError(f"{type(term).__name__}{where} was not checked "
-                            "under this evaluator's context")
-        return info
-
-    # -- host evaluation ---------------------------------------------------
-
     def eval_host(self, gamma: dict | None, term, env: dict):
-        while True:
-            t = type(term)
-            if t is Var:
-                return env[term.name]
-            if t is App:
-                fv = self.eval_host(gamma, term.fn, env)
-                av = self.eval_host(gamma, term.arg, env)
-                return self.apply(fv, av)
-            if t is IntLit or t is ClassicalLit:
-                return term.value
-            if t is Prim:
-                lv = self.eval_host(gamma, term.left, env)
-                rv = self.eval_host(gamma, term.right, env)
-                op = term.op
-                if op == "+":
-                    return lv + rv
-                if op == "-":
-                    return lv - rv
-                # "=", never a bool: str(True) would print as an outcome
-                return 1 if lv == rv else 0
-            if t is If:
-                cv = self.eval_host(gamma, term.cond, env)
-                term = term.then if cv != 0 else term.orelse
-                continue
-            if t is Box:
-                _, w2, bindings = self._checked(term)
-                op = self.denote_circuit(gamma, bindings, term.body, env)
-                return CircV(term.w_in, w2, op)
-            if t is Lam:
-                return ClosureV(term.var, term.body, env)
-            if t is Ascribe:
-                term = term.term
-                continue
-            if t is Pair:
-                return (self.eval_host(gamma, term.left, env),
-                        self.eval_host(gamma, term.right, env))
-            if t is Proj:
-                return self.eval_host(gamma, term.arg, env)[term.side - 1]
-            if t is UnitVal:
-                return ()
-            if t is Ret:
-                return Distribution({self.eval_host(gamma, term.arg, env): 1.0})
-            if t is Bind:
-                d = self.eval_host(gamma, term.arg, env)
-                out: dict = {}
-                for hv, w in d.items():
-                    env2 = dict(env)
-                    env2[term.var] = hv
-                    d2 = self.eval_host(gamma, term.body, env2)
-                    for hv2, w2 in d2.items():
-                        out[hv2] = out.get(hv2, 0.0) + w * w2
-                return Distribution(out)
-            if t is Run:
-                v = self._checked(term)
-                op = self.denote_circuit(gamma, (), term.circuit, env)
-                return self.run_circuit(op, v, term.loc)
-            if t is Fix:
-                if not self.mode.is_cpsu:
-                    raise EvalError(
-                        "the fixed-point combinator requires cpsu mode", term.loc
-                    )
-                return FixCombV(term.w_in, term.w_out)
-            if t is GateFam:
-                w_in, w_out = self._checked(term)
-                n = self.eval_host(gamma, term.index, env)
-                if n < 0:
-                    raise PartialityError(
-                        f"gate family {term.name} rejects negative index {n}", term.loc
-                    )
-                return CircV(w_in, w_out,
-                             gate_denotation(GateRef(term.name, index=n)))
-            if t is QRun:
-                term = self._checked(term)[0]  # the checked expansion, a run
-                continue
-            raise EvalError(f"cannot evaluate {term!r}")
+        code = self.ctx.code
+        hit = code.get(id(term))
+        if hit is None or hit[0] is not term:
+            hit = code[id(term)] = (term, _host(self.ctx, term))  # pins its id
+        return hit[1](self, env)
 
     def apply(self, fv: HostValue, av):
         while True:
@@ -427,7 +324,7 @@ class Evaluator:
                         return hit[1]
                 env2 = dict(fv.env)
                 env2[fv.var] = av
-                out = self.eval_host(None, fv.body, env2)
+                out = fv.code(self, env2)
                 # unless an unfolding inside the body dropped the cache
                 if key is not None and self._app_cache is not None:
                     self._app_cache[key] = (fv, out)
@@ -438,7 +335,14 @@ class Evaluator:
                     return CircV(fv.w_in, fv.w_out,
                                  op_zero(denote_wire(fv.w_out), denote_wire(fv.w_in)))
                 self.fuel -= 1
-                unfolded = self.apply(fv.functional, fv)
+                fn = fv.functional
+                if type(fn) is ClosureV:
+                    # the memo is off: the functional is applied here
+                    env2 = dict(fn.env)
+                    env2[fn.var] = fv
+                    unfolded = fn.code(self, env2)
+                else:
+                    unfolded = self.apply(fn, fv)
                 if type(unfolded) is not ClosureV:
                     # a fixed point unfolding to one is applied by a call
                     return self.apply(unfolded, av)
@@ -448,127 +352,14 @@ class Evaluator:
                 return FixV(av, fv.w_in, fv.w_out)
             raise EvalError(f"cannot apply non-function {fv!r}")
 
-    # -- circuit denotation --------------------------------------------------
-
     def denote_circuit(self, gamma: dict | None, omega, term, env: dict) -> SuperOp:
         """The Heisenberg map of ``gamma; omega |- term : W``, from the
         algebra of W to the algebra of the ordered context."""
-        return self._denote(tuple(omega), term, env, None)
-
-    def _plan(self, omega: tuple, term) -> "_Plan":
-        """The plan of ``term`` over ``omega`` under the current cap, from
-        the context's ``plans``.  The plan last read for a node is kept
-        under ``id(term)``; a node met in a second wire context also keeps
-        the plan for each context under ``(id(term), omega)``."""
-        plans, cap = self.ctx.plans, max_dim()
-        p = plans.get(id(term))
-        if p is None or p.cap != cap or (p.omega is not omega and p.omega != omega):
-            if p is not None and p.cap == cap:
-                plans[id(term), p.omega] = p
-                p = plans.get((id(term), omega))
-            if p is None or p.cap != cap:
-                p = self._build_plan(omega, term)
-            plans[id(term)] = p
-        return p
-
-    def _build_plan(self, omega: tuple, term) -> "_Plan":
-        """The parts of a plan a step needs before anything else, in the
-        order it needs them; ``_Plan`` fills in the rest on first use."""
-        t = type(term)
-        if t not in _STEPS:
-            raise EvalError(f"cannot denote {term!r}")
-        p = _Plan(omega, max_dim())
-        split = self._checked(term)
-        if t is Init:
-            p.own = split.own
-            return p
-        if t is QLift:
-            p.own = split  # the checked expansion
-            return p
-        if t is Gate:
-            p.op = gate_denotation(term.gate)
-        p.sel, p.remaining = _split_context(omega, split.consumes)
-        p.cont = split.binds + p.remaining
-        if t is Lift:
-            p.own = split.own
-            v = p.own[0]
-            denote_wire(v)  # the cap, checked before the values are listed
-            p.values = enumerate_classical(v)
-        return p
-
-    def _denote(self, omega: tuple, term, env: dict, need) -> SuperOp:
-        """``denote_circuit``, where ``need`` says which rows of the result
-        a later step reads: None for every row, else a row mask or a lazy
-        demand for one (see ``_resolve``), or ``_DEAD`` for none.  Only
-        rows in ``need`` are exact; a dead step computes no matrix."""
-        p = self._plan(omega, term)
-        dead = need is _DEAD
-        rows = None
-        t = type(term)
-        if t is Gate:
-            f2 = self._denote(p.cont, term.rest, env,
-                              _DEAD if dead else (need, p, p.op))
-            h = _compose(p.op, p.rest(), f2, p.rows(), dead)
-        elif t is Unbox:
-            h, rows = self.eval_host(None, term.term, env).op, p.rows()
-        elif t is Compose:
-            f1 = self._denote(p.sel, term.first, env, _DEAD if dead else None)
-            f2 = self._denote(p.cont, term.rest, env,
-                              _DEAD if dead else (need, p, f1))
-            h = _compose(f1, p.rest(), f2, p.rows(), dead)
-        elif t is Output:
-            # the identity on the pattern's wires, placed in context order
-            # once per plan
-            if p.op is None:
-                h, rows = op_identity(denote_context(p.sel)), p.rows()
-                p.op = h if rows is None else op_relabel(h, p.target(), rows=rows)
-            return p.op
-        elif t is PairElim:
-            h = self._denote(p.cont, term.rest, env,
-                             _DEAD if dead else (need, p, None))
-            rows = p.rows()
-        elif t is UnitElim:
-            h = self._denote(p.remaining, term.rest, env, need)
-        elif t is Lift:
-            h = self._lift(p, term, env, need)
-        elif t is QLift:
-            return self._denote(omega, p.own, env, need)
-        else:
-            v = p.own
-            idx = classical_index(v, self.eval_host(None, term.term, env), term.loc)
-            index = np.array([idx], dtype=np.intp)
-            return SuperOp.row_view(denote_wire(v), SCALARS, index)
-        # h's rows are in context order, or placed there by rows (an
-        # Unbox's or a PairElim's)
-        return h if rows is None else op_relabel(h, p.target(), rows=rows)
-
-    def _lift(self, p: "_Plan", term: Lift, env: dict, need) -> SuperOp:
-        """The copower map of a lift, in canonical row order.  A branch
-        that no later step reads is traversed dead and stacked as zero."""
-        _, w = p.own
-        needs = _branch_needs(need, p)
-        branches = []
-        for value, branch_need in zip(p.values, needs):
-            env2 = dict(env)
-            env2[term.var] = value
-            try:
-                op = self._denote(p.remaining, term.rest, env2, branch_need)
-                if branch_need is _DEAD:
-                    op = op_zero(op.source, op.target)
-            except PartialityError:
-                if not self.mode.is_cpsu:
-                    raise
-                op = op_zero(denote_wire(w), p.rest())
-            branches.append(op)
-        # n.(remaining) is literally the algebra of V (x) remaining
-        place = p.rows()
-        if need is _DEAD:
-            # copower_stack's dimension check, and zero
-            src, tgt = branches[0].source, branches[0].target
-            return op_zero(src, alg_copower(len(branches), tgt))
-        return copower_stack(branches, rows=place)
-
-    # -- running -------------------------------------------------------------
+        omega = tuple(omega)
+        hit = self.ctx.code.get(id(term))
+        if hit is None or hit[0] is not omega or hit[1] != max_dim():
+            return _step(self.ctx, omega, term)(self, env, None)
+        return hit[2](self, env, None)
 
     def run_circuit(self, op: SuperOp, v: WireType, loc: Span | None = None) -> Distribution:
         """Read the output distribution of a closed circuit of classical
@@ -584,49 +375,261 @@ class Evaluator:
         return dist
 
 
+# ---------------------------------------------------------------------------
+# Compiling
+# ---------------------------------------------------------------------------
+
+
+def _unchecked(term) -> str:
+    where = f" at {term.loc}" if term.loc else ""
+    return f"{type(term).__name__}{where} was not checked under this evaluator's context"
+
+
+def _checked(ctx: CheckContext, term):
+    """What the typechecker recorded for ``term``."""
+    info = ctx.lookup(term)
+    if info is None:
+        raise EvalError(_unchecked(term))
+    return info
+
+
+def _raises(message: str):
+    """Code that raises ``EvalError(message)`` when it runs."""
+    def run(ev, env):
+        raise EvalError(message)
+    return run
+
+
+def _leaf(term):
+    """``(name, None)`` of a variable, ``(None, value)`` of a literal, else None."""
+    t = type(term)
+    if t is Var:
+        return term.name, None
+    if t is IntLit or t is ClassicalLit:
+        return None, term.value
+    return None
+
+
+# "=" gives 1 or 0, never a bool: str(True) would print as an outcome
+_PRIMS = {"+": operator.add, "-": operator.sub, "=": lambda a, b: 1 if a == b else 0}
+
+
+def _host(ctx: CheckContext, term):
+    """The code ``run(ev, env)`` of host term ``term``: its value under
+    evaluator ``ev`` in environment ``env``."""
+    t = type(term)
+    if t is Var:
+        name = term.name
+        return lambda ev, env: env[name]
+    if t is IntLit or t is ClassicalLit or t is UnitVal:
+        value = () if t is UnitVal else term.value
+        return lambda ev, env: value
+    if t is App:
+        # a variable in function position is read in place
+        name = term.fn.name if type(term.fn) is Var else None
+        fn, arg = _host(ctx, term.fn), _host(ctx, term.arg)
+        return lambda ev, env: ev.apply(env[name] if name else fn(ev, env), arg(ev, env))
+    if t is Prim:
+        f, left, right = _PRIMS[term.op], _leaf(term.left), _leaf(term.right)
+        if left and right:
+            (ln, lv), (rn, rv) = left, right
+            return lambda ev, env: f(lv if ln is None else env[ln], rv if rn is None else env[rn])
+        lc, rc = _host(ctx, term.left), _host(ctx, term.right)
+        return lambda ev, env: f(lc(ev, env), rc(ev, env))
+    if t is If:
+        cond, then, orelse = (_host(ctx, c) for c in (term.cond, term.then, term.orelse))
+        return lambda ev, env: (then if cond(ev, env) != 0 else orelse)(ev, env)
+    if t is Lam:
+        var, body, code = term.var, term.body, _host(ctx, term.body)
+        return lambda ev, env: ClosureV(var, body, env, code)
+    if t is Ascribe:
+        return _host(ctx, term.term)
+    if t is Pair:
+        lc, rc = _host(ctx, term.left), _host(ctx, term.right)
+        return lambda ev, env: (lc(ev, env), rc(ev, env))
+    if t is Proj:
+        arg, side = _host(ctx, term.arg), term.side - 1
+        return lambda ev, env: arg(ev, env)[side]
+    if t is Ret:
+        arg = _host(ctx, term.arg)
+        return lambda ev, env: Distribution({arg(ev, env): 1.0})
+    if t is Bind:
+        var, arg, body = term.var, _host(ctx, term.arg), _host(ctx, term.body)
+
+        def bind(ev, env):
+            out: dict = {}
+            for hv, w in arg(ev, env).items():
+                env2 = dict(env)
+                env2[var] = hv
+                for hv2, w2 in body(ev, env2).items():
+                    out[hv2] = out.get(hv2, 0.0) + w * w2
+            return Distribution(out)
+        return bind
+    if t is Fix:
+        def fix(ev, env):
+            if not ev.mode.is_cpsu:
+                raise EvalError("the fixed-point combinator requires cpsu mode", term.loc)
+            return FixCombV(term.w_in, term.w_out)
+        return fix
+    if t not in (Box, Run, GateFam, QRun):
+        return _raises(f"cannot evaluate {term!r}")
+    rec = ctx.lookup(term)
+    if rec is None:
+        return _raises(_unchecked(term))
+    if t is QRun:
+        return _host(ctx, rec[0])  # the checked expansion, a run
+    if t is Box:
+        w_in, (_, w_out, bindings), body = term.w_in, rec, term.body
+        return lambda ev, env: CircV(w_in, w_out, ev.denote_circuit(None, bindings, body, env))
+    if t is Run:
+        circuit, loc = term.circuit, term.loc
+        return lambda ev, env: ev.run_circuit(ev.denote_circuit(None, (), circuit, env), rec, loc)
+    index = _host(ctx, term.index)
+
+    def gate_family(ev, env):
+        n = index(ev, env)
+        if n < 0:
+            raise PartialityError(f"gate family {term.name} rejects negative index {n}", term.loc)
+        return CircV(*rec, gate_denotation(GateRef(term.name, index=n)))
+    return gate_family
+
+
+def _lazy(fn):
+    """``fn()``, computed on the first call that returns and then kept."""
+    kept = []
+    return lambda: kept[0] if kept else kept.append(fn()) or kept[0]
+
+
+def _step(ctx: CheckContext, omega: tuple, term):
+    """The closure of step ``term`` over ``omega`` under the current cap,
+    kept in ``ctx.code`` under ``id(term)`` (its record pins the node),
+    and under ``(id(term), omega)`` too once a second context is met."""
+    code, cap = ctx.code, max_dim()
+    hit = code.get(id(term))
+    if hit is None or hit[1] != cap or (hit[0] is not omega and hit[0] != omega):
+        if hit is not None and hit[1] == cap:
+            code[id(term), hit[0]] = hit
+            hit = code.get((id(term), omega))
+        if hit is None or hit[1] != cap:
+            hit = (omega, cap, _compile_step(ctx, omega, term))
+        code[id(term)] = hit
+    return hit[2]
+
+
+def _compile_step(ctx: CheckContext, omega: tuple, term):
+    """``run(ev, env, need)``, the map of step ``term`` over ``omega``,
+    exact on the rows ``need`` names: None for every row, a row mask or
+    a lazy demand for one (``_resolve``), or ``_DEAD`` for none."""
+    t = type(term)
+    if t not in _STEPS:
+        raise EvalError(f"cannot denote {term!r}")
+    split = _checked(ctx, term)
+    if t is QLift:
+        return _step(ctx, omega, split)  # the checked expansion
+    if t is Init:
+        v, value = split.own, _host(ctx, term.term)
+        def init(ev, env, need):
+            idx = classical_index(v, value(ev, env), term.loc)
+            return SuperOp.row_view(denote_wire(v), SCALARS, np.array([idx], dtype=np.intp))
+        return init
+    op = gate_denotation(term.gate) if t is Gate else None
+    sel, remaining = _split_context(omega, split.consumes)
+    cont, first, child = split.binds + remaining, None, None
+    # the algebras of remaining and omega, and the placement of sel + remaining
+    rest = _lazy(lambda: denote_context(remaining))
+    rows = _lazy(lambda: _placement(omega, sel + remaining))
+    target = _lazy(lambda: denote_context(omega))
+    if t is Output:
+        def output(ev, env, need):
+            # the identity on the pattern's wires, placed in context order once
+            nonlocal op
+            if op is None:
+                h, place = op_identity(denote_context(sel)), rows()
+                op = h if place is None else op_relabel(h, target(), rows=place)
+            return op
+        return output
+    if t is Unbox:
+        # an application is applied here, by no code of its own
+        app = type(term.term) is App
+        c = term.term.fn if app else term.term
+        name = c.name if type(c) is Var else None
+        fn, arg = _host(ctx, c), _host(ctx, term.term.arg) if app else None
+
+        def unbox(ev, env, need):
+            v = env[name] if name else fn(ev, env)
+            h, place = (v if arg is None else ev.apply(v, arg(ev, env))).op, rows()
+            return h if place is None else op_relabel(h, target(), rows=place)
+        return unbox
+    if t is Compose:
+        def compose(ev, env, need):
+            nonlocal first, child
+            dead = need is _DEAD
+            if first is None:
+                first = _step(ev.ctx, sel, term.first)
+            f1 = first(ev, env, _DEAD if dead else None)
+            if child is None:
+                child = _step(ev.ctx, cont, term.rest)
+            f2 = child(ev, env, _DEAD if dead else (need, rows, rest, f1))
+            return _compose(f1, rest(), f2, rows(), dead)
+        return compose
+    if t is Gate:
+        def gate(ev, env, need):
+            nonlocal child
+            dead = need is _DEAD
+            if child is None:
+                child = _step(ev.ctx, cont, term.rest)
+            f2 = child(ev, env, _DEAD if dead else (need, rows, rest, op))
+            return _compose(op, rest(), f2, rows(), dead)
+        return gate
+    if t is PairElim:
+        def pair_elim(ev, env, need):
+            nonlocal child
+            if child is None:
+                child = _step(ev.ctx, cont, term.rest)
+            h = child(ev, env, _DEAD if need is _DEAD else (need, rows, rest, None))
+            place = rows()
+            return h if place is None else op_relabel(h, target(), rows=place)
+        return pair_elim
+    if t is UnitElim:
+        def unit_elim(ev, env, need):
+            nonlocal child
+            if child is None:
+                child = _step(ev.ctx, remaining, term.rest)
+            return child(ev, env, need)
+        return unit_elim
+    v, w = split.own
+    denote_wire(v)  # the cap, checked before the values are listed
+    branches = SimpleNamespace(values=enumerate_classical(v), rows=rows)
+
+    def lift(ev, env, need):
+        # the copower map, in canonical row order; a branch that no
+        # later step reads is traversed dead and stacked as zero
+        nonlocal child
+        ops = []
+        for value, branch_need in zip(branches.values, _branch_needs(need, branches)):
+            env2 = dict(env)
+            env2[term.var] = value
+            if child is None:
+                child = _step(ev.ctx, remaining, term.rest)
+            try:
+                f = child(ev, env2, branch_need)
+                if branch_need is _DEAD:
+                    f = op_zero(f.source, f.target)
+            except PartialityError:
+                if not ev.mode.is_cpsu:
+                    raise
+                f = op_zero(denote_wire(w), rest())
+            ops.append(f)
+        place = rows()  # n.(remaining) is literally the algebra of V (x) remaining
+        if need is _DEAD:
+            # copower_stack's dimension check, and zero
+            return op_zero(ops[0].source, alg_copower(len(ops), ops[0].target))
+        return copower_stack(ops, rows=place)
+    return lift
+
+
 _DEAD = "dead"  # the demand of a step no later step reads
-_UNSET = object()  # a plan part not filled in yet
 _STEPS = frozenset({Output, Unbox, Init, Compose, UnitElim, PairElim, Gate, Lift, QLift})
-
-
-class _Plan:
-    """What one circuit step over ``omega`` reads besides its
-    continuation's map and its host terms (see ``Evaluator``).
-
-    ``sel`` and ``remaining`` are the consumed and the other typed wires,
-    ``cont`` the continuation's context, ``op`` a ``Gate``'s map or an
-    ``Output``'s identity placed in context order (the step's whole
-    result), ``own`` what an ``init``, ``lift`` or ``qlift``
-    recorded, and ``values`` a lift's branch values.  ``rest``, ``rows``
-    and ``target`` are computed on first call and then kept."""
-
-    __slots__ = ("omega", "cap", "sel", "remaining", "cont", "op",
-                 "own", "values", "_rest", "_rows", "_target")
-
-    def __init__(self, omega: tuple, cap: int):
-        self.omega, self.cap = omega, cap
-        self.sel = self.remaining = self.cont = self.op = None
-        self.own = self.values = self._rest = self._target = None
-        self._rows = _UNSET  # None is a placement: no row moves
-
-    def rest(self) -> FdAlgebra:
-        """The algebra of ``remaining``."""
-        if self._rest is None:
-            self._rest = denote_context(self.remaining)
-        return self._rest
-
-    def rows(self):
-        """Where each canonical row of ``sel + remaining`` goes in
-        ``omega`` (``_placement``)."""
-        if self._rows is _UNSET:
-            self._rows = _placement(self.omega, self.sel + self.remaining)
-        return self._rows
-
-    def target(self) -> FdAlgebra:
-        """The algebra of ``omega``."""
-        if self._target is None:
-            self._target = denote_context(self.omega)
-        return self._target
 
 
 def _compose(f: SuperOp, rest: FdAlgebra, g: SuperOp, rows, dead: bool) -> SuperOp:
@@ -640,32 +643,30 @@ def _compose(f: SuperOp, rest: FdAlgebra, g: SuperOp, rows, dead: bool) -> Super
 def _resolve(need):
     """The row mask of a demand, None for every row.
 
-    A lazy demand ``(parent, plan, f)`` is built by a step for its
-    continuation (``f`` is the map the step composes with, None for a
-    ``PairElim``); a chain of them ends in a mask or None.  The chain is
-    walked in a loop: it is as long as the circuit is deep.
+    A lazy demand ``(parent, rows, rest, f)`` is built by a step for its
+    continuation, with the step's ``rows`` and ``rest`` (``f`` is the map
+    the step composes with, None for a ``PairElim``); a chain of them
+    ends in a mask or None.  The chain is walked in a loop: it is as long
+    as the circuit is deep.
     """
     chain = []
     while need is not None and not isinstance(need, np.ndarray):
         chain.append(need)
         need = need[0]
-    for _, p, f in reversed(chain):
-        need = _read_through(need, p, f)
+    for _, rows, rest, f in reversed(chain):
+        need = _read_through(need, rows(), rest, f)
     return need
 
 
-def _read_through(read, p: _Plan, f):
-    """The rows of a step's continuation that the rows ``read`` of the
-    step's result read.  With ``f`` None the step only moves rows
-    (``PairElim``); otherwise it composes with ``f (x) id_remaining``
-    (``Compose``, ``Gate``), and composite row ``(i, k)`` reads
-    continuation row ``(j, k)`` for each exact nonzero ``f[i, j]`` of a
-    monomial ``f`` (as ``compose_tensored`` gathers them), and for every
-    ``j`` of a dense one."""
-    place = p.rows()
+def _read_through(read, place, rest, f):
+    """The rows of a step's continuation that the rows ``read`` of its
+    result read, its rows placed at ``place``: moved only, for ``f`` None
+    (``PairElim``); else through ``f (x) id_rest()``, where row ``(i, k)``
+    reads ``(j, k)`` for each exact nonzero ``f[i, j]`` of a monomial
+    ``f``, as ``compose_tensored`` gathers them, and each ``j`` if dense."""
     if f is None:
         return read if read is None or place is None else read[place]
-    _, _, pin, pout = tensored_layout(f, p.rest())
+    _, _, pin, pout = tensored_layout(f, rest())
     if read is None:
         read_ik = np.ones(pout.shape, dtype=bool)
     else:
@@ -681,9 +682,9 @@ def _read_through(read, p: _Plan, f):
     return None if out.all() else out
 
 
-def _branch_needs(need, p: _Plan) -> list:
-    """The demand on each branch of the lift of plan ``p``: ``_DEAD`` for
-    a branch with no row read."""
+def _branch_needs(need, p: SimpleNamespace) -> list:
+    """The demand on each branch of a lift, of branch ``values`` and
+    placement ``rows()``: ``_DEAD`` for a branch with no row read."""
     n = len(p.values)
     if need is None or need is _DEAD:
         return [need] * n
@@ -720,7 +721,6 @@ def _split_context(omega, names):
         return tuple(b for b in omega if b[0] in names), rest
     declared = dict(omega)
     return tuple((n, declared[n]) for n in names), rest
-
 
 # ---------------------------------------------------------------------------
 # Module-level entry points

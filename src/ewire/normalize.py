@@ -16,6 +16,7 @@ replays to the same result.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 from .algebra import DEFAULT_TOL, frobenius_distance
@@ -138,22 +139,23 @@ def _rule_init_lift(c):
 class RewriteRule:
     name: str
     apply_at: object  # CircuitTerm -> CircuitTerm, or None where it does not apply
+    at: type  # the one node class it can apply at
 
 
 STRUCTURAL_RULES = (
-    RewriteRule("UnboxBox", _rule_unbox_box),
-    RewriteRule("OutputSubst", _rule_output_subst),
-    RewriteRule("GateCommute", _commute(Gate)),
-    RewriteRule("LiftCommute", _commute(Lift)),
-    RewriteRule("UnitEta", _rule_unit_eta),
-    RewriteRule("PairEta", _rule_pair_eta),
-    RewriteRule("UnitCommute", _commute(UnitElim)),
-    RewriteRule("PairCommute", _commute(PairElim)),
+    RewriteRule("UnboxBox", _rule_unbox_box, Unbox),
+    RewriteRule("OutputSubst", _rule_output_subst, Compose),
+    RewriteRule("GateCommute", _commute(Gate), Compose),
+    RewriteRule("LiftCommute", _commute(Lift), Compose),
+    RewriteRule("UnitEta", _rule_unit_eta, UnitElim),
+    RewriteRule("PairEta", _rule_pair_eta, PairElim),
+    RewriteRule("UnitCommute", _commute(UnitElim), Compose),
+    RewriteRule("PairCommute", _commute(PairElim), Compose),
 )
 
 COPOWER_RULES = (
-    RewriteRule("LiftInit", _rule_lift_init),
-    RewriteRule("InitLift", _rule_init_lift),
+    RewriteRule("LiftInit", _rule_lift_init, Lift),
+    RewriteRule("InitLift", _rule_init_lift, Compose),
 )
 
 RULES_BY_NAME = {r.name: r for r in STRUCTURAL_RULES + COPOWER_RULES}
@@ -169,15 +171,30 @@ def apply_rule(rule: RewriteRule, term):
     return done
 
 
-def _rewrite_first(term, rules, trace: Trace):
+@functools.cache
+def _by_class(rules: tuple) -> dict:
+    """The rules that can apply at each node class, in priority order."""
+    by_class: dict = {}
     for rule in rules:
+        by_class.setdefault(rule.at, []).append(rule)
+    return by_class
+
+
+def _rewrite_first(term, rules: tuple, trace: Trace):
+    """The first rewrite by ``rules``, leftmost-outermost, or None."""
+    return _first(term, _by_class(rules), trace)
+
+
+def _first(term, rules: dict, trace: Trace):
+    # only the rules indexed by the node's class can apply at it
+    for rule in rules.get(type(term), ()):
         out = rule.apply_at(term)
         if out is not None:
             trace.record(rule.name, getattr(term, "loc", None))
             return out
     # descend, leftmost child first, through the circuit subterms only
     for name in _scope(type(term)).circuits:
-        out = _rewrite_first(getattr(term, name), rules, trace)
+        out = _first(getattr(term, name), rules, trace)
         if out is not None:
             return replace(term, **{name: out})
     return None

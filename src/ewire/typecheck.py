@@ -62,10 +62,10 @@ HostContext = dict  # str -> HostType
 
 @dataclass
 class CheckContext:
-    """Program-level tables consulted during checking, and ``plans``:
-    the step plans that ``denote`` derives from the records, shared by
-    every ``Evaluator`` over this context (see ``Evaluator._plan``) and
-    left out of ``==`` and ``repr``."""
+    """Program-level tables consulted during checking, and ``code``: the
+    code that ``denote`` compiles the checked terms to, shared by every
+    ``Evaluator`` over this context (see ``Evaluator``) and left out of
+    ``==`` and ``repr``."""
 
     bases: dict
     gates: dict
@@ -76,7 +76,7 @@ class CheckContext:
     # type).  An entry never depends on the context's order, so a subterm
     # shared by two checked terms has one entry
     table: dict
-    plans: dict = field(default_factory=dict, compare=False, repr=False)
+    code: dict = field(default_factory=dict, compare=False, repr=False)
 
     def record(self, node, info):
         self.table[id(node)] = (node, info)

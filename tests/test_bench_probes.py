@@ -94,3 +94,47 @@ def test_traced_denotation_equals_untraced():
         algebra.set_max_dim(old_cap)
     assert tr.counts[None]["algebra.bytes_materialised"] > 0
     assert traced == untraced
+
+
+def test_probes_count_every_unfolding_and_box_of_compiled_code(monkeypatch, capsys):
+    # compiled code still enters through the two Evaluator methods the
+    # probes wrap: Hs (-1) at fuel 50 unfolds 50 times, and its boxes,
+    # the qrun's and the literal box make 53 denotations
+    monkeypatch.chdir(workloads.ROOT)
+    old_cap = algebra.max_dim()
+    tr = Tracer()
+    workloads.install_probes(tr)
+    try:
+        code = ewire.cli.main(["run", "programs/hs.ew", "--mode", "cpsu", "--fuel", "50",
+                               "--json"])
+    finally:
+        tr.uninstall()
+        algebra.set_max_dim(old_cap)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert tr.counts[None]["denote.fuel_used"] == 50
+    assert [s[NAME] for s in tr.spans].count("denote.denote_circuit") == 53
+
+
+def test_a_second_evaluation_calls_algebra_through_the_module(monkeypatch):
+    # after a first evaluation has compiled the program, counting spies
+    # rebound in ewire.denote still see every call of the second
+    from pathlib import Path
+
+    from ewire.denote import Mode, evaluate_program
+    from ewire.parser import parse_program
+    from ewire.qlist import monomorphize
+    from ewire.typecheck import check_program
+
+    text = (Path(workloads.ROOT) / "programs" / "qft.ew").read_text()
+    mono, entry = monomorphize(parse_program(text), 3, "fourier")
+    checked = check_program(mono)
+    first = evaluate_program(checked, mode=Mode.cpsu())[2][entry].op.matrix.tobytes()
+    calls = {}
+    for name in ("compose_tensored", "copower_stack", "op_zero", "gate_denotation"):
+        def spy(*args, fn=getattr(ewire.denote, name), name=name, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(ewire.denote, name, spy)
+    second = evaluate_program(checked, mode=Mode.cpsu())[2][entry].op.matrix.tobytes()
+    assert second == first
+    assert sorted(calls) == ["compose_tensored", "copower_stack", "gate_denotation", "op_zero"]

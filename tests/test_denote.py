@@ -18,7 +18,7 @@ from ewire.normalize import normalize
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.qlist import monomorphize
 from ewire.syntax import (
-    BIT, ClassicalW, Compose, DefDecl, Gate, GateRef, Init, Lift,
+    BIT, Box, ClassicalW, Compose, DefDecl, Gate, GateFam, GateRef, Init, Lift, Run,
     Output, PairP, QUBIT, Span, TensorW, UnitW, Var, WireP, children,
 )
 from ewire.typecheck import (
@@ -794,13 +794,36 @@ def test_memo_keys_first_order_arguments_only():
     assert ev.apply(env["f"], arg) is not ev.apply(env["f"], arg)
 
 
+def _held_by_code(entries) -> list:
+    """Everything the compiled code in ``entries`` holds: the cells and
+    defaults of each closure, and the items of tuples, lists and
+    namespaces, walked from each entry of a ``code`` table."""
+    import types
+
+    seen, todo, out = set(), list(entries), []
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        out.append(x)
+        if isinstance(x, types.FunctionType):
+            todo += [c.cell_contents for c in x.__closure__ or () if c.cell_contents is not None]
+            todo += list(x.__defaults__ or ())
+        elif isinstance(x, types.SimpleNamespace):
+            todo += list(vars(x).values())
+        elif isinstance(x, (tuple, list)):
+            todo += list(x)
+    return out
+
+
 def test_program_values_freed_without_cycle_collection():
     # a top-level closure must not hold the environment it is stored in,
     # or every value of the program waits for the cycle collector
     import gc
     import weakref
 
-    from ewire.denote import HostValue, _Plan
+    from ewire.denote import HostValue
 
     cp = check_program(parse_program(
         "def f : int -> int = lambda x : int . x\n"
@@ -814,12 +837,12 @@ def test_program_values_freed_without_cycle_collection():
         ref = weakref.ref(env["c"])
         del ev, env
         assert ref() is None
-        # the plans stay with the checked program; they hold no
+        # the compiled code stays with the checked program; it holds no
         # evaluator, environment or host value, so nothing holds it back
-        assert cp.ctx.plans
-        for plan in cp.ctx.plans.values():
-            for slot in _Plan.__slots__:
-                assert not isinstance(getattr(plan, slot), (Evaluator, HostValue, dict))
+        assert cp.ctx.code
+        held = _held_by_code(cp.ctx.code.values())
+        assert any(callable(x) for x in held)
+        assert not [x for x in held if isinstance(x, (Evaluator, HostValue, dict))]
         ctx = weakref.ref(cp.ctx)
         del cp
         assert ctx() is None
@@ -1381,21 +1404,25 @@ def test_step_plans_match_cold_evaluation(monkeypatch):
             for mode in (Mode.cpu(), Mode.cpsu(100))]
     jobs += _hs_jobs()
     built = []
-    build = Evaluator._build_plan
+    compile_step = ewire.denote._compile_step
 
-    def counted(ev, omega, term):
+    def counted(ctx, omega, term):
         built.append(term)
-        return build(ev, omega, term)
+        return compile_step(ctx, omega, term)
 
-    monkeypatch.setattr(Evaluator, "_build_plan", counted)
+    monkeypatch.setattr(ewire.denote, "_compile_step", counted)
     warm = _outcomes(jobs)
     warm_builds = len(built)
-    monkeypatch.setattr(Evaluator, "_plan", Evaluator._build_plan)
+    # every step entered from denote_circuit, and each continuation it
+    # first runs, compiled anew and kept nowhere
+    monkeypatch.setattr(ewire.denote, "_step", counted)
+    for ctx in {id(ctx): ctx for ctx, _, _ in jobs}.values():
+        ctx.code.clear()
     monkeypatch.setattr(ewire.algebra, "_layout", ewire.algebra._layout.__wrapped__)
     monkeypatch.setattr(ewire.algebra, "_monomial_rows", ewire.algebra._find_monomial)
     del built[:]
     cold = _outcomes(jobs)
-    # unfoldings and lift branches reuse their plans
+    # unfoldings and lift branches reuse their code
     assert warm_builds < len(built) // 2
     assert any(isinstance(r, tuple) and r[0] == "EvalError" for r, _ in cold)
     assert cold == warm
@@ -1434,14 +1461,14 @@ def test_lowered_cap_raises_as_on_a_fresh_evaluator(text):
 
 
 def _count_builds(monkeypatch) -> list:
-    """A list that grows by ``(ctx, term, omega)`` per plan built."""
-    build, built = Evaluator._build_plan, []
+    """A list that grows by ``(ctx, term, omega)`` per step compiled."""
+    compile_step, built = ewire.denote._compile_step, []
 
-    def counted(ev, omega, term):
-        built.append((ev.ctx, term, omega))
-        return build(ev, omega, term)
+    def counted(ctx, omega, term):
+        built.append((ctx, term, omega))
+        return compile_step(ctx, omega, term)
 
-    monkeypatch.setattr(Evaluator, "_build_plan", counted)
+    monkeypatch.setattr(ewire.denote, "_compile_step", counted)
     return built
 
 
@@ -1573,7 +1600,7 @@ def test_a_second_evaluation_relabels_no_output(monkeypatch):
     relabel, moved = ewire.denote.op_relabel, []
 
     def spy(f, target, *, rows):
-        moved.append(sys._getframe(1).f_locals["t"])  # the step's kind
+        moved.append(sys._getframe(1).f_code.co_name)  # the step's kind
         return relabel(f, target, rows=rows)
 
     monkeypatch.setattr(ewire.denote, "op_relabel", spy)
@@ -1594,8 +1621,8 @@ def test_a_second_evaluation_relabels_no_output(monkeypatch):
         del moved[:]
         rounds.append(([run().matrix.tobytes() for run in runs], set(moved)))
     (first, first_moved), (second, second_moved) = rounds
-    assert Output in first_moved
-    assert second_moved == first_moved - {Output} != set()
+    assert "output" in first_moved
+    assert second_moved == first_moved - {"output"} != set()
     assert second == first
 
 
@@ -1622,3 +1649,41 @@ def test_an_unfolding_nests_at_most_six_frames(monkeypatch):
         ewire.denote.call_with_stack(lambda: ev.apply(hs, -1))
     assert len(depths) == 2
     assert depths[1] - depths[0] <= 6 * 50
+
+
+RAISE_POINTS = """
+def c : Circ(qubit, qubit) = box q : qubit => output q
+def pick : bit -> Circ(qubit, qubit) = lambda b : bit .
+  if b then c else box q : qubit => (q2 <- gate H q; output q2)
+def roll : bit -> T(bit) = lambda b : bit .
+  if b then return (0 : bit) else run (x <- init (1 : bit); output x)
+def fam : bit -> Circ(qubit, qubit) = lambda b : bit . if b then c else R 2
+"""
+
+
+@pytest.mark.parametrize("name, kind, ctor", [
+    ("pick", "Box", Box), ("roll", "Run", Run), ("fam", "GateFam", GateFam),
+    ("pick", "Gate", Gate),
+])
+def test_a_missing_record_raises_where_its_node_runs(name, kind, ctor):
+    # the node without a record sits in the branch the if does not take
+    # for b = 1: that branch compiles, evaluates without error, and raises
+    # the missing record's EvalError only when b = 0 runs it
+    cp = check_program(parse_program(RAISE_POINTS))
+    decl = cp.program.find(name)
+    node = next(n for n in _nodes(decl.term) if type(n) is ctor)
+    del cp.ctx.table[id(node)]
+    ev, _, env = evaluate_program(cp, mode=Mode.cpu())
+    ev.apply(env[name], 1)
+    with pytest.raises(EvalError) as info:
+        ev.apply(env[name], 0)
+    assert str(info.value) == (f"{kind} at {node.loc} was not checked "
+                               "under this evaluator's context")
+
+
+def _nodes(term):
+    todo = [term]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(children(node))

@@ -392,3 +392,29 @@ def test_a_trace_replays_to_the_same_normal_form(copower):
         for rule in rules:
             with pytest.raises(NoMatch):
                 apply_rule(rule, out)
+
+
+def test_a_rule_not_indexed_for_a_class_never_applies_there():
+    # every node of the rewrite corpus and of its normal forms (with and
+    # without the copower rules): a rule indexed under another class
+    # answers None, so trying only the indexed rules changes no trace
+    from ewire.syntax import children
+
+    rules = STRUCTURAL_RULES + COPOWER_RULES
+    assert {r.name: r.at.__name__ for r in rules} == {
+        "UnboxBox": "Unbox", "OutputSubst": "Compose", "GateCommute": "Compose",
+        "LiftCommute": "Compose", "UnitEta": "UnitElim", "PairEta": "PairElim",
+        "UnitCommute": "Compose", "PairCommute": "Compose", "LiftInit": "Lift",
+        "InitLift": "Compose"}
+    tried = 0
+    for seed in range(2000, 2100):
+        _, term = random_circuit(seed, max_qubits=4, max_stmts=12)
+        todo = [term] + [normalize(term, max_steps=600, copower_rules=c)[0] for c in (False, True)]
+        while todo:
+            node = todo.pop()
+            todo.extend(children(node))
+            for rule in rules:
+                if type(node) is not rule.at:
+                    tried += 1
+                    assert rule.apply_at(node) is None, (seed, rule.name, node)
+    assert tried > 10_000
