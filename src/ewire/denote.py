@@ -45,7 +45,6 @@ import functools
 import operator
 import sys
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 from . import algebra
 from .algebra import (
@@ -88,12 +87,10 @@ class PartialityError(EvalError):
 class HostValue:
     """A higher-order host value.  A first-order value is a plain Python
     value (``()``, an ``int`` or a 2-tuple) and a computation is an
-    ``algebra.Distribution``.  Host values are never mutated."""
-
-    __slots__ = ()
+    ``algebra.Distribution``."""
 
 
-@dataclass(eq=False, slots=True, weakref_slot=True)
+@dataclass(frozen=True, eq=False)
 class ClosureV(HostValue):
     """A closure: its variable, body and environment, and its body's code."""
 
@@ -103,7 +100,7 @@ class ClosureV(HostValue):
     code: object = field(repr=False)
 
 
-@dataclass(eq=False, slots=True, weakref_slot=True)
+@dataclass(frozen=True, eq=False)
 class CircV(HostValue):
     """A boxed circuit: its wire signature and Heisenberg map."""
 
@@ -112,13 +109,13 @@ class CircV(HostValue):
     op: SuperOp
 
 
-@dataclass(eq=False, slots=True, weakref_slot=True)
+@dataclass(frozen=True, eq=False)
 class FixCombV(HostValue):
     w_in: WireType
     w_out: WireType
 
 
-@dataclass(eq=False, slots=True, weakref_slot=True)
+@dataclass(frozen=True, eq=False)
 class FixV(HostValue):
     """A recursive function value: unfolds on application, one unit of
     fuel per unfolding."""
@@ -264,16 +261,15 @@ class Evaluator:
     ``denote_circuit`` receive a term and read the context's ``code``
     table; from there closures call closures and dispatch on no syntax.
     A host term is compiled whole on its first run (``_host``), a circuit
-    step on its first run over a wire context under a cap (``_step``):
-    it holds its split, its continuation's context and closure, a gate's
-    map, an ``output``'s placed identity, a ``lift``'s values, and its
-    row placement and algebras, computed where it first needs them.  A
-    step compiles its continuation through the table, so a shared node
-    compiles once per context; an unfolding or a second evaluation
-    compiles nothing.  A missing record or a ``ResourceLimit`` raises
-    where the node runs, never where its parent compiles.  Code holds no
-    evaluator, environment or host value.  Closure applications to
-    first-order values are memoised until the first fixed-point
+    step on its first run over a wire context under a cap (``_step``)
+    into a closure over its term and a ``_Step`` record: its split, its
+    continuation's context and code, and what it computes once.  A step
+    compiles its continuation through the table on first run, so a
+    shared node compiles once per context, and an unfolding or a second
+    evaluation compiles nothing.  A missing record or a ``ResourceLimit``
+    raises where the node runs, never where its parent compiles.  Code
+    holds no evaluator, environment or host value.  Closure applications
+    to first-order values are memoised until the first fixed-point
     unfolding.  The ``gamma`` argument is never read.
 
     Each step receives which rows of its result a later step reads.  A
@@ -335,14 +331,7 @@ class Evaluator:
                     return CircV(fv.w_in, fv.w_out,
                                  op_zero(denote_wire(fv.w_out), denote_wire(fv.w_in)))
                 self.fuel -= 1
-                fn = fv.functional
-                if type(fn) is ClosureV:
-                    # the memo is off: the functional is applied here
-                    env2 = dict(fn.env)
-                    env2[fn.var] = fv
-                    unfolded = fn.code(self, env2)
-                else:
-                    unfolded = self.apply(fn, fv)
+                unfolded = self.apply(fv.functional, fv)
                 if type(unfolded) is not ClosureV:
                     # a fixed point unfolding to one is applied by a call
                     return self.apply(unfolded, av)
@@ -355,11 +344,7 @@ class Evaluator:
     def denote_circuit(self, gamma: dict | None, omega, term, env: dict) -> SuperOp:
         """The Heisenberg map of ``gamma; omega |- term : W``, from the
         algebra of W to the algebra of the ordered context."""
-        omega = tuple(omega)
-        hit = self.ctx.code.get(id(term))
-        if hit is None or hit[0] is not omega or hit[1] != max_dim():
-            return _step(self.ctx, omega, term)(self, env, None)
-        return hit[2](self, env, None)
+        return _step(self.ctx, tuple(omega), term)(self, env, None)
 
     def run_circuit(self, op: SuperOp, v: WireType, loc: Span | None = None) -> Distribution:
         """Read the output distribution of a closed circuit of classical
@@ -383,14 +368,6 @@ class Evaluator:
 def _unchecked(term) -> str:
     where = f" at {term.loc}" if term.loc else ""
     return f"{type(term).__name__}{where} was not checked under this evaluator's context"
-
-
-def _checked(ctx: CheckContext, term):
-    """What the typechecker recorded for ``term``."""
-    info = ctx.lookup(term)
-    if info is None:
-        raise EvalError(_unchecked(term))
-    return info
 
 
 def _raises(message: str):
@@ -494,12 +471,6 @@ def _host(ctx: CheckContext, term):
     return gate_family
 
 
-def _lazy(fn):
-    """``fn()``, computed on the first call that returns and then kept."""
-    kept = []
-    return lambda: kept[0] if kept else kept.append(fn()) or kept[0]
-
-
 def _step(ctx: CheckContext, omega: tuple, term):
     """The closure of step ``term`` over ``omega`` under the current cap,
     kept in ``ctx.code`` under ``id(term)`` (its record pins the node),
@@ -516,6 +487,53 @@ def _step(ctx: CheckContext, omega: tuple, term):
     return hit[2]
 
 
+class _Step:
+    """What the closure of a step over ``omega`` holds besides its term
+    and its host code: ``sel`` and ``remaining``, the consumed and the
+    other typed wires, ``cont`` the continuation's context, ``op`` a
+    ``Gate``'s map or an ``Output``'s placed identity, ``values`` a
+    lift's branch values, ``first`` and ``child`` the code of a
+    ``Compose``'s first circuit and of the continuation (``_child``), and
+    ``rest``, ``rows`` and ``target``, computed on first call and kept."""
+
+    __slots__ = ("omega", "sel", "remaining", "cont", "op", "values",
+                 "first", "child", "_rest", "_rows", "_target")
+
+    def __init__(self, omega: tuple, sel: tuple, remaining: tuple, cont: tuple, op):
+        self.omega, self.sel, self.remaining, self.cont, self.op = omega, sel, remaining, cont, op
+        self.values = self.first = self.child = None
+        self._rest = self._target = None
+        self._rows = _UNSET  # None is a placement: no row moves
+
+    def rest(self) -> FdAlgebra:  # the algebra of remaining
+        if self._rest is None:
+            self._rest = denote_context(self.remaining)
+        return self._rest
+
+    def rows(self):  # the _placement of sel + remaining in omega
+        if self._rows is _UNSET:
+            self._rows = _placement(self.omega, self.sel + self.remaining)
+        return self._rows
+
+    def target(self) -> FdAlgebra:  # the algebra of omega
+        if self._target is None:
+            self._target = denote_context(self.omega)
+        return self._target
+
+
+def _child(ev, p: _Step, term, first: bool = False):
+    """The code of ``p``'s first circuit ``term`` over ``p.sel`` if
+    ``first``, else of its continuation over ``p.cont``, compiled through
+    the context's table on the first call that returns and kept in ``p``."""
+    if first:
+        if p.first is None:
+            p.first = _step(ev.ctx, p.sel, term)
+        return p.first
+    if p.child is None:
+        p.child = _step(ev.ctx, p.cont, term)
+    return p.child
+
+
 def _compile_step(ctx: CheckContext, omega: tuple, term):
     """``run(ev, env, need)``, the map of step ``term`` over ``omega``,
     exact on the rows ``need`` names: None for every row, a row mask or
@@ -523,7 +541,9 @@ def _compile_step(ctx: CheckContext, omega: tuple, term):
     t = type(term)
     if t not in _STEPS:
         raise EvalError(f"cannot denote {term!r}")
-    split = _checked(ctx, term)
+    split = ctx.lookup(term)
+    if split is None:
+        raise EvalError(_unchecked(term))
     if t is QLift:
         return _step(ctx, omega, split)  # the checked expansion
     if t is Init:
@@ -534,19 +554,14 @@ def _compile_step(ctx: CheckContext, omega: tuple, term):
         return init
     op = gate_denotation(term.gate) if t is Gate else None
     sel, remaining = _split_context(omega, split.consumes)
-    cont, first, child = split.binds + remaining, None, None
-    # the algebras of remaining and omega, and the placement of sel + remaining
-    rest = _lazy(lambda: denote_context(remaining))
-    rows = _lazy(lambda: _placement(omega, sel + remaining))
-    target = _lazy(lambda: denote_context(omega))
+    p = _Step(omega, sel, remaining, split.binds + remaining, op)
     if t is Output:
         def output(ev, env, need):
             # the identity on the pattern's wires, placed in context order once
-            nonlocal op
-            if op is None:
-                h, place = op_identity(denote_context(sel)), rows()
-                op = h if place is None else op_relabel(h, target(), rows=place)
-            return op
+            if p.op is None:
+                h, place = op_identity(denote_context(p.sel)), p.rows()
+                p.op = h if place is None else op_relabel(h, p.target(), rows=place)
+            return p.op
         return output
     if t is Unbox:
         # an application is applied here, by no code of its own
@@ -557,70 +572,52 @@ def _compile_step(ctx: CheckContext, omega: tuple, term):
 
         def unbox(ev, env, need):
             v = env[name] if name else fn(ev, env)
-            h, place = (v if arg is None else ev.apply(v, arg(ev, env))).op, rows()
-            return h if place is None else op_relabel(h, target(), rows=place)
+            h, place = (v if arg is None else ev.apply(v, arg(ev, env))).op, p.rows()
+            return h if place is None else op_relabel(h, p.target(), rows=place)
         return unbox
     if t is Compose:
         def compose(ev, env, need):
-            nonlocal first, child
             dead = need is _DEAD
-            if first is None:
-                first = _step(ev.ctx, sel, term.first)
-            f1 = first(ev, env, _DEAD if dead else None)
-            if child is None:
-                child = _step(ev.ctx, cont, term.rest)
-            f2 = child(ev, env, _DEAD if dead else (need, rows, rest, f1))
-            return _compose(f1, rest(), f2, rows(), dead)
+            f1 = _child(ev, p, term.first, True)(ev, env, _DEAD if dead else None)
+            f2 = _child(ev, p, term.rest)(ev, env, _DEAD if dead else (need, p, f1))
+            return _compose(f1, p.rest(), f2, p.rows(), dead)
         return compose
     if t is Gate:
         def gate(ev, env, need):
-            nonlocal child
             dead = need is _DEAD
-            if child is None:
-                child = _step(ev.ctx, cont, term.rest)
-            f2 = child(ev, env, _DEAD if dead else (need, rows, rest, op))
-            return _compose(op, rest(), f2, rows(), dead)
+            f2 = _child(ev, p, term.rest)(ev, env, _DEAD if dead else (need, p, p.op))
+            return _compose(p.op, p.rest(), f2, p.rows(), dead)
         return gate
     if t is PairElim:
         def pair_elim(ev, env, need):
-            nonlocal child
-            if child is None:
-                child = _step(ev.ctx, cont, term.rest)
-            h = child(ev, env, _DEAD if need is _DEAD else (need, rows, rest, None))
-            place = rows()
-            return h if place is None else op_relabel(h, target(), rows=place)
+            h = _child(ev, p, term.rest)(ev, env, _DEAD if need is _DEAD else (need, p, None))
+            place = p.rows()
+            return h if place is None else op_relabel(h, p.target(), rows=place)
         return pair_elim
     if t is UnitElim:
-        def unit_elim(ev, env, need):
-            nonlocal child
-            if child is None:
-                child = _step(ev.ctx, remaining, term.rest)
-            return child(ev, env, need)
-        return unit_elim
+        # binds nothing: the continuation's context is remaining
+        return lambda ev, env, need: _child(ev, p, term.rest)(ev, env, need)
     v, w = split.own
     denote_wire(v)  # the cap, checked before the values are listed
-    branches = SimpleNamespace(values=enumerate_classical(v), rows=rows)
+    p.values = enumerate_classical(v)
 
     def lift(ev, env, need):
         # the copower map, in canonical row order; a branch that no
         # later step reads is traversed dead and stacked as zero
-        nonlocal child
         ops = []
-        for value, branch_need in zip(branches.values, _branch_needs(need, branches)):
+        for value, branch_need in zip(p.values, _branch_needs(need, p)):
             env2 = dict(env)
             env2[term.var] = value
-            if child is None:
-                child = _step(ev.ctx, remaining, term.rest)
             try:
-                f = child(ev, env2, branch_need)
+                f = _child(ev, p, term.rest)(ev, env2, branch_need)
                 if branch_need is _DEAD:
                     f = op_zero(f.source, f.target)
             except PartialityError:
                 if not ev.mode.is_cpsu:
                     raise
-                f = op_zero(denote_wire(w), rest())
+                f = op_zero(denote_wire(w), p.rest())
             ops.append(f)
-        place = rows()  # n.(remaining) is literally the algebra of V (x) remaining
+        place = p.rows()  # n.(remaining) is literally the algebra of V (x) remaining
         if need is _DEAD:
             # copower_stack's dimension check, and zero
             return op_zero(ops[0].source, alg_copower(len(ops), ops[0].target))
@@ -629,6 +626,7 @@ def _compile_step(ctx: CheckContext, omega: tuple, term):
 
 
 _DEAD = "dead"  # the demand of a step no later step reads
+_UNSET = object()  # a placement not computed yet
 _STEPS = frozenset({Output, Unbox, Init, Compose, UnitElim, PairElim, Gate, Lift, QLift})
 
 
@@ -643,30 +641,31 @@ def _compose(f: SuperOp, rest: FdAlgebra, g: SuperOp, rows, dead: bool) -> Super
 def _resolve(need):
     """The row mask of a demand, None for every row.
 
-    A lazy demand ``(parent, rows, rest, f)`` is built by a step for its
-    continuation, with the step's ``rows`` and ``rest`` (``f`` is the map
-    the step composes with, None for a ``PairElim``); a chain of them
-    ends in a mask or None.  The chain is walked in a loop: it is as long
-    as the circuit is deep.
+    A lazy demand ``(parent, p, f)`` is built by a step for its
+    continuation, with the step's ``_Step`` (``f`` is the map the step
+    composes with, None for a ``PairElim``); a chain of them ends in a
+    mask or None.  The chain is walked in a loop: it is as long as the
+    circuit is deep.
     """
     chain = []
     while need is not None and not isinstance(need, np.ndarray):
         chain.append(need)
         need = need[0]
-    for _, rows, rest, f in reversed(chain):
-        need = _read_through(need, rows(), rest, f)
+    for _, p, f in reversed(chain):
+        need = _read_through(need, p, f)
     return need
 
 
-def _read_through(read, place, rest, f):
+def _read_through(read, p: _Step, f):
     """The rows of a step's continuation that the rows ``read`` of its
-    result read, its rows placed at ``place``: moved only, for ``f`` None
-    (``PairElim``); else through ``f (x) id_rest()``, where row ``(i, k)``
-    reads ``(j, k)`` for each exact nonzero ``f[i, j]`` of a monomial
-    ``f``, as ``compose_tensored`` gathers them, and each ``j`` if dense."""
+    result read: moved only, for ``f`` None (``PairElim``); else through
+    ``f (x) id_rest``, where row ``(i, k)`` reads ``(j, k)`` for each
+    exact nonzero ``f[i, j]`` of a monomial ``f``, as
+    ``compose_tensored`` gathers them, and each ``j`` if dense."""
+    place = p.rows()
     if f is None:
         return read if read is None or place is None else read[place]
-    _, _, pin, pout = tensored_layout(f, rest())
+    _, _, pin, pout = tensored_layout(f, p.rest())
     if read is None:
         read_ik = np.ones(pout.shape, dtype=bool)
     else:
@@ -682,9 +681,9 @@ def _read_through(read, place, rest, f):
     return None if out.all() else out
 
 
-def _branch_needs(need, p: SimpleNamespace) -> list:
-    """The demand on each branch of a lift, of branch ``values`` and
-    placement ``rows()``: ``_DEAD`` for a branch with no row read."""
+def _branch_needs(need, p: _Step) -> list:
+    """The demand on each branch of the lift of ``p``: ``_DEAD`` for a
+    branch with no row read."""
     n = len(p.values)
     if need is None or need is _DEAD:
         return [need] * n

@@ -796,9 +796,11 @@ def test_memo_keys_first_order_arguments_only():
 
 def _held_by_code(entries) -> list:
     """Everything the compiled code in ``entries`` holds: the cells and
-    defaults of each closure, and the items of tuples, lists and
-    namespaces, walked from each entry of a ``code`` table."""
+    defaults of each closure, the slots of each step's ``_Step``, and the
+    items of tuples and lists, walked from each entry of a ``code`` table."""
     import types
+
+    from ewire.denote import _Step
 
     seen, todo, out = set(), list(entries), []
     while todo:
@@ -810,8 +812,8 @@ def _held_by_code(entries) -> list:
         if isinstance(x, types.FunctionType):
             todo += [c.cell_contents for c in x.__closure__ or () if c.cell_contents is not None]
             todo += list(x.__defaults__ or ())
-        elif isinstance(x, types.SimpleNamespace):
-            todo += list(vars(x).values())
+        elif isinstance(x, _Step):
+            todo += [getattr(x, slot) for slot in _Step.__slots__]
         elif isinstance(x, (tuple, list)):
             todo += list(x)
     return out
@@ -1413,9 +1415,12 @@ def test_step_plans_match_cold_evaluation(monkeypatch):
     monkeypatch.setattr(ewire.denote, "_compile_step", counted)
     warm = _outcomes(jobs)
     warm_builds = len(built)
-    # every step entered from denote_circuit, and each continuation it
-    # first runs, compiled anew and kept nowhere
+    # every step compiled anew at each run, the entry from denote_circuit
+    # and each first circuit and continuation, including each branch of a
+    # lift, and kept nowhere
     monkeypatch.setattr(ewire.denote, "_step", counted)
+    monkeypatch.setattr(ewire.denote, "_child", lambda ev, p, term, first=False:
+                        counted(ev.ctx, p.sel if first else p.cont, term))
     for ctx in {id(ctx): ctx for ctx, _, _ in jobs}.values():
         ctx.code.clear()
     monkeypatch.setattr(ewire.algebra, "_layout", ewire.algebra._layout.__wrapped__)
