@@ -250,14 +250,15 @@ SCALARS = FdAlgebra((1,))
 
 def alg_tensor(a: FdAlgebra, b: FdAlgebra) -> FdAlgebra:
     """Tensor product: blocks ``n_i * m_j`` ordered lexicographically.
-    The product is memoised on the block tuples; the dimension cap is
-    checked on every call, before any block is listed."""
-    _check_dim(a.dim * b.dim, "tensor product")
-    return _tensor_blocks(a.blocks, b.blocks)
+    The product is memoised per dimension cap, like every size memo here:
+    the cap is checked when the product is computed, before any block is
+    listed, and a failed check is not cached."""
+    return _tensor_blocks(a.blocks, b.blocks, _max_dim)
 
 
 @functools.cache
-def _tensor_blocks(a: tuple, b: tuple) -> FdAlgebra:
+def _tensor_blocks(a: tuple, b: tuple, cap: int) -> FdAlgebra:
+    _check_dim(sum(n * n for n in a) * sum(m * m for m in b), "tensor product")
     return FdAlgebra(tuple(n * m for n in a for m in b))
 
 
@@ -508,24 +509,19 @@ def factor_index_map(algs: Sequence[FdAlgebra]) -> np.ndarray:
     ``tensor_many(algs)`` of each tuple of factor basis indices.
 
     This is the one place where the block layout of a tensor product is
-    decided.  The map is memoised on the block tuples; the dimension cap
-    is checked on every call, memo hit or not.
+    decided.  The map is memoised per dimension cap, like ``alg_tensor``:
+    on a miss the dimension checks of ``tensor_many(algs)`` run first, in
+    its order, and a failed check is not cached.
     """
-    _check_tensor_dims(algs)
-    return _index_map(tuple(a.blocks for a in algs))
-
-
-def _check_tensor_dims(algs: Sequence[FdAlgebra]) -> None:
-    """The dimension checks of ``tensor_many(algs)``, in the same order,
-    without building the product."""
-    dim = 1
-    for a in algs:
-        dim *= a.dim
-        _check_dim(dim, "tensor product")
+    return _index_map(tuple(a.blocks for a in algs), _max_dim)
 
 
 @functools.cache
-def _index_map(factor_blocks: tuple) -> np.ndarray:
+def _index_map(factor_blocks: tuple, cap: int) -> np.ndarray:
+    dim = 1
+    for blocks in factor_blocks:
+        dim *= sum(n * n for n in blocks)
+        _check_dim(dim, "tensor product")
     # a basis element of the product picks one (block, row, column) per
     # factor; blocks are ordered lexicographically, and rows and columns
     # in mixed radix with the later factors least significant
@@ -567,8 +563,8 @@ def tensored_layout(f: SuperOp, rest: FdAlgebra):
     and the canonical row ``pin[j, k]`` of source pair ``(j, k)`` and
     ``pout[i, k]`` of target pair ``(i, k)``.  These are the dimension
     checks of ``compose_tensored``, in its order.  The layout is memoised
-    per dimension cap, like ``factor_index_map``: a failed check is not
-    cached, so it raises again with the same message."""
+    per dimension cap, like ``alg_tensor``: a failed check is not cached,
+    so it raises again with the same message."""
     return _layout(f.source, f.target, rest, _max_dim)
 
 
@@ -860,17 +856,18 @@ def factor_permutation(algs: Sequence[FdAlgebra], new_order: Sequence[int]) -> n
     Returns an array ``p`` with ``p[src] = tgt``: the canonical index
     ``src`` in ``tensor_many(algs)`` corresponds to ``tgt`` in
     ``tensor_many([algs[i] for i in new_order])``.  Both sides come from
-    ``factor_index_map``; the result is memoised like it.
+    ``factor_index_map``, the source side first, so the dimension checks
+    are those of ``tensor_many(algs)``; the result is memoised per
+    dimension cap like it.
     """
     assert sorted(new_order) == list(range(len(algs)))
-    _check_tensor_dims(algs)
-    return _factor_permutation(tuple(a.blocks for a in algs), tuple(new_order))
+    return _factor_permutation(tuple(a.blocks for a in algs), tuple(new_order), _max_dim)
 
 
 @functools.cache
-def _factor_permutation(factor_blocks: tuple, new_order: tuple) -> np.ndarray:
-    src_map = _index_map(factor_blocks)
-    tgt_map = _index_map(tuple(factor_blocks[i] for i in new_order))
+def _factor_permutation(factor_blocks: tuple, new_order: tuple, cap: int) -> np.ndarray:
+    src_map = _index_map(factor_blocks, cap)
+    tgt_map = _index_map(tuple(factor_blocks[i] for i in new_order), cap)
     src_perm = np.transpose(src_map, axes=new_order) if new_order else src_map
     p = np.empty(src_map.size, dtype=np.int64)
     p[src_perm.reshape(-1)] = tgt_map.reshape(-1)

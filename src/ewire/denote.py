@@ -7,7 +7,8 @@ values, which are plain Python values: ``()``, an ``int`` (never a
 ``bool``) or a 2-tuple, as ``enumerate_classical`` lists them, so a
 ``lift`` binds, an ``init`` indexes and a ``run`` returns them as they
 are.  A computation is an ``algebra.Distribution`` over host values.
-Closures, boxed circuits and fixed points are ``HostValue`` objects.
+Closures, boxed circuits and fixed points are ``HostValue`` objects;
+the fixed-point combinator is a closure like any other.
 
 Two modes are supported: ``cpu`` interprets circuits as unital maps and
 total probability distributions; ``cpsu`` admits subunital maps, where
@@ -30,13 +31,15 @@ A ``lift`` branch whose rows no later step reads is traversed but not
 computed (see ``Evaluator``); which rows are read follows from the exact
 nonzeros of maps already denoted, so every result is bit-identical.
 
-Each checked term is compiled, on its first run, into a closure that
-evaluates it, which holds its children's closures and its checked
-record (see ``Evaluator``); a step's closure is kept per wire context
-and dimension cap in the ``CheckContext``'s ``code`` table, which every
-evaluator over that context shares.  Every fixed-point application goes
-through ``Evaluator.apply`` and every ``box`` through
-``Evaluator.denote_circuit``, the two methods a tracer wraps.
+Each checked term is compiled into a closure that evaluates it, which
+holds its children's closures and its checked record (see
+``Evaluator``): a host term each time ``eval_host`` receives it, a
+circuit step on its first run.  Only steps are kept, per wire context
+and dimension cap, in the ``CheckContext``'s ``code`` table, which only
+``denote_circuit`` reads and every evaluator over that context shares.
+Every fixed-point application goes through ``Evaluator.apply`` and
+every ``box`` through ``Evaluator.denote_circuit``, the two methods a
+tracer wraps.
 """
 
 from __future__ import annotations
@@ -107,12 +110,6 @@ class CircV(HostValue):
     w_in: WireType
     w_out: WireType
     op: SuperOp
-
-
-@dataclass(frozen=True, eq=False)
-class FixCombV(HostValue):
-    w_in: WireType
-    w_out: WireType
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,11 +255,13 @@ class Evaluator:
     An evaluator holds the mode, the remaining fuel (shared by all fixed
     points unfolded under one top-level evaluation), the closure memo
     and the ``CheckContext`` it runs.  Only ``eval_host`` and
-    ``denote_circuit`` receive a term and read the context's ``code``
-    table; from there closures call closures and dispatch on no syntax.
-    A host term is compiled whole on its first run (``_host``), a circuit
-    step on its first run over a wire context under a cap (``_step``)
-    into a closure over its term and a ``_Step`` record: its split, its
+    ``denote_circuit`` receive a term; from there closures call closures
+    and dispatch on no syntax.  ``eval_host`` compiles its host term
+    whole (``_host``) and runs it: a program evaluates each declaration
+    once, so its code is not kept.  ``denote_circuit`` reads the
+    context's ``code`` table, where a circuit step is compiled on its
+    first run over a wire context under a cap (``_step``) into a
+    closure over its term and a ``_Step`` record: its split, its
     continuation's context and code, and what it computes once.  A step
     compiles its continuation through the table on first run, so a
     shared node compiles once per context, and an unfolding or a second
@@ -284,6 +283,10 @@ class Evaluator:
 
     An ``if`` runs the branch it takes, an ascription compiles to its
     term's closure, and a variable or literal operand is read in place.
+    The fixed-point combinator evaluates to a ``ClosureV`` whose code,
+    built once when its ``Fix`` node compiles, makes the ``FixV`` of its
+    argument and spends no fuel; so ``apply`` knows two kinds of function
+    value, closures and fixed points.
     Every application goes through ``ev.apply`` and every ``box`` through
     ``ev.denote_circuit``, looked up when called, so a tracer wrapping
     them sees every unfolding and box; closures call the ``algebra``
@@ -300,11 +303,7 @@ class Evaluator:
         self._app_cache: dict | None = {}
 
     def eval_host(self, gamma: dict | None, term, env: dict):
-        code = self.ctx.code
-        hit = code.get(id(term))
-        if hit is None or hit[0] is not term:
-            hit = code[id(term)] = (term, _host(self.ctx, term))  # pins its id
-        return hit[1](self, env)
+        return _host(self.ctx, term)(self, env)
 
     def apply(self, fv: HostValue, av):
         while True:
@@ -337,8 +336,6 @@ class Evaluator:
                     return self.apply(unfolded, av)
                 fv = unfolded
                 continue
-            if t is FixCombV:
-                return FixV(av, fv.w_in, fv.w_out)
             raise EvalError(f"cannot apply non-function {fv!r}")
 
     def denote_circuit(self, gamma: dict | None, omega, term, env: dict) -> SuperOp:
@@ -443,10 +440,14 @@ def _host(ctx: CheckContext, term):
             return Distribution(out)
         return bind
     if t is Fix:
+        # the combinator is a closure whose code makes the fixed point of
+        # its argument, the functional, and spends no fuel
+        fixed_point = lambda ev, env: FixV(env["functional"], term.w_in, term.w_out)
+
         def fix(ev, env):
             if not ev.mode.is_cpsu:
                 raise EvalError("the fixed-point combinator requires cpsu mode", term.loc)
-            return FixCombV(term.w_in, term.w_out)
+            return ClosureV("functional", term, {}, fixed_point)
         return fix
     if t not in (Box, Run, GateFam, QRun):
         return _raises(f"cannot evaluate {term!r}")

@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass, field, replace
 
 from .algebra import DEFAULT_TOL, frobenius_distance
-from .denote import Evaluator, Mode
+from .denote import Evaluator, Mode, _PRIMS
 from .syntax import (
     App, Ascribe, Box, ClassicalLit, Compose, Gate, HostTerm,
     If, Init, IntLit, Lam, Lift, Output, Pair, PairElim, PairP, Prim, Proj,
@@ -282,12 +282,8 @@ def purify_host(term: HostTerm) -> HostTerm:
                 l2, r2 = go(l), go(r)
                 if isinstance(l2, IntLit) and isinstance(r2, IntLit):
                     budget[0] -= 1
-                    if op == "+":
-                        return IntLit(l2.value + r2.value)
-                    if op == "-":
-                        return IntLit(l2.value - r2.value)
-                    if op == "=":
-                        return ClassicalLit("bit", 2, int(l2.value == r2.value))
+                    value = _PRIMS[op](l2.value, r2.value)
+                    return ClassicalLit("bit", 2, value) if op == "=" else IntLit(value)
                 return Prim(op, l2, r2, loc=t.loc)
             case Ascribe(u, _):
                 return go(u)

@@ -63,9 +63,11 @@ HostContext = dict  # str -> HostType
 @dataclass
 class CheckContext:
     """Program-level tables consulted during checking, and ``code``: the
-    code that ``denote`` compiles the checked terms to, shared by every
-    ``Evaluator`` over this context (see ``Evaluator``) and left out of
-    ``==`` and ``repr``."""
+    code that ``denote`` compiles the checked circuit steps to, per wire
+    context and dimension cap, shared by every ``Evaluator`` over this
+    context.  Only ``Evaluator.denote_circuit``, and the step code it
+    runs, reads it (see ``Evaluator``); it is left out of ``==`` and
+    ``repr``."""
 
     bases: dict
     gates: dict

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ewire.algebra
+import ewire.denote
 from ewire.algebra import (
     DimensionMismatch, FdAlgebra, ResourceLimit, SCALARS,
     SuperOp, ZeroCopower, alg, alg_copower, alg_direct_sum,
@@ -16,6 +18,7 @@ from ewire.algebra import (
     op_zero, psd_within, _psd_margin, tensored_layout, set_max_dim,
     state_to_distribution, superop_to_json, tensor_many, unit_element,
 )
+from ewire.denote import denote_context, denote_wire
 from ewire.syntax import BIT, GateRef, QUBIT, TensorW, UnknownGate
 from ewire.typecheck import BUILTIN_GATES, gate_signature
 
@@ -140,33 +143,42 @@ def test_factor_index_map_matches_brute_force():
         assert np.array_equal(np.sort(got.reshape(-1)), np.arange(got.size))
 
 
-def test_factor_index_map_memo_keeps_dimension_cap():
-    algs = [alg(4), alg(4)]
-    factor_index_map(algs)
-    old = max_dim()
-    set_max_dim(8)
-    try:
-        with pytest.raises(ResourceLimit):
-            factor_index_map(algs)
-        with pytest.raises(ResourceLimit):
-            factor_permutation(algs, [1, 0])
-    finally:
-        set_max_dim(old)
+# one call of each size memo; each needs more than a cap of 8
+_SIZE_MEMO_CALLS = {
+    "alg_tensor": lambda: alg_tensor(alg(4), alg(4)),
+    "factor_index_map": lambda: factor_index_map([alg(4), alg(4)]),
+    "factor_permutation": lambda: factor_permutation([alg(4), alg(4)], [1, 0]),
+    "tensored_layout": lambda: tensored_layout(gate_denotation(GateRef("H")), alg(2)),
+    "denote_wire": lambda: denote_wire(TensorW(QUBIT, QUBIT)),
+    "denote_context": lambda: denote_context((("a", QUBIT), ("b", QUBIT))),
+}
+_SIZE_MEMOS = [
+    (ewire.algebra, "_tensor_blocks"), (ewire.algebra, "_index_map"),
+    (ewire.algebra, "_factor_permutation"), (ewire.algebra, "_layout"),
+    (ewire.denote, "_denote_wire"), (ewire.denote, "_denote_context"),
+]
 
 
-def test_tensored_layout_memo_keeps_dimension_cap():
-    h = gate_denotation(GateRef("H"))
-    g = op_identity(alg(4))
-    compose_tensored(h, alg(2), g)
+@pytest.mark.parametrize("name", list(_SIZE_MEMO_CALLS))
+def test_size_memo_keeps_dimension_cap(name, monkeypatch):
+    call = _SIZE_MEMO_CALLS[name]
     old = max_dim()
-    set_max_dim(8)
     try:
-        with pytest.raises(ResourceLimit, match="dimension 16,"):
-            compose_tensored(h, alg(2), g)
+        set_max_dim(1 << 10)
+        before = call()
+        set_max_dim(8)
+        with pytest.raises(ResourceLimit) as warm:
+            call()
+        with monkeypatch.context() as m:
+            for module, memo in _SIZE_MEMOS:
+                m.setattr(module, memo, getattr(module, memo).__wrapped__)
+            with pytest.raises(ResourceLimit) as cold:
+                call()
+        assert str(warm.value) == str(cold.value)
+        set_max_dim(1 << 10)
+        assert call() is before
     finally:
         set_max_dim(old)
-    assert np.array_equal(compose_tensored(h, alg(2), g).matrix,
-                          op_tensor(h, op_identity(alg(2))).matrix)
 
 
 def test_monomial_structure_found_once_per_map(monkeypatch):

@@ -372,6 +372,40 @@ def test_fixed_point_unfolding_to_itself_spends_all_fuel_on_bottom():
     assert ev.fuel == 0
 
 
+HS_PASSED = """
+def fixer : ((int -> Circ(qubit, qubit)) -> int -> Circ(qubit, qubit))
+            -> int -> Circ(qubit, qubit) = Y[int, qubit, qubit]
+def step : (int -> Circ(qubit, qubit)) -> int -> Circ(qubit, qubit) =
+  lambda Hs : int -> Circ(qubit, qubit) . lambda n : int .
+    if n = 0 then box q : qubit => output q
+    else box q : qubit => (q' <- gate H q; unbox (Hs (n - 1)) q')
+def Hs : int -> Circ(qubit, qubit) =
+  (lambda y : ((int -> Circ(qubit, qubit)) -> int -> Circ(qubit, qubit))
+              -> int -> Circ(qubit, qubit) . y step) fixer
+"""
+
+
+@pytest.mark.parametrize("fuel, n", [(0, 2), (2, 3), (50, 3), (50, -1)])
+def test_a_bound_and_passed_fixed_point_combinator_is_def_rec(fuel, n):
+    # the combinator is bound by a declaration, passed to a function and
+    # applied there; it unfolds as def rec does, and applying it is free
+    from ewire.denote import FixV, call_with_stack
+
+    passed = check_program(parse_program(HS_PASSED))
+    ev = Evaluator(ctx=passed.ctx, mode=Mode.cpsu(fuel))
+    fixer, step = (ev.eval_host(None, passed.program.find(x).term, {}) for x in ("fixer", "step"))
+    assert type(ev.apply(fixer, step)) is FixV and ev.fuel == fuel
+    hs = ev.eval_host(None, passed.program.find("Hs").term, {"fixer": fixer, "step": step})
+    assert type(hs) is FixV and ev.fuel == fuel
+    got = call_with_stack(lambda: ev.apply(hs, n)).op.matrix
+    rec = check_program(parse_program(HS))
+    ev_rec = Evaluator(ctx=rec.ctx, mode=Mode.cpsu(fuel))
+    hs_rec = ev_rec.eval_host(None, rec.program.find("Hs").term, {})
+    want = call_with_stack(lambda: ev_rec.apply(hs_rec, n)).op.matrix
+    assert got.tobytes() == want.tobytes()
+    assert ev.fuel == ev_rec.fuel
+
+
 def test_partiality_out_of_range_init():
     prog = parse_program(
         """

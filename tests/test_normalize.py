@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,10 @@ from ewire.normalize import (
 from ewire.parser import parse_circuit, parse_host_term, parse_program
 from ewire.qlist import monomorphize
 from ewire.syntax import (
-    BIT, Box, CircT, ClassicalT, Compose, DefDecl, Gate, Lift, QUBIT, UnitElim,
-    alpha_equiv,
+    BIT, Box, CircT, ClassicalLit, ClassicalT, Compose, DefDecl, Gate, IntLit, Lift,
+    Prim, QUBIT, UnitElim, alpha_equiv,
 )
-from ewire.typecheck import check_circuit, check_program, _default_ctx
+from ewire.typecheck import check_circuit, check_host, check_program, _default_ctx
 
 from tests.gen import random_circuit
 
@@ -299,6 +300,18 @@ def test_lift_commute_renames_a_lifted_variable_free_in_the_tail():
 ])
 def test_purify_host_reduces_literal_redexes(text, expected):
     assert alpha_equiv(purify_host(parse_host_term(text)), parse_host_term(expected))
+
+
+@pytest.mark.parametrize("op", ["+", "-", "="])
+def test_purify_host_folds_a_primitive_as_the_evaluator_does(op):
+    for a, b in itertools.product(range(-2, 3), repeat=2):
+        term = Prim(op, IntLit(a), IntLit(b))
+        lit = purify_host(term)
+        assert isinstance(lit, (IntLit, ClassicalLit))
+        ctx = _default_ctx()
+        assert check_host({}, lit, ctx) == check_host({}, term, ctx)
+        got, want = eval_host({}, lit), eval_host({}, term)
+        assert type(got) is type(want) is int and got == want
 
 
 def test_meas_new_meas_collapses():
